@@ -1,7 +1,7 @@
 GO ?= go
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race lint vet memlpvet vuln cover bench-batch bench-trace bench-serve bench-hotpath bench-pdhg bless-traces
+.PHONY: all build test race lint vet memlpvet vuln cover bench bench-batch bench-trace bench-serve bench-hotpath bench-pdhg bless-traces
 
 all: build test lint
 
@@ -38,6 +38,13 @@ vuln:
 cover:
 	$(GO) test -coverprofile=cover.out -coverpkg=./... ./...
 	$(GO) tool cover -func=cover.out | tail -1
+
+# The seeded three-workload benchmark that BENCHMARK.json declares
+# (perfbench/doc.go describes its workloads and metrics). It builds from
+# this checkout, keeps its caches under .bench_build/, and exits 1 when an
+# answer check fails. Add --trace 1 for the per-layer metrics.
+bench:
+	bash perfbench/run.sh --workload all
 
 # Fabric-pool throughput benchmarks (the BENCH_BATCH.json source). Raise
 # -benchtime for tighter numbers on a quiet machine.

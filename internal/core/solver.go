@@ -675,6 +675,10 @@ type snapshot struct {
 	score           float64
 	pinf, dinf, gap float64
 	x, y, w, z      linalg.Vector
+	// dual backs y, w and z, so a solve's first snapshot costs two
+	// allocations rather than four. x keeps a buffer of its own: callers
+	// often retain only the primal answer, which must not pin the duals.
+	dual linalg.Vector
 }
 
 func (s *snapshot) consider(pinf, dinf, gap float64, x, y, w, z linalg.Vector) bool {
@@ -691,12 +695,20 @@ func (s *snapshot) consider(pinf, dinf, gap float64, x, y, w, z linalg.Vector) b
 	s.ok = true
 	s.score = score
 	s.pinf, s.dinf, s.gap = pinf, dinf, gap
-	// Copy into retained buffers (append reuses capacity across iterations
-	// and solves, so steady-state snapshots allocate nothing).
+	// Copy into retained buffers (their capacity is reused across
+	// iterations and solves, so steady-state snapshots allocate nothing).
+	// Capacity-capped views keep an append to one dual off the next.
 	s.x = append(s.x[:0], x...)
-	s.y = append(s.y[:0], y...)
-	s.w = append(s.w[:0], w...)
-	s.z = append(s.z[:0], z...)
+	ny, nw, nz := len(y), len(w), len(z)
+	if total := ny + nw + nz; cap(s.dual) < total {
+		s.dual = make(linalg.Vector, total)
+	}
+	s.y = s.dual[:ny:ny]
+	s.w = s.dual[ny : ny+nw : ny+nw]
+	s.z = s.dual[ny+nw : ny+nw+nz : ny+nw+nz]
+	copy(s.y, y)
+	copy(s.w, w)
+	copy(s.z, z)
 	return true
 }
 

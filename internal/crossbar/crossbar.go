@@ -52,6 +52,24 @@ var (
 	ErrBadConfig     = errors.New("crossbar: invalid configuration")
 )
 
+// errNonFinite rejects a NaN or infinite coefficient, in Program and in the
+// in-place updates alike: no device conductance represents one.
+var errNonFinite = fmt.Errorf("%w: matrix has non-finite elements", ErrBadConfig)
+
+// checkCoefficient rejects a user coefficient that no conductance can
+// represent: ErrNegative below zero (−Inf included), Program's non-finite
+// error for NaN and +Inf. One pair of comparisons passes every valid value,
+// which keeps the per-iteration row refresh cheap.
+func checkCoefficient(v float64) error {
+	if v >= 0 && v <= math.MaxFloat64 {
+		return nil
+	}
+	if v < 0 {
+		return ErrNegative
+	}
+	return errNonFinite
+}
+
 // Config parameterizes a crossbar array.
 type Config struct {
 	// Size is the physical array dimension (Size×Size devices).
@@ -255,7 +273,8 @@ type Crossbar struct {
 	gt       *linalg.Matrix
 	rowScale []float64
 	// deviceFactor holds each cell's static process-variation factor, drawn
-	// once at Program time.
+	// once at Program time; nil without a variation model, where every
+	// factor would be exactly 1.
 	deviceFactor *linalg.Matrix
 	// progTarget caches each cell's last programmed (quantized, pre-noise)
 	// conductance target: a write pulse is only issued — and only counted —
@@ -283,6 +302,13 @@ type Crossbar struct {
 	// programmed in. Both unused unless the fault model enables drift.
 	driftCycle float64
 	cellCycle  *linalg.Matrix
+	// pat is the zero/non-zero pattern of gt that the sense kernel, the
+	// measured row sums and the settle walk instead of dense rows. It is
+	// rescanned lazily once patValid drops, which happens only where gt can
+	// change between zero and non-zero: a conductance-writer funnel flipping
+	// a cell, Program, and RemapAvoidingFaults.
+	pat      linalg.Pattern
+	patValid bool
 
 	counters Counters
 
@@ -396,9 +422,50 @@ func (x *Crossbar) quantizeG(g float64) float64 {
 	if g >= gmax {
 		return gmax
 	}
-	step := math.Exp2(-float64(x.cfg.WriteBits - 1))
-	scale := math.Exp2(math.Ceil(math.Log2(g))) * step
+	step := math.Ldexp(1, -(x.cfg.WriteBits - 1))
+	scale := math.Ldexp(1, ceilLog2(g)) * step
 	return math.Round(g/scale) * scale
+}
+
+// ceilLog2 returns math.Ceil(math.Log2(v)) as an int for a finite v > 0,
+// the same value, without the logarithm wherever the bits decide it. For a
+// normal v with biased exponent e and mantissa m, math.Log2 returns e−1023
+// exactly when m = 0, and otherwise L + (e−1022), where L, the log₂ of the
+// Frexp fraction, lies in [−1, 0). When m ≥ 2³² the fraction is at least
+// 0.5 + 2⁻²¹, so L > −1 + 10⁻⁶. Rounding a sum of magnitude at most 1024
+// moves it by at most 2⁻⁴³, so it stays above e−1023 and its ceiling is
+// e−1022. Mantissas closer to a power of two, and subnormals, take the
+// library path.
+//
+//memlp:hotpath
+func ceilLog2(v float64) int {
+	b := math.Float64bits(v)
+	e, m := int(b>>52&0x7ff), b&(1<<52-1)
+	switch {
+	case e == 0 || (m != 0 && m < 1<<32):
+		return int(math.Ceil(math.Log2(v)))
+	case m == 0:
+		return e - 1023
+	}
+	return e - 1022
+}
+
+// pattern returns the zero/non-zero pattern of gt, rescanning gt first if a
+// write flipped a cell since the last scan.
+func (x *Crossbar) pattern() *linalg.Pattern {
+	if !x.patValid {
+		x.pat.Scan(x.gt)
+		x.patValid = true
+	}
+	return &x.pat
+}
+
+// notePatternWrite marks the pattern stale when a write changes a cell's
+// conductance between zero and non-zero.
+func (x *Crossbar) notePatternWrite(old, g float64) {
+	if (old == 0) != (g == 0) {
+		x.patValid = false
+	}
 }
 
 // Config returns the (defaulted) configuration.
@@ -442,11 +509,12 @@ func (x *Crossbar) Program(a *linalg.Matrix) error {
 		return ErrNegative
 	}
 	if !a.AllFinite() {
-		return fmt.Errorf("%w: matrix has non-finite elements", ErrBadConfig)
+		return errNonFinite
 	}
 
 	sameShape := x.target != nil && x.rows == a.Rows() && x.cols == a.Cols()
 	x.rows, x.cols = a.Rows(), a.Cols()
+	x.patValid = false
 	if sameShape {
 		// Reuse the mapping buffers, but clear both the realized
 		// conductances and the program-and-verify cache: stale gt entries
@@ -460,7 +528,10 @@ func (x *Crossbar) Program(a *linalg.Matrix) error {
 		x.target = linalg.NewMatrix(x.rows, x.cols)
 		x.gt = linalg.NewMatrix(x.rows, x.cols)
 		x.progTarget = linalg.NewMatrix(x.rows, x.cols)
-		x.deviceFactor = linalg.NewMatrix(x.rows, x.cols)
+		x.deviceFactor = nil
+		if x.cfg.Variation != nil {
+			x.deviceFactor = linalg.NewMatrix(x.rows, x.cols)
+		}
 		x.cellCycle = nil
 	}
 	if x.driftEnabled() && x.cellCycle == nil {
@@ -481,13 +552,11 @@ func (x *Crossbar) Program(a *linalg.Matrix) error {
 	// variation persists across rewrites of the same cell, while a full
 	// re-Program models a fresh array (Algorithm 2's double-checking relies
 	// on independent variation draws between attempts).
-	for i := 0; i < x.rows; i++ {
-		for j := 0; j < x.cols; j++ {
-			f := 1.0
-			if x.cfg.Variation != nil {
-				f = x.cfg.Variation.Factor()
+	if x.deviceFactor != nil {
+		for i := 0; i < x.rows; i++ {
+			for j := 0; j < x.cols; j++ {
+				x.deviceFactor.Set(i, j, x.cfg.Variation.Factor())
 			}
-			x.deviceFactor.Set(i, j, f)
 		}
 	}
 	for i := 0; i < x.rows; i++ {
@@ -581,8 +650,8 @@ func (x *Crossbar) UpdateRow(i int, row linalg.Vector) error {
 		return fmt.Errorf("%w: row %d len %d for %dx%d", linalg.ErrDimensionMismatch, i, len(row), x.rows, x.cols)
 	}
 	for _, v := range row {
-		if v < 0 {
-			return ErrNegative
+		if err := checkCoefficient(v); err != nil {
+			return err
 		}
 	}
 	x.setTargetRow(i, row)
@@ -601,8 +670,8 @@ func (x *Crossbar) UpdateCell(i, j int, value float64) error {
 	if i < 0 || i >= x.rows || j < 0 || j >= x.cols {
 		return fmt.Errorf("%w: cell (%d,%d) of %dx%d", linalg.ErrDimensionMismatch, i, j, x.rows, x.cols)
 	}
-	if value < 0 {
-		return ErrNegative
+	if err := checkCoefficient(value); err != nil {
+		return err
 	}
 	row := x.target.Row(i).Scale(x.rowScale[i])
 	row[j] = value
@@ -623,8 +692,8 @@ func (x *Crossbar) UpdateCellInPlace(i, j int, value float64) error {
 	if i < 0 || i >= x.rows || j < 0 || j >= x.cols {
 		return fmt.Errorf("%w: cell (%d,%d) of %dx%d", linalg.ErrDimensionMismatch, i, j, x.rows, x.cols)
 	}
-	if value < 0 {
-		return ErrNegative
+	if err := checkCoefficient(value); err != nil {
+		return err
 	}
 	// A value that no longer fits under the row's programmed scale (its
 	// connection-matrix row sum would reach the headroom bound, or the cell
@@ -694,14 +763,17 @@ func (x *Crossbar) effG(i, j int, g float64) float64 {
 
 // senseRow integrates row i's cell currents for the analog input vi: the
 // numerator of the row's dot product and the row's total effective
-// conductance, both after per-cell IR-drop/drift attenuation. This is the
-// per-iteration inner kernel of every analog read (Algorithm 1/2 mat-vec and
-// residual paths).
+// conductance, both after per-cell IR-drop/drift attenuation. cols is the
+// row's pattern: a gated-off cell adds an exact zero to both sums, so
+// walking only the non-zero cells, in ascending order, reproduces the dense
+// row sum bit for bit. This is the per-iteration inner kernel of every
+// analog read (Algorithm 1/2 mat-vec and residual paths).
 //
 //memlp:hotpath
-func (x *Crossbar) senseRow(i int, vi linalg.Vector) (num, sum float64) {
-	for j, g := range x.gt.RawRow(i) {
-		ge := x.effG(i, j, g)
+func (x *Crossbar) senseRow(i int, cols []int32, vi linalg.Vector) (num, sum float64) {
+	grow := x.gt.RawRow(i)
+	for _, j := range cols {
+		ge := x.effG(i, int(j), grow[j])
 		num += ge * vi[j]
 		sum += ge
 	}
@@ -726,9 +798,10 @@ func (x *Crossbar) MatVec(v linalg.Vector) (linalg.Vector, error) {
 		return nil, err
 	}
 	gs := x.cfg.SenseConductance
+	p := x.pattern()
 	vo := scratchVec(&x.mvVO, x.rows)
 	for i := 0; i < x.rows; i++ {
-		num, s := x.senseRow(i, vi)
+		num, s := x.senseRow(i, p.Row(i), vi)
 		vo[i] = num / (gs + s)
 	}
 	out, err := x.fromAnalog(vo, &x.mvOut)
@@ -774,9 +847,10 @@ func (x *Crossbar) MatVecResidual(base, v, factor linalg.Vector) (linalg.Vector,
 	}
 	x.counters.IOConversions += int64(len(vi))
 	gs := x.cfg.SenseConductance
+	p := x.pattern()
 	out := scratchVec(&x.resOut, x.rows)
 	for i := 0; i < x.rows; i++ {
-		num, srow := x.senseRow(i, vi)
+		num, srow := x.senseRow(i, p.Row(i), vi)
 		t := x.rowScale[i] * num / (gs + srow)
 		if factor != nil {
 			t *= factor[i]
@@ -818,6 +892,9 @@ func (x *Crossbar) Solve(b linalg.Vector) (linalg.Vector, error) {
 	// mismatch between ideal and realized row sums leaks a fraction of
 	// every Newton step into the primal residual (DESIGN.md §D3).
 	gs := x.cfg.SenseConductance
+	// The attenuated network has gt's zeros (effG(0) = 0), so gt's pattern
+	// covers it as well.
+	p := x.pattern()
 	net := x.gt
 	if x.cfg.WireResistance > 0 || x.driftEnabled() {
 		if x.solveNet == nil || x.solveNet.Rows() != x.rows || x.solveNet.Cols() != x.cols {
@@ -835,8 +912,9 @@ func (x *Crossbar) Solve(b linalg.Vector) (linalg.Vector, error) {
 	vo := scratchVec(&x.solveVO, len(b))
 	for i := range b {
 		var srow float64
-		for _, g := range net.RawRow(i) {
-			srow += g
+		nrow := net.RawRow(i)
+		for _, j := range p.Row(i) {
+			srow += nrow[j]
 		}
 		vo[i] = b[i] * (gs + srow) / (gs * x.rowScale[i])
 	}
@@ -848,9 +926,9 @@ func (x *Crossbar) Solve(b linalg.Vector) (linalg.Vector, error) {
 		voq[i] *= gs
 	}
 	// The structured solve computes the same settle point as a dense solve
-	// but exploits the sparsity of the programmed network; the analog
-	// hardware cost model is unaffected (one settle either way).
-	vi, err := x.solveWS.Solve(net, voq)
+	// but walks only the programmed network's pattern; the analog hardware
+	// cost model is unaffected (one settle either way).
+	vi, err := x.solveWS.SolvePattern(net, p, voq)
 	if err != nil {
 		if errors.Is(err, linalg.ErrSingular) {
 			return nil, fmt.Errorf("%w: %v", ErrSingular, err)
@@ -959,14 +1037,12 @@ func (x *Crossbar) quantizeIO(v linalg.Vector) error {
 	}
 	// Per-element PGA: quantize each element against its own power-of-two
 	// full scale, which keeps a constant relative resolution.
-	step := math.Exp2(-float64(x.cfg.IOBits - 1))
+	step := math.Ldexp(1, -(x.cfg.IOBits - 1))
 	for i, e := range v {
 		if e == 0 || math.IsNaN(e) || math.IsInf(e, 0) {
 			continue
 		}
-		mag := math.Abs(e)
-		exp := math.Ceil(math.Log2(mag))
-		scale := math.Exp2(exp) * step
+		scale := math.Ldexp(1, ceilLog2(math.Abs(e))) * step
 		v[i] = math.Round(e/scale) * scale
 	}
 	return nil

@@ -62,6 +62,7 @@ func (x *Crossbar) pinFaultCell(i, j int, kind memristor.FaultKind, tq float64) 
 			x.counters.WriteRetries += int64(x.cfg.MaxWriteRetries)
 		}
 	}
+	x.notePatternWrite(x.gt.At(i, j), pinned)
 	x.gt.Set(i, j, pinned)
 	if x.cellCycle != nil {
 		// Pinned devices do not drift.
@@ -90,7 +91,10 @@ func (x *Crossbar) realizeWrite(i, j int, tq float64, attempt int) float64 {
 		return 0
 	}
 	shrink := math.Exp2(-float64(attempt))
-	g := tq * (1 + (x.deviceFactor.At(i, j)-1)*shrink)
+	g := tq
+	if x.deviceFactor != nil {
+		g *= 1 + (x.deviceFactor.At(i, j)-1)*shrink
+	}
 	if x.cfg.Variation != nil && x.cfg.CycleNoise > 0 {
 		g *= 1 + x.cfg.CycleNoise*(x.cfg.Variation.Factor()-1)*shrink
 	}
@@ -134,6 +138,7 @@ func (x *Crossbar) writeDevice(i, j int, tq float64) {
 		}
 		g = best
 	}
+	x.notePatternWrite(x.gt.At(i, j), g)
 	x.gt.Set(i, j, g)
 	if x.cellCycle != nil {
 		x.cellCycle.Set(i, j, x.driftCycle)
@@ -201,6 +206,7 @@ func (x *Crossbar) RemapAvoidingFaults() bool {
 	x.rowOff, x.colOff = bestR, bestC
 	x.target = nil
 	x.gt = nil
+	x.patValid = false
 	x.progTarget = nil
 	x.deltaLevel = nil
 	x.deviceFactor = nil

@@ -50,39 +50,54 @@ func TestAnalogReadAllocations(t *testing.T) {
 	}); allocs > 0 {
 		t.Errorf("MatVecResidual allocates %.0f per call after warm-up, want 0", allocs)
 	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := x.Solve(base); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Errorf("Solve allocates %.0f per call after warm-up, want 0", allocs)
+	}
 }
 
-// TestSenseRowMatchesMatVec keeps the extracted kernel honest: senseRow must
-// reproduce exactly what MatVec computes per row.
+// TestSenseRowMatchesMatVec keeps the extracted kernel honest: walking a
+// row's pattern, senseRow must reproduce exactly what a dense walk of every
+// cell computes, on a dense array and on one whose cells are mostly gated
+// off.
 func TestSenseRowMatchesMatVec(t *testing.T) {
 	const n = 8
-	r := rand.New(rand.NewSource(11))
-	x := mustNew(t, idealConfig(n))
-	if err := x.Program(randomNonNegMatrix(r, n)); err != nil {
-		t.Fatalf("Program: %v", err)
-	}
-	v := linalg.NewVector(n)
-	for i := range v {
-		v[i] = r.Float64()
-	}
-	vi, _, err := x.toAnalog(v)
-	if err != nil {
-		t.Fatalf("toAnalog: %v", err)
-	}
-	gs := x.cfg.SenseConductance
-	for i := 0; i < n; i++ {
-		num, sum := x.senseRow(i, vi)
-		var wantNum, wantSum float64
-		for j, g := range x.gt.RawRow(i) {
-			ge := x.effG(i, j, g)
-			wantNum += ge * vi[j]
-			wantSum += ge
-		}
-		if !linalg.Identical(num, wantNum) || !linalg.Identical(sum, wantSum) {
-			t.Fatalf("senseRow(%d) = (%v, %v), want (%v, %v)", i, num, sum, wantNum, wantSum)
-		}
-		if wantSum+gs == 0 {
-			t.Fatalf("row %d: degenerate total conductance", i)
-		}
+	for _, tc := range []struct {
+		name string
+		a    func(r *rand.Rand) *linalg.Matrix
+	}{
+		{"dense", func(r *rand.Rand) *linalg.Matrix { return randomNonNegMatrix(r, n) }},
+		{"sparse", func(r *rand.Rand) *linalg.Matrix { return randomSparseNonNegMatrix(r, n, 0.2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(11))
+			x := mustNew(t, idealConfig(n))
+			if err := x.Program(tc.a(r)); err != nil {
+				t.Fatalf("Program: %v", err)
+			}
+			v := linalg.NewVector(n)
+			for i := range v {
+				v[i] = r.Float64()
+			}
+			vi, _, err := x.toAnalog(v)
+			if err != nil {
+				t.Fatalf("toAnalog: %v", err)
+			}
+			gs := x.cfg.SenseConductance
+			p := x.pattern()
+			for i := 0; i < n; i++ {
+				num, sum := x.senseRow(i, p.Row(i), vi)
+				wantNum, wantSum := denseSenseRow(x, i, vi)
+				if !linalg.Identical(num, wantNum) || !linalg.Identical(sum, wantSum) {
+					t.Fatalf("senseRow(%d) = (%v, %v), want (%v, %v)", i, num, sum, wantNum, wantSum)
+				}
+				if wantSum+gs == 0 {
+					t.Fatalf("row %d: degenerate total conductance", i)
+				}
+			}
+		})
 	}
 }

@@ -83,16 +83,18 @@ func factorizeCore(lu *Matrix, pivot []int) (float64, error) {
 			sign = -sign
 		}
 		pv := lu.At(k, k)
+		rk := lu.RawRow(k)[k+1:]
 		for i := k + 1; i < n; i++ {
 			m := lu.At(i, k) / pv
 			lu.Set(i, k, m)
 			if m == 0 {
 				continue
 			}
-			ri := lu.RawRow(i)
-			rk := lu.RawRow(k)
-			for j := k + 1; j < n; j++ {
-				ri[j] -= m * rk[j]
+			// Equal-length views let the compiler drop the bounds checks.
+			ri := lu.RawRow(i)[k+1:]
+			ri = ri[:len(rk)]
+			for j, v := range rk {
+				ri[j] -= m * v
 			}
 		}
 	}

@@ -101,12 +101,16 @@ func (p *Problem) IsFeasible(x linalg.Vector, tol float64) (bool, error) {
 			return false, nil
 		}
 	}
-	ax, err := p.A.MatVec(x)
-	if err != nil {
-		return false, err
-	}
+	blocks := p.SOCBlocks()
 	socRows := make(map[int]bool)
-	for _, blk := range p.SOCBlocks() {
+	var ax linalg.Vector
+	if len(blocks) > 0 {
+		var err error
+		if ax, err = p.A.MatVec(x); err != nil {
+			return false, err
+		}
+	}
+	for _, blk := range blocks {
 		slack := make([]float64, blk.Dim)
 		var tailSq float64
 		for i := 0; i < blk.Dim; i++ {
@@ -121,9 +125,15 @@ func (p *Problem) IsFeasible(x linalg.Vector, tol float64) (bool, error) {
 			return false, nil
 		}
 	}
-	for i, v := range ax {
+	// Orthant rows need only their own dot product, the same sum MatVec
+	// forms, so a pure LP is checked without allocating.
+	for i := 0; i < p.A.Rows(); i++ {
 		if socRows[i] {
 			continue
+		}
+		v, err := linalg.Vector(p.A.RawRow(i)).Dot(x)
+		if err != nil {
+			return false, err
 		}
 		bound := p.B[i]
 		slackTol := tol * (1 + absf(bound))
