@@ -5,8 +5,14 @@ GOVULNCHECK_VERSION ?= v1.1.4
 
 all: build test lint
 
+# perfbench is its own module (replace => ../), so the root ./... never
+# compiles it; build and vet it with the repo so an internal refactor cannot
+# break the benchmark unnoticed.
+PERFBENCH_CHECK = cd perfbench && $(GO) build ./... && $(GO) vet ./...
+
 build:
 	$(GO) build ./...
+	$(PERFBENCH_CHECK)
 
 test:
 	$(GO) test ./...
@@ -16,6 +22,7 @@ race:
 
 vet:
 	$(GO) vet ./...
+	$(PERFBENCH_CHECK)
 
 # The domain-specific invariant suite (floatcmp, ctxloop, rawwrite, nanguard,
 # hotpath — see DESIGN.md D11). Also runnable through go vet's cache:

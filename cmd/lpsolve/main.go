@@ -65,19 +65,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	engine, ok := engineByName(*engineName)
-	if !ok {
+	engine, err := memlp.ParseEngine(*engineName)
+	if err != nil {
 		fmt.Fprintf(stderr, "lpsolve: unknown engine %q\n", *engineName)
 		return 2
 	}
 
 	// Hardware options only apply to the crossbar engines; passing them to a
-	// software engine would be rejected by memlp.NewSolver. Batching (and so
-	// -parallel) is Algorithm 1 only.
-	crossbarEngine := engine == memlp.EngineCrossbar || engine == memlp.EngineCrossbarLargeScale ||
-		engine == memlp.EngineConic || engine == memlp.EnginePDHG
+	// software engine would be rejected by memlp.NewSolver.
 	var opts []memlp.Option
-	if crossbarEngine {
+	if engine.Analog() {
 		if *varPct > 0 {
 			opts = append(opts, memlp.WithVariation(*varPct))
 		}
@@ -98,7 +95,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lpsolve: -tiles requires the pdhg engine\n")
 		return 2
 	}
-	if engine == memlp.EngineCrossbar {
+	if engine.SupportsBatch() {
 		opts = append(opts, memlp.WithParallelism(*parallel))
 	} else if *parallel != 0 || len(problems) > 1 {
 		fmt.Fprintf(stderr, "lpsolve: -parallel and multi-file batches require the crossbar engine\n")
@@ -295,25 +292,4 @@ func printVector(stdout io.Writer, x []float64) {
 		fmt.Fprintf(stdout, " %.6g", v)
 	}
 	fmt.Fprintln(stdout)
-}
-
-func engineByName(name string) (memlp.Engine, bool) {
-	switch name {
-	case "crossbar":
-		return memlp.EngineCrossbar, true
-	case "crossbar-large-scale":
-		return memlp.EngineCrossbarLargeScale, true
-	case "conic":
-		return memlp.EngineConic, true
-	case "pdip":
-		return memlp.EnginePDIP, true
-	case "pdip-reduced":
-		return memlp.EnginePDIPReduced, true
-	case "simplex":
-		return memlp.EngineSimplex, true
-	case "pdhg":
-		return memlp.EnginePDHG, true
-	default:
-		return 0, false
-	}
 }

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/memlp/memlp"
 )
 
 const tinyProblem = `name tiny
@@ -116,14 +119,22 @@ func TestRunMissingFile(t *testing.T) {
 	}
 }
 
-func TestEngineByName(t *testing.T) {
-	for _, name := range []string{"crossbar", "crossbar-large-scale", "conic", "pdhg", "pdip", "pdip-reduced", "simplex"} {
-		if _, ok := engineByName(name); !ok {
-			t.Errorf("engineByName(%q) not found", name)
+// TestParseEngineRoundTrip pins the -engine vocabulary: every engine's
+// String parses back to it, and an unknown name is rejected.
+func TestParseEngineRoundTrip(t *testing.T) {
+	names := []string{"crossbar", "crossbar-large-scale", "pdip", "pdip-reduced", "simplex", "conic", "pdhg"}
+	for i, name := range names {
+		eng, err := memlp.ParseEngine(name)
+		if err != nil {
+			t.Errorf("ParseEngine(%q): %v", name, err)
+			continue
+		}
+		if eng != memlp.Engine(i+1) || eng.String() != name {
+			t.Errorf("ParseEngine(%q) = %d (%q), want %d", name, int(eng), eng, i+1)
 		}
 	}
-	if _, ok := engineByName("nope"); ok {
-		t.Error("engineByName accepted garbage")
+	if _, err := memlp.ParseEngine("nope"); !errors.Is(err, memlp.ErrUnknownEngine) {
+		t.Errorf("ParseEngine(\"nope\") err = %v, want ErrUnknownEngine", err)
 	}
 }
 

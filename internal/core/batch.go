@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/trace"
@@ -24,31 +25,8 @@ import (
 // incoming instances across the copies.
 //
 // All problems must have identical A (checked); b and c may vary freely.
-func (s *Solver) SolveBatch(problems []*lp.Problem) ([]*Result, error) {
+func (s *Solver) SolveBatch(problems []*lp.Problem) ([]*engine.Result, error) {
 	return s.SolveBatchContext(context.Background(), problems)
-}
-
-// BatchStats is the pool-level roll-up of one SolveBatch call, attached to
-// the batch's first Result (the same place the one-time programming cost is
-// charged). Per-solve Counters stay honest marginals — what THAT solve cost
-// on whichever shard ran it — while the replica count and per-shard
-// utilization live here, because they are properties of the batch, not of
-// any single solve.
-type BatchStats struct {
-	// Replicas is the pool width P: how many shard fabrics were built and
-	// programmed. The one-time programming cost scales with it.
-	Replicas int
-	// Programming is the combined programming cost of all P replicas. It is
-	// also folded into the first result's Counters, preserving the serial
-	// contract that the first result carries the batch's one-time cost.
-	Programming crossbar.Counters
-	// ShardSolves[r] counts the problems shard r completed — the pool's
-	// load-balance picture. Scheduling is nondeterministic, so these numbers
-	// vary run to run even though every result is bit-identical.
-	ShardSolves []int
-	// ShardBusy[r] is the total wall time shard r spent solving; dividing by
-	// the batch wall time gives that shard's utilization.
-	ShardBusy []time.Duration
 }
 
 // batchWorker owns one shard of the fabric pool: a programmed fabric replica
@@ -74,7 +52,7 @@ type batchWorker struct {
 // batchSlot collects one problem's outcome; slots are indexed by problem, so
 // results are assembled in input order no matter which shard ran what.
 type batchSlot struct {
-	res    *Result
+	res    *engine.Result
 	ctxErr error
 	err    error
 }
@@ -95,7 +73,7 @@ type batchSlot struct {
 // problem's stochastic write-noise draws are rebased to (base seed, problem
 // index) via NoiseEpocher before the solve, so they cannot depend on which
 // shard — or how encumbered a shard — runs the problem.
-func (s *Solver) SolveBatchContext(ctx context.Context, problems []*lp.Problem) ([]*Result, error) {
+func (s *Solver) SolveBatchContext(ctx context.Context, problems []*lp.Problem) ([]*engine.Result, error) {
 	if len(problems) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", lp.ErrInvalid)
 	}
@@ -155,7 +133,7 @@ func (s *Solver) SolveBatchContext(ctx context.Context, problems []*lp.Problem) 
 	// first interrupted problem's partial. Later slots — including solves
 	// that happened to complete after the interruption point — are dropped,
 	// keeping the result shape identical to the serial path's.
-	results := make([]*Result, 0, len(problems))
+	results := make([]*engine.Result, 0, len(problems))
 	var tailErr error
 	for idx := range slots {
 		sl := &slots[idx]
@@ -184,7 +162,7 @@ func (s *Solver) SolveBatchContext(ctx context.Context, problems []*lp.Problem) 
 	}
 
 	if len(results) > 0 {
-		stats := &BatchStats{
+		stats := &engine.BatchStats{
 			Replicas:    width,
 			ShardSolves: make([]int, width),
 			ShardBusy:   make([]time.Duration, width),
@@ -319,7 +297,7 @@ func (s *Solver) newBatchWorker(shard int, first *lp.Problem, aShared *linalg.Ma
 // scaling of b) and records its outcome in the slot. Counters and WallTime
 // are the per-solve marginals on this shard's fabric.
 func (s *Solver) runBatchProblem(ctx context.Context, bw *batchWorker, idx int, p *lp.Problem, aShared *linalg.Matrix, scales []float64, slot *batchSlot) {
-	start := wallClock()
+	start := engine.WallClock()
 	if ne, ok := bw.fab.(NoiseEpocher); ok {
 		// Stochastic draws for this problem become a function of (base seed,
 		// problem index): independent of the shard and of the pool width.
@@ -345,7 +323,7 @@ func (s *Solver) runBatchProblem(ctx context.Context, bw *batchWorker, idx int, 
 		slot.err = err
 		return
 	}
-	res.WallTime = wallSince(start)
+	res.WallTime = engine.WallSince(start)
 	res.Counters = bw.fab.Counters().Sub(before)
 	res.Trace = bw.tr.finish(res)
 	if s.opts.Recovery != nil {
@@ -353,7 +331,7 @@ func (s *Solver) runBatchProblem(ctx context.Context, bw *batchWorker, idx int, 
 		// cannot rebuild or remap mid-batch), but callers that configured
 		// recovery still get the same per-solve telemetry the serial path
 		// attaches: fault census, retry and energy totals.
-		diag := &Diagnostics{Attempts: 1, WriteRetries: res.Counters.WriteRetries}
+		diag := &engine.Diagnostics{Attempts: 1, WriteRetries: res.Counters.WriteRetries}
 		if fr, ok := bw.fab.(FaultReporter); ok {
 			c := fr.FaultCensus()
 			diag.StuckOn, diag.StuckOff = c.StuckOn, c.StuckOff
@@ -377,7 +355,7 @@ func (s *Solver) runBatchProblem(ctx context.Context, bw *batchWorker, idx int, 
 // duals. It follows the solveOnce contract: (result, ctxErr, err), where an
 // interruption returns the partial iterate with lp.StatusCanceled in
 // ctxErr's company.
-func (s *Solver) solveOnShard(ctx context.Context, bw *batchWorker, scaled, orig *lp.Problem, scales []float64) (*Result, error, error) {
+func (s *Solver) solveOnShard(ctx context.Context, bw *batchWorker, scaled, orig *lp.Problem, scales []float64) (*engine.Result, error, error) {
 	n, m := scaled.NumVariables(), scaled.NumConstraints()
 	tol := s.opts.Tol
 	ext, fab := bw.ext, bw.fab
@@ -422,7 +400,7 @@ func (s *Solver) solveOnShard(ctx context.Context, bw *batchWorker, scaled, orig
 	w = sExt[n+m : n+2*m]
 	z = sExt[n+2*m : 2*n+2*m]
 
-	res := &Result{Status: lp.StatusIterationLimit, MatrixSize: ext.size}
+	res := &engine.Result{Status: lp.StatusIterationLimit, MatrixSize: ext.size}
 	bestGap := infNaN()
 	stall := 0
 	prevNorm := 0.0

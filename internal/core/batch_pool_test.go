@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/variation"
@@ -43,7 +44,7 @@ func noisyPoolOptions(t *testing.T, parallelism int) Options {
 // (seed, problem index) rather than from whichever shard runs it.
 func TestSolveBatchDeterministicAcrossParallelism(t *testing.T) {
 	problems := batchProblems(t, 8)
-	var ref []*Result
+	var ref []*engine.Result
 	for _, par := range []int{1, 2, 8} {
 		s, err := NewSolver(noisyPoolOptions(t, par))
 		if err != nil {

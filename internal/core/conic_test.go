@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
 )
@@ -101,7 +102,7 @@ func TestAnalogConicLPDegenerateIdentical(t *testing.T) {
 	tagged := base.Clone()
 	tagged.Cones = []lp.Cone{{Type: lp.ConeNonNeg, Dim: base.NumConstraints()}}
 
-	solve := func(p *lp.Problem) *Result {
+	solve := func(p *lp.Problem) *engine.Result {
 		o := crossbarOpts(t, 0, 1)
 		o.Trace = &TraceOptions{}
 		s, err := NewSolver(o)

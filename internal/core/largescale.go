@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/trace"
@@ -74,7 +75,7 @@ func NewLargeScaleSolver(opts Options) (*LargeScaleSolver, error) {
 
 // Solve runs Algorithm 2 on p, retrying up to MaxResolves times when a solve
 // fails to converge.
-func (s *LargeScaleSolver) Solve(p *lp.Problem) (*Result, error) {
+func (s *LargeScaleSolver) Solve(p *lp.Problem) (*engine.Result, error) {
 	return s.SolveContext(context.Background(), p)
 }
 
@@ -82,7 +83,7 @@ func (s *LargeScaleSolver) Solve(p *lp.Problem) (*Result, error) {
 // the context is checked once per iteration and between re-solve attempts.
 // An interrupted solve returns its partial iterate with lp.StatusCanceled
 // alongside the wrapped context error.
-func (s *LargeScaleSolver) SolveContext(ctx context.Context, p *lp.Problem) (*Result, error) {
+func (s *LargeScaleSolver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -91,7 +92,7 @@ func (s *LargeScaleSolver) SolveContext(ctx context.Context, p *lp.Problem) (*Re
 	if p.IsConic() {
 		return nil, fmt.Errorf("core: large-scale solver: %w", lp.ErrConicUnsupported)
 	}
-	start := wallClock()
+	start := engine.WallClock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tr.begin(0, 0)
@@ -99,7 +100,7 @@ func (s *LargeScaleSolver) SolveContext(ctx context.Context, p *lp.Problem) (*Re
 		// The recovery ladder subsumes the double-check loop below as its
 		// rung 1 (same MaxResolves budget) and adds remap + software rungs.
 		res, err := runRecoveryLadder(ctx, p, s.opts, ladderFuncs{
-			attempt: func(ctx context.Context) (*Result, error, error) {
+			attempt: func(ctx context.Context) (*engine.Result, error, error) {
 				return s.solveOnce(ctx, p)
 			},
 			census: s.censusBoth,
@@ -109,12 +110,12 @@ func (s *LargeScaleSolver) SolveContext(ctx context.Context, p *lp.Problem) (*Re
 			event: s.tr.event,
 		})
 		if res != nil {
-			res.WallTime = wallSince(start)
+			res.WallTime = engine.WallSince(start)
 			res.Trace = s.tr.finish(res)
 		}
 		return res, err
 	}
-	var last *Result
+	var last *engine.Result
 	var counters crossbar.Counters
 	for attempt := 0; attempt <= s.opts.MaxResolves; attempt++ {
 		res, ctxErr, err := s.solveOnce(ctx, p)
@@ -124,7 +125,7 @@ func (s *LargeScaleSolver) SolveContext(ctx context.Context, p *lp.Problem) (*Re
 		res.Resolves = attempt
 		counters = counters.Add(res.Counters)
 		res.Counters = counters
-		res.WallTime = wallSince(start)
+		res.WallTime = engine.WallSince(start)
 		if ctxErr != nil {
 			res.Trace = s.tr.finish(res)
 			return res, ctxErr
@@ -148,6 +149,20 @@ func (s *LargeScaleSolver) SolveContext(ctx context.Context, p *lp.Problem) (*Re
 	}
 	last.Trace = s.tr.finish(last)
 	return last, nil
+}
+
+// Fabrics returns the fabrics Algorithm 2 keeps for its next solve: up to
+// two, fewer before the first solve and after a failed double-check.
+func (s *LargeScaleSolver) Fabrics() []Fabric {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []Fabric
+	for _, fab := range []Fabric{s.fab1, s.fab2} {
+		if fab != nil {
+			out = append(out, fab)
+		}
+	}
+	return out
 }
 
 // censusBoth tallies stuck cells across both of Algorithm 2's fabrics.
@@ -381,7 +396,7 @@ func (l *lsSystem) stateVector(x, y linalg.Vector) linalg.Vector {
 // ctxErr is non-nil when the attempt was interrupted by the context (the
 // result then carries the partial iterate with lp.StatusCanceled); err is a
 // hard failure with no usable result. Callers must hold s.mu.
-func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*Result, error, error) {
+func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engine.Result, error, error) {
 	n, m := p.NumVariables(), p.NumConstraints()
 	tol := s.opts.Tol
 	theta := s.opts.ConstantStep
@@ -448,7 +463,7 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*Resul
 	x = s1[0:n]
 	y = s1[n : n+m]
 
-	res := &Result{Status: lp.StatusIterationLimit, MatrixSize: sys1.size}
+	res := &engine.Result{Status: lp.StatusIterationLimit, MatrixSize: sys1.size}
 	bestGap := infNaN()
 	stall := 0
 	prevNorm := 0.0

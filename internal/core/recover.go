@@ -7,6 +7,7 @@ import (
 
 	"github.com/memlp/memlp/internal/cone"
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/pdip"
 	"github.com/memlp/memlp/internal/trace"
@@ -37,35 +38,6 @@ type RecoveryPolicy struct {
 	SoftwareFallback bool
 }
 
-// Diagnostics reports what the fault-recovery machinery observed and did
-// during one solve. It is attached to the Result whenever a RecoveryPolicy
-// is configured.
-type Diagnostics struct {
-	// StuckOn / StuckOff count the defective devices inside the fabric's
-	// mapped region (post-program census; zero when the fabric cannot
-	// report faults).
-	StuckOn  int
-	StuckOff int
-	// WriteRetries is the number of write-verify corrective pulses consumed
-	// across all attempts of this solve.
-	WriteRetries int64
-	// Attempts is the total number of analog solve attempts, across all
-	// rungs (1 for a clean first-try solve).
-	Attempts int
-	// Remapped records that rung 2 moved the mapping to a new origin.
-	Remapped bool
-	// SoftwareFallback records that rung 3 ran.
-	SoftwareFallback bool
-	// RecoveredBy names the rung that produced the returned result:
-	// "" (first attempt), "resolve", "remap", or "software".
-	RecoveredBy string
-	// EnergyJoules is the modeled energy spent across all attempts of this
-	// solve (zero unless Options.EnergyModel is configured). It is
-	// populated on successful first-try solves too, not only on recovered
-	// or degraded ones.
-	EnergyJoules float64
-}
-
 // FaultReporter is implemented by fabrics that can census their mapped
 // region for permanent defects (a *crossbar.Crossbar with a fault model).
 type FaultReporter interface {
@@ -90,7 +62,7 @@ var (
 type ladderFuncs struct {
 	// attempt runs one full analog solve attempt. Same contract as
 	// solveOnce: (result, ctxErr, hard error).
-	attempt func(ctx context.Context) (*Result, error, error)
+	attempt func(ctx context.Context) (*engine.Result, error, error)
 	// census tallies stuck cells across the solver's fabric(s); nil when no
 	// fabric is built yet or none can report.
 	census func() crossbar.FaultCensus
@@ -117,7 +89,7 @@ type ladderFuncs struct {
 // as well (K is self-dual, so the same Dist test applies); this is the
 // conic generalization of the duality cross-check. Dimension mismatches
 // skip the check (nothing to compare).
-func analogAnswerConsistent(p *lp.Problem, res *Result, tol float64) bool {
+func analogAnswerConsistent(p *lp.Problem, res *engine.Result, tol float64) bool {
 	m, n := p.A.Rows(), p.A.Cols()
 	if len(res.X) != n || len(res.Y) != m {
 		return true
@@ -185,13 +157,13 @@ func needsEscalation(status lp.Status, faultsPresent bool) bool {
 
 // runRecoveryLadder drives the escalation ladder for one solve. The caller
 // holds the solver's mutex and has validated the problem.
-func runRecoveryLadder(ctx context.Context, p *lp.Problem, opts Options, f ladderFuncs) (*Result, error) {
+func runRecoveryLadder(ctx context.Context, p *lp.Problem, opts Options, f ladderFuncs) (*engine.Result, error) {
 	rec := opts.Recovery
-	diag := &Diagnostics{}
+	diag := &engine.Diagnostics{}
 	var counters crossbar.Counters
-	var last *Result
+	var last *engine.Result
 
-	finish := func(res *Result, rung string) *Result {
+	finish := func(res *engine.Result, rung string) *engine.Result {
 		diag.RecoveredBy = rung
 		diag.WriteRetries = counters.WriteRetries
 		if opts.EnergyModel != nil {
@@ -204,7 +176,7 @@ func runRecoveryLadder(ctx context.Context, p *lp.Problem, opts Options, f ladde
 
 	// emitEvent records an escalation in the iteration trace, labeled with
 	// the status of the attempt that forced it.
-	emitEvent := func(ev string, prev *Result) {
+	emitEvent := func(ev string, prev *engine.Result) {
 		if f.event == nil {
 			return
 		}
@@ -215,7 +187,7 @@ func runRecoveryLadder(ctx context.Context, p *lp.Problem, opts Options, f ladde
 		f.event(ev, status)
 	}
 
-	attemptOnce := func() (*Result, error, error) {
+	attemptOnce := func() (*engine.Result, error, error) {
 		res, ctxErr, err := f.attempt(ctx)
 		if res != nil {
 			diag.Attempts++
@@ -238,7 +210,7 @@ func runRecoveryLadder(ctx context.Context, p *lp.Problem, opts Options, f ladde
 	// an "optimal" claim must additionally survive the digital optimality
 	// cross-check — a fault-perturbed matrix can yield a confidently wrong
 	// optimum that the α-check alone cannot see.
-	acceptable := func(res *Result) bool {
+	acceptable := func(res *engine.Result) bool {
 		faults := diag.StuckOn+diag.StuckOff > 0
 		if needsEscalation(res.Status, faults) {
 			return false
@@ -328,27 +300,10 @@ func runRecoveryLadder(ctx context.Context, p *lp.Problem, opts Options, f ladde
 // (the hardware-oriented stall/alpha machinery does not apply). The returned
 // Result carries no fabric counters; the caller attaches the ones already
 // spent on the failed analog attempts.
-func softwareSolve(ctx context.Context, p *lp.Problem) (*Result, error) {
+func softwareSolve(ctx context.Context, p *lp.Problem) (*engine.Result, error) {
 	sw, err := pdip.New(pdip.WithBackend(pdip.NewtonFull))
 	if err != nil {
 		return nil, fmt.Errorf("core: building software fallback: %w", err)
 	}
-	r, err := sw.SolveContext(ctx, p)
-	if r == nil {
-		return nil, err
-	}
-	res := &Result{
-		Status:              r.Status,
-		X:                   r.X,
-		Y:                   r.Y,
-		W:                   r.W,
-		Z:                   r.Z,
-		Objective:           r.Objective,
-		Iterations:          r.Iterations,
-		PrimalInfeasibility: r.PrimalInfeasibility,
-		DualInfeasibility:   r.DualInfeasibility,
-		DualityGap:          r.DualityGap,
-		ConeInfeasibility:   r.ConeInfeasibility,
-	}
-	return res, err
+	return sw.SolveContext(ctx, p)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/memristor"
@@ -62,7 +63,7 @@ func TestAnalogAnswerConsistent(t *testing.T) {
 		{"dimension mismatch skips check", linalg.Vector{1, 2}, linalg.Vector{1}, true},
 	}
 	for _, tc := range tests {
-		res := &Result{X: tc.x, Y: tc.y}
+		res := &engine.Result{X: tc.x, Y: tc.y}
 		if got := analogAnswerConsistent(p, res, tol); got != tc.want {
 			t.Errorf("%s: consistent = %v, want %v", tc.name, got, tc.want)
 		}
@@ -109,7 +110,7 @@ func TestLadderSoftwareFallbackDegraded(t *testing.T) {
 	for _, alg := range []string{"alg1", "alg2"} {
 		t.Run(alg, func(t *testing.T) {
 			opts := faultyCrossbarOptions(0.2, &RecoveryPolicy{Remap: true, SoftwareFallback: true})
-			var res *Result
+			var res *engine.Result
 			if alg == "alg1" {
 				s, err := NewSolver(opts)
 				if err != nil {

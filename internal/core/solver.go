@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"github.com/memlp/memlp/internal/cone"
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/trace"
@@ -76,7 +76,7 @@ type Options struct {
 	ReplicaFabric FabricFactory
 	// Trace, when non-nil, enables per-iteration telemetry: every attempt
 	// emits one trace.Record per iteration plus recovery events and a
-	// terminal done record into a bounded ring, returned as Result.Trace.
+	// terminal done record into a bounded ring, returned as engine.Result.Trace.
 	Trace *TraceOptions
 	// EnergyModel converts fabric counters into modeled energy (joules).
 	// It prices the trace's cumulative energy field and
@@ -144,43 +144,10 @@ func (o Options) validate() error {
 	return nil
 }
 
-// Result reports a crossbar solve, including the fabric operation counts the
-// performance estimator turns into latency/energy figures.
-type Result struct {
-	Status     lp.Status
-	X, Y, W, Z linalg.Vector
-	Objective  float64
-	Iterations int
-
-	PrimalInfeasibility float64
-	DualInfeasibility   float64
-	DualityGap          float64
-	// ConeInfeasibility is the worst second-order-cone violation of the
-	// constraint slack b − A·x, measured from the analog residual; always 0
-	// for pure LPs.
-	ConeInfeasibility float64
-
-	// Counters aggregates the fabric's physical operation counts for THIS
-	// solve (per-solve marginal when the fabric persists across solves).
-	Counters crossbar.Counters
-	// MatrixSize is the extended system dimension programmed on the fabric.
-	MatrixSize int
-	// Resolves counts re-solve attempts that were consumed (Algorithm 2's
-	// double-check, or any rung-1 retry of the recovery ladder).
-	Resolves int
-	// WallTime is the wall-clock duration of this individual solve.
-	WallTime time.Duration
-	// Diagnostics carries fault and recovery telemetry; non-nil only when
-	// Options.Recovery is configured.
-	Diagnostics *Diagnostics
-	// Batch is the fabric-pool roll-up of the batch this result belongs to;
-	// attached to the FIRST result of a SolveBatch call only (the same place
-	// the one-time programming cost is charged), nil everywhere else.
-	Batch *BatchStats
-	// Trace is the recorded iteration trajectory (oldest first); non-nil
-	// only when Options.Trace is configured.
-	Trace []trace.Record
-}
+// Result is the shared engine result. It stays as an alias only because
+// the benchmark module (perfbench) names core.Result; new code uses
+// engine.Result.
+type Result = engine.Result
 
 // Solver is Algorithm 1: the memristor crossbar-based linear program solver.
 // A Solver is safe for concurrent use; solves are serialized on the single
@@ -353,8 +320,20 @@ func (s *Solver) fabric(size int) (Fabric, error) {
 	return fab, nil
 }
 
+// Fabrics returns the fabric the solver keeps for its next single solve
+// (none before the first). Batch replicas are not kept: each batch builds
+// its own and drops them when it returns.
+func (s *Solver) Fabrics() []Fabric {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.fab == nil {
+		return nil
+	}
+	return []Fabric{s.fab}
+}
+
 // Solve runs Algorithm 1 on p.
-func (s *Solver) Solve(p *lp.Problem) (*Result, error) {
+func (s *Solver) Solve(p *lp.Problem) (*engine.Result, error) {
 	return s.SolveContext(context.Background(), p)
 }
 
@@ -363,11 +342,11 @@ func (s *Solver) Solve(p *lp.Problem) (*Result, error) {
 // returns its partial iterate with lp.StatusCanceled alongside the wrapped
 // context error. With Options.Recovery configured, a failed attempt climbs
 // the recovery-escalation ladder instead of being returned directly.
-func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*Result, error) {
+func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	start := wallClock()
+	start := engine.WallClock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tr.begin(0, 0)
@@ -376,12 +355,12 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*Result, erro
 		if err != nil {
 			return nil, err
 		}
-		res.WallTime = wallSince(start)
+		res.WallTime = engine.WallSince(start)
 		res.Trace = s.tr.finish(res)
 		return res, ctxErr
 	}
 	res, err := runRecoveryLadder(ctx, p, s.opts, ladderFuncs{
-		attempt: func(ctx context.Context) (*Result, error, error) {
+		attempt: func(ctx context.Context) (*engine.Result, error, error) {
 			return s.solveAttempt(ctx, p)
 		},
 		census: s.census,
@@ -389,7 +368,7 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*Result, erro
 		event:  s.tr.event,
 	})
 	if res != nil {
-		res.WallTime = wallSince(start)
+		res.WallTime = engine.WallSince(start)
 		res.Trace = s.tr.finish(res)
 	}
 	return res, err
@@ -413,7 +392,7 @@ func (s *Solver) remapFabric() bool {
 // ctxErr, err) with the solveOnce contract: ctxErr non-nil means the attempt
 // was interrupted (the result carries the partial iterate); err is a hard
 // failure with no usable result. Callers must hold s.mu.
-func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*Result, error, error) {
+func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Result, error, error) {
 	n, m := p.NumVariables(), p.NumConstraints()
 	tol := s.opts.Tol
 
@@ -470,7 +449,7 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*Result, erro
 	w = sExt[n+m : n+2*m]
 	z = sExt[n+2*m : 2*n+2*m]
 
-	res := &Result{Status: lp.StatusIterationLimit, MatrixSize: ext.size}
+	res := &engine.Result{Status: lp.StatusIterationLimit, MatrixSize: ext.size}
 	conic := ext.conic()
 	nu := ext.barrierDegree()
 	bestConeInf := 0.0

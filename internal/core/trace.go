@@ -2,6 +2,7 @@ package core
 
 import (
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/trace"
 )
 
@@ -119,7 +120,7 @@ func (t *traceState) event(ev, status string) {
 // values, with retries/energy priced from the result's own counters (the
 // exact per-solve totals, including any post-iteration operations the
 // running notes missed) — and returns the trajectory snapshot.
-func (t *traceState) finish(res *Result) []trace.Record {
+func (t *traceState) finish(res *engine.Result) []trace.Record {
 	if t == nil {
 		return nil
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
 )
@@ -155,7 +156,7 @@ func TestWarmStartBatchDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatalf("seed Solve: %v", err)
 	}
 
-	var ref []*Result
+	var ref []*engine.Result
 	for _, par := range []int{1, 2, 8} {
 		s, err := NewSolver(noisyPoolOptions(t, par))
 		if err != nil {

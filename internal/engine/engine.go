@@ -1,16 +1,14 @@
-// Package engine defines the backend contract the public memlp.Solver
-// handle dispatches to. Each solver implementation — the crossbar engines of
-// Algorithms 1 and 2, the software PDIP baselines, and two-phase simplex —
-// is wrapped in a Backend so the public layer holds exactly one code path
-// for solving, timing, cancellation, and telemetry, instead of a per-engine
-// switch.
+// Package engine holds the one result shape every solver returns. The
+// crossbar engines of Algorithms 1 and 2 (internal/core), the software PDIP
+// baselines (internal/pdip), two-phase simplex (internal/simplex) and tiled
+// PDHG (internal/pdhg) each fill a Result from SolveContext, and the public
+// memlp layer builds its Solution from it in one place. The package is a
+// leaf: data types plus the host-clock funnels that stamp Result.WallTime.
 package engine
 
 import (
-	"context"
 	"time"
 
-	"github.com/memlp/memlp/internal/core"
 	"github.com/memlp/memlp/internal/crossbar"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
@@ -18,13 +16,17 @@ import (
 	"github.com/memlp/memlp/internal/trace"
 )
 
-// Result is the engine-neutral solve outcome. Analog-only fields (Counters,
-// MatrixSize, Resolves) are zero for software engines; Pivots is zero for
-// PDIP-family engines.
+// Result is a solve outcome. Fields an engine does not produce stay zero:
+// the analog counters for the software engines, W and Z outside the
+// interior-point engines, Pivots outside simplex.
 type Result struct {
-	Status     lp.Status
-	X, Y       linalg.Vector
+	Status lp.Status
+	// X and Y are the primal point and the constraint duals; W and Z are the
+	// constraint and variable slacks of the interior-point iterate.
+	X, Y, W, Z linalg.Vector
 	Objective  float64
+	// Iterations counts interior-point or PDHG iterations; Pivots counts
+	// simplex pivots across both phases.
 	Iterations int
 	Pivots     int
 
@@ -32,80 +34,102 @@ type Result struct {
 	DualInfeasibility   float64
 	DualityGap          float64
 	// ConeInfeasibility is the worst second-order-cone violation of the
-	// constraint slack (conic problems only; always 0 for pure LPs).
+	// constraint slack b − A·x; always 0 for pure LPs.
 	ConeInfeasibility float64
 
-	// WallTime is the measured duration of this individual solve.
+	// WallTime is the host time this individual solve took.
 	WallTime time.Duration
 
-	// Analog reports whether the backend simulates crossbar hardware, i.e.
-	// whether Counters/MatrixSize/Resolves are meaningful.
-	Analog     bool
-	Counters   crossbar.Counters
+	// Counters aggregates the fabric's physical operation counts for THIS
+	// solve (a per-solve marginal when the fabric persists across solves).
+	Counters crossbar.Counters
+	// MatrixSize is the system dimension programmed on the fabric.
 	MatrixSize int
-	Resolves   int
+	// Resolves counts re-solve attempts that were consumed (Algorithm 2's
+	// double-check, or any rung-1 retry of the recovery ladder).
+	Resolves int
 
-	// NoC is the interconnect scatter/gather activity of a tiled solve
-	// (zero for single-fabric engines, which account NoC traffic at the
-	// public layer instead).
+	// NoC is the scatter/gather traffic of a tiled PDHG solve. Single-fabric
+	// engines on a NoC fabric leave it zero; the public layer reads their
+	// fabrics' transfer counts instead.
 	NoC noc.Stats
-
-	// Restarts and TilesRefreshed are populated by the distributed PDHG
-	// engine: adaptive restarts taken, and canonical tiles re-programmed by
-	// the periodic conductance refresh.
+	// Restarts and TilesRefreshed are PDHG's adaptive restarts taken and
+	// canonical tiles re-programmed by its periodic conductance refresh.
 	Restarts       int
 	TilesRefreshed int64
 
-	// Diagnostics carries fault and recovery telemetry from the crossbar
-	// engines; non-nil only when a fault model or write-verify is configured.
-	Diagnostics *core.Diagnostics
-
-	// Batch is the fabric-pool roll-up of a SolveBatch call (replica count,
-	// combined programming cost, per-shard utilization). Non-nil only on the
-	// first result of a batch.
-	Batch *core.BatchStats
-
-	// Trace is the recorded iteration trajectory (oldest first), with each
-	// record's Engine field stamped with the backend name. Non-nil only when
-	// tracing was enabled on the underlying solver.
+	// Diagnostics carries fault, recovery and energy telemetry. The crossbar
+	// engines set it when a recovery policy is configured; PDHG always does.
+	Diagnostics *Diagnostics
+	// Batch is the fabric-pool roll-up of the batch this result belongs to;
+	// attached to the FIRST result of a batch only (the same place the
+	// one-time programming cost is charged).
+	Batch *BatchStats
+	// Trace is the recorded iteration trajectory (oldest first); non-nil
+	// only when the engine was built with tracing.
 	Trace []trace.Record
 }
 
-// Backend is one solver engine behind a memlp.Solver handle. Implementations
-// are safe for concurrent use (they serialize internally) and keep their
-// iteration workspaces and simulated fabrics across calls, so repeated
-// same-shape solves avoid reallocation and reprogramming.
+// Diagnostics reports what the fault-recovery machinery observed and did
+// during one solve.
+type Diagnostics struct {
+	// StuckOn / StuckOff count the defective devices inside the fabric's
+	// mapped region (post-program census; zero when the fabric cannot
+	// report faults).
+	StuckOn  int
+	StuckOff int
+	// WriteRetries is the number of write-verify corrective pulses consumed
+	// across all attempts of this solve.
+	WriteRetries int64
+	// Attempts is the total number of analog solve attempts, across all
+	// rungs (1 for a clean first-try solve).
+	Attempts int
+	// Remapped records that the recovery ladder moved the mapping to a new
+	// origin.
+	Remapped bool
+	// SoftwareFallback records that the software rung ran.
+	SoftwareFallback bool
+	// RecoveredBy names the rung that produced the returned result:
+	// "" (first attempt), "resolve", "remap", or "software".
+	RecoveredBy string
+	// EnergyJoules is the modeled energy spent across all attempts of this
+	// solve (zero without an energy model). It is populated on successful
+	// first-try solves too, not only on recovered or degraded ones.
+	EnergyJoules float64
+}
+
+// BatchStats is the pool-level roll-up of one batch solve. Per-solve
+// Counters stay honest marginals — what THAT solve cost on whichever shard
+// ran it — while the replica count and per-shard utilization live here,
+// because they are properties of the batch, not of any single solve.
+type BatchStats struct {
+	// Replicas is the pool width P: how many shard fabrics were built and
+	// programmed. The one-time programming cost scales with it.
+	Replicas int
+	// Programming is the combined programming cost of all P replicas. It is
+	// also folded into the first result's Counters, preserving the serial
+	// contract that the first result carries the batch's one-time cost.
+	Programming crossbar.Counters
+	// ShardSolves[r] counts the problems shard r completed — the pool's
+	// load-balance picture. Scheduling is nondeterministic, so these numbers
+	// vary run to run even though every result is bit-identical.
+	ShardSolves []int
+	// ShardBusy[r] is the total wall time shard r spent solving; dividing by
+	// the batch wall time gives that shard's utilization.
+	ShardBusy []time.Duration
+}
+
+// WallClock and WallSince are the engines' only reads of the host clock —
+// the //memlp:timing funnels memlpvet's wallclock analyzer enforces. They
+// feed Result.WallTime and the batch pool's shard-busy accounting only; no
+// iterate, trace field other than wall time, or noise epoch may observe
+// them, which keeps golden traces and the batch determinism contract
+// host-independent.
 //
-// Solve honors ctx: an interrupted solve returns a Result with
-// lp.StatusCanceled together with the wrapped context error (both non-nil),
-// while hard failures return a nil Result.
-type Backend interface {
-	// Name identifies the engine (matches memlp.Engine.String()).
-	Name() string
-	Solve(ctx context.Context, p *lp.Problem) (*Result, error)
-}
+//memlp:timing
+func WallClock() time.Time { return time.Now() }
 
-// WarmStarter is implemented by backends whose solver can seed its interior
-// iterate from a prior primal/dual point. Passing nil for either vector
-// clears the warm start; a set warm start applies to every subsequent solve
-// until replaced. Backends without this interface (simplex, the large-scale
-// constant-step engine) have no interior iterate to seed and reject the
-// public warm-start option instead.
-type WarmStarter interface {
-	SetWarmStart(x0, y0 linalg.Vector)
-}
-
-// BatchBackend is implemented by backends that can amortize the one-time
-// fabric programming across a sequence of problems sharing one constraint
-// matrix (the paper's high-data-rate scenario).
-type BatchBackend interface {
-	Backend
-	// SolveBatch solves the sequence on a pool of replicated fabrics. Each
-	// result's WallTime and Counters are per-solve marginals; the first result
-	// carries the pool's combined programming cost and the BatchStats roll-up.
-	// Results are bit-identical regardless of the pool width. On cancellation
-	// the results completed so far are returned in input order alongside the
-	// wrapped context error, with the interrupted solve's lp.StatusCanceled
-	// partial as the last element.
-	SolveBatch(ctx context.Context, problems []*lp.Problem) ([]*Result, error)
-}
+// WallSince returns the host time elapsed since start (see WallClock).
+//
+//memlp:timing
+func WallSince(start time.Time) time.Duration { return time.Since(start) }

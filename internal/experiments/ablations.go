@@ -7,6 +7,7 @@ import (
 
 	"github.com/memlp/memlp/internal/core"
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/memristor"
 	"github.com/memlp/memlp/internal/noc"
@@ -33,7 +34,7 @@ type AblationRow struct {
 
 // ablationEval runs one solver configuration over the trial set and
 // aggregates the standard ablation metrics.
-func ablationEval(cfg Config, m int, build func(seed int64) (func(*lp.Problem) (*core.Result, error), error)) (AblationRow, error) {
+func ablationEval(cfg Config, m int, build func(seed int64) (func(*lp.Problem) (*engine.Result, error), error)) (AblationRow, error) {
 	var row AblationRow
 	timing := memristor.DefaultTiming()
 	var count int
@@ -84,7 +85,7 @@ func AblationConstantStep(cfg Config, m int, thetas []float64) ([]AblationRow, e
 	var rows []AblationRow
 	for _, theta := range thetas {
 		theta := theta
-		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*core.Result, error), error) {
+		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*engine.Result, error), error) {
 			s, err := core.NewLargeScaleSolver(core.Options{
 				Fabric:       core.SingleCrossbarFactory(crossbar.Config{}),
 				ConstantStep: theta,
@@ -112,7 +113,7 @@ func AblationFillers(cfg Config, m int, regs []float64) ([]AblationRow, error) {
 		regs = []float64{0.001, 0.01, 0.1, 0.5}
 	}
 	var rows []AblationRow
-	row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*core.Result, error), error) {
+	row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*engine.Result, error), error) {
 		s, err := core.NewLargeScaleSolver(core.Options{
 			Fabric: core.SingleCrossbarFactory(crossbar.Config{}),
 		})
@@ -128,7 +129,7 @@ func AblationFillers(cfg Config, m int, regs []float64) ([]AblationRow, error) {
 	rows = append(rows, row)
 	for _, reg := range regs {
 		reg := reg
-		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*core.Result, error), error) {
+		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*engine.Result, error), error) {
 			s, err := core.NewLargeScaleSolver(core.Options{
 				Fabric:         core.SingleCrossbarFactory(crossbar.Config{}),
 				LiteralFillers: true,
@@ -159,7 +160,7 @@ func AblationIOBits(cfg Config, m int, bits []int) ([]AblationRow, error) {
 	for _, global := range []bool{false, true} {
 		for _, b := range bits {
 			b, global := b, global
-			row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*core.Result, error), error) {
+			row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*engine.Result, error), error) {
 				s, err := core.NewSolver(core.Options{
 					Fabric: core.SingleCrossbarFactory(crossbar.Config{IOBits: b, GlobalIORange: global}),
 				})
@@ -203,7 +204,7 @@ func AblationVariationModel(cfg Config, m int, magnitude float64) ([]AblationRow
 	var rows []AblationRow
 	for _, vt := range variants {
 		vt := vt
-		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*core.Result, error), error) {
+		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*engine.Result, error), error) {
 			vm, err := variation.NewModel(vt.dist, magnitude, seed)
 			if err != nil {
 				return nil, err
@@ -238,7 +239,7 @@ func AblationNoC(cfg Config, m, tileSize int) ([]AblationRow, error) {
 		topo := topo
 		var fabrics []*noc.TiledFabric
 		nocCfg := noc.Config{Topology: topo, TileSize: tileSize}
-		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*core.Result, error), error) {
+		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*engine.Result, error), error) {
 			s, err := core.NewSolver(core.Options{
 				Fabric: func(size int) (core.Fabric, error) {
 					c := nocCfg
@@ -285,7 +286,7 @@ func AblationWriteBits(cfg Config, m int, bits []int) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, b := range bits {
 		b := b
-		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*core.Result, error), error) {
+		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*engine.Result, error), error) {
 			s, err := core.NewSolver(core.Options{
 				Fabric: core.SingleCrossbarFactory(crossbar.Config{WriteBits: b}),
 			})
@@ -314,7 +315,7 @@ func AblationWireResistance(cfg Config, m int, resistances []float64) ([]Ablatio
 	var rows []AblationRow
 	for _, rw := range resistances {
 		rw := rw
-		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*core.Result, error), error) {
+		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*engine.Result, error), error) {
 			s, err := core.NewSolver(core.Options{
 				Fabric: core.SingleCrossbarFactory(crossbar.Config{WireResistance: rw}),
 			})

@@ -12,6 +12,7 @@ import (
 
 	"github.com/memlp/memlp/internal/core"
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/variation"
 )
@@ -108,7 +109,7 @@ func BatchThroughput(cfg Config, batch int, widths []int) ([]BatchRow, error) {
 				return nil, err
 			}
 			start := time.Now()
-			var results []*core.Result
+			var results []*engine.Result
 			if cfg.Context != nil {
 				results, err = solver.SolveBatchContext(cfg.Context, problems)
 			} else {

@@ -21,6 +21,7 @@ import (
 
 	"github.com/memlp/memlp/internal/core"
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/memristor"
 	"github.com/memlp/memlp/internal/pdip"
@@ -97,7 +98,7 @@ func (c Config) withDefaults() Config {
 
 // solverFor builds the crossbar solver under test, wiring the sweep's trace
 // sink (if any) into it.
-func (c Config) solverFor(alg Algorithm, varPct float64, seed int64) (func(*lp.Problem) (*core.Result, error), error) {
+func (c Config) solverFor(alg Algorithm, varPct float64, seed int64) (func(*lp.Problem) (*engine.Result, error), error) {
 	cfg := crossbar.Config{}
 	if varPct > 0 {
 		vm, err := variation.NewPaperModel(varPct, seed)

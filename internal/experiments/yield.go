@@ -6,6 +6,7 @@ import (
 
 	"github.com/memlp/memlp/internal/core"
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/memristor"
 )
@@ -116,14 +117,14 @@ func YieldVsFaultDensity(alg Algorithm, cfg Config, densities []float64, writeRe
 
 // recoveredInFabric reports whether the result came from a ladder rung that
 // still used the analog fabric (re-solve or remap).
-func recoveredInFabric(res *core.Result) bool {
+func recoveredInFabric(res *engine.Result) bool {
 	return res.Diagnostics != nil &&
 		(res.Diagnostics.RecoveredBy == "resolve" || res.Diagnostics.RecoveredBy == "remap")
 }
 
 // faultySolverFor builds a crossbar solver with seeded stuck cells,
 // write-verify programming, and the full recovery ladder.
-func faultySolverFor(alg Algorithm, density float64, writeRetries int, seed int64) (func(*lp.Problem) (*core.Result, error), error) {
+func faultySolverFor(alg Algorithm, density float64, writeRetries int, seed int64) (func(*lp.Problem) (*engine.Result, error), error) {
 	xcfg := crossbar.Config{MaxWriteRetries: writeRetries}
 	if density > 0 {
 		fm := memristor.FaultModel{

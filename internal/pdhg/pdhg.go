@@ -36,6 +36,7 @@ import (
 	"sync"
 
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/noc"
@@ -170,33 +171,6 @@ func New(opts ...Option) (*Solver, error) {
 	return s, nil
 }
 
-// Result is the PDHG solve outcome. Residuals and the objective are the
-// exact digital values of the returned iterate, not the analog monitors.
-type Result struct {
-	Status     lp.Status
-	X, Y       linalg.Vector
-	Objective  float64
-	Iterations int
-
-	// Restarts counts adaptive restarts taken; TilesRefreshed counts
-	// canonical blocks re-programmed by the periodic conductance refresh.
-	Restarts       int
-	TilesRefreshed int64
-
-	PrimalInfeasibility float64
-	DualInfeasibility   float64
-	DualityGap          float64
-
-	// Counters aggregates all tiles' crossbar activity; NoC is the
-	// scatter/gather traffic; EnergyJoules prices both.
-	Counters     crossbar.Counters
-	NoC          noc.Stats
-	EnergyJoules float64
-	MatrixSize   int
-
-	Trace []trace.Record
-}
-
 // kkt bundles one set of relative KKT measures.
 type kkt struct {
 	pinf, dinf, gap, obj float64
@@ -207,14 +181,19 @@ func (k kkt) within(tol lp.Tolerances) bool {
 }
 
 // Solve runs PDHG without cancellation.
-func (s *Solver) Solve(p *lp.Problem) (*Result, error) {
+func (s *Solver) Solve(p *lp.Problem) (*engine.Result, error) {
 	return s.SolveContext(context.Background(), p)
 }
 
 // SolveContext runs restarted PDHG on p, honoring ctx inside the iteration
 // loop: a canceled context returns the partial result with
-// lp.StatusCanceled and the wrapped context error.
-func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*Result, error) {
+// lp.StatusCanceled and the wrapped context error. Residuals and the
+// objective of the result are the exact digital values of the returned
+// iterate, not the analog monitors; Counters aggregates all tiles' crossbar
+// activity, NoC is the scatter/gather traffic, and Diagnostics.EnergyJoules
+// prices both.
+func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Result, error) {
+	start := engine.WallClock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p == nil {
@@ -410,7 +389,7 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*Result, erro
 	}
 
 	ctr := fab.counters()
-	res := &Result{
+	res := &engine.Result{
 		Status:              status,
 		X:                   x,
 		Y:                   y,
@@ -423,13 +402,18 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*Result, erro
 		DualityGap:          final.gap,
 		Counters:            ctr,
 		NoC:                 fab.router.Stats(),
-		EnergyJoules:        s.energyFor(ctr, fab),
 		MatrixSize:          max(m, n),
+		Diagnostics: &engine.Diagnostics{
+			WriteRetries: ctr.WriteRetries,
+			Attempts:     1,
+			EnergyJoules: s.energyFor(ctr, fab),
+		},
 	}
 	emit(trace.EventDone, done, final, status.String())
 	if s.ring != nil {
 		res.Trace = s.ring.Snapshot()
 	}
+	res.WallTime = engine.WallSince(start)
 	return res, ctxErr
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/memristor"
@@ -38,7 +39,7 @@ func genFeasible(t *testing.T, m, n int, seed int64) *lp.Problem {
 	return p
 }
 
-func mustSolve(t *testing.T, s *Solver, p *lp.Problem) *Result {
+func mustSolve(t *testing.T, s *Solver, p *lp.Problem) *engine.Result {
 	t.Helper()
 	res, err := s.SolveContext(context.Background(), p)
 	if err != nil {
@@ -171,7 +172,7 @@ func TestGridBitIdentical(t *testing.T) {
 	p := genFeasible(t, 12, 8, 11)
 	tol := DefaultTolerances()
 	tol.MaxIterations = 600 // variation biases the fixed point; pin the trajectory, not optimality
-	var ref *Result
+	var ref *engine.Result
 	for _, g := range []int{1, 2, 4} {
 		s, err := New(
 			WithNoC(noc.Config{Topology: noc.Mesh, TileSize: 4}),
@@ -211,8 +212,8 @@ func TestGridBitIdentical(t *testing.T) {
 		if res.NoC != ref.NoC {
 			t.Errorf("grid=%d: NoC stats %+v, want %+v", g, res.NoC, ref.NoC)
 		}
-		if math.Float64bits(res.EnergyJoules) != math.Float64bits(ref.EnergyJoules) {
-			t.Errorf("grid=%d: energy %v, want bit-identical %v", g, res.EnergyJoules, ref.EnergyJoules)
+		if math.Float64bits(res.Diagnostics.EnergyJoules) != math.Float64bits(ref.Diagnostics.EnergyJoules) {
+			t.Errorf("grid=%d: energy %v, want bit-identical %v", g, res.Diagnostics.EnergyJoules, ref.Diagnostics.EnergyJoules)
 		}
 		if diff := trace.Diff(res.Trace, ref.Trace, 0); len(diff) != 0 {
 			t.Errorf("grid=%d: trace diverged:\n  %s", g, diff[0])
@@ -228,7 +229,7 @@ func TestRefreshIsNumericNoOp(t *testing.T) {
 	tol := DefaultTolerances()
 	tol.MaxIterations = 400
 
-	solve := func(refreshEvery int) *Result {
+	solve := func(refreshEvery int) *engine.Result {
 		s, err := New(
 			WithNoC(noc.Config{Topology: noc.Mesh, TileSize: 4}),
 			WithCrossbar(noisyConfig(t, 3)),

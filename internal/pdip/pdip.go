@@ -27,6 +27,7 @@ import (
 	"sync"
 
 	"github.com/memlp/memlp/internal/cone"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/trace"
@@ -139,28 +140,6 @@ func (s *Solver) applyWarmStart(p *lp.Problem, x, y, w, z linalg.Vector) error {
 	return nil
 }
 
-// Result reports the outcome of a solve, including per-iteration telemetry
-// consumed by the performance estimator.
-type Result struct {
-	Status     lp.Status
-	X, Y, W, Z linalg.Vector
-	// Objective is cᵀx at the returned point.
-	Objective float64
-	// Iterations is the number of Newton steps taken.
-	Iterations int
-	// PrimalInfeasibility, DualInfeasibility and DualityGap are the final
-	// convergence measures.
-	PrimalInfeasibility float64
-	DualInfeasibility   float64
-	DualityGap          float64
-	// ConeInfeasibility is the largest second-order-cone violation of the
-	// slack b − A·x over the problem's cone blocks; always 0 for pure LPs.
-	ConeInfeasibility float64
-	// Trace is the recorded iteration trajectory (oldest first); non-nil
-	// only when the solver was built WithTrace.
-	Trace []trace.Record
-}
-
 // Option configures the solver.
 type Option func(*Solver)
 
@@ -176,7 +155,7 @@ func WithBackend(b NewtonBackend) Option {
 
 // WithTrace enables per-iteration trace recording into a bounded ring of
 // the given capacity (<= 0 means trace.DefaultCapacity); the trajectory is
-// returned as Result.Trace.
+// returned as engine.Result.Trace.
 func WithTrace(capacity int) Option {
 	return func(s *Solver) { s.ring = trace.NewRing(capacity) }
 }
@@ -198,7 +177,7 @@ func New(opts ...Option) (*Solver, error) {
 }
 
 // Solve runs the PDIP iteration on p.
-func (s *Solver) Solve(p *lp.Problem) (*Result, error) {
+func (s *Solver) Solve(p *lp.Problem) (*engine.Result, error) {
 	return s.SolveContext(context.Background(), p)
 }
 
@@ -206,10 +185,11 @@ func (s *Solver) Solve(p *lp.Problem) (*Result, error) {
 // deadlines: the context is checked once per iteration, and an interrupted
 // solve returns its partial iterate with lp.StatusCanceled alongside the
 // wrapped context error.
-func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*Result, error) {
+func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	start := engine.WallClock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ring != nil {
@@ -245,7 +225,7 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*Result, erro
 		return nil, err
 	}
 
-	res := &Result{Status: lp.StatusIterationLimit}
+	res := &engine.Result{Status: lp.StatusIterationLimit}
 	var ctxErr error
 	for iter := 1; iter <= s.tol.MaxIterations; iter++ {
 		if err := ctx.Err(); err != nil {
@@ -373,6 +353,7 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*Result, erro
 		})
 		res.Trace = s.ring.Snapshot()
 	}
+	res.WallTime = engine.WallSince(start)
 	return res, ctxErr
 }
 

@@ -6,7 +6,6 @@
 package serve
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -113,13 +112,10 @@ func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) 
 func (o Options) solverOptions(eng memlp.Engine, parallelism int) []memlp.Option {
 	n := o.normalize()
 	opts := []memlp.Option{memlp.WithTrace(0)}
-	switch eng {
-	case memlp.EngineCrossbar, memlp.EngineCrossbarLargeScale, memlp.EngineConic, memlp.EnginePDHG:
+	if eng.Analog() {
 		opts = append(opts, memlp.WithSeed(n.Seed))
-	default:
-		if o.Seed != 0 {
-			opts = append(opts, memlp.WithSeed(o.Seed))
-		}
+	} else if o.Seed != 0 {
+		opts = append(opts, memlp.WithSeed(o.Seed))
 	}
 	if n.Variation != 0 {
 		opts = append(opts, memlp.WithVariation(n.Variation))
@@ -145,32 +141,23 @@ func (o Options) solverOptions(eng memlp.Engine, parallelism int) []memlp.Option
 	if n.Tiles != 0 {
 		opts = append(opts, memlp.WithTiles(n.Tiles))
 	}
-	if eng == memlp.EngineCrossbar && parallelism > 0 {
+	if eng.SupportsBatch() && parallelism > 0 {
 		opts = append(opts, memlp.WithParallelism(parallelism))
 	}
 	return opts
 }
 
-// engineByName maps wire names onto engines (the cmd/lpsolve vocabulary).
-func engineByName(name string) (memlp.Engine, error) {
+// requestEngine maps a request's engine field onto an engine: the
+// memlp.ParseEngine names, plus "" for the default crossbar engine and the
+// "large-scale" short name.
+func requestEngine(name string) (memlp.Engine, error) {
 	switch name {
-	case "", "crossbar":
+	case "":
 		return memlp.EngineCrossbar, nil
-	case "crossbar-large-scale", "large-scale":
+	case "large-scale":
 		return memlp.EngineCrossbarLargeScale, nil
-	case "pdip":
-		return memlp.EnginePDIP, nil
-	case "pdip-reduced":
-		return memlp.EnginePDIPReduced, nil
-	case "simplex":
-		return memlp.EngineSimplex, nil
-	case "conic":
-		return memlp.EngineConic, nil
-	case "pdhg":
-		return memlp.EnginePDHG, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q", name)
 	}
+	return memlp.ParseEngine(name)
 }
 
 // jsonFloat marshals float64 the way the trace JSONL stream does: finite

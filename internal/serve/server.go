@@ -191,15 +191,14 @@ func (s *Server) entry(eng memlp.Engine, o Options) (*poolEntry, error) {
 		return nil, err
 	}
 	ent := &poolEntry{eng: eng, pool: newSolverPool(s.cfg.SolversPerKey, build)}
-	switch eng {
-	case memlp.EngineCrossbar, memlp.EngineConic, memlp.EnginePDIP, memlp.EnginePDIPReduced:
+	if eng.SupportsWarmStart() {
 		ent.warm = newWarmCache(s.cfg.MatrixCacheLimit)
 	}
 	ent.pool.mu.Lock()
 	ent.pool.created = 1
 	ent.pool.mu.Unlock()
 	ent.pool.slots <- first
-	if eng == memlp.EngineCrossbar && !s.cfg.DisableCoalescing {
+	if eng.SupportsBatch() && !s.cfg.DisableCoalescing {
 		run := func(ctx context.Context, probs []*memlp.Problem) ([]*memlp.Solution, error) {
 			solver, err := ent.pool.acquire(ctx)
 			if err != nil {
@@ -285,7 +284,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, start, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	eng, err := engineByName(req.Engine)
+	eng, err := requestEngine(req.Engine)
 	if err != nil {
 		s.fail(w, start, http.StatusBadRequest, err.Error())
 		return

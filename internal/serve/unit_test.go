@@ -144,13 +144,16 @@ func TestCoalescerCacheEviction(t *testing.T) {
 		t.Errorf("canonical cache holds %d matrices, limit 2", size)
 	}
 
-	// Same matrix twice coalesces into one batch of two.
+	// Same matrix twice coalesces into one batch of two. The batch closes by
+	// size: its window outlasts the test, so a slow second submit cannot
+	// miss it and land in a batch of its own.
+	bySize := newCoalescer(context.Background(), time.Hour, 2, 2, run, nil)
 	a, b := dietProblem(t, 4), dietProblem(t, 5)
-	wa, ok := co.submit(context.Background(), a)
+	wa, ok := bySize.submit(context.Background(), a)
 	if !ok {
 		t.Fatal("submit a refused")
 	}
-	wb, ok := co.submit(context.Background(), b)
+	wb, ok := bySize.submit(context.Background(), b)
 	if !ok {
 		t.Fatal("submit b refused")
 	}

@@ -15,7 +15,9 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/trace"
@@ -24,19 +26,6 @@ import (
 // ErrPivotLimit is returned when the pivot budget is exhausted (cycling or a
 // pathological instance).
 var ErrPivotLimit = errors.New("simplex: pivot limit exceeded")
-
-// Result reports the outcome of a simplex solve.
-type Result struct {
-	Status    lp.Status
-	X         linalg.Vector
-	Objective float64
-	// Pivots is the total number of pivot operations across both phases.
-	Pivots int
-	// Trace is the recorded pivot trajectory (oldest first); non-nil only
-	// when the solver was built WithTrace. Pivot records carry the running
-	// tableau objective-row value (phase-local) in Objective.
-	Trace []trace.Record
-}
 
 // Solver is a two-phase tableau simplex solver.
 type Solver struct {
@@ -60,7 +49,8 @@ func WithMaxPivots(n int) Option {
 
 // WithTrace enables per-pivot trace recording into a bounded ring of the
 // given capacity (<= 0 means trace.DefaultCapacity); the trajectory is
-// returned as Result.Trace.
+// returned as engine.Result.Trace. Pivot records carry the running tableau
+// objective-row value (phase-local) in Objective.
 func WithTrace(capacity int) Option {
 	return func(s *Solver) { s.ring = trace.NewRing(capacity) }
 }
@@ -144,17 +134,18 @@ func (t *tableau) leaving(col int) int {
 }
 
 // Solve runs two-phase simplex on p.
-func (s *Solver) Solve(p *lp.Problem) (*Result, error) {
+func (s *Solver) Solve(p *lp.Problem) (*engine.Result, error) {
 	return s.SolveContext(context.Background(), p)
 }
 
 // SolveContext runs two-phase simplex on p, honoring cancellation and
 // deadlines: the context is checked once per pivot, and an interrupted solve
 // returns lp.StatusCanceled alongside the wrapped context error.
-func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*Result, error) {
+func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	start := engine.WallClock()
 	// Simplex pivots over a polyhedral tableau; second-order cones have no
 	// vertex structure to pivot on.
 	if p.IsConic() {
@@ -229,12 +220,12 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*Result, erro
 				return nil, fmt.Errorf("simplex: phase 1 unbounded: internal error")
 			}
 			if canceled(err) {
-				return s.finishResult(&Result{Status: lp.StatusCanceled, Pivots: pivots}), err
+				return s.finishResult(start, &engine.Result{Status: lp.StatusCanceled, Pivots: pivots}), err
 			}
 			return nil, err
 		}
 		if -t.a[m][cols-1] > 1e-7 {
-			return s.finishResult(&Result{Status: lp.StatusInfeasible, Pivots: pivots}), nil
+			return s.finishResult(start, &engine.Result{Status: lp.StatusInfeasible, Pivots: pivots}), nil
 		}
 		// Drive any artificial still in the basis out (degenerate case).
 		for i := 0; i < m; i++ {
@@ -274,10 +265,10 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*Result, erro
 	limit := n + m
 	if err := s.iterate(ctx, t, limit, &pivots); err != nil {
 		if errors.Is(err, errUnbounded) {
-			return s.finishResult(&Result{Status: lp.StatusUnbounded, Pivots: pivots}), nil
+			return s.finishResult(start, &engine.Result{Status: lp.StatusUnbounded, Pivots: pivots}), nil
 		}
 		if canceled(err) {
-			return s.finishResult(&Result{Status: lp.StatusCanceled, Pivots: pivots}), err
+			return s.finishResult(start, &engine.Result{Status: lp.StatusCanceled, Pivots: pivots}), err
 		}
 		return nil, err
 	}
@@ -292,12 +283,14 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	return s.finishResult(&Result{Status: lp.StatusOptimal, X: x, Objective: obj2, Pivots: pivots}), nil
+	return s.finishResult(start, &engine.Result{Status: lp.StatusOptimal, X: x, Objective: obj2, Pivots: pivots}), nil
 }
 
-// finishResult emits the terminal done record and attaches the trajectory
-// snapshot; a no-op when tracing is off. Callers hold s.mu when tracing.
-func (s *Solver) finishResult(res *Result) *Result {
+// finishResult stamps the solve's wall time, emits the terminal done record
+// and attaches the trajectory snapshot (the last two only when tracing).
+// Callers hold s.mu when tracing.
+func (s *Solver) finishResult(start time.Time, res *engine.Result) *engine.Result {
+	res.WallTime = engine.WallSince(start)
 	if s.ring == nil {
 		return res
 	}

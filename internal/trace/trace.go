@@ -50,7 +50,7 @@ const (
 // for mat-vec/solve errors. Fields that do not apply are zero.
 type Record struct {
 	// Engine is the emitting engine name ("crossbar", "simplex", ...).
-	// Backends leave it empty; the engine adapter layer stamps it.
+	// Engines leave it empty; the public memlp layer stamps it.
 	Engine string
 	// Problem is the batch problem index (0 for single solves).
 	Problem int

@@ -7,7 +7,7 @@
 //
 //	maximize cᵀx  subject to  A·x ≤ b,  x ≥ 0
 //
-// with four interchangeable engines:
+// with seven interchangeable engines:
 //
 //   - EngineCrossbar — the paper's Algorithm 1: the full PDIP Newton system
 //     reformulated for non-negative analog crossbar hardware, simulated with
@@ -16,12 +16,16 @@
 //   - EngineCrossbarLargeScale — the paper's Algorithm 2: two much smaller
 //     systems per iteration for crossbar-size-limited deployments.
 //   - EnginePDIP — the software primal–dual interior-point baseline.
+//   - EnginePDIPReduced — the same baseline on the reduced KKT system.
 //   - EngineSimplex — the classic two-phase simplex baseline.
 //   - EngineConic — Algorithm 1 generalized to conic problems: constraint
 //     rows may be grouped into second-order cones (NewConicProblem), opening
 //     SOCP workloads — portfolio optimization, robust regression — on the
 //     same fabric. Pure LPs are the all-orthant degenerate case and take the
 //     bit-identical LP path.
+//   - EnginePDHG — restarted primal–dual hybrid gradient with its mat-vecs
+//     tiled across NoC-connected crossbars, for problems past the
+//     single-array ceiling.
 //
 // Crossbar solves return hardware latency/energy estimates derived from
 // counted physical operations and calibrated device constants, so the
@@ -53,7 +57,7 @@ import (
 var (
 	// ErrInvalid reports malformed problems or options.
 	ErrInvalid = lp.ErrInvalid
-	// ErrUnknownEngine reports an unrecognized Engine value.
+	// ErrUnknownEngine reports an unrecognized Engine value or name.
 	ErrUnknownEngine = errors.New("memlp: unknown engine")
 	// ErrIncompatibleOption reports an option that does not apply to the
 	// selected engine — e.g. WithIOBits with a software engine, or
@@ -341,8 +345,9 @@ type FaultModel struct {
 }
 
 // Diagnostics reports what the fault-recovery machinery observed and did
-// during one crossbar solve. Present on Solutions from solvers configured
-// with WithFaultModel or WithWriteVerify.
+// during one crossbar solve. Present on Solutions from crossbar solvers
+// configured with WithFaultModel or WithWriteVerify, and on every
+// EnginePDHG Solution (one attempt, its write retries and modeled energy).
 type Diagnostics struct {
 	// StuckOn / StuckOff count the defective devices inside the fabric
 	// region the solve actually used (post-program census).
@@ -388,8 +393,9 @@ type Solution struct {
 	// ConeInfeasibility is the worst second-order-cone violation of the
 	// constraint slack at the returned point (always 0 for pure LPs).
 	ConeInfeasibility float64
-	// Diagnostics carries fault and recovery telemetry (nil unless the
-	// solver was built with WithFaultModel or WithWriteVerify).
+	// Diagnostics carries fault and recovery telemetry: set by EnginePDHG
+	// always, and by the other crossbar engines when the solver was built
+	// with WithFaultModel or WithWriteVerify; nil otherwise.
 	Diagnostics *Diagnostics
 	// Batch is the fabric-pool roll-up of a SolveBatch call; non-nil only on
 	// the first Solution of a batch.

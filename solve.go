@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
 	"github.com/memlp/memlp/internal/core"
 	"github.com/memlp/memlp/internal/crossbar"
 	"github.com/memlp/memlp/internal/engine"
+	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/memristor"
 	"github.com/memlp/memlp/internal/noc"
@@ -54,31 +56,114 @@ const (
 	EnginePDHG
 )
 
-// String implements fmt.Stringer.
-func (e Engine) String() string {
-	switch e {
-	case EngineCrossbar:
-		return "crossbar"
-	case EngineCrossbarLargeScale:
-		return "crossbar-large-scale"
-	case EnginePDIP:
-		return "pdip"
-	case EnginePDIPReduced:
-		return "pdip-reduced"
-	case EngineSimplex:
-		return "simplex"
-	case EngineConic:
-		return "conic"
-	case EnginePDHG:
-		return "pdhg"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
+// capability is one bit of an engine table row. Every public option names
+// the capability it configures, so an option applies to an engine exactly
+// when the engine's row carries that bit.
+type capability uint16
+
+const (
+	// capAnalog: simulated crossbar hardware. Solutions carry a hardware
+	// estimate, and the device options apply (WithVariation, WithCycleNoise,
+	// WithSeed, WithIOBits, WithWriteBits, WithDeltaWriteBits,
+	// WithGlobalIORange, WithNoC, WithWireResistance, WithFaultModel,
+	// WithWriteVerify).
+	capAnalog capability = 1 << iota
+	// capAlpha: the §3.2 relaxed-feasibility check (WithAlpha), an
+	// interior-point construction; PDHG solves the unrelaxed LP directly.
+	capAlpha
+	// capIterations: an iteration budget (WithMaxIterations); simplex
+	// counts pivots instead.
+	capIterations
+	// capAlg2: Algorithm 2's knobs (WithConstantStep, WithLiteralFillers).
+	capAlg2
+	// capTiles: the PDHG worker grid (WithTiles). The Newton engines
+	// parallelize across batch members, not tiles.
+	capTiles
+	// capBatch: SolveBatch on the shared-matrix fabric pool, and its width
+	// (WithParallelism). Algorithm 2 and the software engines solve
+	// strictly one problem at a time.
+	capBatch
+	// capWarmStart: an interior iterate seeded from a prior solution
+	// (WithWarmStart, Solver.SetWarmStart). Simplex walks vertices and
+	// Algorithm 2's constant-step scheme keeps no reusable interior state.
+	capWarmStart
+	// capConic: problems with second-order-cone blocks.
+	capConic
+	// capTrace: iteration traces (WithTrace, WithTraceJSONL); every engine
+	// records them.
+	capTrace
+)
+
+// engineSpec is one row of the engine table.
+type engineSpec struct {
+	name  string // String, ParseEngine, trace records, lpsolve and memlpd
+	caps  capability
+	build func(s *Solver, o options) (engineSolver, error)
+}
+
+// has reports whether the engine supports c (for an option's capability:
+// whether the option applies).
+func (spec engineSpec) has(c capability) bool { return spec.caps&c != 0 }
+
+// engines is the engine table, indexed by Engine. EngineCrossbar and
+// EngineConic are two rows over the same Algorithm 1 solver: the crossbar
+// row keeps conic problems out (so its golden traces stay cone-free) and
+// the conic row keeps out batching, whose shared-matrix pool is LP-only.
+var engines = [...]engineSpec{
+	EngineCrossbar:           {"crossbar", capAnalog | capAlpha | capIterations | capBatch | capWarmStart | capTrace, buildCore},
+	EngineCrossbarLargeScale: {"crossbar-large-scale", capAnalog | capAlpha | capIterations | capAlg2 | capTrace, buildLargeScale},
+	EnginePDIP:               {"pdip", capIterations | capWarmStart | capConic | capTrace, buildPDIP(pdip.NewtonFull)},
+	EnginePDIPReduced:        {"pdip-reduced", capIterations | capWarmStart | capConic | capTrace, buildPDIP(pdip.NewtonReduced)},
+	EngineSimplex:            {"simplex", capTrace, buildSimplex},
+	EngineConic:              {"conic", capAnalog | capAlpha | capIterations | capWarmStart | capConic | capTrace, buildCore},
+	EnginePDHG:               {"pdhg", capAnalog | capIterations | capTiles | capTrace, buildPDHG},
+}
+
+// spec returns e's table row; ok is false for an unknown engine.
+func (e Engine) spec() (spec engineSpec, ok bool) {
+	if e < 1 || int(e) >= len(engines) {
+		return engineSpec{}, false
 	}
+	return engines[e], true
+}
+
+// String implements fmt.Stringer: the engine's name, as ParseEngine reads
+// it.
+func (e Engine) String() string {
+	if spec, ok := e.spec(); ok {
+		return spec.name
+	}
+	return fmt.Sprintf("Engine(%d)", int(e))
+}
+
+// Analog reports whether e simulates crossbar hardware: its Solutions carry
+// a Hardware estimate, and the device options (WithVariation, WithSeed,
+// WithNoC, …) apply to it.
+func (e Engine) Analog() bool { spec, _ := e.spec(); return spec.has(capAnalog) }
+
+// SupportsBatch reports whether Solver.SolveBatch, and so WithParallelism,
+// works on e.
+func (e Engine) SupportsBatch() bool { spec, _ := e.spec(); return spec.has(capBatch) }
+
+// SupportsWarmStart reports whether e takes WithWarmStart and
+// Solver.SetWarmStart.
+func (e Engine) SupportsWarmStart() bool { spec, _ := e.spec(); return spec.has(capWarmStart) }
+
+// ParseEngine returns the engine whose String is name. Unknown names fail
+// with ErrUnknownEngine.
+func ParseEngine(name string) (Engine, error) {
+	for i, spec := range engines[1:] {
+		if spec.name == name {
+			return Engine(i + 1), nil
+		}
+	}
+	return 0, fmt.Errorf("%w %q", ErrUnknownEngine, name)
 }
 
 // options collects the cross-engine configuration. set records which options
-// the caller supplied, by exported name, so NewSolver can reject settings
-// that do not apply to the selected engine.
+// the caller supplied, by exported name, with the capability each one
+// configures, so NewSolver can reject settings that do not apply to the
+// selected engine.
 type options struct {
 	variationPct   float64
 	cycleNoise     float64
@@ -106,22 +191,19 @@ type options struct {
 	traceJSONL     io.Writer
 	warmX, warmY   []float64
 
-	set map[string]bool
+	set map[string]capability
 }
 
 func defaultOptions() options {
-	return options{seed: 1, timing: memristor.DefaultTiming(), set: map[string]bool{}}
+	return options{seed: 1, timing: memristor.DefaultTiming(), set: map[string]capability{}}
 }
 
-// validateFor rejects options that do not configure the selected engine:
-// hardware options (variation, quantization, NoC, …) require a crossbar
-// engine, Algorithm 2 knobs require EngineCrossbarLargeScale, and iteration
-// bounds do not apply to simplex. Errors match both ErrIncompatibleOption
-// and ErrInvalid.
+// validateFor rejects options that do not configure the selected engine
+// (see capability), naming the first in alphabetical order. Errors match
+// both ErrIncompatibleOption and ErrInvalid.
 func (o *options) validateFor(e Engine) error {
-	switch e {
-	case EngineCrossbar, EngineCrossbarLargeScale, EnginePDIP, EnginePDIPReduced, EngineSimplex, EngineConic, EnginePDHG:
-	default:
+	spec, ok := e.spec()
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownEngine, int(e))
 	}
 	names := make([]string, 0, len(o.set))
@@ -130,37 +212,7 @@ func (o *options) validateFor(e Engine) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		ok := false
-		switch name {
-		case "WithConstantStep", "WithLiteralFillers":
-			ok = e == EngineCrossbarLargeScale
-		case "WithTiles":
-			// The worker grid only exists on the tiled PDHG engine; the
-			// Newton engines parallelize across batch members, not tiles.
-			ok = e == EnginePDHG
-		case "WithAlpha":
-			// The relaxed-feasibility reformulation is an interior-point
-			// construction; PDHG solves the unrelaxed LP directly.
-			ok = e == EngineCrossbar || e == EngineCrossbarLargeScale || e == EngineConic
-		case "WithTrace", "WithTraceJSONL":
-			// Observability applies uniformly: every engine records traces.
-			ok = true
-		case "WithMaxIterations":
-			ok = e != EngineSimplex
-		case "WithParallelism":
-			// Batching — and therefore the fabric pool — exists only on the
-			// Algorithm 1 engine; Algorithm 2 and the software engines solve
-			// strictly one problem at a time.
-			ok = e == EngineCrossbar
-		case "WithWarmStart":
-			// Warm starts seed an interior iterate: simplex walks vertices and
-			// Algorithm 2's constant-step scheme keeps no reusable interior
-			// state, so only the PDIP-family engines accept one.
-			ok = e == EngineCrossbar || e == EngineConic || e == EnginePDIP || e == EnginePDIPReduced
-		default: // crossbar hardware options
-			ok = e == EngineCrossbar || e == EngineCrossbarLargeScale || e == EngineConic || e == EnginePDHG
-		}
-		if !ok {
+		if !spec.has(o.set[name]) {
 			return fmt.Errorf("%s does not apply to engine %s: %w", name, e, ErrIncompatibleOption)
 		}
 	}
@@ -178,7 +230,7 @@ func WithVariation(pct float64) Option {
 			return fmt.Errorf("%w: variation %v", ErrInvalid, pct)
 		}
 		o.variationPct = pct
-		o.set["WithVariation"] = true
+		o.set["WithVariation"] = capAnalog
 		return nil
 	}
 }
@@ -191,7 +243,7 @@ func WithCycleNoise(frac float64) Option {
 			return fmt.Errorf("%w: cycle noise %v", ErrInvalid, frac)
 		}
 		o.cycleNoise = frac
-		o.set["WithCycleNoise"] = true
+		o.set["WithCycleNoise"] = capAnalog
 		return nil
 	}
 }
@@ -201,7 +253,7 @@ func WithCycleNoise(frac float64) Option {
 func WithSeed(seed int64) Option {
 	return func(o *options) error {
 		o.seed = seed
-		o.set["WithSeed"] = true
+		o.set["WithSeed"] = capAnalog
 		return nil
 	}
 }
@@ -213,7 +265,7 @@ func WithIOBits(bits int) Option {
 			return fmt.Errorf("%w: io bits %d", ErrInvalid, bits)
 		}
 		o.ioBits = bits
-		o.set["WithIOBits"] = true
+		o.set["WithIOBits"] = capAnalog
 		return nil
 	}
 }
@@ -225,7 +277,7 @@ func WithWriteBits(bits int) Option {
 			return fmt.Errorf("%w: write bits %d", ErrInvalid, bits)
 		}
 		o.writeBits = bits
-		o.set["WithWriteBits"] = true
+		o.set["WithWriteBits"] = capAnalog
 		return nil
 	}
 }
@@ -245,7 +297,7 @@ func WithDeltaWriteBits(bits int) Option {
 			return fmt.Errorf("%w: delta write bits %d", ErrInvalid, bits)
 		}
 		o.deltaBits = bits
-		o.set["WithDeltaWriteBits"] = true
+		o.set["WithDeltaWriteBits"] = capAnalog
 		return nil
 	}
 }
@@ -255,7 +307,7 @@ func WithDeltaWriteBits(bits int) Option {
 func WithGlobalIORange() Option {
 	return func(o *options) error {
 		o.globalIORange = true
-		o.set["WithGlobalIORange"] = true
+		o.set["WithGlobalIORange"] = capAnalog
 		return nil
 	}
 }
@@ -269,7 +321,7 @@ func WithAlpha(alpha float64) Option {
 			return fmt.Errorf("%w: alpha %v", ErrInvalid, alpha)
 		}
 		o.alpha = alpha
-		o.set["WithAlpha"] = true
+		o.set["WithAlpha"] = capAlpha
 		return nil
 	}
 }
@@ -281,7 +333,7 @@ func WithMaxIterations(n int) Option {
 			return fmt.Errorf("%w: max iterations %d", ErrInvalid, n)
 		}
 		o.maxIterations = n
-		o.set["WithMaxIterations"] = true
+		o.set["WithMaxIterations"] = capIterations
 		return nil
 	}
 }
@@ -293,7 +345,7 @@ func WithConstantStep(theta float64) Option {
 			return fmt.Errorf("%w: constant step %v", ErrInvalid, theta)
 		}
 		o.constantStep = theta
-		o.set["WithConstantStep"] = true
+		o.set["WithConstantStep"] = capAlg2
 		return nil
 	}
 }
@@ -316,7 +368,7 @@ func WithNoC(topology string, tileSize int) Option {
 		}
 		o.useNoC = true
 		o.nocTileSize = tileSize
-		o.set["WithNoC"] = true
+		o.set["WithNoC"] = capAnalog
 		return nil
 	}
 }
@@ -330,7 +382,7 @@ func WithWireResistance(rw float64) Option {
 			return fmt.Errorf("%w: wire resistance %v", ErrInvalid, rw)
 		}
 		o.wireResistance = rw
-		o.set["WithWireResistance"] = true
+		o.set["WithWireResistance"] = capAnalog
 		return nil
 	}
 }
@@ -340,7 +392,7 @@ func WithWireResistance(rw float64) Option {
 func WithLiteralFillers() Option {
 	return func(o *options) error {
 		o.literal = true
-		o.set["WithLiteralFillers"] = true
+		o.set["WithLiteralFillers"] = capAlg2
 		return nil
 	}
 }
@@ -358,7 +410,7 @@ func WithParallelism(n int) Option {
 			return fmt.Errorf("%w: parallelism %d", ErrInvalid, n)
 		}
 		o.parallelism = n
-		o.set["WithParallelism"] = true
+		o.set["WithParallelism"] = capBatch
 		return nil
 	}
 }
@@ -375,7 +427,7 @@ func WithTiles(g int) Option {
 			return fmt.Errorf("%w: tiles grid %d", ErrInvalid, g)
 		}
 		o.tiles = g
-		o.set["WithTiles"] = true
+		o.set["WithTiles"] = capTiles
 		return nil
 	}
 }
@@ -400,7 +452,7 @@ func WithWarmStart(prev *Solution) Option {
 			return fmt.Errorf("%w: warm start needs a solution with X and DualY", ErrInvalid)
 		}
 		o.warmX, o.warmY = prev.X, prev.DualY
-		o.set["WithWarmStart"] = true
+		o.set["WithWarmStart"] = capWarmStart
 		return nil
 	}
 }
@@ -423,7 +475,7 @@ func WithFaultModel(fm FaultModel) Option {
 			return fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
 		o.faults = &fm
-		o.set["WithFaultModel"] = true
+		o.set["WithFaultModel"] = capAnalog
 		return nil
 	}
 }
@@ -443,14 +495,21 @@ func WithWriteVerify(maxRetries int, tol float64) Option {
 		}
 		o.writeRetries = maxRetries
 		o.writeVerifyTol = tol
-		o.set["WithWriteVerify"] = true
+		o.set["WithWriteVerify"] = capAnalog
 		return nil
 	}
 }
 
+// engineSolver is what every engine's solver has: SolveContext returning
+// the shared engine.Result. The table gives capBatch and capWarmStart only
+// to rows whose solvers also batch (*core.Solver) or take warm starts.
+type engineSolver interface {
+	SolveContext(ctx context.Context, p *lp.Problem) (*engine.Result, error)
+}
+
 // Solver is a reusable handle on one configured engine. Construction
 // resolves the options, validates them against the engine, and builds the
-// backend once; every Solve call then reuses the backend's iteration
+// engine's solver once; every Solve call then reuses its iteration
 // workspaces and — for crossbar engines — the persistent simulated fabric,
 // so repeated same-shape solves skip reprogramming and allocate almost
 // nothing.
@@ -459,14 +518,17 @@ func WithWriteVerify(maxRetries int, tol float64) Option {
 // simulated fabric cannot run two solves at once). Crossbar results report
 // per-solve marginal hardware counters even though the fabric persists.
 type Solver struct {
-	engine  Engine
-	timing  memristor.Timing
-	backend engine.Backend
+	engine Engine
+	spec   engineSpec
+	timing memristor.Timing
+	solver engineSolver
 
 	mu sync.Mutex
-	// NoC accounting: the fabric factory records every tiled fabric it
-	// builds so transfer stats can reach the hardware estimate. Stats are
-	// cumulative per fabric; snapshots around each solve yield marginals.
+	// NoC accounting: the Algorithm 1/2 fabric factories capture each tiled
+	// fabric they build so transfer stats can reach the hardware estimate.
+	// nocFabrics holds the fabrics the engine can still drive, plus those
+	// built during the current call; stats are cumulative per fabric, and
+	// snapshots around each call yield marginals.
 	nocCfg     *noc.Config
 	nocFabrics []*noc.TiledFabric //memlp:guardedby mu
 
@@ -491,54 +553,26 @@ func NewSolver(eng Engine, opts ...Option) (*Solver, error) {
 		return nil, err
 	}
 
-	s := &Solver{engine: eng, timing: o.timing}
+	s := &Solver{engine: eng, spec: engines[eng], timing: o.timing}
 	if o.traceJSONL != nil {
 		s.traceJSONL = trace.NewJSONL(o.traceJSONL)
 	}
-	switch eng {
-	case EnginePDIP, EnginePDIPReduced:
-		backend := pdip.NewtonFull
-		if eng == EnginePDIPReduced {
-			backend = pdip.NewtonReduced
-		}
-		tol := lp.DefaultTolerances()
-		if o.maxIterations > 0 {
-			tol.MaxIterations = o.maxIterations
-		}
-		popts := []pdip.Option{pdip.WithBackend(backend), pdip.WithTolerances(tol)}
-		if o.traced {
-			popts = append(popts, pdip.WithTrace(o.traceCap))
-		}
-		ps, err := pdip.New(popts...)
-		if err != nil {
-			return nil, err
-		}
-		s.backend = engine.PDIP{S: ps, BackendName: eng.String()}
-	case EngineSimplex:
-		var sopts []simplex.Option
-		if o.traced {
-			sopts = append(sopts, simplex.WithTrace(o.traceCap))
-		}
-		sx, err := simplex.New(sopts...)
-		if err != nil {
-			return nil, err
-		}
-		s.backend = engine.Simplex{S: sx}
-	case EngineCrossbar, EngineCrossbarLargeScale, EngineConic:
-		if err := s.buildCrossbarBackend(eng, o); err != nil {
-			return nil, err
-		}
-	case EnginePDHG:
-		if err := s.buildPDHGBackend(o); err != nil {
-			return nil, err
-		}
+	impl, err := s.spec.build(s, o)
+	if err != nil {
+		return nil, err
 	}
-	if o.set["WithWarmStart"] {
-		// validateFor admits WithWarmStart only for engines whose backend
-		// implements engine.WarmStarter, so the assertion cannot fail.
-		s.backend.(engine.WarmStarter).SetWarmStart(o.warmX, o.warmY)
+	s.solver = impl
+	if o.set["WithWarmStart"] != 0 {
+		s.setWarmStart(o.warmX, o.warmY)
 	}
 	return s, nil
+}
+
+// setWarmStart forwards a warm start to the engine's solver; validation
+// admits warm starts only on capWarmStart rows, whose solvers have
+// SetWarmStart.
+func (s *Solver) setWarmStart(x, y []float64) {
+	s.solver.(interface{ SetWarmStart(x0, y0 linalg.Vector) }).SetWarmStart(x, y)
 }
 
 // SetWarmStart replaces (or, with nil, clears) the handle's warm start: the
@@ -550,20 +584,19 @@ func NewSolver(eng Engine, opts ...Option) (*Solver, error) {
 //	_ = s.SetWarmStart(sol)
 //	sol2, _ := s.Solve(ctx, pShifted)
 func (s *Solver) SetWarmStart(prev *Solution) error {
-	ws, ok := s.backend.(engine.WarmStarter)
-	if !ok {
+	if !s.spec.has(capWarmStart) {
 		return fmt.Errorf("WithWarmStart does not apply to engine %s: %w", s.engine, ErrIncompatibleOption)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev == nil {
-		ws.SetWarmStart(nil, nil)
+		s.setWarmStart(nil, nil)
 		return nil
 	}
 	if len(prev.X) == 0 || len(prev.DualY) == 0 {
 		return fmt.Errorf("%w: warm start needs a solution with X and DualY", ErrInvalid)
 	}
-	ws.SetWarmStart(prev.X, prev.DualY)
+	s.setWarmStart(prev.X, prev.DualY)
 	return nil
 }
 
@@ -572,7 +605,7 @@ func (s *Solver) SetWarmStart(prev *Solution) error {
 // (Algorithms 1 and 2, conic, PDHG tiles) starts from.
 func (o options) crossbarConfig() (crossbar.Config, error) {
 	deltaBits := o.deltaBits
-	if !o.set["WithDeltaWriteBits"] {
+	if o.set["WithDeltaWriteBits"] == 0 {
 		// Delta-programming defaults on at the I/O precision. The core
 		// disables it per solve for problems with SOC blocks (the conic NT
 		// rows cannot tolerate per-cell stale conductances), so pure LPs take
@@ -612,14 +645,14 @@ func (o options) crossbarConfig() (crossbar.Config, error) {
 	return xcfg, nil
 }
 
-// buildCrossbarBackend wires the crossbar configuration into a core solver
-// behind the engine interface. With NoC enabled the fabric factory captures
-// every tiled fabric it builds on s (safe without locking: the factory only
-// runs inside backend calls made under s.mu).
-func (s *Solver) buildCrossbarBackend(eng Engine, o options) error {
+// coreOptions wires the crossbar configuration into the Algorithm 1/2
+// solver options. With NoC enabled the fabric factories capture every tiled
+// fabric they build on s (safe without locking: the factories only run
+// inside solver calls made under s.mu).
+func (s *Solver) coreOptions(o options) (core.Options, error) {
 	xcfg, err := o.crossbarConfig()
 	if err != nil {
-		return err
+		return core.Options{}, err
 	}
 
 	var factory, replica core.FabricFactory
@@ -635,7 +668,7 @@ func (s *Solver) buildCrossbarBackend(eng Engine, o options) error {
 			if err != nil {
 				return nil, err
 			}
-			//memlpvet:ignore guardedby the factory closure only runs inside backend calls made under s.mu (see buildCrossbarBackend doc)
+			//memlpvet:ignore guardedby the factory closure only runs inside solver calls made under s.mu (see coreOptions doc)
 			s.nocFabrics = append(s.nocFabrics, f)
 			return f, nil
 		}
@@ -689,39 +722,62 @@ func (s *Solver) buildCrossbarBackend(eng Engine, o options) error {
 		// so the handle always returns an honest answer.
 		copts.Recovery = &core.RecoveryPolicy{Remap: true, SoftwareFallback: true}
 	}
-
-	switch eng {
-	case EngineCrossbar:
-		cs, err := core.NewSolver(copts)
-		if err != nil {
-			return err
-		}
-		s.backend = engine.Crossbar{S: cs}
-	case EngineConic:
-		cs, err := core.NewSolver(copts)
-		if err != nil {
-			return err
-		}
-		s.backend = engine.Conic{S: cs}
-	case EngineCrossbarLargeScale:
-		ls, err := core.NewLargeScaleSolver(copts)
-		if err != nil {
-			return err
-		}
-		s.backend = engine.CrossbarLargeScale{S: ls}
-	}
-	return nil
+	return copts, nil
 }
 
-// buildPDHGBackend wires the tiled PDHG engine: the same per-array crossbar
+// buildCore builds Algorithm 1, the solver behind EngineCrossbar and
+// EngineConic.
+func buildCore(s *Solver, o options) (engineSolver, error) {
+	copts, err := s.coreOptions(o)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSolver(copts)
+}
+
+// buildLargeScale builds Algorithm 2.
+func buildLargeScale(s *Solver, o options) (engineSolver, error) {
+	copts, err := s.coreOptions(o)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewLargeScaleSolver(copts)
+}
+
+// buildPDIP returns the builder of the software PDIP baseline with the given
+// Newton-system backend.
+func buildPDIP(backend pdip.NewtonBackend) func(*Solver, options) (engineSolver, error) {
+	return func(_ *Solver, o options) (engineSolver, error) {
+		tol := lp.DefaultTolerances()
+		if o.maxIterations > 0 {
+			tol.MaxIterations = o.maxIterations
+		}
+		popts := []pdip.Option{pdip.WithBackend(backend), pdip.WithTolerances(tol)}
+		if o.traced {
+			popts = append(popts, pdip.WithTrace(o.traceCap))
+		}
+		return pdip.New(popts...)
+	}
+}
+
+// buildSimplex builds the two-phase simplex baseline.
+func buildSimplex(_ *Solver, o options) (engineSolver, error) {
+	var sopts []simplex.Option
+	if o.traced {
+		sopts = append(sopts, simplex.WithTrace(o.traceCap))
+	}
+	return simplex.New(sopts...)
+}
+
+// buildPDHG wires the tiled PDHG engine: the same per-array crossbar
 // configuration as the Newton engines, a NoC router for the canonical block
 // grid, and the worker-grid width from WithTiles. The resolved NoC config is
 // kept on the handle so the interconnect traffic reported by each solve can
 // be priced into the hardware estimate.
-func (s *Solver) buildPDHGBackend(o options) error {
+func buildPDHG(s *Solver, o options) (engineSolver, error) {
 	xcfg, err := o.crossbarConfig()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var ncfg noc.Config
 	if o.useNoC {
@@ -730,7 +786,7 @@ func (s *Solver) buildPDHGBackend(o options) error {
 	}
 	probe, err := noc.NewRouter(ncfg, 1, 1)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resolved := probe.Config()
 	s.nocCfg = &resolved
@@ -755,12 +811,7 @@ func (s *Solver) buildPDHGBackend(o options) error {
 	if o.traced {
 		popts = append(popts, pdhg.WithTrace(o.traceCap))
 	}
-	ps, err := pdhg.New(popts...)
-	if err != nil {
-		return err
-	}
-	s.backend = engine.PDHG{S: ps}
-	return nil
+	return pdhg.New(popts...)
 }
 
 // Engine returns the engine this handle was built for.
@@ -769,21 +820,24 @@ func (s *Solver) Engine() Engine { return s.engine }
 // Solve runs the configured engine on p. The context is honored inside the
 // iteration loop of every engine: a canceled or expired ctx returns the
 // partial Solution with StatusCanceled together with the wrapped context
-// error.
+// error. A conic problem on an engine without conic support fails with
+// ErrConicUnsupported.
 func (s *Solver) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	if p == nil || p.inner == nil {
 		return nil, fmt.Errorf("%w: nil problem", ErrInvalid)
 	}
+	if p.inner.IsConic() && !s.spec.has(capConic) {
+		return nil, fmt.Errorf("engine %s: %w (use the conic engine)", s.engine, ErrConicUnsupported)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	before := s.nocSnapshotLocked()
-	res, err := s.backend.Solve(ctx, p.inner)
+	res, err := s.solver.SolveContext(ctx, p.inner)
+	nocCost := s.nocCostLocked(before)
 	if res == nil {
 		return nil, err
 	}
-	sol := s.solution(res)
-	s.addNoCCostLocked(sol, before)
-	return sol, err
+	return s.solution(res, nocCost), err
 }
 
 // SolveBatch solves a sequence of problems sharing one constraint matrix A
@@ -806,8 +860,7 @@ func (s *Solver) SolveBatch(ctx context.Context, problems []*Problem) ([]*Soluti
 	if len(problems) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrInvalid)
 	}
-	bb, ok := s.backend.(engine.BatchBackend)
-	if !ok {
+	if !s.spec.has(capBatch) {
 		return nil, fmt.Errorf("%w: engine %s does not support batching", ErrInvalid, s.engine)
 	}
 	inner := make([]*lp.Problem, len(problems))
@@ -821,16 +874,16 @@ func (s *Solver) SolveBatch(ctx context.Context, problems []*Problem) ([]*Soluti
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	before := s.nocSnapshotLocked()
-	results, err := bb.SolveBatch(ctx, inner)
+	// Only the Algorithm 1 row has capBatch.
+	results, err := s.solver.(*core.Solver).SolveBatchContext(ctx, inner)
+	nocCost := s.nocCostLocked(before)
 	if len(results) == 0 && err != nil {
 		return nil, err
 	}
 	out := make([]*Solution, len(results))
 	for i, res := range results {
-		out[i] = s.solution(res)
-	}
-	if len(out) > 0 {
-		s.addNoCCostLocked(out[0], before)
+		out[i] = s.solution(res, nocCost)
+		nocCost = perf.Estimate{} // the batch's transfers are charged once
 	}
 	// On cancellation the Solutions completed so far accompany the wrapped
 	// context error (the canceled solve's StatusCanceled partial is last),
@@ -838,9 +891,11 @@ func (s *Solver) SolveBatch(ctx context.Context, problems []*Problem) ([]*Soluti
 	return out, err
 }
 
-// solution converts an engine result into the public form, attaching the
-// hardware estimate for analog engines.
-func (s *Solver) solution(res *engine.Result) *Solution {
+// solution builds the public Solution from an engine result; it is the one
+// place a Solution is made. Trace records get the engine's name here, and
+// analog engines get the hardware estimate, with nocCost (the transfers on
+// the handle's tiled fabrics) added.
+func (s *Solver) solution(res *engine.Result, nocCost perf.Estimate) *Solution {
 	sol := &Solution{
 		Status:              Status(res.Status),
 		X:                   res.X,
@@ -854,8 +909,14 @@ func (s *Solver) solution(res *engine.Result) *Solution {
 		DualityGap:          res.DualityGap,
 		ConeInfeasibility:   res.ConeInfeasibility,
 	}
-	if res.Analog {
+	if s.spec.has(capAnalog) {
 		est := perf.CrossbarCost(res.Counters, s.timing)
+		if res.NoC != (noc.Stats{}) {
+			// The tiled PDHG engine reports its scatter/gather traffic on
+			// the result itself.
+			est = est.Add(perf.NoCCost(res.NoC, *s.nocCfg))
+		}
+		est = est.Add(nocCost)
 		sol.Hardware = &HardwareEstimate{
 			Latency:      est.Latency,
 			EnergyJoules: est.Energy,
@@ -863,14 +924,6 @@ func (s *Solver) solution(res *engine.Result) *Solution {
 			AnalogOps:    res.Counters.MatVecOps + res.Counters.SolveOps,
 			Conversions:  res.Counters.IOConversions,
 			CellsSkipped: res.Counters.CellSkips,
-		}
-		if s.nocCfg != nil && res.NoC != (noc.Stats{}) {
-			// Tiled engines report their scatter/gather traffic on the
-			// result itself (single-fabric NoC engines go through the
-			// fabric-snapshot path below instead).
-			nest := perf.NoCCost(res.NoC, *s.nocCfg)
-			sol.Hardware.Latency += nest.Latency
-			sol.Hardware.EnergyJoules += nest.Energy
 		}
 	}
 	if b := res.Batch; b != nil {
@@ -881,25 +934,17 @@ func (s *Solver) solution(res *engine.Result) *Solution {
 		}
 	}
 	if d := res.Diagnostics; d != nil {
-		sol.Diagnostics = &Diagnostics{
-			StuckOn:          d.StuckOn,
-			StuckOff:         d.StuckOff,
-			WriteRetries:     d.WriteRetries,
-			Attempts:         d.Attempts,
-			Remapped:         d.Remapped,
-			SoftwareFallback: d.SoftwareFallback,
-			RecoveredBy:      d.RecoveredBy,
-			EnergyJoules:     d.EnergyJoules,
-		}
+		diag := Diagnostics(*d)
+		sol.Diagnostics = &diag
 	}
 	if len(res.Trace) > 0 {
 		sol.trace = make([]TraceRecord, len(res.Trace))
-		for i, r := range res.Trace {
-			sol.trace[i] = TraceRecord(r)
-		}
-		if s.traceJSONL != nil {
-			for _, r := range res.Trace {
-				s.traceJSONL.Emit(r)
+		for i := range res.Trace {
+			// The records are a snapshot owned by this result.
+			res.Trace[i].Engine = s.spec.name
+			sol.trace[i] = TraceRecord(res.Trace[i])
+			if s.traceJSONL != nil {
+				s.traceJSONL.Emit(res.Trace[i])
 			}
 		}
 	}
@@ -916,12 +961,9 @@ func (s *Solver) TraceErr() error {
 	return s.traceJSONL.Err()
 }
 
-// nocSnapshotLocked records the cumulative transfer stats of every captured tiled
-// fabric. Callers must hold s.mu.
+// nocSnapshotLocked records the cumulative transfer stats of every captured
+// tiled fabric. Callers must hold s.mu.
 func (s *Solver) nocSnapshotLocked() []noc.Stats {
-	if s.nocCfg == nil {
-		return nil
-	}
 	snaps := make([]noc.Stats, len(s.nocFabrics))
 	for i, f := range s.nocFabrics {
 		snaps[i] = f.Stats()
@@ -929,26 +971,34 @@ func (s *Solver) nocSnapshotLocked() []noc.Stats {
 	return snaps
 }
 
-// addNoCCostLocked folds the interconnect activity since the given snapshot into
-// the solution's hardware estimate (fabrics created after the snapshot
-// contribute their full counts). Callers must hold s.mu.
-func (s *Solver) addNoCCostLocked(sol *Solution, before []noc.Stats) {
-	if s.nocCfg == nil || sol.Hardware == nil {
-		return
-	}
+// nocCostLocked prices the transfers on the captured tiled fabrics since the
+// given snapshot (fabrics built after it count in full). Each fabric is
+// priced with its own hop count: the fabrics of one call can differ in size
+// (Algorithm 2's n+m+q and n+m systems), so their stats cannot be summed
+// first. Afterwards it drops the fabrics the engine can no longer drive
+// (batch replicas, fabrics replaced on a size change or double-check),
+// whose transfers can no longer change. Callers must hold s.mu.
+func (s *Solver) nocCostLocked(before []noc.Stats) perf.Estimate {
 	var est perf.Estimate
+	if len(s.nocFabrics) == 0 {
+		return est
+	}
+	// Only the Algorithm 1/2 rows capture fabrics.
+	live := s.solver.(interface{ Fabrics() []core.Fabric }).Fabrics()
+	kept := s.nocFabrics[:0]
 	for i, f := range s.nocFabrics {
-		cur := f.Stats()
 		var prev noc.Stats
 		if i < len(before) {
 			prev = before[i]
 		}
-		// Use the fabric's defaulted config so hop latency/energy defaults
-		// apply to the cost model.
-		est = est.Add(perf.NoCCost(cur.Sub(prev), f.Config()))
+		est = est.Add(perf.NoCCost(f.Stats().Sub(prev), f.Config()))
+		if slices.Contains(live, core.Fabric(f)) {
+			kept = append(kept, f)
+		}
 	}
-	sol.Hardware.Latency += est.Latency
-	sol.Hardware.EnergyJoules += est.Energy
+	clear(s.nocFabrics[len(kept):])
+	s.nocFabrics = kept
+	return est
 }
 
 // Solve runs the selected engine on p: a one-shot convenience wrapper that

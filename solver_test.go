@@ -12,6 +12,7 @@ import (
 // allEngines enumerates every public engine once for table-driven tests.
 var allEngines = []Engine{
 	EngineCrossbar, EngineCrossbarLargeScale, EnginePDIP, EnginePDIPReduced, EngineSimplex,
+	EngineConic, EnginePDHG,
 }
 
 func TestIncompatibleOptions(t *testing.T) {

@@ -86,7 +86,7 @@ func WithTrace(capacity int) Option {
 	return func(o *options) error {
 		o.traced = true
 		o.traceCap = capacity
-		o.set["WithTrace"] = true
+		o.set["WithTrace"] = capTrace
 		return nil
 	}
 }
@@ -103,7 +103,7 @@ func WithTraceJSONL(w io.Writer) Option {
 		}
 		o.traced = true
 		o.traceJSONL = w
-		o.set["WithTraceJSONL"] = true
+		o.set["WithTraceJSONL"] = capTrace
 		return nil
 	}
 }
