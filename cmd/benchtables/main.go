@@ -16,19 +16,13 @@
 //	iters            iteration counts per algorithm and variation
 //	varcheck         intrinsic LP sensitivity to perturbed matrices (§4.3)
 //	batch            sharded-fabric-pool batch throughput vs pool width
-//	serve            memlpd serving throughput, coalescing off vs on
 //	ab1..ab7         ablations (see DESIGN.md)
-//	all              everything above at the configured sizes (except serve)
+//	all              everything above at the configured sizes
 //
 // The batch table is host-dependent (it measures simulator wall time, so
 // speedup tops out at the machine's core count); -parallel sets the largest
-// pool width swept and -batch the instances per batch.
-//
-// The serve table boots an in-process memlpd per point and drives it with
-// -serve-clients closed-loop workers issuing -serve-requests same-matrix
-// requests each, once with coalescing disabled and once enabled with
-// -serve-window; -serve-json additionally writes the BENCH_SERVE.json
-// artifact (see `make bench-serve`). Also host-dependent.
+// pool width swept and -batch the instances per batch. Serving throughput
+// is measured by the perfbench serve-coalesce workload (`make bench`).
 //
 // The -full flag additionally measures the O(N³) software PDIP baseline in
 // fig6/fig7 (slow at large m).
@@ -36,17 +30,14 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -74,11 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		batch       = fs.Int("batch", 32, "problems per batch in the batch table")
 		traceFile   = fs.String("trace", "", "stream the sweeps' crossbar trace records as JSON Lines to FILE (- = stdout)")
 		metricsAddr = fs.String("metrics-addr", "", "after the tables, serve Prometheus metrics on ADDR until interrupted")
-
-		serveClients  = fs.Int("serve-clients", 8, "closed-loop workers in the serve table")
-		serveRequests = fs.Int("serve-requests", 8, "requests each serve-table worker issues")
-		serveWindow   = fs.Duration("serve-window", 5*time.Millisecond, "coalesce window in the serve table")
-		serveJSON     = fs.String("serve-json", "", "also write the serve table as a JSON artifact to FILE")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -136,14 +122,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tables = []string{"fig5a", "fig5b", "fig6a", "fig6b", "fig7a", "fig7b",
 			"infeasible", "iters", "varcheck", "batch", "ab1", "ab2", "ab3", "ab4", "ab5", "ab6", "ab7"}
 	}
-	sp := serveParams{
-		clients:  *serveClients,
-		requests: *serveRequests,
-		window:   *serveWindow,
-		jsonPath: *serveJSON,
-	}
 	for _, t := range tables {
-		if err := emit(strings.TrimSpace(t), cfg, *full, *batch, widths, sp, stdout); err != nil {
+		if err := emit(strings.TrimSpace(t), cfg, *full, *batch, widths, stdout); err != nil {
 			fmt.Fprintf(stderr, "benchtables: %s: %v\n", t, err)
 			return 1
 		}
@@ -195,15 +175,7 @@ func poolWidths(max int) []int {
 	return append(widths, max)
 }
 
-// serveParams carries the serve-table knobs through to emit.
-type serveParams struct {
-	clients  int
-	requests int
-	window   time.Duration
-	jsonPath string
-}
-
-func emit(table string, cfg experiments.Config, full bool, batch int, widths []int, sp serveParams, w io.Writer) error {
+func emit(table string, cfg experiments.Config, full bool, batch int, widths []int, w io.Writer) error {
 	ablM := 24 // ablation problem size
 	switch table {
 	case "fig5a", "fig5b":
@@ -306,29 +278,6 @@ func emit(table string, cfg experiments.Config, full bool, batch int, widths []i
 		}
 		return tw.Flush()
 
-	case "serve":
-		rows, err := experiments.ServeThroughput(cfg, sp.clients, sp.requests, sp.window)
-		if err != nil {
-			return err
-		}
-		tw := newTable(w, "Serving throughput — memlpd same-matrix coalescing off vs on")
-		fmt.Fprintln(tw, "m\tn\tclients\tcoalesce\treq\treq/s\tp50\tp95\thit rate\tmean batch\toptimal\twall speedup\thw/req\thw speedup\tprograms/req\tamortization")
-		for _, r := range rows {
-			fmt.Fprintf(tw, "%d\t%d\t%d\t%v\t%d\t%.1f\t%v\t%v\t%.0f%%\t%.1f\t%.0f%%\t%.2fx\t%v\t%.2fx\t%.2f\t%.2fx\n",
-				r.M, r.N, r.Clients, r.Coalesce, r.Requests, r.ReqPerSec,
-				r.P50.Round(time.Microsecond), r.P95.Round(time.Microsecond),
-				r.HitRate*100, r.MeanBatch, r.Optimal*100, r.Speedup,
-				r.HWPerReq.Round(time.Microsecond), r.HWSpeedup,
-				r.ProgramsPerReq, r.ProgramAmortization)
-		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
-		if sp.jsonPath != "" {
-			return writeServeJSON(sp.jsonPath, rows, sp)
-		}
-		return nil
-
 	case "ab1":
 		rows, err := experiments.AblationConstantStep(cfg, ablM, nil)
 		if err != nil {
@@ -391,87 +340,6 @@ func newTable(w io.Writer, title string) *tabwriter.Writer {
 	fmt.Fprintf(w, "\n== %s ==\n", title)
 	return tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
 }
-
-// writeServeJSON captures the serve table as the BENCH_SERVE.json artifact,
-// mirroring the BENCH_BATCH.json layout: a description, the host
-// environment, and one result object per (size, coalescing mode) row.
-func writeServeJSON(path string, rows []experiments.ServeRow, sp serveParams) error {
-	type jsonRow struct {
-		M              int     `json:"m"`
-		N              int     `json:"n"`
-		Clients        int     `json:"clients"`
-		Coalesce       bool    `json:"coalesce"`
-		Requests       int     `json:"requests"`
-		ReqPerSec      float64 `json:"req_per_sec"`
-		P50Ms          float64 `json:"p50_ms"`
-		P95Ms          float64 `json:"p95_ms"`
-		HitRate        float64 `json:"hit_rate"`
-		MeanBatch      float64 `json:"mean_batch"`
-		Optimal        float64 `json:"optimal_rate"`
-		Speedup        float64 `json:"wall_speedup"`
-		HWPerReqUs     float64 `json:"modeled_hw_us_per_req"`
-		HWSpeedup      float64 `json:"modeled_hw_speedup"`
-		ProgramsPerReq float64 `json:"programs_per_req"`
-		Amortization   float64 `json:"program_amortization"`
-	}
-	out := struct {
-		Description string `json:"description"`
-		Environment struct {
-			GOOS   string `json:"goos"`
-			GOARCH string `json:"goarch"`
-			Cores  int    `json:"cores"`
-			Note   string `json:"note"`
-		} `json:"environment"`
-		Date   string `json:"date"`
-		Config struct {
-			Clients           int     `json:"clients"`
-			RequestsPerClient int     `json:"requests_per_client"`
-			WindowMs          float64 `json:"window_ms"`
-		} `json:"config"`
-		Results []jsonRow `json:"results"`
-	}{}
-	out.Description = fmt.Sprintf(
-		"memlpd serving throughput: %d closed-loop clients x %d same-matrix requests against an in-process server, "+
-			"coalescing disabled vs enabled (%v window). The coalescing win — replica programming paid once per "+
-			"batch instead of once per request — is reported three ways: wall_speedup (host req/s ratio), "+
-			"modeled_hw_speedup (crossbar-level latency estimate per request), and program_amortization "+
-			"(programming events per request, off over on; approaches the batch size under full coalescing). "+
-			"Real run of `benchtables -table serve`; regenerate with `make bench-serve`.",
-		sp.clients, sp.requests, sp.window)
-	out.Environment.GOOS = runtime.GOOS
-	out.Environment.GOARCH = runtime.GOARCH
-	out.Environment.Cores = runtime.NumCPU()
-	out.Environment.Note = fmt.Sprintf(
-		"%d-core host: the software simulator's per-iteration compute serializes, so wall_speedup stays near 1x "+
-			"regardless of how much programming is amortized — the >=2x serving win shows up in program_amortization "+
-			"and, on programming-dominated fabrics, modeled_hw_speedup. Only off/on pairs from one run are comparable.",
-		runtime.NumCPU())
-	out.Date = time.Now().Format("2006-01-02")
-	out.Config.Clients = sp.clients
-	out.Config.RequestsPerClient = sp.requests
-	out.Config.WindowMs = float64(sp.window) / float64(time.Millisecond)
-	for _, r := range rows {
-		out.Results = append(out.Results, jsonRow{
-			M: r.M, N: r.N, Clients: r.Clients, Coalesce: r.Coalesce,
-			Requests: r.Requests, ReqPerSec: round2(r.ReqPerSec),
-			P50Ms:   round2(float64(r.P50) / float64(time.Millisecond)),
-			P95Ms:   round2(float64(r.P95) / float64(time.Millisecond)),
-			HitRate: round2(r.HitRate), MeanBatch: round2(r.MeanBatch),
-			Optimal: round2(r.Optimal), Speedup: round2(r.Speedup),
-			HWPerReqUs:     round2(float64(r.HWPerReq) / float64(time.Microsecond)),
-			HWSpeedup:      round2(r.HWSpeedup),
-			ProgramsPerReq: round2(r.ProgramsPerReq),
-			Amortization:   round2(r.ProgramAmortization),
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func round2(v float64) float64 { return math.Round(v*100) / 100 }
 
 func parseInts(s string) ([]int, error) {
 	if s == "" {

@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -59,57 +56,6 @@ func TestRunBatchTable(t *testing.T) {
 	}
 	if !strings.Contains(s, "per solve") || !strings.Contains(s, "speedup") {
 		t.Errorf("missing headers:\n%s", s)
-	}
-}
-
-func TestRunServeTable(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "serve.json")
-	var out, errBuf bytes.Buffer
-	code := run([]string{"-table", "serve", "-sizes", "6", "-vars", "0",
-		"-serve-clients", "2", "-serve-requests", "2", "-serve-window", "20ms",
-		"-serve-json", jsonPath}, &out, &errBuf)
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr = %s", code, errBuf.String())
-	}
-	s := out.String()
-	if !strings.Contains(s, "Serving throughput") {
-		t.Errorf("missing table title:\n%s", s)
-	}
-	for _, col := range []string{"req/s", "hit rate", "wall speedup", "hw speedup", "amortization"} {
-		if !strings.Contains(s, col) {
-			t.Errorf("missing %q column:\n%s", col, s)
-		}
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("read artifact: %v", err)
-	}
-	var artifact struct {
-		Environment struct {
-			Cores int `json:"cores"`
-		} `json:"environment"`
-		Results []struct {
-			Coalesce            bool    `json:"coalesce"`
-			Requests            int     `json:"requests"`
-			ProgramAmortization float64 `json:"program_amortization"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &artifact); err != nil {
-		t.Fatalf("artifact is not JSON: %v\n%s", err, data)
-	}
-	if artifact.Environment.Cores < 1 {
-		t.Errorf("cores = %d", artifact.Environment.Cores)
-	}
-	if len(artifact.Results) != 2 {
-		t.Fatalf("results = %d rows, want 2 (off, on)", len(artifact.Results))
-	}
-	if artifact.Results[0].Coalesce || !artifact.Results[1].Coalesce {
-		t.Errorf("rows out of order: %+v", artifact.Results)
-	}
-	for _, r := range artifact.Results {
-		if r.Requests != 4 {
-			t.Errorf("requests = %d, want 4", r.Requests)
-		}
 	}
 }
 

@@ -24,7 +24,7 @@
 // conductance, half at zero; fresh placement each trial), the post-program
 // defect census and write-verify retry counts are reported, and analog
 // solves that the defects render singular are counted as failures instead of
-// aborting the run — this is the raw-substrate view of the yield experiment
+// aborting the run — this is the raw-substrate view of stuck-cell faults
 // (the LP-level recovery ladder lives above this layer).
 package main
 

@@ -76,11 +76,6 @@ func Dist(s []float64) float64 {
 	return tailNorm(s) - s[0]
 }
 
-// Interior reports whether s is strictly inside Q^d.
-func Interior(s []float64) bool {
-	return Dist(s) < 0
-}
-
 // InitInterior sets every block of v to the Jordan identity e = (1, 0, …, 0),
 // the canonical strictly interior starting point (the all-ones LP start is
 // NOT interior for d ≥ 2: ‖1̄‖ = √(d−1) ≥ 1).
@@ -108,20 +103,6 @@ func ClampInterior(v []float64, blocks []Block, floor float64) {
 			s[0] = min0
 		}
 	}
-}
-
-// MaxDist returns the largest cone violation max(0, Dist) over the blocks of
-// v — the cone-infeasibility measure carried by trace records.
-//
-//memlp:hotpath
-func MaxDist(v []float64, blocks []Block) float64 {
-	var mx float64
-	for _, b := range blocks {
-		if d := Dist(v[b.Start : b.Start+b.Dim]); d > mx {
-			mx = d
-		}
-	}
-	return mx
 }
 
 // StepToBoundary returns the largest t ≥ 0 such that s + t·ds stays in Q^d

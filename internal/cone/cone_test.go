@@ -26,11 +26,11 @@ func TestDetDistInterior(t *testing.T) {
 	if d := Det(s); math.Abs(d) > 1e-12 {
 		t.Errorf("boundary det = %v, want 0", d)
 	}
-	if Interior(s) {
+	if Dist(s) < 0 {
 		t.Error("boundary point reported interior")
 	}
 	in := []float64{5.1, 3, 4}
-	if !Interior(in) {
+	if Dist(in) >= 0 {
 		t.Error("interior point not recognized")
 	}
 	out := []float64{4.9, 3, 4}
@@ -88,22 +88,17 @@ func TestScalingIdentities(t *testing.T) {
 				}
 			}
 
-			// MulW2 agrees with P⁻¹·Q (the reduced-KKT block identity).
+			// Wsq agrees with P⁻¹·Q (the reduced-KKT block identity).
 			u := randInterior(r, d)
 			qu := mulMat(sc.Q, u, d)
 			pinvqu := make([]float64, d)
 			if !sc.SolveP(pinvqu, qu) {
 				t.Fatalf("d=%d: SolveP failed on Q·u", d)
 			}
-			w2u := make([]float64, d)
-			sc.MulW2(w2u, u)
-			dense := mulMat(sc.Wsq, u, d)
+			w2u := mulMat(sc.Wsq, u, d)
 			for i := 0; i < d; i++ {
 				if !approxEq(w2u[i], pinvqu[i], 1e-7) {
 					t.Fatalf("d=%d: W²u[%d] = %v, want P⁻¹Qu = %v", d, i, w2u[i], pinvqu[i])
-				}
-				if !approxEq(dense[i], w2u[i], 1e-8) {
-					t.Fatalf("d=%d: Wsq·u[%d] = %v, want W(W·u) = %v", d, i, dense[i], w2u[i])
 				}
 			}
 		}
@@ -186,7 +181,7 @@ func TestClampAndInit(t *testing.T) {
 	blocks := []Block{{Start: 1, Dim: 3}}
 	v := []float64{9, -1, 3, 4} // block (−1, 3, 4): far outside
 	ClampInterior(v, blocks, 1e-12)
-	if !Interior(v[1:4]) {
+	if Dist(v[1:4]) >= 0 {
 		t.Errorf("clamped block %v not interior", v[1:4])
 	}
 	if v[0] != 9 {
@@ -196,14 +191,6 @@ func TestClampAndInit(t *testing.T) {
 	InitInterior(v, blocks)
 	if v[1] != 1 || v[2] != 0 || v[3] != 0 {
 		t.Errorf("InitInterior gave %v, want Jordan identity", v[1:4])
-	}
-
-	out := []float64{0, 1, 1, 1}
-	if d := MaxDist(out, []Block{{Start: 0, Dim: 4}}); !approxEq(d, math.Sqrt(3), 1e-12) {
-		t.Errorf("MaxDist = %v, want √3", d)
-	}
-	if d := MaxDist([]float64{2, 1, 0, 0}, []Block{{Start: 0, Dim: 4}}); d != 0 {
-		t.Errorf("MaxDist of interior block = %v, want 0", d)
 	}
 }
 
@@ -254,12 +241,10 @@ func TestHotpathAllocations(t *testing.T) {
 	}{
 		{"Update", func() { sc.Update(w, y) }},
 		{"LambdaSq", func() { sc.LambdaSq(dst) }},
-		{"MulW2", func() { sc.MulW2(dst, w) }},
 		{"SolveP", func() { sc.SolveP(dst, w) }},
 		{"StepToBoundary", func() { _ = StepToBoundary(w, ds) }},
 		{"MaxStepRatio", func() { _ = MaxStepRatio(w, ds, blocks) }},
 		{"ClampInterior", func() { ClampInterior(w, blocks, 1e-12) }},
-		{"MaxDist", func() { _ = MaxDist(w, blocks) }},
 	}
 	for _, tc := range cases {
 		if allocs := testing.AllocsPerRun(200, tc.fn); allocs != 0 {

@@ -180,16 +180,6 @@ func (sc *Scaling) mulW(dst, u []float64) {
 	}
 }
 
-// MulW2 computes dst = W²·u, the Schur-complement block −W² the reduced KKT
-// system carries for cone rows (the conic analogue of the −Y⁻¹W diagonal:
-// P⁻¹Q = W·Arw(λ)⁻¹·Arw(λ)·W = W²). dst may alias u.
-//
-//memlp:hotpath
-func (sc *Scaling) MulW2(dst, u []float64) {
-	sc.mulW(sc.tmp, u)
-	sc.mulW(dst, sc.tmp)
-}
-
 // SolveP computes dst = P⁻¹·u = W·Arw(λ)⁻¹·u, used to eliminate Δw from the
 // cone rows of the reduced system. dst must not alias u.
 //

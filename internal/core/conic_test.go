@@ -99,8 +99,11 @@ func TestAnalogConicLPDegenerateIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tagged := base.Clone()
-	tagged.Cones = []lp.Cone{{Type: lp.ConeNonNeg, Dim: base.NumConstraints()}}
+	tagged, err := lp.NewConic(base.Name, base.C, base.A, base.B,
+		[]lp.Cone{{Type: lp.ConeNonNeg, Dim: base.NumConstraints()}})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	solve := func(p *lp.Problem) *engine.Result {
 		o := crossbarOpts(t, 0, 1)

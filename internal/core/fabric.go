@@ -32,8 +32,6 @@ type Fabric interface {
 	// UpdateCellInPlace rewrites one coefficient with a single device write,
 	// without re-balancing the rest of its row.
 	UpdateCellInPlace(i, j int, value float64) error
-	// MatVec multiplies the programmed matrix by v in the analog domain.
-	MatVec(v linalg.Vector) (linalg.Vector, error)
 	// MatVecResidual computes base − factor∘(programmedMatrix·v) with the
 	// subtraction in the analog domain (summing amplifiers), so only the
 	// residual passes the ADC. factor nil means all ones.

@@ -39,9 +39,6 @@ func (f *faultyFabric) UpdateRow(i int, row linalg.Vector) error {
 func (f *faultyFabric) UpdateCellInPlace(i, j int, v float64) error {
 	return f.inner.UpdateCellInPlace(i, j, v)
 }
-func (f *faultyFabric) MatVec(v linalg.Vector) (linalg.Vector, error) {
-	return f.inner.MatVec(v)
-}
 func (f *faultyFabric) MatVecResidual(base, v, factor linalg.Vector) (linalg.Vector, error) {
 	return f.inner.MatVecResidual(base, v, factor)
 }

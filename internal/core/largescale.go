@@ -211,14 +211,9 @@ func (l *lsSystem) rowA(i int) int  { return i }       // m rows: primal block
 func (l *lsSystem) rowAT(i int) int { return l.m + i } // n rows: dual block
 func (l *lsSystem) rowP(k int) int  { return l.m + l.n + k }
 
-// newLSSystem builds M1 at the initial interior point (x, y, w, z).
-func newLSSystem(p *lp.Problem, regularization float64, literal bool, x, y, w, z linalg.Vector) (*lsSystem, error) {
-	return newLSSystemInto(nil, p, regularization, literal, x, y, w, z)
-}
-
-// newLSSystemInto is newLSSystem with storage reuse: when prev was built for
-// a same-shaped problem its matrix and index slices are recycled. Pass nil
-// to allocate fresh.
+// newLSSystemInto builds M1 at the initial interior point (x, y, w, z). When
+// prev was built for a same-shaped problem its matrix and index slices are
+// recycled; pass nil to allocate fresh.
 func newLSSystemInto(prev *lsSystem, p *lp.Problem, regularization float64, literal bool, x, y, w, z linalg.Vector) (*lsSystem, error) {
 	n, m := p.NumVariables(), p.NumConstraints()
 	l := prev

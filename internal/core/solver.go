@@ -15,10 +15,6 @@ import (
 	"github.com/memlp/memlp/internal/trace"
 )
 
-// ErrNoFabric is returned when a solver is constructed without a fabric
-// factory and no default can be built.
-var ErrNoFabric = errors.New("core: no fabric factory configured")
-
 // Options configures both crossbar solvers.
 type Options struct {
 	// Tol holds the PDIP stopping parameters (εb, εc, εg, δ, r, …).

@@ -468,33 +468,8 @@ func (x *Crossbar) notePatternWrite(old, g float64) {
 	}
 }
 
-// Config returns the (defaulted) configuration.
-func (x *Crossbar) Config() Config { return x.cfg }
-
-// Size returns the physical array dimension.
-func (x *Crossbar) Size() int { return x.cfg.Size }
-
 // Counters returns the cumulative operation counts.
 func (x *Crossbar) Counters() Counters { return x.counters }
-
-// Scale returns the largest per-row digital scaling factor chosen at Program
-// time: userRow_i = RowScale(i) · C_i where C is the programmed connection
-// matrix.
-func (x *Crossbar) Scale() float64 {
-	var mx float64
-	for _, s := range x.rowScale {
-		if s > mx {
-			mx = s
-		}
-	}
-	return mx
-}
-
-// RowScale returns row i's digital gain.
-func (x *Crossbar) RowScale(i int) float64 { return x.rowScale[i] }
-
-// Programmed reports whether the array currently holds a matrix.
-func (x *Crossbar) Programmed() bool { return x.target != nil }
 
 // Program writes matrix a (non-negative, at most Size×Size) into the array.
 // Every cell of the mapped region is physically written: the call costs
@@ -659,27 +634,8 @@ func (x *Crossbar) UpdateRow(i int, row linalg.Vector) error {
 	return nil
 }
 
-// UpdateCell changes one coefficient (user units) and rewrites the affected
-// row. Because the exact mapping couples a row's cells through its row sum,
-// the full row is rewritten; for the sparse solver rows this is 2–3 cells'
-// worth of real writes, and the counter reflects every physical write.
-func (x *Crossbar) UpdateCell(i, j int, value float64) error {
-	if x.target == nil {
-		return ErrNotProgrammed
-	}
-	if i < 0 || i >= x.rows || j < 0 || j >= x.cols {
-		return fmt.Errorf("%w: cell (%d,%d) of %dx%d", linalg.ErrDimensionMismatch, i, j, x.rows, x.cols)
-	}
-	if err := checkCoefficient(value); err != nil {
-		return err
-	}
-	row := x.target.Row(i).Scale(x.rowScale[i])
-	row[j] = value
-	return x.UpdateRow(i, row)
-}
-
 // UpdateCellInPlace rewrites a single device using the row's existing scale
-// and mapping coefficient — one physical write, O(1). Unlike UpdateCell it
+// and mapping coefficient — one physical write, O(1). Unlike UpdateRow it
 // does not re-balance the rest of the row, so the row's mapping drifts
 // slightly from the exact C = a/rowScale relation; the drift is harmless
 // because both MatVec and Solve operate on measured conductances (the Solve
@@ -783,7 +739,7 @@ func (x *Crossbar) senseRow(i int, cols []int32, vi linalg.Vector) (num, sum flo
 // MatVec performs the analog multiplication userMatrix · v, including DAC
 // quantization of the inputs, the physical network transfer (with the
 // actually-programmed, variation-perturbed conductances), and ADC
-// quantization of the outputs. The digital rescale by Scale() is applied
+// quantization of the outputs. The digital per-row rescale is applied
 // before returning. The result is crossbar-owned scratch storage, valid
 // until the next MatVec call on this array.
 func (x *Crossbar) MatVec(v linalg.Vector) (linalg.Vector, error) {
@@ -842,7 +798,7 @@ func (x *Crossbar) MatVecResidual(base, v, factor linalg.Vector) (linalg.Vector,
 	}
 	vi := scratchVec(&x.resVI, len(v))
 	copy(vi, v)
-	if err := x.quantizeIO(vi); err != nil {
+	if err := x.QuantizeIO(vi); err != nil {
 		return nil, err
 	}
 	x.counters.IOConversions += int64(len(vi))
@@ -857,7 +813,7 @@ func (x *Crossbar) MatVecResidual(base, v, factor linalg.Vector) (linalg.Vector,
 		}
 		out[i] = base[i] - t
 	}
-	if err := x.quantizeIO(out); err != nil {
+	if err := x.QuantizeIO(out); err != nil {
 		return nil, err
 	}
 	x.counters.IOConversions += int64(len(out))
@@ -1000,7 +956,7 @@ func (x *Crossbar) toAnalog(v linalg.Vector) (linalg.Vector, float64, error) {
 	for i, e := range v {
 		out[i] = e / inScale
 	}
-	if err := x.quantizeIO(out); err != nil {
+	if err := x.QuantizeIO(out); err != nil {
 		return nil, 0, err
 	}
 	x.counters.IOConversions += int64(len(v))
@@ -1013,16 +969,18 @@ func (x *Crossbar) fromAnalog(v linalg.Vector, scratch *linalg.Vector) (linalg.V
 	x.counters.IOConversions += int64(len(v))
 	out := scratchVec(scratch, len(v))
 	copy(out, v)
-	if err := x.quantizeIO(out); err != nil {
+	if err := x.QuantizeIO(out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// quantizeIO applies the configured converter model in place: per-element
-// programmable-gain (each element keeps IOBits of its own magnitude) or a
-// single shared full-scale range across the vector.
-func (x *Crossbar) quantizeIO(v linalg.Vector) error {
+// QuantizeIO applies the array's DAC/ADC converter model to v in place:
+// per-element programmable-gain (each element keeps IOBits of its own
+// magnitude) or, with GlobalIORange, one shared full-scale range across the
+// vector. It does not count conversions; the analog operations that call it
+// do.
+func (x *Crossbar) QuantizeIO(v linalg.Vector) error {
 	if x.cfg.GlobalIORange {
 		amp := v.NormInf()
 		if amp == 0 || math.IsNaN(amp) || math.IsInf(amp, 0) {

@@ -155,9 +155,6 @@ type FaultCensus struct {
 	Mapped int
 }
 
-// Total returns the combined stuck-cell count.
-func (c FaultCensus) Total() int { return c.StuckOn + c.StuckOff }
-
 // FaultCensus reads back the mapped region and tallies its stuck cells.
 // Without a fault model (or before programming) the census is all zeros.
 func (x *Crossbar) FaultCensus() FaultCensus {
@@ -167,10 +164,6 @@ func (x *Crossbar) FaultCensus() FaultCensus {
 	on, off := x.cfg.Faults.CountFaults(x.rowOff, x.colOff, x.rows, x.cols)
 	return FaultCensus{StuckOn: on, StuckOff: off, Mapped: x.rows * x.cols}
 }
-
-// Origin returns the physical coordinates of the mapped region's top-left
-// corner (nonzero after a remap).
-func (x *Crossbar) Origin() (row, col int) { return x.rowOff, x.colOff }
 
 // RemapAvoidingFaults searches a bounded set of candidate origins for the
 // placement of the current matrix shape with the fewest stuck cells and moves

@@ -30,9 +30,6 @@ func TestFaultCensusMatchesModel(t *testing.T) {
 	if c.StuckOn != on || c.StuckOff != off || c.Mapped != 256 {
 		t.Errorf("census = %+v, want on=%d off=%d mapped=256", c, on, off)
 	}
-	if c.Total() != on+off {
-		t.Errorf("Total() = %d, want %d", c.Total(), on+off)
-	}
 }
 
 // TestStuckCellsPerturbMatVec checks defects actually bite: a heavily
@@ -163,13 +160,13 @@ func TestRemapAvoidingFaults(t *testing.T) {
 		t.Fatalf("Program: %v", err)
 	}
 	before := x.FaultCensus()
-	if before.Total() == 0 {
+	if before.StuckOn+before.StuckOff == 0 {
 		t.Skip("mapped region happens to be defect-free at this seed")
 	}
 	if !x.RemapAvoidingFaults() {
 		t.Fatal("remap declined despite faults and a 96x96 die for an 8x8 matrix")
 	}
-	r, c := x.Origin()
+	r, c := x.rowOff, x.colOff
 	if r == 0 && c == 0 {
 		t.Error("remap reported movement but origin unchanged")
 	}
@@ -177,8 +174,8 @@ func TestRemapAvoidingFaults(t *testing.T) {
 		t.Fatalf("re-Program after remap: %v", err)
 	}
 	after := x.FaultCensus()
-	if after.Total() >= before.Total() {
-		t.Errorf("remap did not reduce faults: %d → %d", before.Total(), after.Total())
+	if after.StuckOn+after.StuckOff >= before.StuckOn+before.StuckOff {
+		t.Errorf("remap did not reduce faults: %+v → %+v", before, after)
 	}
 }
 

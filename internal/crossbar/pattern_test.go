@@ -128,7 +128,7 @@ func denseSolve(t *testing.T, x *Crossbar, b linalg.Vector) (linalg.Vector, erro
 
 func mustQuantize(t *testing.T, x *Crossbar, v linalg.Vector) {
 	t.Helper()
-	if err := x.quantizeIO(v); err != nil {
+	if err := x.QuantizeIO(v); err != nil {
 		t.Fatalf("quantizeIO: %v", err)
 	}
 }
@@ -263,14 +263,6 @@ func TestPatternTracksConductances(t *testing.T) {
 			requireMatchesDense(t, x, r, fmt.Sprintf("UpdateRow setting cell (3,4) to %v", v))
 		}
 
-		if err := x.UpdateCell(5, 9, 1.5); err != nil {
-			t.Fatalf("UpdateCell: %v", err)
-		}
-		requireMatchesDense(t, x, r, "UpdateCell")
-		if err := x.UpdateCell(5, 9, 0); err != nil {
-			t.Fatalf("UpdateCell zero: %v", err)
-		}
-		requireMatchesDense(t, x, r, "UpdateCell to zero")
 		if err := x.UpdateCellInPlace(7, 2, 0.75); err != nil {
 			t.Fatalf("UpdateCellInPlace: %v", err)
 		}
@@ -427,8 +419,6 @@ func TestUpdatesRejectNonFinite(t *testing.T) {
 		{"UpdateRow NaN", func(x *Crossbar) error { return x.UpdateRow(1, linalg.VectorOf(2, math.NaN(), 4)) }, ErrBadConfig},
 		{"UpdateRow +Inf", func(x *Crossbar) error { return x.UpdateRow(1, linalg.VectorOf(2, math.Inf(1), 4)) }, ErrBadConfig},
 		{"UpdateRow -Inf", func(x *Crossbar) error { return x.UpdateRow(1, linalg.VectorOf(2, math.Inf(-1), 4)) }, ErrNegative},
-		{"UpdateCell NaN", func(x *Crossbar) error { return x.UpdateCell(1, 1, math.NaN()) }, ErrBadConfig},
-		{"UpdateCell +Inf", func(x *Crossbar) error { return x.UpdateCell(1, 1, math.Inf(1)) }, ErrBadConfig},
 		{"UpdateCellInPlace NaN", func(x *Crossbar) error { return x.UpdateCellInPlace(1, 1, math.NaN()) }, ErrBadConfig},
 		{"UpdateCellInPlace +Inf", func(x *Crossbar) error { return x.UpdateCellInPlace(1, 1, math.Inf(1)) }, ErrBadConfig},
 	} {

@@ -175,7 +175,7 @@ func Accuracy(alg Algorithm, cfg Config) ([]AccuracyRow, error) {
 	var rows []AccuracyRow
 	for _, m := range cfg.Sizes {
 		for _, v := range cfg.Variations {
-			row := AccuracyRow{M: m, N: maxInt(1, m/3), Variation: v}
+			row := AccuracyRow{M: m, N: max(1, m/3), Variation: v}
 			var count int
 			for trial := 0; trial < cfg.Trials; trial++ {
 				if err := cfg.ctxErr(); err != nil {
@@ -282,10 +282,7 @@ func LatencyEnergy(alg Algorithm, cfg Config, includeFullPDIP bool) ([]PerfRow, 
 					row.SoftwareFull += time.Since(start)
 				}
 
-				sx, err := simplex.New()
-				if err != nil {
-					return nil, err
-				}
+				sx := simplex.New()
 				start = time.Now()
 				if _, err := sx.Solve(p); err != nil {
 					return nil, err
@@ -512,11 +509,4 @@ func IterationCounts(cfg Config) ([]IterationRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

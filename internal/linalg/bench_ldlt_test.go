@@ -37,10 +37,10 @@ func benchKKT(n, m int) (*Matrix, Vector) {
 // BenchmarkLDLT measures the reduced-KKT hot path as the PDIP iteration runs
 // it: re-factorize the same-shaped SQD matrix into reused storage, then solve
 // with one refinement step. Compare against BenchmarkLUKKT for the structured
-// LDLᵀ speedup (BENCH_HOTPATH.json).
+// LDLᵀ speedup.
 func BenchmarkLDLT(b *testing.B) {
 	k, rhs := benchKKT(48, 32)
-	f, err := FactorizeLDLT(k)
+	f, err := FactorizeLDLTInto(nil, k)
 	if err != nil {
 		b.Fatal(err)
 	}

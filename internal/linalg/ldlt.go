@@ -16,20 +16,18 @@ type LDLT struct {
 	u *Matrix // packed unit-upper U = Lᵀ (above diag) and D (on diag)
 }
 
-// FactorizeLDLT computes the pivot-free LDLᵀ factorization of a symmetric
-// quasi-definite matrix. Only the upper triangle of a is read; symmetry is
-// the caller's contract (the KKT assemblies write both halves from the same
-// source matrix). It returns ErrSingular if a pivot collapses to zero, which
-// for an SQD matrix only happens by floating-point underflow of an iterate.
-func FactorizeLDLT(a *Matrix) (*LDLT, error) {
-	return FactorizeLDLTInto(nil, a)
-}
-
-// FactorizeLDLTInto is FactorizeLDLT with storage reuse: when f already holds
-// a factorization of the same dimension its packed matrix is overwritten
-// instead of reallocated, so the per-iteration re-factorization of a PDIP
-// solve allocates nothing. The returned *LDLT is f when reuse succeeded;
-// callers should always keep the returned value.
+// FactorizeLDLTInto computes the pivot-free LDLᵀ factorization of a
+// symmetric quasi-definite matrix. Only the upper triangle of a is read;
+// symmetry is the caller's contract (the KKT assemblies write both halves
+// from the same source matrix). It returns ErrSingular if a pivot collapses
+// to zero, which for an SQD matrix only happens by floating-point underflow
+// of an iterate.
+//
+// When f already holds a factorization of the same dimension its packed
+// matrix is overwritten instead of reallocated, so the per-iteration
+// re-factorization of a PDIP solve allocates nothing; pass nil to allocate
+// fresh. The returned *LDLT is f when reuse succeeded; callers should always
+// keep the returned value.
 func FactorizeLDLTInto(f *LDLT, a *Matrix) (*LDLT, error) {
 	if a.Rows() != a.Cols() {
 		return nil, fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows(), a.Cols())

@@ -40,9 +40,9 @@ func TestLDLTMatchesLU(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SolveDense: %v", err)
 	}
-	f, err := FactorizeLDLT(k)
+	f, err := FactorizeLDLTInto(nil, k)
 	if err != nil {
-		t.Fatalf("FactorizeLDLT: %v", err)
+		t.Fatalf("FactorizeLDLTInto: %v", err)
 	}
 	got, err := f.Solve(b)
 	if err != nil {
@@ -90,9 +90,9 @@ func TestLDLTLargeRandomSQD(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SolveDense: %v", err)
 	}
-	f, err := FactorizeLDLT(k)
+	f, err := FactorizeLDLTInto(nil, k)
 	if err != nil {
-		t.Fatalf("FactorizeLDLT: %v", err)
+		t.Fatalf("FactorizeLDLTInto: %v", err)
 	}
 	got, err := f.Solve(b)
 	if err != nil {
@@ -107,17 +107,17 @@ func TestLDLTLargeRandomSQD(t *testing.T) {
 
 func TestLDLTErrors(t *testing.T) {
 	rect := NewMatrix(2, 3)
-	if _, err := FactorizeLDLT(rect); !errors.Is(err, ErrNotSquare) {
+	if _, err := FactorizeLDLTInto(nil, rect); !errors.Is(err, ErrNotSquare) {
 		t.Fatalf("rectangular: err = %v, want ErrNotSquare", err)
 	}
 	zero := NewMatrix(2, 2)
-	if _, err := FactorizeLDLT(zero); !errors.Is(err, ErrSingular) {
+	if _, err := FactorizeLDLTInto(nil, zero); !errors.Is(err, ErrSingular) {
 		t.Fatalf("zero matrix: err = %v, want ErrSingular", err)
 	}
 	k := sqdKKT([]float64{1}, []float64{1}, NewMatrix(1, 1))
-	f, err := FactorizeLDLT(k)
+	f, err := FactorizeLDLTInto(nil, k)
 	if err != nil {
-		t.Fatalf("FactorizeLDLT: %v", err)
+		t.Fatalf("FactorizeLDLTInto: %v", err)
 	}
 	if err := f.SolveInPlace(NewVector(3)); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("bad rhs: err = %v, want ErrDimensionMismatch", err)
@@ -138,9 +138,9 @@ func TestLDLTSolveRefine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SolveDense: %v", err)
 	}
-	f, err := FactorizeLDLT(k)
+	f, err := FactorizeLDLTInto(nil, k)
 	if err != nil {
-		t.Fatalf("FactorizeLDLT: %v", err)
+		t.Fatalf("FactorizeLDLTInto: %v", err)
 	}
 	x := b.Clone()
 	scratch := NewVector(2 * len(b))
@@ -174,9 +174,9 @@ func TestLDLTSolveRefineAllocs(t *testing.T) {
 	a.Set(0, 1, -2)
 	k := sqdKKT([]float64{2, 3}, []float64{1}, a)
 	b := Vector{1, 2, 3}
-	f, err := FactorizeLDLT(k)
+	f, err := FactorizeLDLTInto(nil, k)
 	if err != nil {
-		t.Fatalf("FactorizeLDLT: %v", err)
+		t.Fatalf("FactorizeLDLTInto: %v", err)
 	}
 	x := b.Clone()
 	scratch := NewVector(2 * len(b))
@@ -198,9 +198,9 @@ func TestLDLTFactorizeIntoReuses(t *testing.T) {
 	k := sqdKKT([]float64{2, 3}, []float64{1}, a)
 	b := Vector{1, 2, 3}
 
-	f, err := FactorizeLDLT(k)
+	f, err := FactorizeLDLTInto(nil, k)
 	if err != nil {
-		t.Fatalf("FactorizeLDLT: %v", err)
+		t.Fatalf("FactorizeLDLTInto: %v", err)
 	}
 	x := b.Clone()
 	allocs := testing.AllocsPerRun(100, func() {

@@ -16,7 +16,6 @@ var ErrNotSquare = errors.New("linalg: matrix is not square")
 type LU struct {
 	lu    *Matrix // packed L (unit lower, below diag) and U (on/above diag)
 	pivot []int   // row permutation
-	sign  float64 // determinant sign from row swaps
 }
 
 // Factorize computes the LU factorization of a square matrix with partial
@@ -46,20 +45,17 @@ func FactorizeInto(f *LU, a *Matrix) (*LU, error) {
 		pivot = make([]int, n)
 		f = &LU{}
 	}
-	sign, err := factorizeCore(lu, pivot)
-	if err != nil {
+	if err := factorizeCore(lu, pivot); err != nil {
 		return nil, err
 	}
-	f.lu, f.pivot, f.sign = lu, pivot, sign
+	f.lu, f.pivot = lu, pivot
 	return f, nil
 }
 
 // factorizeCore runs the in-place LU factorization with partial pivoting on
 // lu, recording the row permutation in pivot.
-func factorizeCore(lu *Matrix, pivot []int) (float64, error) {
+func factorizeCore(lu *Matrix, pivot []int) error {
 	n := lu.Rows()
-	sign := 1.0
-
 	for k := 0; k < n; k++ {
 		// Find pivot row.
 		p := k
@@ -72,7 +68,7 @@ func factorizeCore(lu *Matrix, pivot []int) (float64, error) {
 		}
 		pivot[k] = p
 		if maxAbs == 0 {
-			return 0, fmt.Errorf("%w: zero pivot at column %d", ErrSingular, k)
+			return fmt.Errorf("%w: zero pivot at column %d", ErrSingular, k)
 		}
 		if p != k {
 			rk := lu.RawRow(k)
@@ -80,7 +76,6 @@ func factorizeCore(lu *Matrix, pivot []int) (float64, error) {
 			for j := range rk {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
-			sign = -sign
 		}
 		pv := lu.At(k, k)
 		rk := lu.RawRow(k)[k+1:]
@@ -98,7 +93,7 @@ func factorizeCore(lu *Matrix, pivot []int) (float64, error) {
 			}
 		}
 	}
-	return sign, nil
+	return nil
 }
 
 // Solve solves A·x = b using the factorization.
@@ -155,16 +150,6 @@ func (f *LU) SolveInPlace(x Vector) error {
 	return nil
 }
 
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := f.sign
-	n := f.lu.Rows()
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // SolveDense factorizes a and solves a·x = b in one call.
 func SolveDense(a *Matrix, b Vector) (Vector, error) {
 	f, err := Factorize(a)
@@ -172,81 +157,4 @@ func SolveDense(a *Matrix, b Vector) (Vector, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// Det computes the determinant of a square matrix via LU. A singular matrix
-// yields 0 rather than an error.
-func Det(a *Matrix) (float64, error) {
-	if a.Rows() != a.Cols() {
-		return 0, fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows(), a.Cols())
-	}
-	f, err := Factorize(a)
-	if errors.Is(err, ErrSingular) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	return f.Det(), nil
-}
-
-// Inverse computes A⁻¹ via LU. Intended for small matrices and tests.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows()
-	inv := NewMatrix(n, n)
-	e := NewVector(n)
-	for j := 0; j < n; j++ {
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		e[j] = 0
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}
-
-// ConditionEstimate returns a cheap lower-bound estimate of the ∞-norm
-// condition number κ∞(A) = ‖A‖∞·‖A⁻¹‖∞, using a few solves with random-ish
-// ±1 vectors instead of forming the inverse. It is used by diagnostics only.
-func ConditionEstimate(a *Matrix) (float64, error) {
-	if a.Rows() != a.Cols() {
-		return 0, fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows(), a.Cols())
-	}
-	f, err := Factorize(a)
-	if err != nil {
-		if errors.Is(err, ErrSingular) {
-			return math.Inf(1), nil
-		}
-		return 0, err
-	}
-	n := a.Rows()
-	normA := a.NormInf()
-	var invNorm float64
-	// Deterministic probe vectors: alternating signs with three phases.
-	for phase := 0; phase < 3; phase++ {
-		b := NewVector(n)
-		for i := range b {
-			if (i+phase)%(phase+2) == 0 {
-				b[i] = 1
-			} else {
-				b[i] = -1
-			}
-		}
-		x, err := f.Solve(b)
-		if err != nil {
-			return math.Inf(1), nil
-		}
-		if est := x.NormInf() / b.NormInf(); est > invNorm {
-			invNorm = est
-		}
-	}
-	return normA * invNorm, nil
 }

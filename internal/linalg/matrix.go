@@ -37,24 +37,6 @@ func MatrixFromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
-// Diagonal returns a square matrix with d on the diagonal.
-func Diagonal(d Vector) *Matrix {
-	m := NewMatrix(len(d), len(d))
-	for i, x := range d {
-		m.Set(i, i, x)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -74,15 +56,6 @@ func (m *Matrix) Row(i int) Vector {
 	return out
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) Vector {
-	out := make(Vector, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
 // RawRow returns row i as a live sub-slice (no copy). Mutating the returned
 // slice mutates the matrix.
 func (m *Matrix) RawRow(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
@@ -97,16 +70,6 @@ func (m *Matrix) Clone() *Matrix {
 // Zero resets every element to 0 without reallocating.
 func (m *Matrix) Zero() {
 	clear(m.data)
-}
-
-// CopyFrom overwrites m with the contents of src, which must have the same
-// shape. It allocates nothing.
-func (m *Matrix) CopyFrom(src *Matrix) error {
-	if m.rows != src.rows || m.cols != src.cols {
-		return fmt.Errorf("%w: copy %dx%d into %dx%d", ErrDimensionMismatch, src.rows, src.cols, m.rows, m.cols)
-	}
-	copy(m.data, src.data)
-	return nil
 }
 
 // Transpose returns mᵀ.
@@ -193,52 +156,6 @@ func (m *Matrix) MatVecTransposeInto(out, v Vector) error {
 	return nil
 }
 
-// Mul returns m·b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.cols != b.rows {
-		return nil, fmt.Errorf("%w: mul %dx%d · %dx%d", ErrDimensionMismatch, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := NewMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			orow := out.data[i*out.cols : (i+1)*out.cols]
-			for j, bv := range brow {
-				orow[j] += a * bv
-			}
-		}
-	}
-	return out, nil
-}
-
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: add %dx%d + %dx%d", ErrDimensionMismatch, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out, nil
-}
-
-// Sub returns m - b.
-func (m *Matrix) Sub(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: sub %dx%d - %dx%d", ErrDimensionMismatch, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out, nil
-}
-
 // Scale returns alpha*m.
 func (m *Matrix) Scale(alpha float64) *Matrix {
 	out := m.Clone()
@@ -246,18 +163,6 @@ func (m *Matrix) Scale(alpha float64) *Matrix {
 		out.data[i] *= alpha
 	}
 	return out
-}
-
-// Hadamard returns the element-wise product m ∘ b.
-func (m *Matrix) Hadamard(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: hadamard %dx%d vs %dx%d", ErrDimensionMismatch, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= b.data[i]
-	}
-	return out, nil
 }
 
 // SetSubmatrix copies src into m with its top-left corner at (row, col).
@@ -287,28 +192,6 @@ func (m *Matrix) Submatrix(row, col, rows, cols int) (*Matrix, error) {
 	return out, nil
 }
 
-// MaxAbs returns the largest absolute element, or 0 for an empty matrix.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, x := range m.data {
-		if a := math.Abs(x); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// MinElement returns the smallest element, or +Inf for an empty matrix.
-func (m *Matrix) MinElement() float64 {
-	mn := math.Inf(1)
-	for _, x := range m.data {
-		if x < mn {
-			mn = x
-		}
-	}
-	return mn
-}
-
 // AllNonNegative reports whether every element is ≥ 0.
 func (m *Matrix) AllNonNegative() bool {
 	for _, x := range m.data {
@@ -336,21 +219,6 @@ func (m *Matrix) RowSum(i int) float64 {
 		s += x
 	}
 	return s
-}
-
-// NormInf returns the maximum absolute row sum (the induced ∞-norm).
-func (m *Matrix) NormInf() float64 {
-	var mx float64
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for _, x := range m.data[i*m.cols : (i+1)*m.cols] {
-			s += math.Abs(x)
-		}
-		if s > mx {
-			mx = s
-		}
-	}
-	return mx
 }
 
 // Equal reports whether m and b have the same shape and all elements within

@@ -88,7 +88,7 @@ func TestSolveStructuredPDIPShape(t *testing.T) {
 
 func TestSolveStructuredDiagonal(t *testing.T) {
 	// Pure diagonal systems are fully handled by the presolve (no core).
-	d := Diagonal(VectorOf(2, 4, 8))
+	d := mustMatrix(t, [][]float64{{2, 0, 0}, {0, 4, 0}, {0, 0, 8}})
 	got, err := SolveStructured(d, VectorOf(2, 4, 8))
 	if err != nil {
 		t.Fatalf("SolveStructured: %v", err)
@@ -115,13 +115,13 @@ func TestSolveStructuredValidation(t *testing.T) {
 	if _, err := SolveStructured(NewMatrix(2, 3), VectorOf(1, 1)); !errors.Is(err, ErrNotSquare) {
 		t.Errorf("non-square: %v", err)
 	}
-	if _, err := SolveStructured(Identity(3), VectorOf(1, 1)); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := SolveStructured(identity(3), VectorOf(1, 1)); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("bad rhs: %v", err)
 	}
 }
 
 func TestSolveStructuredIdentity(t *testing.T) {
-	got, err := SolveStructured(Identity(5), VectorOf(1, 2, 3, 4, 5))
+	got, err := SolveStructured(identity(5), VectorOf(1, 2, 3, 4, 5))
 	if err != nil {
 		t.Fatalf("SolveStructured: %v", err)
 	}

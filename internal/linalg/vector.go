@@ -1,6 +1,7 @@
 // Package linalg provides the dense linear-algebra substrate used by every
-// other package in memlp: vectors, row-major dense matrices, direct (LU) and
-// iterative (Jacobi, Gauss–Seidel) solvers, determinants, and norms.
+// other package in memlp: vectors, row-major dense matrices, and direct
+// solvers (partial-pivoted LU, pivot-free LDLᵀ, and the pattern-driven
+// structured elimination behind the analog settle).
 //
 // The package depends only on the standard library. It is written for the
 // moderate problem sizes of the paper's evaluation (systems up to a few
@@ -24,6 +25,8 @@ type Vector []float64
 func NewVector(n int) Vector { return make(Vector, n) }
 
 // VectorOf returns a vector with the given elements (copied).
+//
+//memlpvet:ignore deadexport a shared literal-vector fixture for the tests of many packages
 func VectorOf(elems ...float64) Vector {
 	v := make(Vector, len(elems))
 	copy(v, elems)
@@ -35,33 +38,6 @@ func (v Vector) Clone() Vector {
 	out := make(Vector, len(v))
 	copy(out, v)
 	return out
-}
-
-// Len returns the number of elements.
-func (v Vector) Len() int { return len(v) }
-
-// Add returns v + w.
-func (v Vector) Add(w Vector) (Vector, error) {
-	if len(v) != len(w) {
-		return nil, fmt.Errorf("%w: add %d vs %d", ErrDimensionMismatch, len(v), len(w))
-	}
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out, nil
-}
-
-// Sub returns v - w.
-func (v Vector) Sub(w Vector) (Vector, error) {
-	if len(v) != len(w) {
-		return nil, fmt.Errorf("%w: sub %d vs %d", ErrDimensionMismatch, len(v), len(w))
-	}
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out, nil
 }
 
 // AxpyInPlace computes v += alpha*w in place.
@@ -127,26 +103,6 @@ func (v Vector) NormInf() float64 {
 	return m
 }
 
-// Norm1 returns the sum of absolute elements.
-func (v Vector) Norm1() float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// Min returns the smallest element. It returns +Inf for an empty vector.
-func (v Vector) Min() float64 {
-	m := math.Inf(1)
-	for _, x := range v {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest element. It returns -Inf for an empty vector.
 func (v Vector) Max() float64 {
 	m := math.Inf(-1)
@@ -165,16 +121,6 @@ func (v Vector) Fill(x float64) {
 	}
 }
 
-// AllPositive reports whether every element is strictly positive.
-func (v Vector) AllPositive() bool {
-	for _, x := range v {
-		if x <= 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // AllFinite reports whether every element is finite (no NaN or Inf).
 func (v Vector) AllFinite() bool {
 	for _, x := range v {
@@ -183,18 +129,6 @@ func (v Vector) AllFinite() bool {
 		}
 	}
 	return true
-}
-
-// HadamardProduct returns the element-wise product v ∘ w.
-func (v Vector) HadamardProduct(w Vector) (Vector, error) {
-	if len(v) != len(w) {
-		return nil, fmt.Errorf("%w: hadamard %d vs %d", ErrDimensionMismatch, len(v), len(w))
-	}
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] * w[i]
-	}
-	return out, nil
 }
 
 // Concat returns the concatenation of the given vectors.

@@ -8,46 +8,11 @@ import (
 	"testing/quick"
 )
 
-func TestVectorAddSub(t *testing.T) {
-	v := VectorOf(1, 2, 3)
-	w := VectorOf(4, 5, 6)
-
-	sum, err := v.Add(w)
-	if err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	want := VectorOf(5, 7, 9)
-	for i := range want {
-		if sum[i] != want[i] {
-			t.Errorf("Add[%d] = %v, want %v", i, sum[i], want[i])
-		}
-	}
-
-	diff, err := w.Sub(v)
-	if err != nil {
-		t.Fatalf("Sub: %v", err)
-	}
-	for i := range diff {
-		if diff[i] != 3 {
-			t.Errorf("Sub[%d] = %v, want 3", i, diff[i])
-		}
-	}
-}
-
 func TestVectorDimensionMismatch(t *testing.T) {
 	v := VectorOf(1, 2)
 	w := VectorOf(1, 2, 3)
-	if _, err := v.Add(w); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("Add mismatch: got %v, want ErrDimensionMismatch", err)
-	}
-	if _, err := v.Sub(w); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("Sub mismatch: got %v, want ErrDimensionMismatch", err)
-	}
 	if _, err := v.Dot(w); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("Dot mismatch: got %v, want ErrDimensionMismatch", err)
-	}
-	if _, err := v.HadamardProduct(w); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("Hadamard mismatch: got %v, want ErrDimensionMismatch", err)
 	}
 	if err := v.AxpyInPlace(1, w); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("Axpy mismatch: got %v, want ErrDimensionMismatch", err)
@@ -71,9 +36,6 @@ func TestVectorNorms(t *testing.T) {
 	if got := v.Norm2(); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Norm2 = %v, want 5", got)
 	}
-	if got := v.Norm1(); got != 7 {
-		t.Errorf("Norm1 = %v, want 7", got)
-	}
 	if got := v.NormInf(); got != 4 {
 		t.Errorf("NormInf = %v, want 4", got)
 	}
@@ -94,28 +56,16 @@ func TestVectorNorm2OverflowSafe(t *testing.T) {
 
 func TestVectorMinMax(t *testing.T) {
 	v := VectorOf(2, -7, 5)
-	if got := v.Min(); got != -7 {
-		t.Errorf("Min = %v, want -7", got)
-	}
 	if got := v.Max(); got != 5 {
 		t.Errorf("Max = %v, want 5", got)
 	}
 	empty := Vector{}
-	if got := empty.Min(); !math.IsInf(got, 1) {
-		t.Errorf("empty Min = %v, want +Inf", got)
-	}
 	if got := empty.Max(); !math.IsInf(got, -1) {
 		t.Errorf("empty Max = %v, want -Inf", got)
 	}
 }
 
 func TestVectorPredicates(t *testing.T) {
-	if !VectorOf(1, 2, 3).AllPositive() {
-		t.Error("AllPositive(1,2,3) = false, want true")
-	}
-	if VectorOf(1, 0, 3).AllPositive() {
-		t.Error("AllPositive(1,0,3) = true, want false")
-	}
 	if !VectorOf(1, -2).AllFinite() {
 		t.Error("AllFinite(1,-2) = false, want true")
 	}
@@ -211,8 +161,8 @@ func TestPropertyTriangleInequality(t *testing.T) {
 		n := int(size%32) + 1
 		r := rand.New(rand.NewSource(seed))
 		v, w := randomVec(r, n), randomVec(r, n)
-		sum, err := v.Add(w)
-		if err != nil {
+		sum := v.Clone()
+		if err := sum.AxpyInPlace(1, w); err != nil {
 			return false
 		}
 		return sum.Norm2() <= v.Norm2()+w.Norm2()+1e-9
@@ -244,7 +194,11 @@ func TestPropertyNormOrdering(t *testing.T) {
 		n := int(size%32) + 1
 		r := rand.New(rand.NewSource(seed))
 		v := randomVec(r, n)
-		inf, two, one := v.NormInf(), v.Norm2(), v.Norm1()
+		var one float64
+		for _, x := range v {
+			one += math.Abs(x)
+		}
+		inf, two := v.NormInf(), v.Norm2()
 		return inf <= two*(1+1e-12) && two <= one*(1+1e-12)
 	}
 	if err := quick.Check(f, nil); err != nil {

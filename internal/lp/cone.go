@@ -105,27 +105,3 @@ func validateCones(cones []Cone, m int) error {
 	}
 	return nil
 }
-
-// cloneCones deep-copies a cone list (nil stays nil).
-func cloneCones(cones []Cone) []Cone {
-	if cones == nil {
-		return nil
-	}
-	out := make([]Cone, len(cones))
-	copy(out, cones)
-	return out
-}
-
-// conesEqual reports whether two cone lists describe the same partition,
-// treating nil and empty as equal.
-func conesEqual(a, b []Cone) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

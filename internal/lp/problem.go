@@ -144,15 +144,6 @@ func (p *Problem) IsFeasible(x linalg.Vector, tol float64) (bool, error) {
 	return true, nil
 }
 
-// Slack returns b − A·x, the constraint slack at x.
-func (p *Problem) Slack(x linalg.Vector) (linalg.Vector, error) {
-	ax, err := p.A.MatVec(x)
-	if err != nil {
-		return nil, err
-	}
-	return p.B.Sub(ax)
-}
-
 // Dual returns the symmetric dual expressed back in canonical (maximize)
 // form. The dual of
 //
@@ -178,11 +169,6 @@ func (p *Problem) Dual() *Problem {
 		A:    p.A.Transpose().Scale(-1),
 		B:    p.C.Scale(-1),
 	}
-}
-
-// Clone returns a deep copy.
-func (p *Problem) Clone() *Problem {
-	return &Problem{Name: p.Name, C: p.C.Clone(), A: p.A.Clone(), B: p.B.Clone(), Cones: cloneCones(p.Cones)}
 }
 
 func absf(x float64) float64 {

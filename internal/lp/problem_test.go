@@ -102,17 +102,6 @@ func TestIsFeasible(t *testing.T) {
 	}
 }
 
-func TestSlack(t *testing.T) {
-	p := tinyLP(t)
-	s, err := p.Slack(linalg.VectorOf(1, 1))
-	if err != nil {
-		t.Fatalf("Slack: %v", err)
-	}
-	if s[0] != 2 || s[1] != 2 {
-		t.Errorf("Slack = %v, want [2 2]", s)
-	}
-}
-
 func TestDualShape(t *testing.T) {
 	p := tinyLP(t)
 	d := p.Dual()
@@ -146,16 +135,5 @@ func TestDualOfDualIsPrimal(t *testing.T) {
 		if dd.B[i] != p.B[i] {
 			t.Errorf("dual∘dual b[%d] = %v, want %v", i, dd.B[i], p.B[i])
 		}
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	p := tinyLP(t)
-	q := p.Clone()
-	q.C[0] = 99
-	q.A.Set(0, 0, 99)
-	q.B[0] = 99
-	if p.C[0] == 99 || p.A.At(0, 0) == 99 || p.B[0] == 99 {
-		t.Error("Clone aliases original storage")
 	}
 }

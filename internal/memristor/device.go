@@ -1,29 +1,21 @@
-// Package memristor models the memristive devices that populate a crossbar:
-// the HP TiO₂ linear ion-drift device (Strukov et al., Eq. 4 of the paper),
-// threshold-gated switching, pulse-based multilevel programming, and the
-// per-operation timing/energy constants used by the performance estimator.
+// Package memristor holds the device technology behind a crossbar: the
+// HP TiO₂-class resistance range and switching voltages (DeviceParams), the
+// deterministic stuck-at fault model, and the per-operation timing/energy
+// constants used by the performance estimator.
 //
-// A memristor behaves as a resistor whose resistance ("memristance") is set
-// by the charge that has flowed through it:
-//
-//	M(q) = ROFF · (1 − µv·RON/D² · q)
-//
-// bounded between RON (fully doped) and ROFF (undoped). Voltages below the
-// switching threshold Vth read the device without disturbing its state;
-// programming pulses above Vth move the internal state variable.
+// A memristor is a resistor whose resistance ("memristance") is set by the
+// charge that has flowed through it, bounded between RON (fully doped) and
+// ROFF (undoped). Voltages below the switching threshold Vth read the device
+// without disturbing its state; programming pulses above Vth move it.
 package memristor
 
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
-// Errors returned by device construction and programming.
-var (
-	ErrInvalidParams = errors.New("memristor: invalid device parameters")
-	ErrTargetRange   = errors.New("memristor: target outside programmable range")
-)
+// ErrInvalidParams is returned when device parameters are not physical.
+var ErrInvalidParams = errors.New("memristor: invalid device parameters")
 
 // DeviceParams describes one memristor device technology.
 type DeviceParams struct {
@@ -84,135 +76,3 @@ func (p DeviceParams) GMin() float64 { return 1 / p.ROFF }
 
 // GMax returns the maximum programmable conductance 1/RON.
 func (p DeviceParams) GMax() float64 { return 1 / p.RON }
-
-// Device is one memristor. Its state variable w ∈ [0, 1] interpolates the
-// memristance between ROFF (w=0) and RON (w=1):
-//
-//	M(w) = ROFF − w·(ROFF − RON)
-//
-// which is the linear ion-drift model of Eq. 4 with w = µv·RON/D²·q
-// normalized to [0, 1].
-type Device struct {
-	params DeviceParams
-	w      float64
-}
-
-// NewDevice returns a device in the fully-off state (M = ROFF).
-func NewDevice(params DeviceParams) (*Device, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	return &Device{params: params}, nil
-}
-
-// Params returns the device technology parameters.
-func (d *Device) Params() DeviceParams { return d.params }
-
-// State returns the internal state variable w ∈ [0, 1].
-func (d *Device) State() float64 { return d.w }
-
-// Memristance returns the present resistance in ohms.
-func (d *Device) Memristance() float64 {
-	return d.params.ROFF - d.w*(d.params.ROFF-d.params.RON)
-}
-
-// Conductance returns the present conductance in siemens.
-func (d *Device) Conductance() float64 { return 1 / d.Memristance() }
-
-// Read returns the current through the device for a sub-threshold voltage.
-// Reading never disturbs the state; if |v| exceeds Vth the read is invalid
-// and an error is returned.
-func (d *Device) Read(v float64) (float64, error) {
-	if math.Abs(v) > d.params.Vth {
-		return 0, fmt.Errorf("memristor: read voltage %v exceeds threshold %v", v, d.params.Vth)
-	}
-	return v * d.Conductance(), nil
-}
-
-// ApplyPulse applies one programming pulse of amplitude v (volts) for the
-// device's pulse width. Sub-threshold pulses are no-ops (this is what makes
-// the Vdd/2 half-select write scheme safe). Positive v increases w (toward
-// RON), negative v decreases it. The linear drift model moves w by
-//
-//	Δw = µv·RON/D² · I · t = MobilityD2 · (v/M(w)) · WritePulseWidth
-//
-// clamped to [0, 1].
-func (d *Device) ApplyPulse(v float64) {
-	if math.Abs(v) <= d.params.Vth {
-		return
-	}
-	i := v / d.Memristance()
-	d.w = clamp01(d.w + d.params.MobilityD2*i*d.params.WritePulseWidth)
-}
-
-// ProgramConductance drives the device to the target conductance with a
-// program-and-verify loop of ±Vdd pulses, as in §3.3 of the paper. Full-width
-// pulses are applied while the remaining state gap exceeds one pulse's worth
-// of drift; the final pulse is width-trimmed (§3.3: programming adjusts "the
-// amplitude and width of the write pulse"). It returns the number of pulses
-// used. The target must lie within [GMin, GMax]. tolerance is the acceptable
-// relative conductance error; zero means 0.1%.
-func (d *Device) ProgramConductance(target, tolerance float64) (int, error) {
-	if target < d.params.GMin()*(1-1e-9) || target > d.params.GMax()*(1+1e-9) {
-		return 0, fmt.Errorf("%w: g = %v not in [%v, %v]", ErrTargetRange, target, d.params.GMin(), d.params.GMax())
-	}
-	if tolerance <= 0 {
-		tolerance = 1e-3
-	}
-	wTarget := d.params.StateForConductance(target)
-	const maxPulses = 1_000_000
-	pulses := 0
-	for ; pulses < maxPulses; pulses++ {
-		if math.Abs(d.Conductance()-target) <= tolerance*target {
-			return pulses, nil
-		}
-		gap := wTarget - d.w
-		sign := 1.0
-		if gap < 0 {
-			sign = -1
-		}
-		// Drift produced by one full-width pulse at the current state.
-		fullStep := d.params.MobilityD2 * (d.params.Vdd / d.Memristance()) * d.params.WritePulseWidth
-		if math.Abs(gap) >= fullStep {
-			d.ApplyPulse(sign * d.params.Vdd)
-			continue
-		}
-		// Width-trimmed final pulse lands exactly on the remaining gap.
-		d.w = clamp01(d.w + gap)
-	}
-	return pulses, fmt.Errorf("memristor: programming did not converge to g = %v within %d pulses", target, maxPulses)
-}
-
-// SetState directly sets the state variable w ∈ [0, 1]. It models an ideal
-// write and is used by the crossbar simulator where pulse-level simulation
-// of every cell would be needlessly slow.
-func (d *Device) SetState(w float64) error {
-	if w < 0 || w > 1 || math.IsNaN(w) {
-		return fmt.Errorf("%w: w = %v", ErrInvalidParams, w)
-	}
-	d.w = w
-	return nil
-}
-
-// StateForConductance returns the state variable w that realizes the given
-// conductance, clamped to the programmable range.
-func (p DeviceParams) StateForConductance(g float64) float64 {
-	if g <= p.GMin() {
-		return 0
-	}
-	if g >= p.GMax() {
-		return 1
-	}
-	// M = ROFF − w(ROFF−RON) and g = 1/M  ⇒  w = (ROFF − 1/g)/(ROFF − RON).
-	return (p.ROFF - 1/g) / (p.ROFF - p.RON)
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}

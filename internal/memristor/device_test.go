@@ -2,19 +2,8 @@ package memristor
 
 import (
 	"errors"
-	"math"
 	"testing"
-	"testing/quick"
 )
-
-func newDefaultDevice(t *testing.T) *Device {
-	t.Helper()
-	d, err := NewDevice(DefaultParams())
-	if err != nil {
-		t.Fatalf("NewDevice: %v", err)
-	}
-	return d
-}
 
 func TestDefaultParamsValid(t *testing.T) {
 	if err := DefaultParams().Validate(); err != nil {
@@ -44,191 +33,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 			if err := p.Validate(); !errors.Is(err, ErrInvalidParams) {
 				t.Errorf("Validate = %v, want ErrInvalidParams", err)
 			}
-			if _, err := NewDevice(p); err == nil {
-				t.Error("NewDevice accepted invalid params")
-			}
 		})
-	}
-}
-
-func TestFreshDeviceIsOff(t *testing.T) {
-	d := newDefaultDevice(t)
-	if got := d.Memristance(); got != DefaultParams().ROFF {
-		t.Errorf("fresh memristance = %v, want ROFF = %v", got, DefaultParams().ROFF)
-	}
-	if d.State() != 0 {
-		t.Errorf("fresh state = %v, want 0", d.State())
-	}
-}
-
-func TestMemristanceBounds(t *testing.T) {
-	d := newDefaultDevice(t)
-	p := d.Params()
-	if err := d.SetState(1); err != nil {
-		t.Fatalf("SetState: %v", err)
-	}
-	if got := d.Memristance(); got != p.RON {
-		t.Errorf("w=1 memristance = %v, want RON = %v", got, p.RON)
-	}
-	if err := d.SetState(0.5); err != nil {
-		t.Fatalf("SetState: %v", err)
-	}
-	want := p.ROFF - 0.5*(p.ROFF-p.RON)
-	if got := d.Memristance(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("w=0.5 memristance = %v, want %v", got, want)
-	}
-}
-
-func TestSetStateValidation(t *testing.T) {
-	d := newDefaultDevice(t)
-	for _, w := range []float64{-0.1, 1.1, math.NaN()} {
-		if err := d.SetState(w); !errors.Is(err, ErrInvalidParams) {
-			t.Errorf("SetState(%v) = %v, want ErrInvalidParams", w, err)
-		}
-	}
-}
-
-func TestReadSubThresholdDoesNotDisturb(t *testing.T) {
-	d := newDefaultDevice(t)
-	if err := d.SetState(0.3); err != nil {
-		t.Fatalf("SetState: %v", err)
-	}
-	before := d.State()
-	v := d.Params().Vth * 0.9
-	i, err := d.Read(v)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	wantI := v * d.Conductance()
-	if math.Abs(i-wantI) > 1e-15 {
-		t.Errorf("Read current = %v, want %v", i, wantI)
-	}
-	if d.State() != before {
-		t.Errorf("read disturbed state: %v -> %v", before, d.State())
-	}
-}
-
-func TestReadAboveThresholdRejected(t *testing.T) {
-	d := newDefaultDevice(t)
-	if _, err := d.Read(d.Params().Vth * 1.5); err == nil {
-		t.Error("Read above threshold succeeded, want error")
-	}
-}
-
-func TestApplyPulseSubThresholdNoOp(t *testing.T) {
-	d := newDefaultDevice(t)
-	if err := d.SetState(0.4); err != nil {
-		t.Fatalf("SetState: %v", err)
-	}
-	// Half-select voltage must not disturb: this is the Vdd/2 write scheme.
-	d.ApplyPulse(d.Params().Vdd / 2)
-	d.ApplyPulse(-d.Params().Vdd / 2)
-	if d.State() != 0.4 {
-		t.Errorf("half-select pulse disturbed state: %v", d.State())
-	}
-}
-
-func TestApplyPulseMovesState(t *testing.T) {
-	d := newDefaultDevice(t)
-	if err := d.SetState(0.5); err != nil {
-		t.Fatalf("SetState: %v", err)
-	}
-	d.ApplyPulse(d.Params().Vdd)
-	if d.State() <= 0.5 {
-		t.Errorf("positive pulse did not increase state: %v", d.State())
-	}
-	up := d.State()
-	d.ApplyPulse(-d.Params().Vdd)
-	if d.State() >= up {
-		t.Errorf("negative pulse did not decrease state: %v", d.State())
-	}
-}
-
-func TestApplyPulseClamps(t *testing.T) {
-	d := newDefaultDevice(t)
-	for i := 0; i < 100_000; i++ {
-		d.ApplyPulse(d.Params().Vdd)
-		if d.State() >= 1 {
-			break
-		}
-	}
-	if d.State() != 1 {
-		t.Fatalf("state did not saturate at 1: %v", d.State())
-	}
-	d.ApplyPulse(d.Params().Vdd)
-	if d.State() != 1 {
-		t.Errorf("state exceeded 1: %v", d.State())
-	}
-}
-
-func TestProgramConductance(t *testing.T) {
-	d := newDefaultDevice(t)
-	p := d.Params()
-	target := (p.GMin() + p.GMax()) / 7
-	pulses, err := d.ProgramConductance(target, 1e-3)
-	if err != nil {
-		t.Fatalf("ProgramConductance: %v", err)
-	}
-	if pulses == 0 {
-		t.Error("programming from fresh state used 0 pulses")
-	}
-	if got := d.Conductance(); math.Abs(got-target) > 1e-3*target {
-		t.Errorf("programmed g = %v, want %v ± 0.1%%", got, target)
-	}
-}
-
-func TestProgramConductanceOutOfRange(t *testing.T) {
-	d := newDefaultDevice(t)
-	p := d.Params()
-	if _, err := d.ProgramConductance(p.GMax()*2, 0); !errors.Is(err, ErrTargetRange) {
-		t.Errorf("above range: %v, want ErrTargetRange", err)
-	}
-	if _, err := d.ProgramConductance(p.GMin()/2, 0); !errors.Is(err, ErrTargetRange) {
-		t.Errorf("below range: %v, want ErrTargetRange", err)
-	}
-}
-
-func TestProgramConductanceIdempotent(t *testing.T) {
-	d := newDefaultDevice(t)
-	p := d.Params()
-	target := (p.GMin() + p.GMax()) / 3
-	if _, err := d.ProgramConductance(target, 1e-3); err != nil {
-		t.Fatalf("first program: %v", err)
-	}
-	pulses, err := d.ProgramConductance(target, 1e-3)
-	if err != nil {
-		t.Fatalf("second program: %v", err)
-	}
-	if pulses != 0 {
-		t.Errorf("re-programming to same target used %d pulses, want 0", pulses)
-	}
-}
-
-func TestStateForConductanceRoundTrip(t *testing.T) {
-	p := DefaultParams()
-	f := func(raw uint16) bool {
-		// Sweep conductances across the programmable range.
-		frac := float64(raw) / math.MaxUint16
-		g := p.GMin() + frac*(p.GMax()-p.GMin())
-		w := p.StateForConductance(g)
-		if w < 0 || w > 1 {
-			return false
-		}
-		m := p.ROFF - w*(p.ROFF-p.RON)
-		return math.Abs(1/m-g) <= 1e-9*g
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestStateForConductanceClamps(t *testing.T) {
-	p := DefaultParams()
-	if got := p.StateForConductance(p.GMin() / 10); got != 0 {
-		t.Errorf("below range w = %v, want 0", got)
-	}
-	if got := p.StateForConductance(p.GMax() * 10); got != 1 {
-		t.Errorf("above range w = %v, want 1", got)
 	}
 }
 

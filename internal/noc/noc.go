@@ -126,8 +126,6 @@ type Stats struct {
 	ElementHops int64
 	// MaxHops is the longest path used by any transfer.
 	MaxHops int
-	// ComposedSolves counts whole-fabric analog solves.
-	ComposedSolves int64
 }
 
 // Sub returns s − o field-wise, for marginalizing cumulative stats on a
@@ -135,10 +133,18 @@ type Stats struct {
 // high-water mark, not an accumulator, so the current value is kept.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
-		Transfers:      s.Transfers - o.Transfers,
-		ElementHops:    s.ElementHops - o.ElementHops,
-		MaxHops:        s.MaxHops,
-		ComposedSolves: s.ComposedSolves - o.ComposedSolves,
+		Transfers:   s.Transfers - o.Transfers,
+		ElementHops: s.ElementHops - o.ElementHops,
+		MaxHops:     s.MaxHops,
+	}
+}
+
+// track accounts one transfer of elements vector entries over hops hops.
+func (s *Stats) track(elements, hops int) {
+	s.Transfers++
+	s.ElementHops += int64(elements * hops)
+	if hops > s.MaxHops {
+		s.MaxHops = hops
 	}
 }
 
@@ -158,6 +164,9 @@ type TiledFabric struct {
 	deltaOff bool
 
 	stats Stats
+	// composed counts the composed analog solves, which belong to no
+	// single tile: their settles and the conversions of b and x.
+	composed crossbar.Counters
 }
 
 // New returns an unprogrammed tiled fabric.
@@ -174,15 +183,6 @@ func (f *TiledFabric) Config() Config { return f.cfg }
 
 // Stats returns the cumulative interconnect activity.
 func (f *TiledFabric) Stats() Stats { return f.stats }
-
-// Tiles returns the number of crossbars in use.
-func (f *TiledFabric) Tiles() int { return f.gridR * f.gridC }
-
-// Capacity returns the largest square matrix dimension the fabric can hold.
-func (f *TiledFabric) Capacity() int {
-	side := int(math.Sqrt(float64(f.cfg.MaxTiles)))
-	return side * f.cfg.TileSize
-}
 
 // hops returns the transfer distance (in NoC hops) between the controller
 // and tile (r, c), per the configured topology.
@@ -228,8 +228,8 @@ func (f *TiledFabric) Program(a *linalg.Matrix) error {
 				return fmt.Errorf("noc: building tile (%d,%d): %w", i, j, err)
 			}
 			xb.SetDeltaProgramming(!f.deltaOff)
-			rows := minInt(t, a.Rows()-i*t)
-			cols := minInt(t, a.Cols()-j*t)
+			rows := min(t, a.Rows()-i*t)
+			cols := min(t, a.Cols()-j*t)
 			block, err := a.Submatrix(i*t, j*t, rows, cols)
 			if err != nil {
 				return err
@@ -238,7 +238,7 @@ func (f *TiledFabric) Program(a *linalg.Matrix) error {
 				return fmt.Errorf("noc: programming tile (%d,%d): %w", i, j, err)
 			}
 			tiles[i][j] = xb
-			f.trackTransfer(rows, f.hops(i, j))
+			f.stats.track(rows, f.hops(i, j))
 		}
 	}
 	f.rows, f.cols = a.Rows(), a.Cols()
@@ -259,11 +259,11 @@ func (f *TiledFabric) UpdateRow(i int, row linalg.Vector) error {
 	tr, lr := i/t, i%t
 	for j := 0; j < f.gridC; j++ {
 		lo := j * t
-		hi := minInt(lo+t, f.cols)
+		hi := min(lo+t, f.cols)
 		if err := f.tiles[tr][j].UpdateRow(lr, row[lo:hi]); err != nil {
 			return err
 		}
-		f.trackTransfer(hi-lo, f.hops(tr, j))
+		f.stats.track(hi-lo, f.hops(tr, j))
 	}
 	return nil
 }
@@ -277,7 +277,7 @@ func (f *TiledFabric) UpdateCellInPlace(i, j int, value float64) error {
 		return fmt.Errorf("%w: cell (%d,%d) of %dx%d", linalg.ErrDimensionMismatch, i, j, f.rows, f.cols)
 	}
 	t := f.cfg.TileSize
-	f.trackTransfer(1, f.hops(i/t, j/t))
+	f.stats.track(1, f.hops(i/t, j/t))
 	return f.tiles[i/t][j/t].UpdateCellInPlace(i%t, j%t, value)
 }
 
@@ -295,10 +295,10 @@ func (f *TiledFabric) MatVec(v linalg.Vector) (linalg.Vector, error) {
 	out := linalg.NewVector(f.rows)
 	for i := 0; i < f.gridR; i++ {
 		rlo := i * t
-		rhi := minInt(rlo+t, f.rows)
+		rhi := min(rlo+t, f.rows)
 		for j := 0; j < f.gridC; j++ {
 			clo := j * t
-			chi := minInt(clo+t, f.cols)
+			chi := min(clo+t, f.cols)
 			seg := v[clo:chi]
 			part, err := f.tiles[i][j].MatVec(seg)
 			if err != nil {
@@ -308,17 +308,17 @@ func (f *TiledFabric) MatVec(v linalg.Vector) (linalg.Vector, error) {
 				out[rlo+k] += part[k]
 			}
 			// Input broadcast + partial-sum collection.
-			f.trackTransfer(chi-clo, f.hops(i, j))
-			f.trackTransfer(rhi-rlo, f.hops(i, j))
+			f.stats.track(chi-clo, f.hops(i, j))
+			f.stats.track(rhi-rlo, f.hops(i, j))
 		}
 	}
 	return out, nil
 }
 
-// MatVecResidual computes base − factor∘(programmedMatrix·v) with the final
-// subtraction at the arbiters' summing amplifiers: the tiles' partial sums
-// stay analog until the reference is subtracted, and only the residual is
-// digitized (per-element).
+// MatVecResidual computes base − factor∘(programmedMatrix·v). Each tile's
+// partial product is digitized by that tile's ADC (as in MatVec), the
+// partials are summed and subtracted from base digitally, and the residual
+// passes the fabric's I/O converter once more.
 func (f *TiledFabric) MatVecResidual(base, v, factor linalg.Vector) (linalg.Vector, error) {
 	if f.tiles == nil {
 		return nil, crossbar.ErrNotProgrammed
@@ -341,7 +341,9 @@ func (f *TiledFabric) MatVecResidual(base, v, factor linalg.Vector) (linalg.Vect
 		}
 		out[i] = base[i] - ti
 	}
-	f.ioQuantize(out)
+	if err := f.quantizeIO(out); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -350,7 +352,8 @@ func (f *TiledFabric) MatVecResidual(base, v, factor linalg.Vector) (linalg.Vect
 // network, which settles to the solution of the composed system. The
 // simulation assembles each tile's realized (variation- and quantization-
 // perturbed) effective matrix and solves the composed system; cost-wise this
-// is one analog settle plus the tree/mesh coordination hops.
+// is one analog settle plus the tree/mesh coordination hops, and Counters
+// charges it as such.
 func (f *TiledFabric) Solve(b linalg.Vector) (linalg.Vector, error) {
 	if f.tiles == nil {
 		return nil, crossbar.ErrNotProgrammed
@@ -375,7 +378,9 @@ func (f *TiledFabric) Solve(b linalg.Vector) (linalg.Vector, error) {
 		}
 	}
 	rhs := b.Clone()
-	f.ioQuantize(rhs)
+	if err := f.quantizeIO(rhs); err != nil {
+		return nil, err
+	}
 	x, err := linalg.SolveStructured(composed, rhs)
 	if err != nil {
 		if errors.Is(err, linalg.ErrSingular) {
@@ -383,13 +388,16 @@ func (f *TiledFabric) Solve(b linalg.Vector) (linalg.Vector, error) {
 		}
 		return nil, err
 	}
-	f.ioQuantize(x)
-	f.stats.ComposedSolves++
+	if err := f.quantizeIO(x); err != nil {
+		return nil, err
+	}
+	f.composed.SolveOps++
+	f.composed.IOConversions += int64(len(b) + len(x))
 	// RHS distribution and solution collection across the fabric.
 	for i := 0; i < f.gridR; i++ {
-		rl := minInt(t, f.rows-i*t)
-		f.trackTransfer(rl, f.hops(i, 0))
-		f.trackTransfer(rl, f.hops(i, f.gridC-1))
+		rl := min(t, f.rows-i*t)
+		f.stats.track(rl, f.hops(i, 0))
+		f.stats.track(rl, f.hops(i, f.gridC-1))
 	}
 	return x, nil
 }
@@ -420,9 +428,10 @@ func (f *TiledFabric) SetDeltaProgramming(on bool) {
 	}
 }
 
-// Counters aggregates the constituent crossbars' counters.
+// Counters aggregates the constituent crossbars' counters and the composed
+// solves, which settle the whole fabric at once.
 func (f *TiledFabric) Counters() crossbar.Counters {
-	var total crossbar.Counters
+	total := f.composed
 	for _, row := range f.tiles {
 		for _, xb := range row {
 			total = total.Add(xb.Counters())
@@ -431,35 +440,9 @@ func (f *TiledFabric) Counters() crossbar.Counters {
 	return total
 }
 
-func (f *TiledFabric) trackTransfer(elements, hops int) {
-	f.stats.Transfers++
-	f.stats.ElementHops += int64(elements * hops)
-	if hops > f.stats.MaxHops {
-		f.stats.MaxHops = hops
-	}
-}
-
-// ioQuantize applies the composed solve's DAC/ADC boundary: per-element
-// quantization at the tile I/O precision (mirrors the per-element
-// programmable-gain converter model of the crossbar package).
-func (f *TiledFabric) ioQuantize(v linalg.Vector) {
-	bits := f.cfg.Crossbar.IOBits
-	if bits == 0 {
-		bits = 8
-	}
-	step := math.Exp2(-float64(bits - 1))
-	for i, e := range v {
-		if e == 0 || math.IsNaN(e) || math.IsInf(e, 0) {
-			continue
-		}
-		scale := math.Exp2(math.Ceil(math.Log2(math.Abs(e)))) * step
-		v[i] = math.Round(e/scale) * scale
-	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// quantizeIO applies the fabric's DAC/ADC boundary: the tiles share one
+// converter configuration, so tile (0, 0)'s converter model stands for the
+// fabric's (per-element or shared full-scale, per crossbar.Config).
+func (f *TiledFabric) quantizeIO(v linalg.Vector) error {
+	return f.tiles[0][0].QuantizeIO(v)
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/memlp/memlp/internal/crossbar"
 	"github.com/memlp/memlp/internal/linalg"
+	"github.com/memlp/memlp/internal/quant"
 	"github.com/memlp/memlp/internal/variation"
 )
 
@@ -70,9 +71,6 @@ func TestDefaults(t *testing.T) {
 	if cfg.Topology != Hierarchical || cfg.TileSize != 512 || cfg.MaxTiles != 256 {
 		t.Errorf("defaults wrong: %+v", cfg)
 	}
-	if f.Capacity() != 16*512 {
-		t.Errorf("Capacity = %d, want %d", f.Capacity(), 16*512)
-	}
 }
 
 func TestTopologyString(t *testing.T) {
@@ -117,8 +115,8 @@ func TestTiledMatVecMatchesIdeal(t *testing.T) {
 			if err := f.Program(a); err != nil {
 				t.Fatalf("Program: %v", err)
 			}
-			if f.Tiles() != 9 {
-				t.Errorf("Tiles = %d, want 9", f.Tiles())
+			if tiles := f.gridR * f.gridC; tiles != 9 {
+				t.Errorf("tiles = %d, want 9", tiles)
 			}
 			v := linalg.NewVector(20)
 			for i := range v {
@@ -165,8 +163,73 @@ func TestTiledSolveMatchesIdeal(t *testing.T) {
 			t.Errorf("Solve[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if f.Stats().ComposedSolves != 1 {
-		t.Errorf("ComposedSolves = %d, want 1", f.Stats().ComposedSolves)
+}
+
+// TestComposedSolveCounted pins that a composed solve reaches the cost
+// model: the tiles never settle on their own, so the fabric's counters must
+// carry the one analog settle and the conversions of b and x, exactly as a
+// single crossbar's Solve counts itself.
+func TestComposedSolveCounted(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	f := mustFabric(t, smallTileConfig(Mesh))
+	a := randomNonNeg(r, 16, 16) // 2x2 tile grid
+	if err := f.Program(a); err != nil {
+		t.Fatalf("Program: %v", err)
+	}
+	before := f.Counters()
+	b := linalg.NewVector(16)
+	b.Fill(1)
+	if _, err := f.Solve(b); err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	c := f.Counters().Sub(before)
+	if c.SolveOps != 1 {
+		t.Errorf("SolveOps = %d after one composed solve, want 1", c.SolveOps)
+	}
+	if c.IOConversions != 2*16 {
+		t.Errorf("IOConversions = %d, want %d (b in, x out)", c.IOConversions, 2*16)
+	}
+	if c.MatVecOps != 0 || c.CellWrites != 0 {
+		t.Errorf("solve charged tile work: %+v", c)
+	}
+}
+
+// TestComposedIOHonoursGlobalRange pins that the fabric's I/O boundary uses
+// the crossbar converter model: with GlobalIORange the composed solve and
+// the residual come out on one shared full-scale grid, not per element.
+func TestComposedIOHonoursGlobalRange(t *testing.T) {
+	const bits = 4
+	cfg := smallTileConfig(Hierarchical)
+	cfg.Crossbar.IOBits = bits
+	cfg.Crossbar.GlobalIORange = true
+	f := mustFabric(t, cfg)
+	r := rand.New(rand.NewSource(8))
+	a := randomNonNeg(r, 12, 12)
+	if err := f.Program(a); err != nil {
+		t.Fatalf("Program: %v", err)
+	}
+	v := linalg.NewVector(12)
+	for i := range v {
+		v[i] = r.Float64()*2 - 1
+	}
+	x, err := f.Solve(v)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	res, err := f.MatVecResidual(v, v, nil)
+	if err != nil {
+		t.Fatalf("MatVecResidual: %v", err)
+	}
+	for name, out := range map[string]linalg.Vector{"Solve": x, "MatVecResidual": res} {
+		q, err := quant.SymmetricAroundZero(bits, out.NormInf())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, e := range out {
+			if g := q.Quantize(e); !linalg.Identical(g, e) {
+				t.Errorf("%s[%d] = %v is off the %d-bit grid of ‖·‖∞ = %v (nearest %v)", name, i, e, bits, out.NormInf(), g)
+			}
+		}
 	}
 }
 
@@ -301,8 +364,8 @@ func TestTiledWithVariation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff, err := got.Sub(want)
-	if err != nil {
+	diff := got.Clone()
+	if err := diff.AxpyInPlace(-1, want); err != nil {
 		t.Fatal(err)
 	}
 	rel := diff.NormInf() / want.NormInf()

@@ -1,9 +1,6 @@
 package noc
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Router models the NoC's vector scatter/gather traffic for engines that
 // own their per-block crossbars directly instead of going through a
@@ -49,32 +46,18 @@ func (r *Router) Hops(br, bc int) int {
 	return hopCount(r.cfg.Topology, r.gridR*r.gridC, br, bc)
 }
 
-// TransferLatency returns the modeled one-way latency of a transfer to
-// canonical block (br, bc): hops × per-hop latency.
-func (r *Router) TransferLatency(br, bc int) time.Duration {
-	return time.Duration(r.Hops(br, bc)) * r.cfg.HopLatency
-}
-
 // Scatter accounts a controller→block transfer of elements vector entries
 // (an input-segment broadcast before a per-block mat-vec).
 func (r *Router) Scatter(br, bc, elements int) {
-	r.track(elements, r.Hops(br, bc))
+	r.stats.track(elements, r.Hops(br, bc))
 }
 
 // Gather accounts a block→controller transfer of elements vector entries
 // (a partial-result collection after a per-block mat-vec).
 func (r *Router) Gather(br, bc, elements int) {
-	r.track(elements, r.Hops(br, bc))
+	r.stats.track(elements, r.Hops(br, bc))
 }
 
 // Stats returns the cumulative scatter/gather activity. Feed it to
 // perf.NoCCost for the modeled latency/energy figures.
 func (r *Router) Stats() Stats { return r.stats }
-
-func (r *Router) track(elements, hops int) {
-	r.stats.Transfers++
-	r.stats.ElementHops += int64(elements * hops)
-	if hops > r.stats.MaxHops {
-		r.stats.MaxHops = hops
-	}
-}

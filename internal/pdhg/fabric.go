@@ -110,8 +110,8 @@ func newFabric(a *linalg.Matrix, ncfg noc.Config, xcfg crossbar.Config) (*fabric
 }
 
 func (f *fabric) newBlock(a *linalg.Matrix, br, bc int, xcfg crossbar.Config) (*block, error) {
-	rows := minInt(f.t, f.m-br*f.t)
-	cols := minInt(f.t, f.n-bc*f.t)
+	rows := min(f.t, f.m-br*f.t)
+	cols := min(f.t, f.n-bc*f.t)
 	b := &block{
 		index:  br*f.bCols + bc,
 		br:     br,
@@ -312,11 +312,4 @@ func (f *fabric) counters() crossbar.Counters {
 			Add(b.posT.Counters()).Add(b.negT.Counters())
 	}
 	return total
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

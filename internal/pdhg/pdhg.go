@@ -87,8 +87,8 @@ type Solver struct {
 	xcfg         crossbar.Config
 	grid         int
 	tol          lp.Tolerances
-	restartEvery int
-	refreshEvery int
+	restartEvery int // adaptive-restart check gap; only tests change it
+	refreshEvery int // tile-refresh period, 0 = off; only tests change it
 	ring         *trace.Ring
 	energy       func(crossbar.Counters) float64
 }
@@ -132,18 +132,6 @@ func WithEnergyModel(f func(crossbar.Counters) float64) Option {
 	return func(s *Solver) { s.energy = f }
 }
 
-// WithRestartInterval sets how many iterations pass between adaptive
-// restart checks.
-func WithRestartInterval(n int) Option {
-	return func(s *Solver) { s.restartEvery = n }
-}
-
-// WithRefreshInterval sets how many iterations pass between full tile
-// conductance refreshes (0 disables refreshing).
-func WithRefreshInterval(n int) Option {
-	return func(s *Solver) { s.refreshEvery = n }
-}
-
 // New returns a configured Solver.
 func New(opts ...Option) (*Solver, error) {
 	s := &Solver{
@@ -161,12 +149,6 @@ func New(opts ...Option) (*Solver, error) {
 	}
 	if s.grid < 1 {
 		return nil, fmt.Errorf("pdhg: %w: worker grid %d", lp.ErrInvalid, s.grid)
-	}
-	if s.restartEvery < 1 {
-		return nil, fmt.Errorf("pdhg: %w: restart interval %d", lp.ErrInvalid, s.restartEvery)
-	}
-	if s.refreshEvery < 0 {
-		return nil, fmt.Errorf("pdhg: %w: refresh interval %d", lp.ErrInvalid, s.refreshEvery)
 	}
 	return s, nil
 }
@@ -415,17 +397,6 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Resul
 	}
 	res.WallTime = engine.WallSince(start)
 	return res, ctxErr
-}
-
-// Tiles reports how many canonical blocks a problem of the given shape
-// occupies under the solver's tile size (before any solve).
-func (s *Solver) Tiles(m, n int) (int, error) {
-	probe, err := noc.NewRouter(s.ncfg, 1, 1)
-	if err != nil {
-		return 0, err
-	}
-	t := probe.Config().TileSize
-	return ((m + t - 1) / t) * ((n + t - 1) / t), nil
 }
 
 // energyFor prices the aggregate crossbar counters plus the NoC traffic.

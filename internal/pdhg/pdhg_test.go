@@ -234,11 +234,11 @@ func TestRefreshIsNumericNoOp(t *testing.T) {
 			WithNoC(noc.Config{Topology: noc.Mesh, TileSize: 4}),
 			WithCrossbar(noisyConfig(t, 3)),
 			WithTolerances(tol),
-			WithRefreshInterval(refreshEvery),
 		)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
+		s.refreshEvery = refreshEvery
 		return mustSolve(t, s, p)
 	}
 
@@ -305,12 +305,6 @@ func TestRejectsInvalidInputs(t *testing.T) {
 	if _, err := New(WithGrid(0)); !errors.Is(err, lp.ErrInvalid) {
 		t.Errorf("grid 0: %v, want ErrInvalid", err)
 	}
-	if _, err := New(WithRestartInterval(0)); !errors.Is(err, lp.ErrInvalid) {
-		t.Errorf("restart interval 0: %v, want ErrInvalid", err)
-	}
-	if _, err := New(WithRefreshInterval(-1)); !errors.Is(err, lp.ErrInvalid) {
-		t.Errorf("refresh interval -1: %v, want ErrInvalid", err)
-	}
 }
 
 func mustMatrixRows(t *testing.T, rows [][]float64) *linalg.Matrix {
@@ -359,10 +353,11 @@ func TestTraceRecordsShape(t *testing.T) {
 // triggers on a plateauing trajectory and emits its trace event.
 func TestAdaptiveRestartFires(t *testing.T) {
 	p := genFeasible(t, 14, 9, 17)
-	s, err := New(WithTrace(0), WithRestartInterval(20))
+	s, err := New(WithTrace(0))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	s.restartEvery = 20
 	res := mustSolve(t, s, p)
 	if res.Restarts == 0 {
 		t.Skip("no restart on this trajectory; instance converged before the first window")

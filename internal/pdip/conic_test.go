@@ -116,8 +116,11 @@ func TestConicLPDegenerateIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tagged := base.Clone()
-	tagged.Cones = []lp.Cone{{Type: lp.ConeNonNeg, Dim: base.NumConstraints()}}
+	tagged, err := lp.NewConic(base.Name, base.C, base.A, base.B,
+		[]lp.Cone{{Type: lp.ConeNonNeg, Dim: base.NumConstraints()}})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, backend := range []NewtonBackend{NewtonFull, NewtonReduced} {
 		r1, err := mustSolver(t, WithBackend(backend), WithTrace(0)).Solve(base)

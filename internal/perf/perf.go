@@ -70,19 +70,3 @@ func NoCCost(s noc.Stats, cfg noc.Config) Estimate {
 func SoftwareCost(wall time.Duration) Estimate {
 	return Estimate{Latency: wall, Energy: wall.Seconds() * CPUPowerWatts}
 }
-
-// Speedup returns baseline latency divided by candidate latency.
-func Speedup(baseline, candidate Estimate) float64 {
-	if candidate.Latency <= 0 {
-		return 0
-	}
-	return float64(baseline.Latency) / float64(candidate.Latency)
-}
-
-// EnergyGain returns baseline energy divided by candidate energy.
-func EnergyGain(baseline, candidate Estimate) float64 {
-	if candidate.Energy <= 0 {
-		return 0
-	}
-	return baseline.Energy / candidate.Energy
-}

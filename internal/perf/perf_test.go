@@ -63,23 +63,6 @@ func TestNoCCost(t *testing.T) {
 	}
 }
 
-func TestSpeedupAndEnergyGain(t *testing.T) {
-	base := Estimate{Latency: time.Second, Energy: 100}
-	cand := Estimate{Latency: 10 * time.Millisecond, Energy: 2}
-	if got := Speedup(base, cand); math.Abs(got-100) > 1e-9 {
-		t.Errorf("Speedup = %v, want 100", got)
-	}
-	if got := EnergyGain(base, cand); math.Abs(got-50) > 1e-9 {
-		t.Errorf("EnergyGain = %v, want 50", got)
-	}
-	if Speedup(base, Estimate{}) != 0 {
-		t.Error("Speedup with zero candidate should be 0")
-	}
-	if EnergyGain(base, Estimate{}) != 0 {
-		t.Error("EnergyGain with zero candidate should be 0")
-	}
-}
-
 func TestEstimateAddAndString(t *testing.T) {
 	a := Estimate{Latency: time.Millisecond, Energy: 1}
 	b := Estimate{Latency: 2 * time.Millisecond, Energy: 3}

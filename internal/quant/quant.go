@@ -47,12 +47,6 @@ func New(bits int, min, max float64) (*Quantizer, error) {
 // Levels returns the number of representable levels.
 func (q *Quantizer) Levels() int { return q.levels }
 
-// Step returns the grid spacing.
-func (q *Quantizer) Step() float64 { return q.step }
-
-// Range returns the quantizer's [min, max] interval.
-func (q *Quantizer) Range() (min, max float64) { return q.min, q.max }
-
 // Quantize returns the nearest representable value, saturating at the range
 // edges. NaN maps to the range minimum.
 func (q *Quantizer) Quantize(x float64) float64 {
@@ -78,17 +72,6 @@ func (q *Quantizer) Index(x float64) int {
 	return int(math.Round((x - q.min) / q.step))
 }
 
-// Value returns the representable value at level index k (saturating).
-func (q *Quantizer) Value(k int) float64 {
-	if k <= 0 {
-		return q.min
-	}
-	if k >= q.levels-1 {
-		return q.max
-	}
-	return q.min + float64(k)*q.step
-}
-
 // QuantizeVector quantizes every element of v in place and returns v.
 func (q *Quantizer) QuantizeVector(v []float64) []float64 {
 	for i, x := range v {
@@ -96,10 +79,6 @@ func (q *Quantizer) QuantizeVector(v []float64) []float64 {
 	}
 	return v
 }
-
-// MaxError returns the worst-case rounding error for in-range values
-// (half the step size).
-func (q *Quantizer) MaxError() float64 { return q.step / 2 }
 
 // SymmetricAroundZero returns a quantizer over [-amp, +amp]. This models the
 // bipolar DAC/ADC voltage paths of the solver, where signals can take either

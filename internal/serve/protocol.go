@@ -203,18 +203,6 @@ func toJSONFloats(v []float64) []jsonFloat {
 	return out
 }
 
-// Floats converts a response vector back to plain float64s.
-func Floats(v []jsonFloat) []float64 {
-	if v == nil {
-		return nil
-	}
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = float64(x)
-	}
-	return out
-}
-
 // HardwareInfo is the wire form of memlp.HardwareEstimate.
 type HardwareInfo struct {
 	LatencyNS    int64     `json:"latency_ns"`

@@ -451,7 +451,7 @@ func TestCoalescingDeterminism(t *testing.T) {
 			t.Errorf("request %d: objective %x, want %x (not bit-identical)",
 				i, math.Float64bits(float64(r.Objective)), math.Float64bits(w.Objective))
 		}
-		x := Floats(r.X)
+		x := floats(r.X)
 		if len(x) != len(w.X) {
 			t.Fatalf("request %d: len(x) = %d, want %d", i, len(x), len(w.X))
 		}
@@ -576,7 +576,7 @@ func TestWarmStartCacheThroughServe(t *testing.T) {
 	var summary struct {
 		ServeWarm int64 `json:"serve_warm_starts"`
 	}
-	if err := json.Unmarshal([]byte(s.Metrics().String()), &summary); err != nil {
+	if err := json.Unmarshal([]byte(s.metrics.String()), &summary); err != nil {
 		t.Fatalf("metrics summary: %v", err)
 	}
 	if summary.ServeWarm != 1 {

@@ -162,9 +162,6 @@ func New(cfg Config) *Server {
 // Handler returns the HTTP handler to mount.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics exposes the server's aggregate (shared with /metrics and /vars).
-func (s *Server) Metrics() *trace.Metrics { return s.metrics }
-
 // Close cancels the server's base context: in-flight coalesced batches see
 // their merged context die once their members give up, and new batches abort
 // immediately.

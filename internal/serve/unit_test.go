@@ -207,7 +207,7 @@ func TestJSONFloatRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatalf("unmarshal %s: %v", data, err)
 	}
-	out := Floats(decoded)
+	out := floats(decoded)
 	if len(out) != len(in) {
 		t.Fatalf("round-trip length %d, want %d", len(out), len(in))
 	}
@@ -224,15 +224,13 @@ func TestJSONFloatRoundTrip(t *testing.T) {
 	if toJSONFloats(nil) != nil {
 		t.Error("toJSONFloats(nil) != nil")
 	}
-	if Floats(nil) != nil {
-		t.Error("Floats(nil) != nil")
-	}
 }
 
-func TestServerMetricsAccessor(t *testing.T) {
-	srv := New(Config{})
-	defer srv.Close()
-	if srv.Metrics() == nil {
-		t.Fatal("Metrics() = nil")
+// floats converts a response vector back to plain float64s.
+func floats(v []jsonFloat) []float64 {
+	out := make([]float64, len(v))
+	for i, x := range v {
+		out[i] = float64(x)
 	}
+	return out
 }

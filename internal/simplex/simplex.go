@@ -29,7 +29,7 @@ var ErrPivotLimit = errors.New("simplex: pivot limit exceeded")
 
 // Solver is a two-phase tableau simplex solver.
 type Solver struct {
-	maxPivots int
+	maxPivots int // pivot budget; only tests lower it
 	tol       float64
 
 	// mu serializes solves only when tracing is enabled (the ring is the
@@ -42,11 +42,6 @@ type Solver struct {
 // Option configures the solver.
 type Option func(*Solver)
 
-// WithMaxPivots bounds the total pivot count (default 50000).
-func WithMaxPivots(n int) Option {
-	return func(s *Solver) { s.maxPivots = n }
-}
-
 // WithTrace enables per-pivot trace recording into a bounded ring of the
 // given capacity (<= 0 means trace.DefaultCapacity); the trajectory is
 // returned as engine.Result.Trace. Pivot records carry the running tableau
@@ -56,15 +51,12 @@ func WithTrace(capacity int) Option {
 }
 
 // New returns a simplex solver.
-func New(opts ...Option) (*Solver, error) {
+func New(opts ...Option) *Solver {
 	s := &Solver{maxPivots: 50_000, tol: 1e-9}
 	for _, o := range opts {
 		o(s)
 	}
-	if s.maxPivots < 1 {
-		return nil, fmt.Errorf("%w: max pivots %d", lp.ErrInvalid, s.maxPivots)
-	}
-	return s, nil
+	return s
 }
 
 // tableau is a dense simplex tableau. Row 0..m-1 are constraints; the last

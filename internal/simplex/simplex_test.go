@@ -23,15 +23,6 @@ func mustProblem(t *testing.T, c []float64, rows [][]float64, b []float64) *lp.P
 	return p
 }
 
-func mustSolver(t *testing.T, opts ...Option) *Solver {
-	t.Helper()
-	s, err := New(opts...)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return s
-}
-
 func TestKnownOptima(t *testing.T) {
 	tests := []struct {
 		name string
@@ -47,7 +38,7 @@ func TestKnownOptima(t *testing.T) {
 		{"negative-coeffs", []float64{1, -1}, [][]float64{{-1, 1}, {1, 1}}, []float64{1, 3}, 3},
 		{"degenerate", []float64{2, 1}, [][]float64{{1, 1}, {1, 1}, {1, 0}}, []float64{4, 4, 4}, 8},
 	}
-	s := mustSolver(t)
+	s := New()
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := s.Solve(mustProblem(t, tc.c, tc.a, tc.b))
@@ -67,7 +58,7 @@ func TestKnownOptima(t *testing.T) {
 func TestNegativeRHSPhase1(t *testing.T) {
 	// x ≥ 1 encoded as −x ≤ −1; max −x ⇒ x = 1, objective −1.
 	p := mustProblem(t, []float64{-1}, [][]float64{{-1}}, []float64{-1})
-	res, err := mustSolver(t).Solve(p)
+	res, err := New().Solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -85,7 +76,7 @@ func TestNegativeRHSPhase1(t *testing.T) {
 func TestInfeasible(t *testing.T) {
 	// x ≤ 1 and x ≥ 2.
 	p := mustProblem(t, []float64{1}, [][]float64{{1}, {-1}}, []float64{1, -2})
-	res, err := mustSolver(t).Solve(p)
+	res, err := New().Solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -96,7 +87,7 @@ func TestInfeasible(t *testing.T) {
 
 func TestUnbounded(t *testing.T) {
 	p := mustProblem(t, []float64{1, 0}, [][]float64{{-1, 1}}, []float64{1})
-	res, err := mustSolver(t).Solve(p)
+	res, err := New().Solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -106,7 +97,7 @@ func TestUnbounded(t *testing.T) {
 }
 
 func TestGeneratedInfeasibleDetected(t *testing.T) {
-	s := mustSolver(t)
+	s := New()
 	for seed := int64(0); seed < 10; seed++ {
 		p, err := lp.GenerateInfeasible(lp.GenConfig{Constraints: 9, Seed: seed})
 		if err != nil {
@@ -123,7 +114,7 @@ func TestGeneratedInfeasibleDetected(t *testing.T) {
 }
 
 func TestAgreesWithPDIP(t *testing.T) {
-	s := mustSolver(t)
+	s := New()
 	ip, err := pdip.New()
 	if err != nil {
 		t.Fatalf("pdip.New: %v", err)
@@ -158,7 +149,8 @@ func TestAgreesWithPDIP(t *testing.T) {
 }
 
 func TestPivotLimit(t *testing.T) {
-	s := mustSolver(t, WithMaxPivots(1))
+	s := New()
+	s.maxPivots = 1
 	p, err := lp.GenerateFeasible(lp.GenConfig{Constraints: 12, Seed: 1})
 	if err != nil {
 		t.Fatalf("GenerateFeasible: %v", err)
@@ -168,14 +160,8 @@ func TestPivotLimit(t *testing.T) {
 	}
 }
 
-func TestInvalidOptions(t *testing.T) {
-	if _, err := New(WithMaxPivots(0)); !errors.Is(err, lp.ErrInvalid) {
-		t.Errorf("New = %v, want ErrInvalid", err)
-	}
-}
-
 func TestInvalidProblem(t *testing.T) {
-	s := mustSolver(t)
+	s := New()
 	if _, err := s.Solve(&lp.Problem{}); !errors.Is(err, lp.ErrInvalid) {
 		t.Errorf("Solve = %v, want ErrInvalid", err)
 	}

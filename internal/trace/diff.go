@@ -18,6 +18,8 @@ const maxDiffLines = 20
 // (linalg.Identical) — the mode the width-determinism tests use. NaN is
 // equal to NaN in both modes: a pinned failed attempt must keep matching
 // its golden NaN residuals.
+//
+//memlpvet:ignore deadexport the golden-trace and determinism tests of the root, pdhg and serve packages share this comparator
 func Diff(got, want []Record, tol float64) []string {
 	var out []string
 	more := 0

@@ -134,10 +134,9 @@ const DefaultCapacity = 1024
 // Ring is a bounded in-memory sink. When full it overwrites the oldest
 // records, so the tail of a pathological run is always retained.
 type Ring struct {
-	buf     []Record
-	next    int
-	n       int
-	dropped int64
+	buf  []Record
+	next int
+	n    int
 }
 
 // NewRing returns a ring holding up to capacity records
@@ -160,8 +159,6 @@ func (r *Ring) Emit(rec Record) {
 	}
 	if r.n < len(r.buf) {
 		r.n++
-	} else {
-		r.dropped++
 	}
 }
 
@@ -171,14 +168,7 @@ func (r *Ring) Emit(rec Record) {
 func (r *Ring) Reset() {
 	r.next = 0
 	r.n = 0
-	r.dropped = 0
 }
-
-// Len reports how many records are buffered.
-func (r *Ring) Len() int { return r.n }
-
-// Dropped reports how many records were overwritten since the last Reset.
-func (r *Ring) Dropped() int64 { return r.dropped }
 
 // Snapshot returns the buffered records oldest-first as a fresh slice.
 func (r *Ring) Snapshot() []Record {

@@ -32,8 +32,8 @@ func TestRingSnapshotOrder(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Emit(sampleRecord(i))
 	}
-	if r.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", r.Len())
+	if r.n != 5 {
+		t.Fatalf("buffered %d records, want 5", r.n)
 	}
 	snap := r.Snapshot()
 	for i, rec := range snap {
@@ -48,11 +48,8 @@ func TestRingWrapKeepsTail(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Emit(sampleRecord(i))
 	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
-	}
-	if r.Dropped() != 6 {
-		t.Fatalf("Dropped = %d, want 6", r.Dropped())
+	if r.n != 4 {
+		t.Fatalf("buffered %d records, want 4", r.n)
 	}
 	snap := r.Snapshot()
 	want := []int{7, 8, 9, 10}
@@ -62,7 +59,7 @@ func TestRingWrapKeepsTail(t *testing.T) {
 		}
 	}
 	r.Reset()
-	if r.Len() != 0 || r.Dropped() != 0 || r.Snapshot() != nil {
+	if r.n != 0 || r.Snapshot() != nil {
 		t.Fatal("Reset did not clear the ring")
 	}
 }
@@ -185,8 +182,8 @@ func TestMultiFansOut(t *testing.T) {
 	a, b := NewRing(4), NewRing(4)
 	m := Multi{a, b}
 	m.Emit(sampleRecord(0))
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("fan-out failed: %d, %d", a.Len(), b.Len())
+	if a.n != 1 || b.n != 1 {
+		t.Fatalf("fan-out failed: %d, %d", a.n, b.n)
 	}
 }
 

@@ -111,10 +111,10 @@ func TestSeedAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Seed() != 23 {
-		t.Errorf("Seed() = %d, want 23", m.Seed())
+	if m.seed != 23 {
+		t.Errorf("seed = %d, want 23", m.seed)
 	}
-	if m.Clone().Seed() != 23 {
-		t.Errorf("Clone().Seed() = %d, want 23", m.Clone().Seed())
+	if m.Clone().seed != 23 {
+		t.Errorf("Clone().seed = %d, want 23", m.Clone().seed)
 	}
 }

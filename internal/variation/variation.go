@@ -81,12 +81,6 @@ func NewPaperModel(magnitude float64, seed int64) (*Model, error) {
 	return NewModel(Uniform, magnitude, seed)
 }
 
-// Magnitude returns the configured maximum relative deviation.
-func (m *Model) Magnitude() float64 { return m.magnitude }
-
-// Seed returns the base seed the model was constructed with.
-func (m *Model) Seed() int64 { return m.seed }
-
 // Clone returns an independent model with the same distribution, magnitude,
 // and base seed, with its stream rewound to the beginning — exactly the model
 // NewModel would return. Replicated fabrics clone the model so every replica
@@ -119,9 +113,6 @@ func mixEpoch(seed, epoch int64) int64 {
 	return int64(z & 0x7fffffffffffffff)
 }
 
-// Distribution returns the configured distribution.
-func (m *Model) Distribution() Distribution { return m.dist }
-
 // Factor returns a multiplicative variation factor (1 + ε) for one device
 // write, with |ε| ≤ magnitude.
 func (m *Model) Factor() float64 {
@@ -145,15 +136,6 @@ func (m *Model) Factor() float64 {
 
 // Apply returns x perturbed by one draw: x · Factor().
 func (m *Model) Apply(x float64) float64 { return x * m.Factor() }
-
-// ApplySlice perturbs every element of xs in place with independent draws
-// and returns xs.
-func (m *Model) ApplySlice(xs []float64) []float64 {
-	for i := range xs {
-		xs[i] *= m.Factor()
-	}
-	return xs
-}
 
 func clamp(x, lo, hi float64) float64 {
 	if x < lo {

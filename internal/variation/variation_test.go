@@ -142,25 +142,6 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestApplySliceInPlace(t *testing.T) {
-	m, err := NewPaperModel(0.1, 5)
-	if err != nil {
-		t.Fatalf("NewPaperModel: %v", err)
-	}
-	xs := []float64{1, 2, 3, 4}
-	got := m.ApplySlice(xs)
-	if &got[0] != &xs[0] {
-		t.Error("ApplySlice did not operate in place")
-	}
-	for i, x := range got {
-		lo := float64(i+1) * 0.9
-		hi := float64(i+1) * 1.1
-		if x < lo-1e-12 || x > hi+1e-12 {
-			t.Errorf("element %d = %v outside [%v, %v]", i, x, lo, hi)
-		}
-	}
-}
-
 func TestDistributionString(t *testing.T) {
 	if Uniform.String() != "uniform" || Gaussian.String() != "gaussian" || Lognormal.String() != "lognormal" {
 		t.Error("Distribution.String wrong for known values")

@@ -255,9 +255,9 @@ func TestSolutionTraceNilWithoutOption(t *testing.T) {
 	}
 }
 
-// benchmarkSolve is the BENCH_TRACE.json harness: the same seeded noisy
-// crossbar solve with and without the ring-sink recorder, so the pair
-// isolates tracing's end-to-end overhead (see `make bench-trace`).
+// benchmarkSolve runs the same seeded noisy crossbar solve with and without
+// the ring-sink recorder, so the pair isolates tracing's end-to-end overhead
+// (go test -run '^$' -bench 'BenchmarkSolve(Traced|Untraced)').
 func benchmarkSolve(b *testing.B, traced bool) {
 	p := feasibleLP(b, 16, 7)
 	opts := []Option{WithSeed(3), WithVariation(0.05), WithCycleNoise(0.25)}

@@ -766,7 +766,7 @@ func buildSimplex(_ *Solver, o options) (engineSolver, error) {
 	if o.traced {
 		sopts = append(sopts, simplex.WithTrace(o.traceCap))
 	}
-	return simplex.New(sopts...)
+	return simplex.New(sopts...), nil
 }
 
 // buildPDHG wires the tiled PDHG engine: the same per-array crossbar
