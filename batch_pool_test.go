@@ -7,6 +7,7 @@ package memlp
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -127,6 +128,12 @@ func TestSolveBatchStats(t *testing.T) {
 // serial cancellation regression: with an explicit pool width > 1, the
 // Solutions completed before the interruption come back in input order with
 // the first interrupted solve's StatusCanceled partial as the last element.
+// Input order is checked against an uncanceled run of the batch's completed
+// prefix on a second handle: each completed Solution must match its
+// problem's there bit for bit, status included. (A pooled Solution depends
+// only on its problem and its index in the batch, so the prefix solves as
+// it would in the whole batch. Problem 1 ends in StatusNumericalFailure in
+// both runs.)
 func TestSolveBatchPooledPartialResultsOnCancel(t *testing.T) {
 	problems := poolBatch(t, 200, 20, 9)
 	s, err := NewSolver(EngineCrossbar, WithParallelism(4))
@@ -151,9 +158,27 @@ func TestSolveBatchPooledPartialResultsOnCancel(t *testing.T) {
 	if len(sols) == len(problems) {
 		t.Fatal("all solutions returned despite cancellation error")
 	}
-	for i, sol := range sols[:len(sols)-1] {
-		if sol.Status != StatusOptimal {
-			t.Errorf("completed solution %d: status %v, want %v", i, sol.Status, StatusOptimal)
+	done := sols[:len(sols)-1]
+	var want []*Solution
+	if len(done) > 0 {
+		ref, err := NewSolver(EngineCrossbar, WithParallelism(4))
+		if err != nil {
+			t.Fatalf("NewSolver: %v", err)
+		}
+		if want, err = ref.SolveBatch(context.Background(), problems[:len(done)]); err != nil {
+			t.Fatalf("uncanceled batch: %v", err)
+		}
+	}
+	for i, sol := range done {
+		w := want[i]
+		same := sol.Status == w.Status && sol.Iterations == w.Iterations &&
+			math.Float64bits(sol.Objective) == math.Float64bits(w.Objective) && len(sol.X) == len(w.X)
+		for j := 0; same && j < len(w.X); j++ {
+			same = math.Float64bits(sol.X[j]) == math.Float64bits(w.X[j])
+		}
+		if !same {
+			t.Errorf("completed solution %d: status %v, objective %v, %d iterations, X %v; uncanceled run: %v, %v, %d, %v",
+				i, sol.Status, sol.Objective, sol.Iterations, sol.X, w.Status, w.Objective, w.Iterations, w.X)
 		}
 	}
 	last := sols[len(sols)-1]

@@ -336,7 +336,9 @@ func (e *extended) fillDiagRows(x, y, w, z linalg.Vector) {
 // refresh (2.7N cells for n = m/3, as §4.4 counts). The returned slice and
 // its row vectors are scratch storage owned by e, overwritten by the next
 // call: each update row has exactly two live cells at fixed positions, so
-// after the first allocation only those cells are rewritten.
+// after the first allocation only those cells are rewritten. The rows stay
+// dense, as Fabric.UpdateRow takes them; the crossbar makes one pass over
+// the values and then programs only the row's non-zero and live cells.
 func (e *extended) diagRowUpdates(x, y, w, z linalg.Vector) []rowUpdate {
 	if e.upd == nil {
 		e.upd = make([]rowUpdate, 0, e.n+e.m)
@@ -369,8 +371,10 @@ func (e *extended) diagRowUpdates(x, y, w, z linalg.Vector) []rowUpdate {
 		row[e.colW(i)] = y[i]
 	}
 	// SOC rows rewrite 4·d cells each: the sign-split NT block pair, with
-	// the complementary cell of every pair zeroed (signs flip across
-	// iterations and UpdateRow programs the entire row).
+	// the complementary cell of every pair zeroed. Signs flip across
+	// iterations, and UpdateRow takes the row as the row's new contents: a
+	// stale value would be programmed, and a zeroed cell that held a value
+	// is rewritten to zero.
 	for bi := range e.blocks {
 		blk := e.blocks[bi]
 		sc, d := e.scalings[bi], blk.Dim

@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/memristor"
@@ -309,6 +310,15 @@ type Crossbar struct {
 	// a cell, Program, and RemapAvoidingFaults.
 	pat      linalg.Pattern
 	patValid bool
+	// live holds one bit per cell, liveWords words per row, set for every
+	// cell a row refresh must visit even when its incoming coefficient is
+	// +0: every cell whose target or progTarget has a bit set (non-zero,
+	// NaN or −0). A set bit may also mark a dead cell, which a refresh visits
+	// harmlessly and clears. Program drops the masks (liveValid) and the
+	// first refresh after it rebuilds them into the same storage.
+	live      []uint64
+	liveWords int
+	liveValid bool
 
 	counters Counters
 
@@ -318,14 +328,12 @@ type Crossbar struct {
 	// across methods: MatVecResidual's result is routinely fed straight into
 	// Solve, so the two must not overwrite each other's storage.
 	analogIn linalg.Vector              // toAnalog normalized input
-	mvVO     linalg.Vector              // MatVec analog outputs
-	mvOut    linalg.Vector              // MatVec returned result
+	mvOut    linalg.Vector              // MatVec analog outputs, digitized and returned
 	resVI    linalg.Vector              // MatVecResidual quantized input
 	resOut   linalg.Vector              // MatVecResidual returned result
 	solveNet *linalg.Matrix             // Solve IR-drop-adjusted network view
 	solveVO  linalg.Vector              // Solve forced bitline voltages
-	solveOut linalg.Vector              // Solve returned result
-	solveWS  linalg.StructuredWorkspace // Solve network settle scratch
+	solveWS  linalg.StructuredWorkspace // Solve network settle, digitized and returned
 }
 
 // scratchVec returns *buf resized to n, allocating only on growth.
@@ -490,6 +498,7 @@ func (x *Crossbar) Program(a *linalg.Matrix) error {
 	sameShape := x.target != nil && x.rows == a.Rows() && x.cols == a.Cols()
 	x.rows, x.cols = a.Rows(), a.Cols()
 	x.patValid = false
+	x.liveValid = false
 	if sameShape {
 		// Reuse the mapping buffers, but clear both the realized
 		// conductances and the program-and-verify cache: stale gt entries
@@ -541,9 +550,19 @@ func (x *Crossbar) Program(a *linalg.Matrix) error {
 	return nil
 }
 
-// setTargetRow picks row i's digital scale so that (a) the row sum of
-// C_i = row/scaleᵢ stays ≤ ρ and (b) every mapped conductance
-// g = v·gs/(scaleᵢ − rowsum) stays ≤ gmax, then stores the scaled targets.
+// rowScaleFor picks a row's digital scale from its coefficient sum and its
+// largest coefficient, so that (a) the row sum of C_i = row/scaleᵢ stays
+// ≤ ρ and (b) every mapped conductance g = v·gs/(scaleᵢ − rowsum) stays
+// ≤ gmax.
+func (x *Crossbar) rowScaleFor(sum, maxElem float64) float64 {
+	if req := sum + maxElem*x.cfg.SenseConductance/x.cfg.Device.GMax(); req > 0 {
+		return req / x.cfg.MaxRowSum
+	}
+	return 1
+}
+
+// setTargetRow sets row i's digital scale and stores every cell's scaled
+// target.
 func (x *Crossbar) setTargetRow(i int, row linalg.Vector) {
 	var sum, maxElem float64
 	for _, v := range row {
@@ -552,10 +571,7 @@ func (x *Crossbar) setTargetRow(i int, row linalg.Vector) {
 			maxElem = v
 		}
 	}
-	scale := 1.0
-	if req := sum + maxElem*x.cfg.SenseConductance/x.cfg.Device.GMax(); req > 0 {
-		scale = req / x.cfg.MaxRowSum
-	}
+	scale := x.rowScaleFor(sum, maxElem)
 	x.rowScale[i] = scale
 	for j, v := range row {
 		x.target.Set(i, j, v/scale)
@@ -564,59 +580,145 @@ func (x *Crossbar) setTargetRow(i int, row linalg.Vector) {
 
 // writeRow physically programs every cell of row i from the target matrix,
 // drawing fresh variation and applying write quantization. Zero targets map
-// to selector-gated zero-conductance cells.
+// to selector-gated zero-conductance cells. Only Program walks a whole row:
+// a fresh mapping must pin every stuck cell, zero targets included.
 func (x *Crossbar) writeRow(i int) {
 	gs := x.cfg.SenseConductance
 	ri := x.target.RowSum(i)
 	// Exact mapping: g = C·gs/(1−R). Row sums ≤ ρ < 1 by construction.
 	coef := gs / (1 - ri)
 	for j := 0; j < x.cols; j++ {
-		c := x.target.At(i, j)
 		var tq float64
-		if c > 0 {
+		if c := x.target.At(i, j); c > 0 {
 			tq = x.quantizeG(c * coef)
 		}
-		// Stuck devices are pinned regardless of the target; check the fault
-		// map before the progTarget skip so pinning survives the gt reset a
-		// re-Program performs.
-		if k := x.faultAt(i, j); k != memristor.FaultNone {
-			x.pinFaultCell(i, j, k, tq)
-			continue
+		x.programCell(i, j, tq)
+	}
+}
+
+// programCell brings cell (i, j) to the quantized conductance target tq,
+// issuing a physical write only where the program-and-verify cache and the
+// delta-programming levels say one is needed.
+func (x *Crossbar) programCell(i, j int, tq float64) {
+	// Stuck devices are pinned regardless of the target; check the fault
+	// map before the progTarget skip so pinning survives the gt reset a
+	// re-Program performs.
+	if k := x.faultAt(i, j); k != memristor.FaultNone {
+		x.pinFaultCell(i, j, k, tq)
+		return
+	}
+	// Program-and-verify skips cells whose quantized target is already
+	// programmed: unchanged coefficients cost no write pulses. This is what
+	// keeps the per-iteration refresh at O(N) — only the X/Y/Z/W cells (and
+	// re-balanced neighbours) actually change. Both values lie on the
+	// quantizeG grid, so bit-exact identity is the right test.
+	if linalg.Identical(tq, x.progTarget.At(i, j)) {
+		// The realized conductance is exactly this target's, so the cell's
+		// delta level is the target's level. Recording it here — not just in
+		// writeDevice — matters for pool determinism: after an epoch rebase
+		// the first refresh of a row leaves the level of every non-zero
+		// target a pure function of the refresh targets whether or not the
+		// cell physically needed a write (which is shard-history-dependent).
+		if x.deltaLevel != nil {
+			x.deltaLevel[i*x.cols+j] = x.deltaLevelOf(tq)
 		}
-		// Program-and-verify skips cells whose quantized target is already
-		// programmed: unchanged coefficients cost no write pulses. This is
-		// what keeps the per-iteration refresh at O(N) — only the X/Y/Z/W
-		// cells (and re-balanced neighbours) actually change. Both values
-		// lie on the quantizeG grid, so bit-exact identity is the right test.
-		if linalg.Identical(tq, x.progTarget.At(i, j)) {
-			// The realized conductance is exactly this target's, so the cell's
-			// delta level is the target's level. Recording it here — not just
-			// in writeDevice — matters for pool determinism: after an epoch
-			// rebase the first row refresh leaves the level cache a pure
-			// function of the refresh targets whether or not each cell
-			// physically needed a write (which is shard-history-dependent).
-			if x.deltaLevel != nil {
-				x.deltaLevel[i*x.cols+j] = x.deltaLevelOf(tq)
+		return
+	}
+	// Delta-programming skips targets whose coarse level is unchanged since
+	// the cell's last epoch-compatible write: the stale realized conductance
+	// (its noise draw included) already sits within the I/O precision of the
+	// new target. The skip decision is a pure function of digital targets,
+	// so iterate trajectories stay deterministic.
+	if x.deltaLevel != nil && x.deltaLevelOf(tq) == x.deltaLevel[i*x.cols+j] {
+		x.counters.CellSkips++
+		return
+	}
+	x.writeDevice(i, j, tq)
+}
+
+// liveCell reports whether a cell holding this target and progTarget must
+// be visited by a refresh even where the incoming coefficient is +0. Any
+// set bit keeps it live: a non-zero value, the NaN an epoch rebase leaves
+// in progTarget, or a −0 target, which the refresh overwrites with +0 as a
+// dense walk would.
+func liveCell(target, progTarget float64) bool {
+	return math.Float64bits(target)|math.Float64bits(progTarget) != 0
+}
+
+// liveRow returns row i's live-cell mask, first rebuilding every row's mask
+// from target and progTarget if Program dropped them.
+func (x *Crossbar) liveRow(i int) []uint64 {
+	if !x.liveValid {
+		x.liveWords = (x.cols + 63) / 64
+		n := x.rows * x.liveWords
+		if cap(x.live) < n {
+			x.live = make([]uint64, n)
+		}
+		x.live = x.live[:n]
+		clear(x.live)
+		for r := 0; r < x.rows; r++ {
+			mask := x.live[r*x.liveWords : (r+1)*x.liveWords]
+			prow := x.progTarget.RawRow(r)
+			for j, t := range x.target.RawRow(r) {
+				if liveCell(t, prow[j]) {
+					mask[j/64] |= 1 << (j % 64)
+				}
 			}
-			continue
 		}
-		// Delta-programming skips targets whose coarse level is unchanged
-		// since the cell's last epoch-compatible write: the stale realized
-		// conductance (its noise draw included) already sits within the I/O
-		// precision of the new target. The skip decision is a pure function
-		// of digital targets, so iterate trajectories stay deterministic.
-		if x.deltaLevel != nil && x.deltaLevelOf(tq) == x.deltaLevel[i*x.cols+j] {
-			x.counters.CellSkips++
-			continue
+		x.liveValid = true
+	}
+	return x.live[i*x.liveWords : (i+1)*x.liveWords]
+}
+
+// refreshRow stores row i's new targets, row/scale, and programs them,
+// visiting only the cells set in live, in ascending column order. Every
+// other cell has a +0 target, a +0 progTarget and a +0 incoming
+// coefficient, so the dense walk of writeRow would leave it as it is: its
+// target stays +0, a healthy cell takes the progTarget skip, and a stuck
+// cell is re-pinned to the conductance Program already pinned it to. The
+// dense walk would also record such a cell's delta level as 0 where this
+// one may leave deltaInvalid; no outcome can tell the two apart, because a
+// level is compared only after the progTarget skip fails, which for a zero
+// target needs a non-zero progTarget, and the level of a non-zero target is
+// never 0. Skipped cells add only ±0 to the row sum, and visiting in
+// ascending order keeps every sum, noise draw, counter and realized
+// conductance bit-identical to the dense walk. Cells left with neither a
+// target nor a progTarget bit set drop out of live.
+//
+//memlp:hotpath
+func (x *Crossbar) refreshRow(i int, row linalg.Vector, scale float64, live []uint64) {
+	trow := x.target.RawRow(i)
+	var ri float64
+	for k, w := range live {
+		for ; w != 0; w &= w - 1 {
+			j := k*64 + bits.TrailingZeros64(w)
+			trow[j] = row[j] / scale
+			ri += trow[j]
 		}
-		x.writeDevice(i, j, tq)
+	}
+	// Exact mapping: g = C·gs/(1−R). Row sums ≤ ρ < 1 by construction.
+	coef := x.cfg.SenseConductance / (1 - ri)
+	prow := x.progTarget.RawRow(i)
+	for k, w := range live {
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			j := k*64 + b
+			var tq float64
+			if c := trow[j]; c > 0 {
+				tq = x.quantizeG(c * coef)
+			}
+			x.programCell(i, j, tq)
+			if !liveCell(trow[j], prow[j]) {
+				live[k] &^= 1 << b
+			}
+		}
 	}
 }
 
 // UpdateRow replaces row i of the programmed matrix with the given values
-// (in user units) and physically rewrites that row's cells. It returns
-// ErrTooLarge if the new row sum no longer fits under the headroom scale; the
-// caller should then re-Program the full matrix.
+// (in user units) and physically rewrites that row's cells. The row's scale
+// is re-balanced, so every valid row fits. Past one pass over the values,
+// the cost grows with the row's non-zero and live cells, not its width.
 func (x *Crossbar) UpdateRow(i int, row linalg.Vector) error {
 	if x.target == nil {
 		return ErrNotProgrammed
@@ -624,13 +726,30 @@ func (x *Crossbar) UpdateRow(i int, row linalg.Vector) error {
 	if i < 0 || i >= x.rows || len(row) != x.cols {
 		return fmt.Errorf("%w: row %d len %d for %dx%d", linalg.ErrDimensionMismatch, i, len(row), x.rows, x.cols)
 	}
-	for _, v := range row {
+	// One pass checks every value, gathers the sum and maximum that set the
+	// row's scale, and marks every value with a bit set (−0 included, so its
+	// target is stored as a dense walk would) for refreshRow to visit. A +0
+	// passes every check and adds nothing, so only marked values are
+	// checked. Marks left by a rejected row are harmless: a dead cell
+	// visited is a no-op.
+	live := x.liveRow(i)
+	var sum, maxElem float64
+	for j, v := range row {
+		if math.Float64bits(v) == 0 {
+			continue
+		}
 		if err := checkCoefficient(v); err != nil {
 			return err
 		}
+		live[j/64] |= 1 << (j % 64)
+		sum += v
+		if v > maxElem {
+			maxElem = v
+		}
 	}
-	x.setTargetRow(i, row)
-	x.writeRow(i)
+	scale := x.rowScaleFor(sum, maxElem)
+	x.rowScale[i] = scale
+	x.refreshRow(i, row, scale, live)
 	return nil
 }
 
@@ -673,27 +792,19 @@ func (x *Crossbar) UpdateCellInPlace(i, j int, value float64) error {
 		c = 0
 	}
 	x.target.Set(i, j, c)
+	// Only a target with a bit set can leave the cell live: a non-zero
+	// progTarget after the write needs a non-zero target, and one that was
+	// already non-zero was already marked.
+	if x.liveValid && math.Float64bits(c) != 0 {
+		x.live[i*x.liveWords+j/64] |= 1 << (j % 64)
+	}
 	var tq float64
 	if c > 0 {
 		ri := x.target.RowSum(i)
 		coef := x.cfg.SenseConductance / (1 - ri)
 		tq = x.quantizeG(c * coef)
 	}
-	if k := x.faultAt(i, j); k != memristor.FaultNone {
-		x.pinFaultCell(i, j, k, tq)
-		return nil
-	}
-	if linalg.Identical(tq, x.progTarget.At(i, j)) {
-		if x.deltaLevel != nil {
-			x.deltaLevel[i*x.cols+j] = x.deltaLevelOf(tq)
-		}
-		return nil
-	}
-	if x.deltaLevel != nil && x.deltaLevelOf(tq) == x.deltaLevel[i*x.cols+j] {
-		x.counters.CellSkips++
-		return nil
-	}
-	x.writeDevice(i, j, tq)
+	x.programCell(i, j, tq)
 	return nil
 }
 
@@ -755,22 +866,21 @@ func (x *Crossbar) MatVec(v linalg.Vector) (linalg.Vector, error) {
 	}
 	gs := x.cfg.SenseConductance
 	p := x.pattern()
-	vo := scratchVec(&x.mvVO, x.rows)
+	vo := scratchVec(&x.mvOut, x.rows)
 	for i := 0; i < x.rows; i++ {
 		num, s := x.senseRow(i, p.Row(i), vi)
 		vo[i] = num / (gs + s)
 	}
-	out, err := x.fromAnalog(vo, &x.mvOut)
-	if err != nil {
+	if err := x.fromAnalog(vo); err != nil {
 		return nil, err
 	}
 	x.counters.MatVecOps++
 	// The analog result is VO = C·(v/inScale); the user result is
 	// userRowᵢ·v = rowScaleᵢ·Cᵢ·v = rowScaleᵢ·inScale·VOᵢ (per-row ADC gain).
-	for i := range out {
-		out[i] *= x.rowScale[i] * inScale
+	for i := range vo {
+		vo[i] *= x.rowScale[i] * inScale
 	}
-	return out, nil
+	return vo, nil
 }
 
 // MatVecResidual computes r = base − factor ∘ (userMatrix·v) with the
@@ -849,7 +959,9 @@ func (x *Crossbar) Solve(b linalg.Vector) (linalg.Vector, error) {
 	// every Newton step into the primal residual (DESIGN.md §D3).
 	gs := x.cfg.SenseConductance
 	// The attenuated network has gt's zeros (effG(0) = 0), so gt's pattern
-	// covers it as well.
+	// covers it as well. The row sums below and SolvePattern read only the
+	// pattern's entries of the network, so only those are filled; the rest
+	// of solveNet may hold a previous pattern's values.
 	p := x.pattern()
 	net := x.gt
 	if x.cfg.WireResistance > 0 || x.driftEnabled() {
@@ -858,10 +970,9 @@ func (x *Crossbar) Solve(b linalg.Vector) (linalg.Vector, error) {
 		}
 		net = x.solveNet
 		for i := 0; i < x.rows; i++ {
-			grow := x.gt.RawRow(i)
-			nrow := net.RawRow(i)
-			for j, g := range grow {
-				nrow[j] = x.effG(i, j, g)
+			grow, nrow := x.gt.RawRow(i), net.RawRow(i)
+			for _, j := range p.Row(i) {
+				nrow[j] = x.effG(i, int(j), grow[j])
 			}
 		}
 	}
@@ -891,8 +1002,7 @@ func (x *Crossbar) Solve(b linalg.Vector) (linalg.Vector, error) {
 		}
 		return nil, err
 	}
-	out, err := x.fromAnalog(vi, &x.solveOut)
-	if err != nil {
+	if err := x.fromAnalog(vi); err != nil {
 		return nil, err
 	}
 	x.counters.SolveOps++
@@ -903,10 +1013,10 @@ func (x *Crossbar) Solve(b linalg.Vector) (linalg.Vector, error) {
 	}
 	// The network solved Gᵀ·VI = gs·(vo/inScale), so the true wordline
 	// voltages are inScale·VI.
-	for i := range out {
-		out[i] *= inScale
+	for i := range vi {
+		vi[i] *= inScale
 	}
-	return out, nil
+	return vi, nil
 }
 
 // EffectiveMatrix reconstructs, in user units, the matrix the array actually
@@ -963,16 +1073,11 @@ func (x *Crossbar) toAnalog(v linalg.Vector) (linalg.Vector, float64, error) {
 	return out, inScale, nil
 }
 
-// fromAnalog models the ADC stage on the analog result vector, writing the
-// digitized copy into the given caller-owned scratch buffer.
-func (x *Crossbar) fromAnalog(v linalg.Vector, scratch *linalg.Vector) (linalg.Vector, error) {
+// fromAnalog models the ADC stage on the analog result vector v,
+// digitizing it in place.
+func (x *Crossbar) fromAnalog(v linalg.Vector) error {
 	x.counters.IOConversions += int64(len(v))
-	out := scratchVec(scratch, len(v))
-	copy(out, v)
-	if err := x.QuantizeIO(out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return x.QuantizeIO(v)
 }
 
 // QuantizeIO applies the array's DAC/ADC converter model to v in place:

@@ -9,13 +9,16 @@ import (
 
 // TestAnalogReadAllocations pins the //memlp:hotpath contract at runtime:
 // after warm-up, the per-iteration analog read kernels (MatVec, residual
-// read, linear solve) run without allocating — all results live in
-// crossbar-owned scratch. The memlpvet hotpath analyzer enforces the same
-// property at the source level for the annotated leaf kernels.
+// read, linear solve) and the row refresh run without allocating — all
+// results live in crossbar-owned scratch. The memlpvet hotpath analyzer
+// enforces the same property at the source level for the annotated leaf
+// kernels.
 func TestAnalogReadAllocations(t *testing.T) {
 	const n = 16
 	r := rand.New(rand.NewSource(7))
-	x := mustNew(t, idealConfig(n))
+	cfg := idealConfig(n)
+	cfg.DeltaWriteBits = 8
+	x := mustNew(t, cfg)
 	if err := x.Program(randomNonNegMatrix(r, n)); err != nil {
 		t.Fatalf("Program: %v", err)
 	}
@@ -25,7 +28,12 @@ func TestAnalogReadAllocations(t *testing.T) {
 		v[i] = r.Float64()
 		base[i] = r.Float64()
 	}
-	// Warm-up populates the scratch buffers.
+	// Two refresh rows whose patterns differ, so alternating them writes,
+	// skips and clears cells.
+	rows := [2]linalg.Vector{linalg.NewVector(n), linalg.NewVector(n)}
+	rows[0][2], rows[0][3] = 1, 2
+	rows[1][3], rows[1][9] = 3, 0.5
+	// Warm-up populates the scratch buffers and the live-cell masks.
 	if _, err := x.MatVec(v); err != nil {
 		t.Fatalf("MatVec warm-up: %v", err)
 	}
@@ -34,6 +42,9 @@ func TestAnalogReadAllocations(t *testing.T) {
 	}
 	if _, err := x.Solve(base); err != nil {
 		t.Fatalf("Solve warm-up: %v", err)
+	}
+	if err := x.UpdateRow(3, rows[0]); err != nil {
+		t.Fatalf("UpdateRow warm-up: %v", err)
 	}
 
 	if allocs := testing.AllocsPerRun(50, func() {
@@ -56,6 +67,19 @@ func TestAnalogReadAllocations(t *testing.T) {
 		}
 	}); allocs > 0 {
 		t.Errorf("Solve allocates %.0f per call after warm-up, want 0", allocs)
+	}
+	writes := x.Counters().CellWrites
+	k := 0
+	if allocs := testing.AllocsPerRun(50, func() {
+		k++
+		if err := x.UpdateRow(3, rows[k%2]); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Errorf("UpdateRow allocates %.0f per call after warm-up, want 0", allocs)
+	}
+	if x.Counters().CellWrites == writes {
+		t.Error("the measured refreshes wrote no cell")
 	}
 }
 

@@ -1,0 +1,385 @@
+package crossbar
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/memlp/memlp/internal/linalg"
+	"github.com/memlp/memlp/internal/memristor"
+	"github.com/memlp/memlp/internal/variation"
+)
+
+// refSetTargetRow and refWriteRow are the dense row refresh that refreshRow
+// replaced: every cell of the row is rescaled and re-tested, and every cell
+// whose target changed is rewritten. They are kept as the reference that
+// TestRefreshMatchesDense holds UpdateRow to.
+func refSetTargetRow(x *Crossbar, i int, row linalg.Vector) {
+	var sum, maxElem float64
+	for _, v := range row {
+		sum += v
+		if v > maxElem {
+			maxElem = v
+		}
+	}
+	scale := 1.0
+	if req := sum + maxElem*x.cfg.SenseConductance/x.cfg.Device.GMax(); req > 0 {
+		scale = req / x.cfg.MaxRowSum
+	}
+	x.rowScale[i] = scale
+	for j, v := range row {
+		x.target.Set(i, j, v/scale)
+	}
+}
+
+func refWriteRow(x *Crossbar, i int) {
+	gs := x.cfg.SenseConductance
+	ri := x.target.RowSum(i)
+	coef := gs / (1 - ri)
+	for j := 0; j < x.cols; j++ {
+		c := x.target.At(i, j)
+		var tq float64
+		if c > 0 {
+			tq = x.quantizeG(c * coef)
+		}
+		if k := x.faultAt(i, j); k != memristor.FaultNone {
+			x.pinFaultCell(i, j, k, tq)
+			continue
+		}
+		if linalg.Identical(tq, x.progTarget.At(i, j)) {
+			if x.deltaLevel != nil {
+				x.deltaLevel[i*x.cols+j] = x.deltaLevelOf(tq)
+			}
+			continue
+		}
+		if x.deltaLevel != nil && x.deltaLevelOf(tq) == x.deltaLevel[i*x.cols+j] {
+			x.counters.CellSkips++
+			continue
+		}
+		x.writeDevice(i, j, tq)
+	}
+}
+
+// refUpdateRow is UpdateRow over the dense reference.
+func refUpdateRow(x *Crossbar, i int, row linalg.Vector) error {
+	if x.target == nil {
+		return ErrNotProgrammed
+	}
+	if i < 0 || i >= x.rows || len(row) != x.cols {
+		return linalg.ErrDimensionMismatch
+	}
+	for _, v := range row {
+		if err := checkCoefficient(v); err != nil {
+			return err
+		}
+	}
+	refSetTargetRow(x, i, row)
+	refWriteRow(x, i)
+	return nil
+}
+
+// requireSameBits compares two matrices bit for bit: NaN matches NaN of
+// the same payload, and −0 does not match +0.
+func requireSameBits(t *testing.T, got, want *linalg.Matrix, label string) {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Fatalf("%s: allocated %v, reference %v", label, got != nil, want != nil)
+	}
+	if want == nil {
+		return
+	}
+	for i := 0; i < want.Rows(); i++ {
+		for j, w := range want.RawRow(i) {
+			if g := got.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: cell (%d,%d) = %v [%#x], want %v [%#x]", label, i, j, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// requireRefreshState compares every piece of state a refresh touches on
+// the array under test with the dense reference, and checks the two facts
+// that make skipping a dead cell safe rather than assuming them.
+func requireRefreshState(t *testing.T, got, ref *Crossbar, label string) {
+	t.Helper()
+	if got.rows != ref.rows || got.cols != ref.cols || got.rowOff != ref.rowOff || got.colOff != ref.colOff {
+		t.Fatalf("%s: shape %dx%d at (%d,%d), reference %dx%d at (%d,%d)", label,
+			got.rows, got.cols, got.rowOff, got.colOff, ref.rows, ref.cols, ref.rowOff, ref.colOff)
+	}
+	if got.counters != ref.counters {
+		t.Fatalf("%s: counters %+v, reference %+v", label, got.counters, ref.counters)
+	}
+	if got.writeSeq != ref.writeSeq || !linalg.Identical(got.driftCycle, ref.driftCycle) {
+		t.Fatalf("%s: write sequence %d and drift cycle %v, reference %d and %v", label,
+			got.writeSeq, got.driftCycle, ref.writeSeq, ref.driftCycle)
+	}
+	if got.target == nil {
+		if ref.target != nil {
+			t.Fatalf("%s: unprogrammed, reference programmed", label)
+		}
+		return
+	}
+	requireSameBits(t, got.gt, ref.gt, label+": gt")
+	requireSameBits(t, got.target, ref.target, label+": target")
+	requireSameBits(t, got.progTarget, ref.progTarget, label+": progTarget")
+	requireSameBits(t, got.cellCycle, ref.cellCycle, label+": cellCycle")
+	for i, s := range ref.rowScale {
+		if math.Float64bits(got.rowScale[i]) != math.Float64bits(s) {
+			t.Fatalf("%s: rowScale[%d] = %v, reference %v", label, i, got.rowScale[i], s)
+		}
+	}
+	if (got.deltaLevel == nil) != (ref.deltaLevel == nil) {
+		t.Fatalf("%s: delta levels kept %v, reference %v", label, got.deltaLevel != nil, ref.deltaLevel != nil)
+	}
+
+	for i := 0; i < got.rows; i++ {
+		for j := 0; j < got.cols; j++ {
+			pt := got.progTarget.At(i, j)
+			if k := got.faultAt(i, j); k != memristor.FaultNone {
+				// Stuck cells at zero targets: refreshRow never visits a
+				// stuck cell whose target and progTarget are both +0,
+				// where the dense walk re-pins it. That is a no-op only
+				// because Program pinned it already: re-pinning with a
+				// zero target and progTarget counts no write, and finds
+				// gt at the pinned conductance and a drift clock of +Inf.
+				pinned := 0.0
+				if k == memristor.FaultStuckOn {
+					pinned = got.cfg.Device.GMax()
+				}
+				if math.Float64bits(got.gt.At(i, j)) != math.Float64bits(pinned) {
+					t.Fatalf("%s: stuck cell (%d,%d) holds %v, want pinned %v", label, i, j, got.gt.At(i, j), pinned)
+				}
+				if got.cellCycle != nil && !math.IsInf(got.cellCycle.At(i, j), 1) {
+					t.Fatalf("%s: stuck cell (%d,%d) drift clock %v, want +Inf", label, i, j, got.cellCycle.At(i, j))
+				}
+			}
+			if got.deltaLevel == nil {
+				continue
+			}
+			// Zero cells' delta levels: the dense walk records level 0 on
+			// every dead cell it passes, refreshRow may leave
+			// deltaInvalid. The two differ only on cells with a zero
+			// progTarget, and every non-zero target's level is positive,
+			// so a later delta comparison (which needs tq ≠ progTarget,
+			// that is tq ≠ 0 here) finds neither 0 nor −1 equal to it.
+			lg, lr := got.deltaLevel[i*got.cols+j], ref.deltaLevel[i*ref.cols+j]
+			if lg != lr && !(lr == 0 && lg == deltaInvalid && pt == 0) {
+				t.Fatalf("%s: cell (%d,%d) delta level %d, reference %d (progTarget %v)", label, i, j, lg, lr, pt)
+			}
+			if pt != 0 && !math.IsNaN(pt) && got.deltaLevelOf(pt) <= 0 {
+				t.Fatalf("%s: cell (%d,%d) target %v has level %d, want positive", label, i, j, pt, got.deltaLevelOf(pt))
+			}
+		}
+	}
+
+	if got.liveValid {
+		for i := 0; i < got.rows; i++ {
+			mask := got.live[i*got.liveWords : (i+1)*got.liveWords]
+			for j := 0; j < got.cols; j++ {
+				if liveCell(got.target.At(i, j), got.progTarget.At(i, j)) && mask[j/64]&(1<<(j%64)) == 0 {
+					t.Fatalf("%s: live cell (%d,%d) (target %v, progTarget %v) missing from the live mask",
+						label, i, j, got.target.At(i, j), got.progTarget.At(i, j))
+				}
+			}
+		}
+	}
+}
+
+// requireSameReads compares the next MatVec and, on square arrays, the next
+// Solve of the two arrays bit for bit. Each Solve is also a retention-drift
+// cycle, so both arrays age together.
+func requireSameReads(t *testing.T, got, ref *Crossbar, r *rand.Rand, label string) {
+	t.Helper()
+	if got.target == nil {
+		return
+	}
+	v := randomSignedVector(r, got.cols)
+	want, wantErr := ref.MatVec(v)
+	have, err := got.MatVec(v)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("%s: MatVec error %v, reference %v", label, err, wantErr)
+	}
+	if err == nil {
+		requireBitIdentical(t, have, want, label+": MatVec")
+	}
+	if got.rows != got.cols {
+		return
+	}
+	b := randomSignedVector(r, got.rows)
+	want, wantErr = ref.Solve(b)
+	have, err = got.Solve(b)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("%s: Solve error %v, reference %v", label, err, wantErr)
+	}
+	if err == nil {
+		requireBitIdentical(t, have, want, label+": Solve")
+	}
+}
+
+// refreshRowValues draws the next user row for a refresh of a row whose
+// last values were prev: the same cells with new or unchanged values, or a
+// pattern that has grown, shrunk or moved, with −0 entries, values small
+// enough to floor at the device's minimum conductance, and values that
+// underflow to a zero target mixed in. The diagonal usually stays non-zero
+// so the settle stays well-posed.
+func refreshRowValues(r *rand.Rand, i int, prev linalg.Vector) linalg.Vector {
+	n := len(prev)
+	row := linalg.NewVector(n)
+	switch r.Intn(4) {
+	case 0: // unchanged: every cell takes the progTarget skip
+		copy(row, prev)
+	case 1: // same cells, new values
+		for j, v := range prev {
+			if v != 0 {
+				row[j] = v * (0.5 + r.Float64())
+			}
+		}
+	default: // a grown, shrunk or moved pattern
+		for k := r.Intn(7); k > 0; k-- {
+			row[r.Intn(n)] = 4 * r.Float64()
+		}
+		if r.Intn(10) > 0 {
+			row[i] = 8 + r.Float64()
+		}
+	}
+	for k := r.Intn(3); k > 0; k-- {
+		row[r.Intn(n)] = math.Copysign(0, -1)
+	}
+	if r.Intn(4) == 0 {
+		row[r.Intn(n)] = 1e-3 * r.Float64()
+	}
+	if r.Intn(8) == 0 {
+		row[r.Intn(n)] = math.SmallestNonzeroFloat64
+	}
+	return row
+}
+
+// TestRefreshMatchesDense drives an array through random sequences of row
+// refreshes, single-cell updates, noise epochs, delta-programming toggles,
+// re-Programs of the same and of new shapes, and fault remaps, next to a
+// reference array whose refreshes run the dense walk. After every step the
+// realized conductances, targets, verify cache, row scales, drift clocks
+// and counters must match bit for bit, and so must the next MatVec and
+// Solve. Shapes span one, two and three mask words per row.
+func TestRefreshMatchesDense(t *testing.T) {
+	shapes := []int{70, 12, 130}
+	for _, tc := range []struct {
+		name  string
+		steps int
+		cfg   func(t *testing.T) Config
+	}{
+		{"variation-noise-faults-verify-drift-delta", 300, func(t *testing.T) Config {
+			vm, err := variation.NewPaperModel(0.05, 7)
+			if err != nil {
+				t.Fatalf("NewPaperModel: %v", err)
+			}
+			return Config{
+				Size: 3 * 130, IOBits: 8, WriteBits: 14, DeltaWriteBits: 8,
+				Variation: vm, CycleNoise: 0.5, MaxWriteRetries: 2,
+				Faults: &memristor.FaultModel{StuckOnDensity: 0.03, StuckOffDensity: 0.03,
+					WriteNoise: 0.02, DriftPerCycle: 0.01, Seed: 5},
+			}
+		}},
+		{"variation-wire-resistance-no-delta", 150, func(t *testing.T) Config {
+			vm, err := variation.NewPaperModel(0.05, 11)
+			if err != nil {
+				t.Fatalf("NewPaperModel: %v", err)
+			}
+			return Config{Size: 130, IOBits: 8, WriteBits: 14, Variation: vm, WireResistance: 2}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(29))
+			got, ref := mustNew(t, tc.cfg(t)), mustNew(t, tc.cfg(t))
+			var rows []linalg.Vector
+			program := func(n int, label string) {
+				t.Helper()
+				a := randomSparseNonNegMatrix(r, n, 0.05)
+				errGot, errRef := got.Program(a), ref.Program(a)
+				if errGot != nil || errRef != nil {
+					t.Fatalf("%s: Program: %v, reference %v", label, errGot, errRef)
+				}
+				rows = make([]linalg.Vector, n)
+				for i := range rows {
+					rows[i] = linalg.Vector(a.RawRow(i)).Clone()
+				}
+			}
+			refresh := func(i int, row linalg.Vector, label string) {
+				t.Helper()
+				errGot, errRef := got.UpdateRow(i, row), refUpdateRow(ref, i, row)
+				if !errors.Is(errGot, errRef) {
+					t.Fatalf("%s: UpdateRow error %v, reference %v", label, errGot, errRef)
+				}
+				if errGot == nil {
+					rows[i] = row
+				}
+			}
+
+			program(shapes[0], "initial Program")
+			requireRefreshState(t, got, ref, "initial Program")
+			for step := 0; step < tc.steps; step++ {
+				n := got.rows
+				// Most steps touch one of a few hot rows, as a solver
+				// refreshes the same complementarity rows every iteration.
+				i := r.Intn(n)
+				if r.Intn(5) > 0 {
+					i %= 4
+				}
+				var label string
+				switch op := r.Intn(20); {
+				case op < 11:
+					row := refreshRowValues(r, i, rows[i])
+					label = fmt.Sprintf("step %d: UpdateRow(%d)", step, i)
+					if r.Intn(20) == 0 {
+						// A rejected row must leave both arrays untouched.
+						bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}
+						row[r.Intn(n)] = bad[r.Intn(len(bad))]
+						label += " rejected"
+					}
+					refresh(i, row, label)
+				case op < 14:
+					j := r.Intn(n)
+					v := []float64{0, math.Copysign(0, -1), 2 * r.Float64(), 1e6}[r.Intn(4)]
+					label = fmt.Sprintf("step %d: UpdateCellInPlace(%d,%d,%v)", step, i, j, v)
+					errGot, errRef := got.UpdateCellInPlace(i, j, v), ref.UpdateCellInPlace(i, j, v)
+					if errGot != nil || errRef != nil {
+						t.Fatalf("%s: %v, reference %v", label, errGot, errRef)
+					}
+					// The row's next refresh usually finds the cell at +0.
+					refresh(i, rows[i], label+", then its row")
+				case op < 16:
+					e := r.Int63n(1000)
+					label = fmt.Sprintf("step %d: SetNoiseEpoch(%d)", step, e)
+					got.SetNoiseEpoch(e)
+					ref.SetNoiseEpoch(e)
+				case op < 17:
+					on := r.Intn(2) == 0
+					label = fmt.Sprintf("step %d: SetDeltaProgramming(%v)", step, on)
+					got.SetDeltaProgramming(on)
+					ref.SetDeltaProgramming(on)
+				case op < 18:
+					label = fmt.Sprintf("step %d: same-shape Program", step)
+					program(n, label)
+				case op < 19:
+					m := shapes[r.Intn(len(shapes))]
+					label = fmt.Sprintf("step %d: Program %dx%d", step, m, m)
+					program(m, label)
+				default:
+					label = fmt.Sprintf("step %d: RemapAvoidingFaults", step)
+					moved := got.RemapAvoidingFaults()
+					if ref.RemapAvoidingFaults() != moved {
+						t.Fatalf("%s: remap decisions differ", label)
+					}
+					if moved {
+						requireRefreshState(t, got, ref, label)
+						program(n, label+", then Program")
+					}
+				}
+				requireRefreshState(t, got, ref, label)
+				requireSameReads(t, got, ref, r, label)
+			}
+		})
+	}
+}

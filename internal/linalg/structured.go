@@ -90,10 +90,10 @@ func (w *StructuredWorkspace) Solve(a *Matrix, b Vector) (Vector, error) {
 }
 
 // SolvePattern is Solve for a caller that already knows a's non-zero
-// pattern p: every non-zero of a must lie inside p, and entries inside p
-// may be zero too. The elimination visits only the pattern and its fill-in,
-// never a dense row, and returns bit for bit what eliminating a densely
-// would.
+// pattern p. It reads only a's entries inside p and takes every entry
+// outside p to be zero, whatever a holds there; entries inside p may be
+// zero too. The elimination visits only the pattern and its fill-in, never
+// a dense row, and returns bit for bit what eliminating a densely would.
 // The returned vector is owned by the workspace and overwritten by the next
 // call.
 func (w *StructuredWorkspace) SolvePattern(a *Matrix, p *Pattern, b Vector) (Vector, error) {

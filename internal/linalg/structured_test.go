@@ -459,14 +459,31 @@ func revivalMatrix(t *testing.T) *Matrix {
 // candidates, NaN entries, and singular and empty-row failures. One
 // workspace serves every case, so the cleanup between shapes and patterns
 // is exercised too, and a second one solves through a superset pattern.
+// A third solves a copy holding NaN outside a's pattern through that
+// pattern, pinning that SolvePattern reads nothing outside it.
 func TestStructuredMatchesDenseReference(t *testing.T) {
-	var w, wSuper StructuredWorkspace
-	var super Pattern
+	var w, wSuper, wOutside StructuredWorkspace
+	var super, exact Pattern
 	check := func(a *Matrix, b Vector, label string) {
 		t.Helper()
 		want, wantErr := denseStructuredSolve(a, b)
 		got, err := w.Solve(a, b)
 		requireSameSolve(t, got, err, want, wantErr, label)
+		exact.Scan(a)
+		outside := a.Clone()
+		for i := 0; i < a.Rows(); i++ {
+			inside := make([]bool, a.Cols())
+			for _, j := range exact.Row(i) {
+				inside[j] = true
+			}
+			for j := range inside {
+				if !inside[j] {
+					outside.Set(i, j, math.NaN())
+				}
+			}
+		}
+		got, err = wOutside.SolvePattern(outside, &exact, b)
+		requireSameSolve(t, got, err, want, wantErr, label+" (NaN outside the pattern)")
 		// A pattern that also lists zero cells (here: every diagonal cell and
 		// every cell of row 0) must give the same answer.
 		mask := a.Clone()
