@@ -401,9 +401,7 @@ func (s *Solver) solveOnShard(ctx context.Context, bw *batchWorker, scaled, orig
 	z = sExt[n+2*m : 2*n+2*m]
 
 	res := &engine.Result{Status: lp.StatusIterationLimit, MatrixSize: ext.size}
-	bestGap := infNaN()
-	stall := 0
-	prevNorm := 0.0
+	stop := newStopRule(tol, s.opts.StallWindow)
 	best := &bw.best
 	best.reset()
 	var ctxErr error
@@ -424,36 +422,10 @@ func (s *Solver) solveOnShard(ctx context.Context, bw *batchWorker, scaled, orig
 		res.PrimalInfeasibility = normInfRange(r, ext.rowR1(0), ext.m)
 		res.DualInfeasibility = normInfRange(r, ext.rowR2(0), ext.n)
 		res.DualityGap = gap
-		best.consider(res.PrimalInfeasibility, res.DualInfeasibility, gap, x, y, w, z)
-
-		if res.PrimalInfeasibility <= tol.PrimalFeasTol &&
-			res.DualInfeasibility <= tol.DualFeasTol && gap <= tol.GapTol {
-			res.Status = lp.StatusOptimal
+		changed := best.consider(res.PrimalInfeasibility, res.DualInfeasibility, gap, x, y, w, z)
+		if status, done := stop.check(res.PrimalInfeasibility, res.DualInfeasibility, gap, x, y, best, changed); done {
+			res.Status = status
 			break
-		}
-		if x.NormInf() > tol.BlowupLimit {
-			res.Status = lp.StatusUnbounded
-			break
-		}
-		if y.NormInf() > tol.BlowupLimit {
-			res.Status = lp.StatusInfeasible
-			break
-		}
-		norm := x.NormInf()
-		if yn := y.NormInf(); yn > norm {
-			norm = yn
-		}
-		growing := norm > prevNorm*1.02
-		prevNorm = norm
-		if gap < bestGap*(1-1e-3) {
-			bestGap = gap
-			stall = 0
-		} else if !growing {
-			stall++
-			if stall >= s.opts.StallWindow {
-				res.Status = lp.StatusOptimal
-				break
-			}
 		}
 
 		ds, err := fab.Solve(r)
@@ -492,6 +464,7 @@ func (s *Solver) solveOnShard(ctx context.Context, bw *batchWorker, scaled, orig
 			}
 		}
 	}
+	bw.tr.stopped(stop.reason(res.Status))
 
 	finalX, finalY, finalW, finalZ := x, y, w, z
 	if res.Status == lp.StatusOptimal || res.Status == lp.StatusIterationLimit {

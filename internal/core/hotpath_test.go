@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/memlp/memlp/internal/linalg"
+	"github.com/memlp/memlp/internal/lp"
 )
 
 // TestIterationKernelAllocations pins the //memlp:hotpath contract for the
@@ -29,6 +30,8 @@ func TestIterationKernelAllocations(t *testing.T) {
 	pairs := [][2]linalg.Vector{{x, dx}, {y, dy}}
 	flat := []linalg.Vector{x, dx, y, dy}
 	vs := []linalg.Vector{x, y}
+	stop := newStopRule(lp.Tolerances{}.WithDefaults(), 10)
+	best := &snapshot{ok: true, pinf: 1, dinf: 1, gap: 1}
 
 	kernels := []struct {
 		name string
@@ -40,6 +43,7 @@ func TestIterationKernelAllocations(t *testing.T) {
 		{"clampPositive", func() { clampPositive(vs...) }},
 		{"slewLimit", func() { _ = slewLimit(x, dx) }},
 		{"normInfRange", func() { _ = normInfRange(x, 8, 16) }},
+		{"stopRule.check", func() { _, _ = stop.check(1, 1, 1, x, y, best, false) }},
 	}
 	for _, k := range kernels {
 		if allocs := testing.AllocsPerRun(100, k.run); allocs > 0 {

@@ -459,13 +459,10 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 	y = s1[n : n+m]
 
 	res := &engine.Result{Status: lp.StatusIterationLimit, MatrixSize: sys1.size}
-	bestGap := infNaN()
-	stall := 0
-	prevNorm := 0.0
 	best := snapshot{score: infNaN()}
 	// The constant-θ split iteration converges more gradually than
 	// Algorithm 1's damped Newton, so it gets twice the stall patience.
-	stallWindow := 2 * s.opts.StallWindow
+	stop := newStopRule(tol, 2*s.opts.StallWindow)
 	var ctxErr error
 
 	for iter := 1; iter <= tol.MaxIterations; iter++ {
@@ -522,35 +519,10 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 		res.DualInfeasibility = dinf
 		res.DualityGap = gap
 
-		best.consider(pinf, dinf, gap, x, y, w, z)
-
-		if pinf <= tol.PrimalFeasTol && dinf <= tol.DualFeasTol && gap <= tol.GapTol {
-			res.Status = lp.StatusOptimal
+		changed := best.consider(pinf, dinf, gap, x, y, w, z)
+		if status, done := stop.check(pinf, dinf, gap, x, y, &best, changed); done {
+			res.Status = status
 			break
-		}
-		if x.NormInf() > tol.BlowupLimit {
-			res.Status = lp.StatusUnbounded
-			break
-		}
-		if y.NormInf() > tol.BlowupLimit {
-			res.Status = lp.StatusInfeasible
-			break
-		}
-		norm := x.NormInf()
-		if yn := y.NormInf(); yn > norm {
-			norm = yn
-		}
-		growing := norm > prevNorm*1.02
-		prevNorm = norm
-		if gap < bestGap*(1-1e-3) {
-			bestGap = gap
-			stall = 0
-		} else if !growing {
-			stall++
-			if stall >= stallWindow {
-				res.Status = lp.StatusOptimal
-				break
-			}
 		}
 
 		ds1, err := fab1.Solve(r1)
@@ -653,6 +625,7 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 			return nil, nil, fmt.Errorf("core: updating M1 couplings: %w", err)
 		}
 	}
+	s.tr.stopped(stop.reason(res.Status))
 
 	finalX, finalY, finalW, finalZ := x.Clone(), y.Clone(), w.Clone(), z.Clone()
 	if res.Status == lp.StatusOptimal || res.Status == lp.StatusIterationLimit {
@@ -702,12 +675,6 @@ func reprogramDiag(fab Fabric, m2 *linalg.Matrix, size int, scratch *linalg.Vect
 		err := fab.UpdateRow(i, row)
 		row[i] = 0
 		if err != nil {
-			if errors.Is(err, crossbar.ErrTooLarge) {
-				if err := fab.Program(m2); err != nil {
-					return fmt.Errorf("core: reprogramming M2: %w", err)
-				}
-				return nil
-			}
 			return fmt.Errorf("core: updating M2 row: %w", err)
 		}
 	}

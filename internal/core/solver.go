@@ -23,9 +23,13 @@ type Options struct {
 	// is accepted when A·x ≤ α·b element-wise (α slightly above 1 absorbs
 	// process-variation distortion of the constraints). Zero means 1.05.
 	Alpha float64
-	// StallWindow stops the iteration when the duality gap has not improved
-	// for this many consecutive iterations — the analog accuracy floor.
-	// Zero means 10.
+	// StallWindow is the patience of both stall rules at the analog
+	// accuracy floor. The iteration stops when the duality gap has not
+	// improved for this many consecutive iterations, or when the best
+	// iterate (the one a stop returns) has not changed for this many and
+	// a measured residual, not the gap, sets its score (DESIGN.md D19).
+	// Iterations in which the iterates are still growing count toward
+	// neither. Algorithm 2 waits twice as long. Zero means 10.
 	StallWindow int
 	// Fabric builds the analog substrate for a given matrix size.
 	// Nil means a single ideal-variation-free crossbar of sufficient size
@@ -449,9 +453,7 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 	conic := ext.conic()
 	nu := ext.barrierDegree()
 	bestConeInf := 0.0
-	bestGap := infNaN()
-	stall := 0
-	prevNorm := 0.0
+	stop := newStopRule(tol, s.opts.StallWindow)
 	// The controller monitors the measured residuals (they fall out of the
 	// analog mat-vec for free) and keeps the best iterate seen: near the
 	// accuracy floor the analog noise can push later iterates away from
@@ -490,42 +492,13 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 			res.ConeInfeasibility = ext.slackConeInf(r, w)
 		}
 
-		if best.consider(res.PrimalInfeasibility, res.DualInfeasibility, gap, x, y, w, z) {
+		changed := best.consider(res.PrimalInfeasibility, res.DualInfeasibility, gap, x, y, w, z)
+		if changed {
 			bestConeInf = res.ConeInfeasibility
 		}
-
-		if res.PrimalInfeasibility <= tol.PrimalFeasTol &&
-			res.DualInfeasibility <= tol.DualFeasTol &&
-			gap <= tol.GapTol {
-			res.Status = lp.StatusOptimal
+		if status, done := stop.check(res.PrimalInfeasibility, res.DualInfeasibility, gap, x, y, &best, changed); done {
+			res.Status = status
 			break
-		}
-		if x.NormInf() > tol.BlowupLimit {
-			res.Status = lp.StatusUnbounded
-			break
-		}
-		if y.NormInf() > tol.BlowupLimit {
-			res.Status = lp.StatusInfeasible
-			break
-		}
-		// Analog accuracy floor: stop when the gap no longer improves —
-		// but not while the iterates are still growing, which signals an
-		// infeasible/unbounded instance marching toward the blow-up check.
-		norm := x.NormInf()
-		if yn := y.NormInf(); yn > norm {
-			norm = yn
-		}
-		growing := norm > prevNorm*1.02
-		prevNorm = norm
-		if gap < bestGap*(1-1e-3) {
-			bestGap = gap
-			stall = 0
-		} else if !growing {
-			stall++
-			if stall >= s.opts.StallWindow {
-				res.Status = lp.StatusOptimal
-				break
-			}
 		}
 
 		// Newton step: one analog settle.
@@ -588,18 +561,11 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 		ext.fillDiagRows(x, y, w, z)
 		for _, u := range ext.diagRowUpdates(x, y, w, z) {
 			if err := fab.UpdateRow(u.index, u.row); err != nil {
-				if errors.Is(err, crossbar.ErrTooLarge) {
-					// Row outgrew the programmed headroom: reprogram the
-					// full array (counted as a full rewrite).
-					if err := fab.Program(ext.matrix); err != nil {
-						return nil, nil, fmt.Errorf("core: reprogramming fabric: %w", err)
-					}
-					break
-				}
 				return nil, nil, fmt.Errorf("core: updating fabric row: %w", err)
 			}
 		}
 	}
+	s.tr.stopped(stop.reason(res.Status))
 
 	// Prefer the best-residual iterate over the last one when the solver
 	// converged normally; blow-up detections keep the final (diverged)

@@ -23,6 +23,9 @@ type traceState struct {
 	problem int
 	epoch   int64
 	attempt int
+	// stop is the rule that ended the current attempt's loop (trace.Stop*),
+	// stamped on the done record.
+	stop    string
 	last    crossbar.Counters
 	retries int64
 	written int64
@@ -72,6 +75,15 @@ func (t *traceState) beginAttempt(cur crossbar.Counters) {
 	}
 	t.attempt++
 	t.last = cur
+	t.stop = ""
+}
+
+// stopped records the rule that ended the attempt's loop.
+func (t *traceState) stopped(rule string) {
+	if t == nil {
+		return
+	}
+	t.stop = rule
 }
 
 // note folds the counter delta since the last note (or beginAttempt) into
@@ -108,11 +120,13 @@ func (t *traceState) emit(rec trace.Record) {
 }
 
 // event records a recovery-ladder escalation (resolve/remap/software),
-// stamped with the status of the attempt that triggered it.
+// stamped with the status of the attempt that triggered it. The escalated
+// attempt's stop rule no longer describes the answer, so it is cleared.
 func (t *traceState) event(ev, status string) {
 	if t == nil {
 		return
 	}
+	t.stop = ""
 	t.emit(trace.Record{Event: ev, Status: status})
 }
 
@@ -127,6 +141,7 @@ func (t *traceState) finish(res *engine.Result) []trace.Record {
 	rec := trace.Record{
 		Event:               trace.EventDone,
 		Status:              res.Status.String(),
+		Stop:                t.stop,
 		Iteration:           res.Iterations,
 		DualityGap:          res.DualityGap,
 		PrimalInfeasibility: res.PrimalInfeasibility,

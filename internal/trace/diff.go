@@ -59,6 +59,9 @@ func Diff(got, want []Record, tol float64) []string {
 		if g.Status != w.Status {
 			add("%s status: got %q want %q", pre, g.Status, w.Status)
 		}
+		if g.Stop != w.Stop {
+			add("%s stop: got %q want %q", pre, g.Stop, w.Stop)
+		}
 		diffFloat(add, pre, "mu", g.Mu, w.Mu, tol)
 		diffFloat(add, pre, "gap", g.DualityGap, w.DualityGap, tol)
 		diffFloat(add, pre, "pinf", g.PrimalInfeasibility, w.PrimalInfeasibility, tol)

@@ -45,6 +45,7 @@ type jsonRecord struct {
 	Iteration int    `json:"iteration"`
 	Event     string `json:"event"`
 	Status    string `json:"status,omitempty"`
+	Stop      string `json:"stop,omitempty"`
 
 	Mu                  jsonFloat `json:"mu"`
 	DualityGap          jsonFloat `json:"gap"`
@@ -70,6 +71,7 @@ func toJSON(r Record) jsonRecord {
 		Iteration:           r.Iteration,
 		Event:               r.Event,
 		Status:              r.Status,
+		Stop:                r.Stop,
 		Mu:                  jsonFloat(r.Mu),
 		DualityGap:          jsonFloat(r.DualityGap),
 		PrimalInfeasibility: jsonFloat(r.PrimalInfeasibility),
@@ -94,6 +96,7 @@ func fromJSON(j jsonRecord) Record {
 		Iteration:           j.Iteration,
 		Event:               j.Event,
 		Status:              j.Status,
+		Stop:                j.Stop,
 		Mu:                  float64(j.Mu),
 		DualityGap:          float64(j.DualityGap),
 		PrimalInfeasibility: float64(j.PrimalInfeasibility),

@@ -42,6 +42,20 @@ const (
 	EventRestart = "restart"
 )
 
+// Stop values carried by Record.Stop: the rule that ended an interior-point
+// loop on the analog engines (Algorithms 1 and 2).
+const (
+	// StopTolerance: the measured residuals and the gap met the tolerances.
+	StopTolerance = "tolerance"
+	// StopGapStall: the duality gap stopped improving.
+	StopGapStall = "gap-stall"
+	// StopFloor: the best iterate stopped changing while a measured
+	// residual, not the gap, set its score (the analog accuracy floor).
+	StopFloor = "floor"
+	// StopIterationLimit: the iteration budget ran out.
+	StopIterationLimit = "iteration-limit"
+)
+
 // Record is one point of a solve trajectory. It is a plain value struct so
 // emitting one copies it into the sink without heap allocation.
 //
@@ -66,6 +80,12 @@ type Record struct {
 	// Status is the solve status on done records, or the status of the
 	// failed attempt on recovery-event records.
 	Status string
+	// Stop names the rule that ended the loop (a Stop* value) on the done
+	// records of the analog interior-point engines. It is empty on every
+	// other record, and on done records whose Status already says why the
+	// loop ended (blow-up, failed settle, cancel) or whose engine has no
+	// such rules.
+	Stop string
 
 	// Mu is the complementarity measure µ = xᵀz/n.
 	Mu float64

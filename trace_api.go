@@ -46,6 +46,13 @@ type TraceRecord struct {
 	// and recovery records.
 	Event  string
 	Status string
+	// Stop names the rule that ended an analog interior-point loop
+	// (crossbar, crossbar-large-scale and conic engines), on done records
+	// only: "tolerance", "gap-stall", "floor" (the best iterate stopped
+	// changing at the analog accuracy floor) or "iteration-limit". It is
+	// empty when Status already says why the loop ended (a blow-up, a
+	// failed settle or a cancel) and on every other engine.
+	Stop string
 	// Interior-point convergence measures at this step.
 	Mu                  float64
 	DualityGap          float64
