@@ -189,11 +189,31 @@ func emit(table string, cfg experiments.Config, full bool, batch int, widths []i
 		if err != nil {
 			return err
 		}
+		// Fig. 5(a) adds Algorithm 1's mixed-precision mode on the same
+		// instances beside the paper's columns.
+		var mixed []experiments.AccuracyRow
+		if alg == experiments.Algorithm1 {
+			if mixed, err = experiments.Accuracy(experiments.Algorithm1Mixed, cfg); err != nil {
+				return err
+			}
+		}
 		tw := newTable(w, title)
-		fmt.Fprintln(tw, "m\tn\tvar\tmean rel err\tmax rel err\toptimal rate\tmean iters")
-		for _, r := range rows {
-			fmt.Fprintf(tw, "%d\t%d\t%.0f%%\t%.3f%%\t%.3f%%\t%.0f%%\t%.1f\n",
+		header := "m\tn\tvar\tmean rel err\tmax rel err\toptimal rate\tmean iters"
+		if mixed != nil {
+			header += "\tmixed: mean rel err\tmax rel err\toptimal rate\tmean iters"
+		}
+		fmt.Fprintln(tw, header)
+		for i, r := range rows {
+			fmt.Fprintf(tw, "%d\t%d\t%.0f%%\t%.3f%%\t%.3f%%\t%.0f%%\t%.1f",
 				r.M, r.N, r.Variation*100, r.MeanRelErr*100, r.MaxRelErr*100, r.OptimalRate*100, r.MeanIterations)
+			if mixed != nil {
+				x := mixed[i]
+				// Three significant digits: the mixed-precision errors sit
+				// far below the paper columns' 0.001% resolution.
+				fmt.Fprintf(tw, "\t%.3g%%\t%.3g%%\t%.0f%%\t%.1f",
+					x.MeanRelErr*100, x.MaxRelErr*100, x.OptimalRate*100, x.MeanIterations)
+			}
+			fmt.Fprintln(tw)
 		}
 		return tw.Flush()
 
@@ -206,22 +226,50 @@ func emit(table string, cfg experiments.Config, full bool, batch int, widths []i
 		if err != nil {
 			return err
 		}
+		// Fig. 6(a) and 7(a) add Algorithm 1's mixed-precision mode on the
+		// same instances, its gains taken against the paper run's software
+		// baseline.
+		var mixed []experiments.PerfRow
+		if alg == experiments.Algorithm1 {
+			if mixed, err = experiments.LatencyEnergy(experiments.Algorithm1Mixed, cfg, false); err != nil {
+				return err
+			}
+		}
 		if strings.HasPrefix(table, "fig6") {
 			title := fmt.Sprintf("Fig. 6(%s) — latency, %s vs software", table[4:], alg)
 			tw := newTable(w, title)
-			fmt.Fprintln(tw, "m\tvar\tsw reduced\tsw full\tsimplex\tcrossbar (est)\tspeedup\titers")
-			for _, r := range rows {
-				fmt.Fprintf(tw, "%d\t%.0f%%\t%v\t%v\t%v\t%v\t%.1fx\t%.1f\n",
+			header := "m\tvar\tsw reduced\tsw full\tsimplex\tcrossbar (est)\tspeedup\titers"
+			if mixed != nil {
+				header += "\tmixed: crossbar (est)\tspeedup\titers"
+			}
+			fmt.Fprintln(tw, header)
+			for i, r := range rows {
+				fmt.Fprintf(tw, "%d\t%.0f%%\t%v\t%v\t%v\t%v\t%.1fx\t%.1f",
 					r.M, r.Variation*100, r.SoftwareReduced, r.SoftwareFull, r.Simplex, r.Crossbar, r.Speedup, r.Iterations)
+				if mixed != nil {
+					x := mixed[i]
+					fmt.Fprintf(tw, "\t%v\t%.1fx\t%.1f",
+						x.Crossbar, float64(r.SoftwareReduced)/float64(x.Crossbar), x.Iterations)
+				}
+				fmt.Fprintln(tw)
 			}
 			return tw.Flush()
 		}
 		title := fmt.Sprintf("Fig. 7(%s) — energy, %s vs software", table[4:], alg)
 		tw := newTable(w, title)
-		fmt.Fprintln(tw, "m\tvar\tsw energy (J)\tcrossbar energy (J)\tgain")
-		for _, r := range rows {
-			fmt.Fprintf(tw, "%d\t%.0f%%\t%.4g\t%.4g\t%.1fx\n",
+		header := "m\tvar\tsw energy (J)\tcrossbar energy (J)\tgain"
+		if mixed != nil {
+			header += "\tmixed: crossbar energy (J)\tgain"
+		}
+		fmt.Fprintln(tw, header)
+		for i, r := range rows {
+			fmt.Fprintf(tw, "%d\t%.0f%%\t%.4g\t%.4g\t%.1fx",
 				r.M, r.Variation*100, r.SoftwareEnergy, r.CrossbarEnergy, r.EnergyGain)
+			if mixed != nil {
+				x := mixed[i]
+				fmt.Fprintf(tw, "\t%.4g\t%.1fx", x.CrossbarEnergy, r.SoftwareEnergy/x.CrossbarEnergy)
+			}
+			fmt.Fprintln(tw)
 		}
 		return tw.Flush()
 

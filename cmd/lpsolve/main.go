@@ -160,8 +160,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "wall time:  %v\n", sol.WallTime)
 	if hw := sol.Hardware; hw != nil {
-		fmt.Fprintf(stdout, "hardware:   %v latency, %.4g J (%d cell writes, %d skipped, %d analog ops)\n",
-			hw.Latency, hw.EnergyJoules, hw.CellWrites, hw.CellsSkipped, hw.AnalogOps)
+		fmt.Fprintf(stdout, "hardware:   %v latency, %.4g J (%d cell writes, %d skipped, %d analog ops, %d digital MACs)\n",
+			hw.Latency, hw.EnergyJoules, hw.CellWrites, hw.CellsSkipped, hw.AnalogOps, hw.DigitalMACs)
 	}
 	if *verbose && sol.X != nil {
 		printVector(stdout, sol.X)
@@ -275,8 +275,8 @@ func runBatch(ctx context.Context, solver *memlp.Solver, engine memlp.Engine, pr
 			fmt.Fprintf(stdout, "pool:       %d replicas, solves per shard %v\n", bs.Replicas, bs.ShardSolves)
 		}
 		if hw := sols[0].Hardware; hw != nil {
-			fmt.Fprintf(stdout, "hardware:   %v latency, %.4g J (%d cell writes, %d skipped, %d analog ops; pool programming charged here)\n",
-				hw.Latency, hw.EnergyJoules, hw.CellWrites, hw.CellsSkipped, hw.AnalogOps)
+			fmt.Fprintf(stdout, "hardware:   %v latency, %.4g J (%d cell writes, %d skipped, %d analog ops, %d digital MACs; pool programming charged here)\n",
+				hw.Latency, hw.EnergyJoules, hw.CellWrites, hw.CellsSkipped, hw.AnalogOps, hw.DigitalMACs)
 		}
 	}
 	if err != nil {

@@ -25,12 +25,16 @@ func goldenCase(t *testing.T, name string) goldenTraceCase {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestFloorStopEndsAtLastSnapshotChange pins the floor rule on the
-// crossbar-gen12 trajectory: the loop ends exactly StallWindow iterations
-// after the best iterate last changed, and it returns that iterate bit for
-// bit — the same answer a run cut off at that iteration returns.
+// TestFloorStopEndsAtLastSnapshotChange pins the floor rule on the paper
+// mode's crossbar-gen12 trajectory: the loop ends exactly StallWindow
+// iterations after the best iterate last changed, and it returns that
+// iterate bit for bit — the same answer a run cut off at that iteration
+// returns. The default mode's gen12 trajectory ends on the tolerance rule.
 func TestFloorStopEndsAtLastSnapshotChange(t *testing.T) {
-	gc := goldenCase(t, "crossbar-gen12")
+	if recs := runGoldenCase(t, goldenCase(t, "crossbar-gen12")); recs[len(recs)-1].Stop != trace.StopTolerance {
+		t.Errorf("default mode ended on %q, want %q", recs[len(recs)-1].Stop, trace.StopTolerance)
+	}
+	gc := goldenCase(t, "crossbar-gen12-paper")
 	recs := runGoldenCase(t, gc)
 	done := recs[len(recs)-1]
 	if done.Event != trace.EventDone || done.Stop != trace.StopFloor || done.Status != StatusOptimal.String() {
@@ -65,12 +69,7 @@ func TestFloorStopEndsAtLastSnapshotChange(t *testing.T) {
 	// iteration-limit path: the iterate of that very iteration.
 	solve := func(extra ...Option) *Solution {
 		t.Helper()
-		opts := append(append([]Option{WithTrace(0)}, gc.opts...), extra...)
-		s, err := NewSolver(gc.engine, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sol, err := s.Solve(context.Background(), gc.problems(t)[0])
+		sol, err := newCaseSolver(t, gc, extra...).Solve(context.Background(), gc.problems(t)[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,19 +92,27 @@ func TestFloorStopEndsAtLastSnapshotChange(t *testing.T) {
 	}
 }
 
-// TestConicGoldensEndOnGapStall guards the conic trajectories against the
-// floor rule: both keep the length they had before it and still end on the
-// gap rule (DESIGN.md D19).
+// TestConicGoldensEndOnGapStall guards the paper mode's conic trajectories
+// against the floor rule: both keep the length they had before it and
+// still end on the gap rule (DESIGN.md D19). In the default mode the
+// portfolio reaches the tolerance, and gen12 still ends on the gap rule,
+// sooner.
 func TestConicGoldensEndOnGapStall(t *testing.T) {
 	for _, c := range []struct {
 		name  string
+		stop  string
 		iters int
-	}{{"conic-portfolio", 42}, {"conic-gen12", 49}} {
+	}{
+		{"conic-portfolio-paper", trace.StopGapStall, 42},
+		{"conic-gen12-paper", trace.StopGapStall, 49},
+		{"conic-portfolio", trace.StopTolerance, 16},
+		{"conic-gen12", trace.StopGapStall, 43},
+	} {
 		recs := runGoldenCase(t, goldenCase(t, c.name))
 		done := recs[len(recs)-1]
-		if done.Stop != trace.StopGapStall || done.Iteration != c.iters {
+		if done.Stop != c.stop || done.Iteration != c.iters {
 			t.Errorf("%s ended on %q after %d iterations, want %q after %d",
-				c.name, done.Stop, done.Iteration, trace.StopGapStall, c.iters)
+				c.name, done.Stop, done.Iteration, c.stop, c.iters)
 		}
 	}
 }

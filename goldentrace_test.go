@@ -25,6 +25,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/memlp/memlp/internal/core"
 	"github.com/memlp/memlp/internal/trace"
 )
 
@@ -88,6 +89,10 @@ type goldenTraceCase struct {
 	opts     []Option
 	problems func(t testing.TB) []*Problem
 	batch    bool
+	// paper runs Algorithm 1 in the paper's mode, the residual read from
+	// the array (core.Options.AnalogResidual), which no public option
+	// selects.
+	paper bool
 }
 
 func single(f func(t testing.TB) *Problem) func(t testing.TB) []*Problem {
@@ -150,20 +155,59 @@ func goldenTraceCases() []goldenTraceCase {
 			problems: func(t testing.TB) []*Problem {
 				return poolBatch(t, 3, 8, 21)
 			}},
+		// The paper's mode of Algorithm 1 (analog residual) on the gen12
+		// cases: the trajectories that reproduce the paper's figures, and
+		// the ones that exercise the analog-floor stop rules (D19).
+		{name: "crossbar-gen12-paper", engine: EngineCrossbar, paper: true,
+			opts:     []Option{WithSeed(5), WithVariation(0.08), WithCycleNoise(0.5)},
+			problems: single(func(t testing.TB) *Problem { return feasibleLP(t, 12, 29) })},
+		{name: "conic-portfolio-paper", engine: EngineConic, paper: true,
+			opts:     append([]Option{WithSeed(9)}, noisy...),
+			problems: single(portfolioSOCP)},
+		{name: "conic-gen12-paper", engine: EngineConic, paper: true,
+			opts:     []Option{WithSeed(15), WithVariation(0.08), WithCycleNoise(0.5)},
+			problems: single(func(t testing.TB) *Problem { return feasibleSOCP(t, 12, 2, 3, 43) })},
 	}
+}
+
+// newCaseSolver builds the case's handle with tracing on and the extra
+// options appended. A paper case swaps in an Algorithm 1 solver built from
+// the same façade wiring with the analog residual selected.
+func newCaseSolver(t testing.TB, gc goldenTraceCase, extra ...Option) *Solver {
+	t.Helper()
+	opts := append(append([]Option{WithTrace(0)}, gc.opts...), extra...)
+	s, err := NewSolver(gc.engine, opts...)
+	if err != nil {
+		t.Fatalf("NewSolver(%s): %v", gc.name, err)
+	}
+	if !gc.paper {
+		return s
+	}
+	o := defaultOptions()
+	for _, fn := range opts {
+		if err := fn(&o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copts, err := s.coreOptions(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copts.AnalogResidual = true
+	if s.solver, err = core.NewSolver(copts); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // runGoldenCase solves the case's problems with tracing on and returns the
 // concatenated trace in input order.
 func runGoldenCase(t testing.TB, gc goldenTraceCase) []trace.Record {
 	t.Helper()
-	opts := append([]Option{WithTrace(0)}, gc.opts...)
-	s, err := NewSolver(gc.engine, opts...)
-	if err != nil {
-		t.Fatalf("NewSolver(%s): %v", gc.name, err)
-	}
+	s := newCaseSolver(t, gc)
 	problems := gc.problems(t)
 	var sols []*Solution
+	var err error
 	if gc.batch {
 		sols, err = s.SolveBatch(context.Background(), problems)
 	} else {

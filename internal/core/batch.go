@@ -324,7 +324,8 @@ func (s *Solver) runBatchProblem(ctx context.Context, bw *batchWorker, idx int, 
 		return
 	}
 	res.WallTime = engine.WallSince(start)
-	res.Counters = bw.fab.Counters().Sub(before)
+	// res.Counters holds the shard's digital work; add the fabric's.
+	res.Counters = res.Counters.Add(bw.fab.Counters().Sub(before))
 	res.Trace = bw.tr.finish(res)
 	if s.opts.Recovery != nil {
 		// The ladder itself does not run on the batch path (a pooled shard
@@ -405,6 +406,7 @@ func (s *Solver) solveOnShard(ctx context.Context, bw *batchWorker, scaled, orig
 	best := &bw.best
 	best.reset()
 	var ctxErr error
+	var macs int64
 
 	for iter := 1; iter <= tol.MaxIterations; iter++ {
 		if err := ctx.Err(); err != nil {
@@ -415,7 +417,7 @@ func (s *Solver) solveOnShard(ctx context.Context, bw *batchWorker, scaled, orig
 		res.Iterations = iter
 		gap := dualityGap(x, z, y, w)
 		mu := tol.Delta * gap / float64(n+m)
-		r, err := fab.MatVecResidual(ext.baseVector(scaled, mu), sExt, factor)
+		r, err := s.newtonResidual(fab, ext, ext.baseVector(scaled, mu), sExt, factor, &macs)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: residual mat-vec: %w", err)
 		}
@@ -442,7 +444,7 @@ func (s *Solver) solveOnShard(ctx context.Context, bw *batchWorker, scaled, orig
 			{x, dx}, {y, dy}, {w, dw}, {z, dz},
 		})
 		if bw.tr.active() {
-			bw.tr.note(fab.Counters())
+			bw.tr.note(withMACs(fab.Counters(), macs))
 			bw.tr.emit(trace.Record{
 				Event:               trace.EventIteration,
 				Iteration:           iter,
@@ -485,6 +487,7 @@ func (s *Solver) solveOnShard(ctx context.Context, bw *batchWorker, scaled, orig
 		return nil, nil, err
 	}
 	res.Objective = obj
+	res.Counters.DigitalMACs = macs
 
 	if res.Status == lp.StatusOptimal || res.Status == lp.StatusIterationLimit {
 		ok, err := orig.IsFeasible(res.X, s.opts.Alpha-1)

@@ -56,12 +56,17 @@ type extended struct {
 
 	// matrix is the digital mirror of what is programmed on the fabric.
 	matrix *linalg.Matrix
+	// pat covers every cell of matrix that newExtendedInto and fillDiagRows
+	// can write, both sides of each conic sign-split pair included, so the
+	// digital residual walks nnz cells instead of size².
+	pat linalg.Pattern
 
 	// Reusable per-iteration scratch, sized to the extended system. All are
 	// lazily built and survive across solves of same-sized problems so the
 	// steady-state iteration allocates nothing here.
 	upd            []rowUpdate   // diagRowUpdates backing store
 	base           linalg.Vector // baseVector backing store
+	res            linalg.Vector // residual backing store
 	factor         linalg.Vector // factorVector backing store
 	dx, dy, dw, dz linalg.Vector // split backing stores
 }
@@ -144,6 +149,7 @@ func newExtendedInto(prev *extended, p *lp.Problem, x, y, w, z linalg.Vector) (*
 		e.size = size
 		e.matrix = linalg.NewMatrix(size, size)
 		e.upd, e.base, e.factor = nil, nil, nil
+		e.res = linalg.NewVector(size)
 		e.dx, e.dy, e.dw, e.dz = nil, nil, nil, nil
 	} else {
 		e.matrix.Zero()
@@ -184,8 +190,11 @@ func newExtendedInto(prev *extended, p *lp.Problem, x, y, w, z linalg.Vector) (*
 		}
 		mtx.Set(r, e.colV(i), 1)
 	}
-	// r3/r4: complementarity diagonals, refreshed every iteration.
-	e.fillDiagRows(x, y, w, z)
+	// r3/r4: complementarity diagonals, refreshed every iteration. Every
+	// cell a refresh can write is marked first, so the pattern scanned
+	// below covers cells the first fill leaves at zero (an NT block entry,
+	// the off side of a sign-split pair) as well.
+	e.markDiagCells()
 	// r5: Δw + Δu = 0.
 	for i := 0; i < m; i++ {
 		r := e.rowR5(i)
@@ -214,11 +223,66 @@ func newExtendedInto(prev *extended, p *lp.Problem, x, y, w, z linalg.Vector) (*
 		}
 	}
 
+	e.pat.Scan(mtx)
+	e.fillDiagRows(x, y, w, z)
+
 	if !mtx.AllNonNegative() {
 		return nil, fmt.Errorf("core: internal error: extended matrix has negative entries")
 	}
 	return e, nil
 }
+
+// markDiagCells sets every r3/r4 cell fillDiagRows can write to 1: the
+// scalar x/z and y/w cells, and for each SOC row both sides of every
+// sign-split pair of its NT block.
+func (e *extended) markDiagCells() {
+	for i := 0; i < e.n; i++ {
+		r := e.rowR3(i)
+		e.matrix.Set(r, e.colX(i), 1)
+		e.matrix.Set(r, e.colZ(i), 1)
+	}
+	for i := 0; i < e.m; i++ {
+		r := e.rowR4(i)
+		if e.socRow == nil || e.socRow[i] < 0 {
+			e.matrix.Set(r, e.colY(i), 1)
+			e.matrix.Set(r, e.colW(i), 1)
+			continue
+		}
+		blk := e.blocks[e.socRow[i]]
+		for k := blk.Start; k < blk.Start+blk.Dim; k++ {
+			e.matrix.Set(r, e.colY(k), 1)
+			e.matrix.Set(r, e.colP(e.pOfY[k]), 1)
+			e.matrix.Set(r, e.colW(k), 1)
+			e.matrix.Set(r, e.colU(k), 1)
+		}
+	}
+}
+
+// residual computes Algorithm 1's Newton residual r = base − factor∘(M·s)
+// digitally, in float64, from the true coefficients the controller holds in
+// matrix (mixed-precision Newton, DESIGN.md D20). It walks only the cells
+// of pat, in ascending column order: every other cell holds +0, and a row
+// sum that starts at +0 never becomes −0, so for a finite s the result is
+// base − factor∘(matrix.MatVec(s)) bit for bit. It costs residualMACs
+// multiply-adds. The returned vector is scratch storage owned by e,
+// overwritten by the next call.
+//
+//memlp:hotpath
+func (e *extended) residual(base, s, factor linalg.Vector) linalg.Vector {
+	r := e.res
+	for i := range r {
+		row := e.matrix.RawRow(i)
+		var acc float64
+		for _, j := range e.pat.Row(i) {
+			acc += row[j] * s[j]
+		}
+		r[i] = base[i] - factor[i]*acc
+	}
+	return r
+}
+
+// residualMACs is the number of multiply-adds one residual call costs.
+func (e *extended) residualMACs() int64 { return int64(e.pat.NNZ()) }
 
 // prepareCones (re)derives the cone geometry from p. Scalings are reused
 // when the block layout is unchanged, so same-shaped conic solves allocate

@@ -6,9 +6,12 @@
 //     non-negative square system (Eq. 13–15) with compensation variables
 //     Δu = −Δw, Δv = −Δz and Δp (mirrors of the negated columns of A/Aᵀ),
 //     programs it on the analog fabric once, refreshes only the X/Y/Z/W
-//     cells each iteration (O(N) writes), and performs both the residual
-//     computation (one analog mat-vec plus the divide-by-2 fix-up of
-//     Eq. 15b) and the Newton solve (one analog settle) on the fabric.
+//     cells each iteration (O(N) writes), and takes each Newton step with
+//     one analog settle. By default the controller computes the residual
+//     digitally from the true coefficients it mirrors, O(nnz) multiply-adds
+//     per iteration (mixed-precision Newton, DESIGN.md D20); with
+//     Options.AnalogResidual it reads it from the fabric as the paper does,
+//     one analog mat-vec plus the divide-by-2 fix-up of Eq. 15b.
 //
 //   - LargeScaleSolver (Algorithm 2, §3.4) splits the Newton system into the
 //     two smaller systems of Eq. 16, regularizes the singular block matrix

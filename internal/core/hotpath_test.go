@@ -32,6 +32,17 @@ func TestIterationKernelAllocations(t *testing.T) {
 	vs := []linalg.Vector{x, y}
 	stop := newStopRule(lp.Tolerances{}.WithDefaults(), 10)
 	best := &snapshot{ok: true, pinf: 1, dinf: 1, gap: 1}
+	p, err := lp.GenerateFeasible(lp.GenConfig{Constraints: 12, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pn, pm := p.NumVariables(), p.NumConstraints()
+	ext, err := newExtended(p, x[:pn], y[:pm], w[:pm], z[:pn])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sExt := ext.stateVector(x[:pn], y[:pm], w[:pm], z[:pn])
+	base, factor := ext.baseVector(p, 0.5), ext.factorVector()
 
 	kernels := []struct {
 		name string
@@ -44,6 +55,7 @@ func TestIterationKernelAllocations(t *testing.T) {
 		{"slewLimit", func() { _ = slewLimit(x, dx) }},
 		{"normInfRange", func() { _ = normInfRange(x, 8, 16) }},
 		{"stopRule.check", func() { _, _ = stop.check(1, 1, 1, x, y, best, false) }},
+		{"extended.residual", func() { _ = ext.residual(base, sExt, factor) }},
 	}
 	for _, k := range kernels {
 		if allocs := testing.AllocsPerRun(100, k.run); allocs > 0 {

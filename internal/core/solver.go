@@ -82,6 +82,13 @@ type Options struct {
 	// It prices the trace's cumulative energy field and
 	// Diagnostics.EnergyJoules; nil leaves both zero.
 	EnergyModel func(crossbar.Counters) float64
+	// AnalogResidual selects the paper's Algorithm 1 residual: r is read
+	// from the array with one analog mat-vec (Eq. 15b), through the DAC and
+	// the variation-perturbed conductances. The zero value computes r
+	// digitally from the true coefficients instead (mixed-precision Newton,
+	// DESIGN.md D20) and keeps the analog settle for the step. The paper's
+	// figures and ablations regenerate with it set. Ignored by Algorithm 2.
+	AnalogResidual bool
 }
 
 // TraceOptions configures the iteration-trace recorder (see internal/trace).
@@ -454,12 +461,14 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 	nu := ext.barrierDegree()
 	bestConeInf := 0.0
 	stop := newStopRule(tol, s.opts.StallWindow)
-	// The controller monitors the measured residuals (they fall out of the
-	// analog mat-vec for free) and keeps the best iterate seen: near the
-	// accuracy floor the analog noise can push later iterates away from
-	// feasibility again.
+	// The controller monitors the residuals it reads and keeps the best
+	// iterate seen: near the accuracy floor the analog noise can push later
+	// iterates away from feasibility again.
 	best := snapshot{score: infNaN()}
 	var ctxErr error
+	// macs counts the attempt's digital residual work; the fabric's
+	// counters do not see it.
+	var macs int64
 
 	for iter := 1; iter <= tol.MaxIterations; iter++ {
 		if err := ctx.Err(); err != nil {
@@ -473,18 +482,13 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 		// holds s) — Eq. 8.
 		gap := dualityGap(x, z, y, w)
 		mu := tol.Delta * gap / nu
-		// Residual r in one fused analog operation (Eq. 15): the fabric
-		// computes M·s, halves the r3/r4 rows with resistive dividers, and
-		// subtracts from the calibrated base at the summing amplifiers —
-		// only the residual itself passes the ADC, so there is no
-		// large-product cancellation noise.
-		r, err := fab.MatVecResidual(ext.baseVector(p, mu), sExt, factor)
+		r, err := s.newtonResidual(fab, ext, ext.baseVector(p, mu), sExt, factor, &macs)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: residual mat-vec: %w", err)
 		}
 
-		// Convergence measures come from the measured residual (the analog
-		// path), exactly as the hardware controller would read them.
+		// Convergence measures come from the residual the controller reads,
+		// as the hardware controller would.
 		res.PrimalInfeasibility = normInfRange(r, ext.rowR1(0), ext.m)
 		res.DualInfeasibility = normInfRange(r, ext.rowR2(0), ext.n)
 		res.DualityGap = gap
@@ -525,7 +529,7 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 			})
 		}
 		if s.tr.active() {
-			s.tr.note(fab.Counters())
+			s.tr.note(withMACs(fab.Counters(), macs))
 			s.tr.emit(trace.Record{
 				Event:               trace.EventIteration,
 				Iteration:           iter,
@@ -588,7 +592,7 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 		return nil, nil, err
 	}
 	res.Objective = obj
-	res.Counters = fab.Counters().Sub(countersBase)
+	res.Counters = withMACs(fab.Counters().Sub(countersBase), macs)
 
 	// Robust feasibility detection (§3.2): accept the converged point only
 	// if A·x ≤ α·b; variation can distort the realized constraints, so α is
@@ -607,6 +611,27 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 		}
 	}
 	return res, ctxErr, nil
+}
+
+// newtonResidual reads Algorithm 1's residual r = base − factor∘(M·s). In
+// the paper's mode (Options.AnalogResidual) it is one fused analog
+// operation (Eq. 15): the fabric computes M·s, halves the r3/r4 rows with
+// resistive dividers and subtracts from the calibrated base at the summing
+// amplifiers, so only the residual passes the ADC. By default the
+// controller computes it digitally from the true coefficients (D20) and
+// adds the multiply-adds to *macs.
+func (s *Solver) newtonResidual(fab Fabric, ext *extended, base, sExt, factor linalg.Vector, macs *int64) (linalg.Vector, error) {
+	if s.opts.AnalogResidual {
+		return fab.MatVecResidual(base, sExt, factor)
+	}
+	*macs += ext.residualMACs()
+	return ext.residual(base, sExt, factor), nil
+}
+
+// withMACs returns c with the controller's digital multiply-adds added.
+func withMACs(c crossbar.Counters, macs int64) crossbar.Counters {
+	c.DigitalMACs += macs
+	return c
 }
 
 // snapshot keeps the best iterate seen, scored by the worst of the measured

@@ -2,10 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
+	"github.com/memlp/memlp/internal/cone"
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/pdip"
@@ -173,6 +177,175 @@ func TestExtendedMatVecIdentity(t *testing.T) {
 			t.Errorf("consistency row %d = %v, want 0", i, got[i])
 		}
 	}
+
+	// The digital residual walks the extended pattern and must reproduce
+	// the dense product bit for bit: on the start, after several
+	// complementarity refreshes, and across newExtendedInto reuses, first
+	// with a different q (a new size) and then with the same q but the
+	// negative entries moved (a reused matrix and pattern).
+	r := rand.New(rand.NewSource(5))
+	requireDigitalResidual(t, ext, p, s, "start")
+	refreshDigitalResidual(t, r, ext, p, 4, "lp")
+	ones := onesVector(2)
+	onesM := onesVector(3)
+	for _, rows := range [][][]float64{
+		{{1, 2}, {3, 4}, {-0.5, 1}},   // q = 2: one x mirror, one y mirror
+		{{1, 2}, {-3, 4}, {0.5, 1}},   // q = 2 again, mirrors moved
+		{{-1, -2}, {3, -4}, {0.5, 1}}, // q = 4
+	} {
+		p2 := mustProblem(t, linalg.VectorOf(1, 2), mustMatrix(t, rows), linalg.VectorOf(5, 5, 5))
+		prevSize := ext.size
+		reused, err := newExtendedInto(ext, p2, ones, onesM, onesM.Clone(), ones.Clone())
+		if err != nil {
+			t.Fatalf("newExtendedInto: %v", err)
+		}
+		label := fmt.Sprintf("reuse q=%d (size %d after %d)", reused.q, reused.size, prevSize)
+		requireDigitalResidual(t, reused, p2, randomSignedState(r, reused.size), label)
+		refreshDigitalResidual(t, r, reused, p2, 3, label)
+		ext = reused
+	}
+}
+
+// TestExtendedResidualSOCP is TestExtendedMatVecIdentity's digital
+// residual check on a conic system: the NT blocks' sign-split pairs flip
+// sides across refreshes, and the pattern must cover both sides of each.
+func TestExtendedResidualSOCP(t *testing.T) {
+	p, _ := socpTestProblem(t)
+	x := onesVector(2)
+	y, w := onesVector(4), onesVector(4)
+	cone.InitInterior(y, p.SOCBlocks())
+	cone.InitInterior(w, p.SOCBlocks())
+	ext, err := newExtended(p, x, y, w, x.Clone())
+	if err != nil {
+		t.Fatalf("newExtended: %v", err)
+	}
+	r := rand.New(rand.NewSource(9))
+	requireDigitalResidual(t, ext, p, randomSignedState(r, ext.size), "start")
+	refreshDigitalResidual(t, r, ext, p, 6, "socp")
+}
+
+// randomSignedState draws an extended state with signed entries, so the
+// u, v and p components do not simply mirror x, y, w and z.
+func randomSignedState(r *rand.Rand, n int) linalg.Vector {
+	s := linalg.NewVector(n)
+	for i := range s {
+		s[i] = 4*r.Float64() - 2
+	}
+	return s
+}
+
+// refreshDigitalResidual runs steps complementarity refreshes from random
+// interior iterates (cone blocks kept strictly inside their cones) and
+// checks the digital residual after each.
+func refreshDigitalResidual(t *testing.T, r *rand.Rand, ext *extended, p *lp.Problem, steps int, label string) {
+	t.Helper()
+	pos := func(n int) linalg.Vector {
+		v := linalg.NewVector(n)
+		for i := range v {
+			v[i] = 0.1 + 3*r.Float64()
+		}
+		return v
+	}
+	for step := 0; step < steps; step++ {
+		x, y, w, z := pos(ext.n), pos(ext.m), pos(ext.m), pos(ext.n)
+		for _, blk := range ext.blocks {
+			for _, v := range []linalg.Vector{y, w} {
+				// A random signed tail inside the cone.
+				for i := 1; i < blk.Dim; i++ {
+					v[blk.Start+i] = 2*r.Float64() - 1
+				}
+				v[blk.Start] = 2 + r.Float64()
+			}
+		}
+		if ext.conic() && !ext.updateScalings(w, y) {
+			t.Fatalf("%s step %d: iterate left the cone", label, step)
+		}
+		ext.fillDiagRows(x, y, w, z)
+		requireDigitalResidual(t, ext, p, randomSignedState(r, ext.size), fmt.Sprintf("%s step %d", label, step))
+	}
+}
+
+// requireDigitalResidual holds ext.residual to the dense reference
+// base − factor∘(ext.matrix.MatVec(s)) bit for bit.
+func requireDigitalResidual(t *testing.T, ext *extended, p *lp.Problem, s linalg.Vector, label string) {
+	t.Helper()
+	base := ext.baseVector(p, 0.37)
+	factor := ext.factorVector()
+	mv, err := ext.matrix.MatVec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := ext.residual(base, s, factor)
+	for i, v := range mv {
+		want := base[i] - factor[i]*v
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("%s: residual[%d] = %v, dense %v", label, i, got[i], want)
+		}
+	}
+}
+
+// TestDigitalResidualMatchesIdealArray: on an ideal array (no variation,
+// 24-bit converters and writes) the analog residual MatVecResidual reads
+// and the digital one agree to within 1e-6 of the residual's scale
+// (‖base‖∞ + ‖factor∘(M·s)‖∞); the rest is the array's quantization.
+func TestDigitalResidualMatchesIdealArray(t *testing.T) {
+	p, err := lp.GenerateFeasible(lp.GenConfig{Constraints: 12, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, m := p.NumVariables(), p.NumConstraints()
+	r := rand.New(rand.NewSource(4))
+	pos := func(k int) linalg.Vector {
+		v := linalg.NewVector(k)
+		for i := range v {
+			v[i] = 0.1 + 3*r.Float64()
+		}
+		return v
+	}
+	x, y, w, z := pos(n), pos(m), pos(m), pos(n)
+	ext, err := newExtended(p, x, y, w, z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab, err := SingleCrossbarFactory(crossbar.Config{IOBits: 24, WriteBits: 24})(ext.size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fab.Program(ext.matrix); err != nil {
+		t.Fatal(err)
+	}
+	const tol = 1e-6
+	for trial := 0; trial < 5; trial++ {
+		s := ext.stateVector(x, y, w, z)
+		base := ext.baseVector(p, 0.1*float64(trial+1))
+		factor := ext.factorVector()
+		analog, err := fab.MatVecResidual(base, s, factor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digital := ext.residual(base, s, factor)
+		mv, err := ext.matrix.MatVec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scale := base.NormInf()
+		for i := range mv {
+			scale = max(scale, math.Abs(factor[i]*mv[i]))
+		}
+		for i := range digital {
+			if d := math.Abs(digital[i] - analog[i]); d > tol*scale {
+				t.Errorf("trial %d: row %d digital %v, analog %v (|Δ| %.3g > %.0e·%.3g)",
+					trial, i, digital[i], analog[i], d, tol, scale)
+			}
+		}
+		x, y, w, z = pos(n), pos(m), pos(m), pos(n)
+		ext.fillDiagRows(x, y, w, z)
+		for _, u := range ext.diagRowUpdates(x, y, w, z) {
+			if err := fab.UpdateRow(u.index, u.row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 func TestSolverIdealFabricKnownLPs(t *testing.T) {
@@ -321,27 +494,61 @@ func TestSolverDetectsInfeasible(t *testing.T) {
 	}
 }
 
+// TestSolverCountsOperations: in the paper's mode every iteration reads its
+// residual with one analog mat-vec and no digital work. In the default
+// mode no mat-vec runs, and the controller is charged the extended
+// pattern's nnz multiply-adds on every iteration.
 func TestSolverCountsOperations(t *testing.T) {
-	s, err := NewSolver(idealOpts())
-	if err != nil {
-		t.Fatalf("NewSolver: %v", err)
-	}
 	p, err := lp.GenerateFeasible(lp.GenConfig{Constraints: 9, Seed: 1})
 	if err != nil {
 		t.Fatalf("GenerateFeasible: %v", err)
 	}
-	res, err := s.Solve(p)
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
+	solve := func(analog bool) (*Solver, *engine.Result) {
+		t.Helper()
+		opts := idealOpts()
+		opts.AnalogResidual = analog
+		s, err := NewSolver(opts)
+		if err != nil {
+			t.Fatalf("NewSolver: %v", err)
+		}
+		res, err := s.Solve(p)
+		if err != nil {
+			t.Fatalf("Solve: %v", err)
+		}
+		if res.Counters.CellWrites == 0 || res.Counters.SolveOps == 0 {
+			t.Errorf("analog=%v: counters not populated: %+v", analog, res.Counters)
+		}
+		if res.MatrixSize == 0 {
+			t.Errorf("analog=%v: MatrixSize not reported", analog)
+		}
+		return s, res
 	}
-	if res.Counters.CellWrites == 0 || res.Counters.MatVecOps == 0 || res.Counters.SolveOps == 0 {
-		t.Errorf("counters not populated: %+v", res.Counters)
+
+	_, paper := solve(true)
+	if paper.Counters.MatVecOps < int64(paper.Iterations) {
+		t.Errorf("paper mode: MatVecOps %d < iterations %d", paper.Counters.MatVecOps, paper.Iterations)
 	}
-	if res.Counters.MatVecOps < int64(res.Iterations) {
-		t.Errorf("MatVecOps %d < iterations %d", res.Counters.MatVecOps, res.Iterations)
+	if paper.Counters.DigitalMACs != 0 {
+		t.Errorf("paper mode: %d digital MACs, want 0", paper.Counters.DigitalMACs)
 	}
-	if res.MatrixSize == 0 {
-		t.Error("MatrixSize not reported")
+
+	s, mixed := solve(false)
+	if mixed.Counters.MatVecOps != 0 {
+		t.Errorf("default mode: %d analog mat-vecs, want 0", mixed.Counters.MatVecOps)
+	}
+	// An LP's extended pattern is exactly the mirror's non-zeros: the
+	// complementarity cells stay strictly positive.
+	nnz := 0
+	for i := 0; i < s.ext.matrix.Rows(); i++ {
+		for _, v := range s.ext.matrix.RawRow(i) {
+			if v != 0 {
+				nnz++
+			}
+		}
+	}
+	if want := int64(mixed.Iterations * nnz); mixed.Counters.DigitalMACs != want {
+		t.Errorf("default mode: %d digital MACs, want %d iterations × %d nnz = %d",
+			mixed.Counters.DigitalMACs, mixed.Iterations, nnz, want)
 	}
 }
 

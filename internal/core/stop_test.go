@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -111,15 +112,15 @@ func floorProblems(t *testing.T, k int) []*lp.Problem {
 	return out
 }
 
-// checkFloorStop asserts that an Algorithm 1 result ended on the floor
-// rule before the iteration budget and that its answer is optimal and
-// within 5% of the simplex optimum.
-func checkFloorStop(t *testing.T, label string, p *lp.Problem, res *engine.Result) {
+// checkStop asserts that an Algorithm 1 result ended on the rule before
+// the iteration budget and that its answer is optimal and within 5% of the
+// simplex optimum. It returns the answer's relative objective error.
+func checkStop(t *testing.T, label string, p *lp.Problem, res *engine.Result, rule string) float64 {
 	t.Helper()
 	done := res.Trace[len(res.Trace)-1]
-	if limit := (lp.Tolerances{}).WithDefaults().MaxIterations; done.Stop != trace.StopFloor || res.Iterations >= limit {
+	if limit := (lp.Tolerances{}).WithDefaults().MaxIterations; done.Stop != rule || res.Iterations >= limit {
 		t.Errorf("%s: stopped on %q after %d iterations, want %q before %d",
-			label, done.Stop, res.Iterations, trace.StopFloor, limit)
+			label, done.Stop, res.Iterations, rule, limit)
 	}
 	if res.Status != lp.StatusOptimal {
 		t.Fatalf("%s: status %v", label, res.Status)
@@ -128,59 +129,88 @@ func checkFloorStop(t *testing.T, label string, p *lp.Problem, res *engine.Resul
 	if err != nil || ref.Status != lp.StatusOptimal {
 		t.Fatalf("%s: simplex reference: %v %v", label, ref, err)
 	}
-	if rel := math.Abs(res.Objective-ref.Objective) / (1 + math.Abs(ref.Objective)); rel > 0.05 {
+	rel := math.Abs(res.Objective-ref.Objective) / (1 + math.Abs(ref.Objective))
+	if rel > 0.05 {
 		t.Errorf("%s: objective %v, simplex %v (rel %v)", label, res.Objective, ref.Objective, rel)
 	}
+	return rel
 }
 
-// TestFloorStopWithoutVariation: with no variation at m=96 the duality gap
-// keeps falling while the measured residuals sit at the 8-bit floor, so the
-// gap rule alone ran every solve into the 200-iteration cap. The single and
-// batch paths both stop on the floor rule instead.
+// TestFloorStopWithoutVariation: in the paper's mode with no variation at
+// m=96 the duality gap keeps falling while the analog residuals sit at the
+// 8-bit floor, so the gap rule alone ran every solve into the 200-iteration
+// cap. The single and batch paths both stop on the floor rule instead. The
+// default mode's digital residual has no such floor: the same solves end on
+// the tolerance rule in fewer iterations, with a smaller objective error.
 func TestFloorStopWithoutVariation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("m=96 crossbar solves")
 	}
 	problems := floorProblems(t, 2)
-	opts := Options{Fabric: SingleCrossbarFactory(crossbar.Config{}), Parallelism: 1, Trace: &TraceOptions{}}
-	s, err := NewSolver(opts)
-	if err != nil {
-		t.Fatal(err)
+	solveAll := func(analog bool) (single, batch []*engine.Result) {
+		t.Helper()
+		opts := Options{Fabric: SingleCrossbarFactory(crossbar.Config{}), Parallelism: 1,
+			Trace: &TraceOptions{}, AnalogResidual: analog}
+		s, err := NewSolver(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range problems {
+			res, err := s.Solve(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			single = append(single, res)
+		}
+		batch, err = s.SolveBatch(problems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return single, batch
 	}
-	for i, p := range problems {
+	paperSingle, paperBatch := solveAll(true)
+	mixedSingle, mixedBatch := solveAll(false)
+	for _, c := range []struct {
+		path         string
+		paper, mixed []*engine.Result
+	}{{"single", paperSingle, mixedSingle}, {"batch", paperBatch, mixedBatch}} {
+		for i, p := range problems {
+			label := fmt.Sprintf("%s %d", c.path, i)
+			paperErr := checkStop(t, "paper "+label, p, c.paper[i], trace.StopFloor)
+			mixedErr := checkStop(t, "default "+label, p, c.mixed[i], trace.StopTolerance)
+			if c.mixed[i].Iterations >= c.paper[i].Iterations || mixedErr >= paperErr {
+				t.Errorf("%s: default mode took %d iterations to error %.3g, paper mode %d to %.3g",
+					label, c.mixed[i].Iterations, mixedErr, c.paper[i].Iterations, paperErr)
+			}
+		}
+	}
+}
+
+// TestGapLimitedPlateauRunsToGapStall: in the paper's mode the SOCP of
+// TestAnalogSolveSOCP keeps a gap-limited best iterate on a θ-collapse
+// plateau for more than StallWindow iterations before the gap improves
+// again. A floor rule without its residual-limited condition stops there
+// and returns a point that is infeasible at 1e-3. The default mode reaches
+// the tolerance without the plateau.
+func TestGapLimitedPlateauRunsToGapStall(t *testing.T) {
+	p, _ := socpTestProblem(t)
+	for _, c := range []struct {
+		analog bool
+		rule   string
+	}{{true, trace.StopGapStall}, {false, trace.StopTolerance}} {
+		opts := crossbarOpts(t, 0, 1)
+		opts.Trace = &TraceOptions{}
+		opts.AnalogResidual = c.analog
+		s, err := NewSolver(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := s.Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkFloorStop(t, "single "+string(rune('0'+i)), p, res)
-	}
-	results, err := s.SolveBatch(problems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		checkFloorStop(t, "batch "+string(rune('0'+i)), problems[i], res)
-	}
-}
-
-// TestGapLimitedPlateauRunsToGapStall: the SOCP of TestAnalogSolveSOCP
-// keeps a gap-limited best iterate on a θ-collapse plateau for more than
-// StallWindow iterations before the gap improves again. A floor rule
-// without its residual-limited condition stops there and returns a point
-// that is infeasible at 1e-3.
-func TestGapLimitedPlateauRunsToGapStall(t *testing.T) {
-	p, _ := socpTestProblem(t)
-	opts := crossbarOpts(t, 0, 1)
-	opts.Trace = &TraceOptions{}
-	s, err := NewSolver(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done := res.Trace[len(res.Trace)-1]; done.Stop != trace.StopGapStall {
-		t.Errorf("stopped on %q after %d iterations, want %q", done.Stop, res.Iterations, trace.StopGapStall)
+		if done := res.Trace[len(res.Trace)-1]; done.Stop != c.rule {
+			t.Errorf("analog=%v: stopped on %q after %d iterations, want %q", c.analog, done.Stop, res.Iterations, c.rule)
+		}
 	}
 }

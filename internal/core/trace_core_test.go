@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/trace"
 )
@@ -154,5 +155,48 @@ func TestDiagnosticsEnergyOnCleanSolve(t *testing.T) {
 	}
 	if d.EnergyJoules <= 0 {
 		t.Errorf("EnergyJoules = %v, want > 0 on a successful solve", d.EnergyJoules)
+	}
+}
+
+// TestTraceEnergyFoldsDigitalMACs: the per-iteration records price the same
+// counters as the done record, the controller's digital multiply-adds
+// included. With an energy model that charges only those, iteration k's
+// running energy is k residuals' worth and the done record's is one per
+// iteration, on the single and the batch path alike.
+func TestTraceEnergyFoldsDigitalMACs(t *testing.T) {
+	p, err := lp.GenerateFeasible(lp.GenConfig{Constraints: 9, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := idealOpts()
+	opts.Trace = &TraceOptions{}
+	opts.EnergyModel = func(c crossbar.Counters) float64 { return float64(c.DigitalMACs) }
+	s, err := NewSolver(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := s.Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nnz := float64(s.ext.residualMACs())
+	batch, err := s.SolveBatch([]*lp.Problem{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path string
+		res  *engine.Result
+	}{{"single", single}, {"batch", batch[0]}} {
+		recs := c.res.Trace
+		for _, r := range recs[:len(recs)-1] {
+			if want := float64(r.Iteration) * nnz; r.EnergyJoules != want {
+				t.Fatalf("%s: iteration %d energy %v, want %v", c.path, r.Iteration, r.EnergyJoules, want)
+			}
+		}
+		done := recs[len(recs)-1]
+		if want := float64(c.res.Iterations) * nnz; done.EnergyJoules != want || float64(c.res.Counters.DigitalMACs) != want {
+			t.Errorf("%s: done energy %v and %d MACs, want %v", c.path, done.EnergyJoules, c.res.Counters.DigitalMACs, want)
+		}
 	}
 }

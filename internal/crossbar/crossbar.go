@@ -229,6 +229,11 @@ type Counters struct {
 	SolveOps int64
 	// IOConversions is the number of DAC/ADC element conversions.
 	IOConversions int64
+	// DigitalMACs is the number of fp64 multiply-adds the digital
+	// controller spends beside the array (Algorithm 1's mixed-precision
+	// residual). A crossbar never counts any itself; the solver that does
+	// the work adds them to the counters it reports.
+	DigitalMACs int64
 }
 
 // Add returns the element-wise sum of two counter sets.
@@ -240,6 +245,7 @@ func (c Counters) Add(o Counters) Counters {
 		MatVecOps:     c.MatVecOps + o.MatVecOps,
 		SolveOps:      c.SolveOps + o.SolveOps,
 		IOConversions: c.IOConversions + o.IOConversions,
+		DigitalMACs:   c.DigitalMACs + o.DigitalMACs,
 	}
 }
 
@@ -255,6 +261,7 @@ func (c Counters) Sub(o Counters) Counters {
 		MatVecOps:     c.MatVecOps - o.MatVecOps,
 		SolveOps:      c.SolveOps - o.SolveOps,
 		IOConversions: c.IOConversions - o.IOConversions,
+		DigitalMACs:   c.DigitalMACs - o.DigitalMACs,
 	}
 }
 
@@ -754,12 +761,14 @@ func (x *Crossbar) UpdateRow(i int, row linalg.Vector) error {
 }
 
 // UpdateCellInPlace rewrites a single device using the row's existing scale
-// and mapping coefficient — one physical write, O(1). Unlike UpdateRow it
-// does not re-balance the rest of the row, so the row's mapping drifts
-// slightly from the exact C = a/rowScale relation; the drift is harmless
-// because both MatVec and Solve operate on measured conductances (the Solve
-// path re-calibrates with measured row sums). Use it for per-iteration
-// refreshes of single coefficients inside otherwise-static dense rows.
+// and mapping coefficient — one physical write. The row sums that bound and
+// map the new target walk only the row's live cells, so the cost grows with
+// the row's live cells, not its width. Unlike UpdateRow it does not
+// re-balance the rest of the row, so the row's mapping drifts slightly from
+// the exact C = a/rowScale relation; the drift is harmless because both
+// MatVec and Solve operate on measured conductances (the Solve path
+// re-calibrates with measured row sums). Use it for per-iteration refreshes
+// of single coefficients inside otherwise-static dense rows.
 func (x *Crossbar) UpdateCellInPlace(i, j int, value float64) error {
 	if x.target == nil {
 		return ErrNotProgrammed
@@ -779,7 +788,7 @@ func (x *Crossbar) UpdateCellInPlace(i, j int, value float64) error {
 	// UpdateRow instead.
 	c := value / x.rowScale[i]
 	oldTarget := x.target.At(i, j)
-	rest := x.target.RowSum(i) - oldTarget
+	rest := x.liveRowSum(i) - oldTarget
 	if maxC := x.cfg.MaxRowSum - rest; c > maxC {
 		c = maxC
 	}
@@ -794,18 +803,32 @@ func (x *Crossbar) UpdateCellInPlace(i, j int, value float64) error {
 	x.target.Set(i, j, c)
 	// Only a target with a bit set can leave the cell live: a non-zero
 	// progTarget after the write needs a non-zero target, and one that was
-	// already non-zero was already marked.
-	if x.liveValid && math.Float64bits(c) != 0 {
+	// already non-zero was already marked. liveRowSum above built the masks.
+	if math.Float64bits(c) != 0 {
 		x.live[i*x.liveWords+j/64] |= 1 << (j % 64)
 	}
 	var tq float64
 	if c > 0 {
-		ri := x.target.RowSum(i)
+		ri := x.liveRowSum(i)
 		coef := x.cfg.SenseConductance / (1 - ri)
 		tq = x.quantizeG(c * coef)
 	}
 	x.programCell(i, j, tq)
 	return nil
+}
+
+// liveRowSum returns the sum of row i's targets over its live cells, in
+// ascending column order. Every other cell's target is +0, and a sum that
+// starts at +0 never becomes −0, so it equals target.RowSum(i) bit for bit.
+func (x *Crossbar) liveRowSum(i int) float64 {
+	trow := x.target.RawRow(i)
+	var s float64
+	for k, w := range x.liveRow(i) {
+		for ; w != 0; w &= w - 1 {
+			s += trow[k*64+bits.TrailingZeros64(w)]
+		}
+	}
+	return s
 }
 
 // effG returns the conductance of cell (i, j) as seen from the periphery,

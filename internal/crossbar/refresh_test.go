@@ -80,6 +80,43 @@ func refUpdateRow(x *Crossbar, i int, row linalg.Vector) error {
 	return nil
 }
 
+// refUpdateCellInPlace is UpdateCellInPlace over the dense row sum it
+// replaced: both sums walk every cell of the row.
+func refUpdateCellInPlace(x *Crossbar, i, j int, value float64) error {
+	if x.target == nil {
+		return ErrNotProgrammed
+	}
+	if i < 0 || i >= x.rows || j < 0 || j >= x.cols {
+		return linalg.ErrDimensionMismatch
+	}
+	if err := checkCoefficient(value); err != nil {
+		return err
+	}
+	c := value / x.rowScale[i]
+	rest := x.target.RowSum(i) - x.target.At(i, j)
+	if maxC := x.cfg.MaxRowSum - rest; c > maxC {
+		c = maxC
+	}
+	gmax := x.cfg.Device.GMax()
+	if maxC := gmax * (1 - rest) / (x.cfg.SenseConductance + gmax); c > maxC {
+		c = maxC
+	}
+	if c < 0 {
+		c = 0
+	}
+	x.target.Set(i, j, c)
+	if x.liveValid && math.Float64bits(c) != 0 {
+		x.live[i*x.liveWords+j/64] |= 1 << (j % 64)
+	}
+	var tq float64
+	if c > 0 {
+		coef := x.cfg.SenseConductance / (1 - x.target.RowSum(i))
+		tq = x.quantizeG(c * coef)
+	}
+	x.programCell(i, j, tq)
+	return nil
+}
+
 // requireSameBits compares two matrices bit for bit: NaN matches NaN of
 // the same payload, and −0 does not match +0.
 func requireSameBits(t *testing.T, got, want *linalg.Matrix, label string) {
@@ -343,7 +380,7 @@ func TestRefreshMatchesDense(t *testing.T) {
 					j := r.Intn(n)
 					v := []float64{0, math.Copysign(0, -1), 2 * r.Float64(), 1e6}[r.Intn(4)]
 					label = fmt.Sprintf("step %d: UpdateCellInPlace(%d,%d,%v)", step, i, j, v)
-					errGot, errRef := got.UpdateCellInPlace(i, j, v), ref.UpdateCellInPlace(i, j, v)
+					errGot, errRef := got.UpdateCellInPlace(i, j, v), refUpdateCellInPlace(ref, i, j, v)
 					if errGot != nil || errRef != nil {
 						t.Fatalf("%s: %v, reference %v", label, errGot, errRef)
 					}
@@ -381,5 +418,71 @@ func TestRefreshMatchesDense(t *testing.T) {
 				requireSameReads(t, got, ref, r, label)
 			}
 		})
+	}
+}
+
+// TestUpdateCellMatchesDenseRowSum holds UpdateCellInPlace, whose row sums
+// walk only live cells, to the dense reference on the cases that make a
+// cell dead or live: a −0 target, a stuck cell, and a cell written to zero
+// and then written again. Every write's targets, conductances, counters and
+// next reads must match bit for bit, and the live sum must equal the dense
+// RowSum on every row.
+func TestUpdateCellMatchesDenseRowSum(t *testing.T) {
+	cfg := Config{Size: 40, IOBits: 8, WriteBits: 14,
+		Faults: &memristor.FaultModel{StuckOnDensity: 0.05, StuckOffDensity: 0.05, Seed: 3}}
+	got, ref := mustNew(t, cfg), mustNew(t, cfg)
+	r := rand.New(rand.NewSource(17))
+	a := randomSparseNonNegMatrix(r, 40, 0.2)
+	const row = 5
+	negZero := math.Copysign(0, -1)
+	a.Set(row, 7, negZero)
+	for _, x := range []*Crossbar{got, ref} {
+		if err := x.Program(a); err != nil {
+			t.Fatalf("Program: %v", err)
+		}
+	}
+	stuck := -1
+	for j := 0; j < 40 && stuck < 0; j++ {
+		if j != 7 && got.faultAt(row, j) != memristor.FaultNone {
+			stuck = j
+		}
+	}
+	if stuck < 0 {
+		t.Fatal("no stuck cell in the test row; pick another fault seed")
+	}
+	live := -1
+	for j, v := range a.RawRow(row) {
+		if v > 0 && j != stuck {
+			live = j
+			break
+		}
+	}
+	if live < 0 {
+		t.Fatal("no live cell in the test row")
+	}
+	writes := []struct {
+		j int
+		v float64
+	}{
+		{7, 0.5},               // the −0 target becomes live
+		{7, negZero},           // and is written back to −0
+		{stuck, 0.75},          // a stuck cell takes a target it cannot hold
+		{live, 0},              // a live cell is written to zero ...
+		{live, 1.25},           // ... and back
+		{stuck, 0},             // the stuck cell is written to zero
+		{(live + 1) % 40, 1e6}, // a value that saturates at the row ceiling
+	}
+	for k, wr := range writes {
+		label := fmt.Sprintf("write %d: UpdateCellInPlace(%d,%d,%v)", k, row, wr.j, wr.v)
+		if err, refErr := got.UpdateCellInPlace(row, wr.j, wr.v), refUpdateCellInPlace(ref, row, wr.j, wr.v); err != nil || refErr != nil {
+			t.Fatalf("%s: %v, reference %v", label, err, refErr)
+		}
+		requireRefreshState(t, got, ref, label)
+		for i := 0; i < got.rows; i++ {
+			if s, d := got.liveRowSum(i), got.target.RowSum(i); math.Float64bits(s) != math.Float64bits(d) {
+				t.Fatalf("%s: row %d live sum %v, dense RowSum %v", label, i, s, d)
+			}
+		}
+		requireSameReads(t, got, ref, r, label)
 	}
 }

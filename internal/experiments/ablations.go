@@ -162,7 +162,8 @@ func AblationIOBits(cfg Config, m int, bits []int) ([]AblationRow, error) {
 			b, global := b, global
 			row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*engine.Result, error), error) {
 				s, err := core.NewSolver(core.Options{
-					Fabric: core.SingleCrossbarFactory(crossbar.Config{IOBits: b, GlobalIORange: global}),
+					AnalogResidual: true,
+					Fabric:         core.SingleCrossbarFactory(crossbar.Config{IOBits: b, GlobalIORange: global}),
 				})
 				if err != nil {
 					return nil, err
@@ -210,8 +211,9 @@ func AblationVariationModel(cfg Config, m int, magnitude float64) ([]AblationRow
 				return nil, err
 			}
 			s, err := core.NewSolver(core.Options{
-				Fabric: core.SingleCrossbarFactory(crossbar.Config{Variation: vm, CycleNoise: vt.cycle}),
-				Alpha:  1.05 + 2*magnitude,
+				AnalogResidual: true,
+				Fabric:         core.SingleCrossbarFactory(crossbar.Config{Variation: vm, CycleNoise: vt.cycle}),
+				Alpha:          1.05 + 2*magnitude,
 			})
 			if err != nil {
 				return nil, err
@@ -241,6 +243,7 @@ func AblationNoC(cfg Config, m, tileSize int) ([]AblationRow, error) {
 		nocCfg := noc.Config{Topology: topo, TileSize: tileSize}
 		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*engine.Result, error), error) {
 			s, err := core.NewSolver(core.Options{
+				AnalogResidual: true,
 				Fabric: func(size int) (core.Fabric, error) {
 					c := nocCfg
 					needed := (size + c.TileSize - 1) / c.TileSize
@@ -288,7 +291,8 @@ func AblationWriteBits(cfg Config, m int, bits []int) ([]AblationRow, error) {
 		b := b
 		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*engine.Result, error), error) {
 			s, err := core.NewSolver(core.Options{
-				Fabric: core.SingleCrossbarFactory(crossbar.Config{WriteBits: b}),
+				AnalogResidual: true,
+				Fabric:         core.SingleCrossbarFactory(crossbar.Config{WriteBits: b}),
 			})
 			if err != nil {
 				return nil, err
@@ -317,7 +321,8 @@ func AblationWireResistance(cfg Config, m int, resistances []float64) ([]Ablatio
 		rw := rw
 		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*engine.Result, error), error) {
 			s, err := core.NewSolver(core.Options{
-				Fabric: core.SingleCrossbarFactory(crossbar.Config{WireResistance: rw}),
+				AnalogResidual: true,
+				Fabric:         core.SingleCrossbarFactory(crossbar.Config{WireResistance: rw}),
 			})
 			if err != nil {
 				return nil, err

@@ -47,9 +47,10 @@ func batchSolverFor(varPct float64, seed int64, width int) (*core.Solver, error)
 		cfg.Variation = vm
 	}
 	opts := core.Options{
-		Fabric:      core.SingleCrossbarFactory(cfg),
-		Alpha:       1.05 + 2*varPct,
-		Parallelism: width,
+		Fabric:         core.SingleCrossbarFactory(cfg),
+		Alpha:          1.05 + 2*varPct,
+		Parallelism:    width,
+		AnalogResidual: true,
 	}
 	if vm != nil {
 		opts.ReplicaFabric = func(size int) (core.Fabric, error) {

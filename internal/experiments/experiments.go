@@ -34,12 +34,16 @@ import (
 // Algorithm selects which crossbar solver an experiment exercises.
 type Algorithm int
 
-// The two solvers of the paper.
+// The two solvers of the paper, and Algorithm 1's mixed-precision mode.
 const (
-	// Algorithm1 is the full crossbar PDIP solver (§3.2).
+	// Algorithm1 is the full crossbar PDIP solver (§3.2), reading its
+	// residual from the array as the paper does.
 	Algorithm1 Algorithm = iota + 1
 	// Algorithm2 is the large-scale iterative solver (§3.4).
 	Algorithm2
+	// Algorithm1Mixed is Algorithm 1 with the residual computed digitally
+	// from the true coefficients (the library default, DESIGN.md D20).
+	Algorithm1Mixed
 )
 
 // String implements fmt.Stringer.
@@ -49,6 +53,8 @@ func (a Algorithm) String() string {
 		return "algorithm-1"
 	case Algorithm2:
 		return "algorithm-2"
+	case Algorithm1Mixed:
+		return "algorithm-1-mixed"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -108,8 +114,9 @@ func (c Config) solverFor(alg Algorithm, varPct float64, seed int64) (func(*lp.P
 		cfg.Variation = vm
 	}
 	opts := core.Options{
-		Fabric: core.SingleCrossbarFactory(cfg),
-		Alpha:  1.05 + 2*varPct,
+		Fabric:         core.SingleCrossbarFactory(cfg),
+		Alpha:          1.05 + 2*varPct,
+		AnalogResidual: alg != Algorithm1Mixed,
 	}
 	if c.Trace != nil {
 		sink := c.Trace
@@ -123,7 +130,7 @@ func (c Config) solverFor(alg Algorithm, varPct float64, seed int64) (func(*lp.P
 		}
 	}
 	switch alg {
-	case Algorithm1:
+	case Algorithm1, Algorithm1Mixed:
 		s, err := core.NewSolver(opts)
 		if err != nil {
 			return nil, err

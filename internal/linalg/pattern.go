@@ -52,3 +52,6 @@ func (p *Pattern) Rows() int {
 // Row returns row i's candidate non-zero columns, ascending. The slice
 // aliases the pattern's storage and is invalidated by the next Scan.
 func (p *Pattern) Row(i int) []int32 { return p.cols[p.rowPtr[i]:p.rowPtr[i+1]] }
+
+// NNZ returns the number of cells the pattern covers.
+func (p *Pattern) NNZ() int { return len(p.cols) }

@@ -28,6 +28,12 @@ type Timing struct {
 	// CMOS controller) while a solve is in flight. The paper's no-variation
 	// headline point (0.9 J over 78 ms at m = 1024) implies ≈11.5 W.
 	StaticPowerWatts float64
+	// DigitalMACLatency is the controller's time per fp64 multiply-add of
+	// the digital residual (a sparse row walk, serial beside the array).
+	DigitalMACLatency time.Duration
+	// DigitalMACEnergy is the controller's energy per fp64 multiply-add,
+	// operand fetch from a small cache included.
+	DigitalMACEnergy float64 // joules
 }
 
 // DefaultTiming returns the calibrated constants used by the paper-scale
@@ -41,5 +47,12 @@ func DefaultTiming() Timing {
 		AmplifierLatency:          60 * time.Nanosecond,
 		AmplifierEnergyPerElement: 0.8e-9,
 		StaticPowerWatts:          11.5,
+		// One fp64 MAC per ns is slower than one core of the paper's
+		// i7-6700 baseline. 20 pJ follows Horowitz (ISSCC 2014, 45 nm):
+		// 0.9 pJ add and 3.7 pJ multiply at fp32, about 4× that multiply at
+		// fp64's 53-bit mantissa, plus 10 pJ for a 64-bit read from an 8 KB
+		// cache (DESIGN.md D20).
+		DigitalMACLatency: time.Nanosecond,
+		DigitalMACEnergy:  20e-12,
 	}
 }

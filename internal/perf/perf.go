@@ -44,14 +44,17 @@ func (e Estimate) String() string {
 // programs one cell at a time — this is what makes the per-iteration update
 // cost O(N)); analog ops cost one settle each; conversions happen in
 // parallel banks and are folded into the settle time, but their energy is
-// charged per element.
+// charged per element. The controller's digital multiply-adds run serially
+// beside the array, each at the timing's per-MAC latency and energy.
 func CrossbarCost(c crossbar.Counters, timing memristor.Timing) Estimate {
 	lat := time.Duration(c.CellWrites)*timing.WriteLatencyPerCell +
 		time.Duration(c.MatVecOps+c.SolveOps)*timing.AnalogSettleLatency +
-		time.Duration(c.MatVecOps+c.SolveOps)*timing.AmplifierLatency
+		time.Duration(c.MatVecOps+c.SolveOps)*timing.AmplifierLatency +
+		time.Duration(c.DigitalMACs)*timing.DigitalMACLatency
 	energy := float64(c.CellWrites)*timing.WriteEnergyPerCell +
 		float64(c.MatVecOps+c.SolveOps)*timing.AnalogOpEnergy +
 		float64(c.IOConversions)*timing.AmplifierEnergyPerElement +
+		float64(c.DigitalMACs)*timing.DigitalMACEnergy +
 		lat.Seconds()*timing.StaticPowerWatts
 	return Estimate{Latency: lat, Energy: energy}
 }

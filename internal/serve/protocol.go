@@ -210,6 +210,7 @@ type HardwareInfo struct {
 	CellWrites   int64     `json:"cell_writes"`
 	AnalogOps    int64     `json:"analog_ops"`
 	Conversions  int64     `json:"conversions"`
+	DigitalMACs  int64     `json:"digital_macs"`
 }
 
 // Response is the JSON body of a /solve reply. Solve outcomes — including

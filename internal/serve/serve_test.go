@@ -114,6 +114,12 @@ func TestSolveEveryEngine(t *testing.T) {
 			if (resp.Hardware != nil) != analog {
 				t.Errorf("hardware block present = %v, want %v", resp.Hardware != nil, analog)
 			}
+			// Algorithm 1 (crossbar, conic) computes its residual digitally
+			// and reports the multiply-adds; the other analog engines do
+			// no such work.
+			if mixed := eng == "crossbar" || eng == "conic"; resp.Hardware != nil && (resp.Hardware.DigitalMACs > 0) != mixed {
+				t.Errorf("digital_macs = %d, want non-zero %v", resp.Hardware.DigitalMACs, mixed)
+			}
 			if eng == "simplex" && resp.Pivots == 0 {
 				t.Error("simplex response missing pivot count")
 			}

@@ -421,6 +421,7 @@ func (s *Server) finishSolve(w http.ResponseWriter, start time.Time, req Request
 			CellWrites:   hw.CellWrites,
 			AnalogOps:    hw.AnalogOps,
 			Conversions:  hw.Conversions,
+			DigitalMACs:  hw.DigitalMACs,
 		}
 	}
 	if req.Options.Trace {

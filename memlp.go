@@ -293,11 +293,14 @@ type HardwareEstimate struct {
 	Latency time.Duration
 	// EnergyJoules is the corresponding energy.
 	EnergyJoules float64
-	// CellWrites, AnalogOps and Conversions are the counted operations the
-	// estimate is built from.
+	// CellWrites, AnalogOps and Conversions count the array's operations,
+	// and DigitalMACs the fp64 multiply-adds the digital controller spends
+	// beside it (the crossbar engine's residual, DESIGN.md D20). The
+	// estimate is built from these four counts.
 	CellWrites  int64
 	AnalogOps   int64
 	Conversions int64
+	DigitalMACs int64
 	// CellsSkipped counts the physical programming pulses avoided by
 	// delta-programming (WithDeltaWriteBits): cells whose discretized level
 	// was unchanged since the last epoch-compatible write. Skipped writes

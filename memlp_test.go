@@ -126,7 +126,7 @@ func TestCrossbarSolutionHasHardwareEstimate(t *testing.T) {
 	if sol.Hardware.Latency <= 0 || sol.Hardware.EnergyJoules <= 0 {
 		t.Errorf("estimate not populated: %+v", sol.Hardware)
 	}
-	if sol.Hardware.CellWrites == 0 || sol.Hardware.AnalogOps == 0 {
+	if sol.Hardware.CellWrites == 0 || sol.Hardware.AnalogOps == 0 || sol.Hardware.DigitalMACs == 0 {
 		t.Errorf("counters not populated: %+v", sol.Hardware)
 	}
 }

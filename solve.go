@@ -923,6 +923,7 @@ func (s *Solver) solution(res *engine.Result, nocCost perf.Estimate) *Solution {
 			CellWrites:   res.Counters.CellWrites,
 			AnalogOps:    res.Counters.MatVecOps + res.Counters.SolveOps,
 			Conversions:  res.Counters.IOConversions,
+			DigitalMACs:  res.Counters.DigitalMACs,
 			CellsSkipped: res.Counters.CellSkips,
 		}
 	}
