@@ -17,11 +17,13 @@ import (
 	"testing"
 )
 
-// The dead-export guard: every exported identifier under internal/ must
-// have a caller in a non-test file of the root module or of perfbench (its
-// own module, which imports the internals). memlpvet analyzers see one
-// package at a time, so this whole-program check runs as a test over the
-// package's goList loader instead.
+// The dead-export guard: every exported identifier under internal/, and
+// every unexported package-level function and unexported method of a
+// concrete type in any package, must have a caller in a non-test file of
+// the root module or of perfbench (its own module, which imports the
+// internals). main is exempt. memlpvet analyzers see one package at a
+// time, so this whole-program check runs as a test over the package's
+// goList loader instead.
 //
 // A reference inside an identifier's own declaration does not count: a
 // recursive call, or a type named only in its own methods. A method also
@@ -118,10 +120,11 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// A deadExport is one exported internal identifier that nothing calls.
+// A deadExport is one checked identifier that nothing calls.
 type deadExport struct {
-	pos  token.Position
-	name string // pkg.Name or pkg.Type.Method
+	pos      token.Position
+	name     string // pkg.Name or pkg.Type.Method
+	exported bool
 }
 
 type fileLine struct {
@@ -129,9 +132,9 @@ type fileLine struct {
 	line int
 }
 
-// deadExports returns the exported identifiers declared under internal/
-// that no non-test file references, and the positions of the deadexport
-// waivers that cover no dead declaration.
+// deadExports returns the checked identifiers that no non-test file
+// references, and the positions of the deadexport waivers that cover no
+// dead declaration.
 func deadExports(fset *token.FileSet, pkgs []*scannedPkg) (dead []deadExport, staleWaivers []token.Position) {
 	used := map[types.Object]bool{}
 	viaInterface := map[string]bool{}
@@ -141,7 +144,7 @@ func deadExports(fset *token.FileSet, pkgs []*scannedPkg) (dead []deadExport, st
 		}
 	}
 	for _, sp := range pkgs {
-		if !strings.Contains(sp.pkg.Path()+"/", "/internal/") || isTestHelper(sp.pkg) {
+		if isTestHelper(sp.pkg) {
 			continue
 		}
 		waivers := map[fileLine]bool{} // waiver line → covers a dead declaration
@@ -155,7 +158,7 @@ func deadExports(fset *token.FileSet, pkgs []*scannedPkg) (dead []deadExport, st
 				}
 			}
 		}
-		for _, c := range candidates(sp.pkg) {
+		for _, c := range candidates(sp.pkg, strings.Contains(sp.pkg.Path()+"/", "/internal/")) {
 			if used[c.obj] || c.method && (viaInterface[c.obj.Name()] || liveByInterface[c.obj.Name()]) {
 				continue
 			}
@@ -167,7 +170,7 @@ func deadExports(fset *token.FileSet, pkgs []*scannedPkg) (dead []deadExport, st
 				}
 			}
 			if !waived {
-				dead = append(dead, deadExport{pos: pos, name: c.name})
+				dead = append(dead, deadExport{pos: pos, name: c.name, exported: c.obj.Exported()})
 			}
 		}
 		for l, covers := range waivers {
@@ -263,17 +266,19 @@ type candidate struct {
 	method bool // a concrete method, which an interface call can reach
 }
 
-// candidates lists the package's exported package-level objects and the
-// exported methods of its named types, interface methods included.
-func candidates(pkg *types.Package) []candidate {
+// candidates lists the package's unexported package-level functions (main
+// excepted) and the unexported methods of its concrete named types. With
+// exports it adds the exported package-level objects and the exported
+// methods of its exported named types, interface methods included.
+func candidates(pkg *types.Package, exports bool) []candidate {
 	var out []candidate
 	scope := pkg.Scope()
 	for _, n := range scope.Names() {
 		obj := scope.Lookup(n)
-		if !obj.Exported() {
-			continue
+		if _, fn := obj.(*types.Func); fn && !obj.Exported() && !(pkg.Name() == "main" && n == "main") ||
+			exports && obj.Exported() {
+			out = append(out, candidate{obj: obj, name: pkg.Name() + "." + n})
 		}
-		out = append(out, candidate{obj: obj, name: pkg.Name() + "." + n})
 		tn, ok := obj.(*types.TypeName)
 		if !ok || tn.IsAlias() {
 			continue
@@ -283,11 +288,11 @@ func candidates(pkg *types.Package) []candidate {
 			continue
 		}
 		for i := 0; i < named.NumMethods(); i++ {
-			if m := named.Method(i); m.Exported() {
+			if m := named.Method(i); !m.Exported() || exports && obj.Exported() {
 				out = append(out, candidate{obj: m, name: pkg.Name() + "." + n + "." + m.Name(), method: true})
 			}
 		}
-		if iface, ok := named.Underlying().(*types.Interface); ok {
+		if iface, ok := named.Underlying().(*types.Interface); ok && exports && obj.Exported() {
 			for i := 0; i < iface.NumExplicitMethods(); i++ {
 				if m := iface.ExplicitMethod(i); m.Exported() {
 					out = append(out, candidate{obj: m, name: pkg.Name() + "." + n + "." + m.Name()})
@@ -321,7 +326,11 @@ func scanDeadExports(t *testing.T, root string, dirs ...string) []string {
 		return fmt.Sprintf("%s:%d", filepath.ToSlash(r), p.Line)
 	}
 	for _, d := range dead {
-		out = append(out, fmt.Sprintf("%s: %s is exported but nothing outside tests references it", rel(d.pos), d.name))
+		what := "has no reference outside tests"
+		if d.exported {
+			what = "is exported but nothing outside tests references it"
+		}
+		out = append(out, fmt.Sprintf("%s: %s %s", rel(d.pos), d.name, what))
 	}
 	for _, w := range stale {
 		out = append(out, fmt.Sprintf("%s: deadexport waiver covers no dead declaration", rel(w)))
@@ -330,10 +339,11 @@ func scanDeadExports(t *testing.T, root string, dirs ...string) []string {
 }
 
 // TestNoDeadInternalExports fails when an exported identifier under
-// internal/ has no caller in a non-test file of the root module or of
-// perfbench, and when a deadexport waiver covers no dead declaration.
-// Delete such an identifier, or move it into the _test.go file that needs
-// it; a fixture shared by the tests of several packages keeps a waiver.
+// internal/, or an unexported function or method of any package, has no
+// caller in a non-test file of the root module or of perfbench, and when a
+// deadexport waiver covers no dead declaration. Delete such an identifier,
+// or move it into the _test.go file that needs it; a fixture shared by the
+// tests of several packages keeps a waiver.
 func TestNoDeadInternalExports(t *testing.T) {
 	root, err := filepath.Abs("../../..")
 	if err != nil {
@@ -361,8 +371,15 @@ func main() {
 	var s a.Shape = a.Square{}
 	var st a.Stack[int]
 	st.Push(1)
-	fmt.Println(s.Area(), a.Named(1), a.Waived())
+	fmt.Println(s.Area(), a.Named(1), a.Waived(), a.Sorted())
+	helper()
 }
+
+// helper is called by main.
+func helper() {}
+
+// unusedHelper is not: main packages are checked for unexported functions.
+func unusedHelper() {}
 `,
 	"internal/a/a.go": `package a
 
@@ -422,6 +439,55 @@ func Fixture() {}
 //memlpvet:ignore deadexport stale on purpose
 func Waived() int { return 0 }
 `,
+	"internal/a/b.go": `package a
+
+// lesser is how Sorted reaches pair.less.
+type lesser interface{ less() bool }
+
+type pair struct{}
+
+// less is called through lesser.
+func (pair) less() bool { return true }
+
+// idle is an unexported method nothing calls.
+func (pair) idle() {}
+
+// Exported methods of unexported types are not checked.
+func (pair) Exported() {}
+
+// Sorted is called by main; it calls less through lesser, and twice.
+func Sorted() bool {
+	var l lesser = pair{}
+	return l.less() && twice(1) > 0
+}
+
+func twice(n int) int { return 2 * n }
+
+// recurse calls only itself.
+func recurse(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return recurse(n - 1)
+}
+
+// testOnly serves a_test.go alone.
+func testOnly() int { return 1 }
+`,
+	"internal/a/a_test.go": `package a
+
+import "testing"
+
+func TestTestOnly(t *testing.T) { _ = testOnly() }
+`,
+	"pub/pub.go": `package pub
+
+// Exported needs no caller outside internal/.
+func Exported() {}
+
+// unexported is checked in every package.
+func unexported() {}
+`,
 	"internal/helpertest/h.go": `package helpertest
 
 // Helper serves tests alone and is not reported.
@@ -431,7 +497,9 @@ func Helper() {}
 
 // TestDeadExportRules runs the guard over deadFixture and checks each rule:
 // same-declaration references, interface calls, stdlib interface methods,
-// methods of generic types, *test packages, waivers and stale waivers.
+// methods of generic types, *test packages, waivers and stale waivers, and
+// for unexported functions and methods: every package is checked, main is
+// exempt, and a reference from a _test.go file does not count.
 func TestDeadExportRules(t *testing.T) {
 	dir := t.TempDir()
 	for name, src := range deadFixture {
@@ -451,6 +519,11 @@ func TestDeadExportRules(t *testing.T) {
 		"internal/a/a.go:20: a.Shape.Perimeter is exported but nothing outside tests references it",
 		"internal/a/a.go:30: a.Square.Perimeter is exported but nothing outside tests references it",
 		"internal/a/a.go:7: a.Uncalled is exported but nothing outside tests references it",
+		"internal/a/b.go:12: a.pair.idle has no reference outside tests",
+		"internal/a/b.go:26: a.recurse has no reference outside tests",
+		"internal/a/b.go:34: a.testOnly has no reference outside tests",
+		"main.go:22: main.unusedHelper has no reference outside tests",
+		"pub/pub.go:7: pub.unexported has no reference outside tests",
 		"internal/a/a.go:56: deadexport waiver covers no dead declaration",
 	}
 	if !reflect.DeepEqual(got, want) {

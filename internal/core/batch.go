@@ -7,11 +7,9 @@ import (
 	"sync"
 	"time"
 
-	"github.com/memlp/memlp/internal/crossbar"
 	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
-	"github.com/memlp/memlp/internal/trace"
 )
 
 // SolveBatch solves a sequence of problems that share one constraint matrix
@@ -27,26 +25,6 @@ import (
 // All problems must have identical A (checked); b and c may vary freely.
 func (s *Solver) SolveBatch(problems []*lp.Problem) ([]*engine.Result, error) {
 	return s.SolveBatchContext(context.Background(), problems)
-}
-
-// batchWorker owns one shard of the fabric pool: a programmed fabric replica
-// plus the private iteration workspace (extended system, starting-iterate
-// buffer, scaled-b scratch, best-iterate snapshot) that lets a worker run
-// back-to-back solves without per-solve allocations outside the result
-// vectors themselves.
-type batchWorker struct {
-	shard    int
-	fab      Fabric
-	ext      *extended
-	initBuf  linalg.Vector
-	bBuf     linalg.Vector
-	best     snapshot
-	progCost crossbar.Counters
-	solves   int
-	busy     time.Duration
-	// tr is this shard's private trace recorder (one ring per worker, so
-	// concurrent shards never share trace state); nil when tracing is off.
-	tr *traceState
 }
 
 // batchSlot collects one problem's outcome; slots are indexed by problem, so
@@ -91,9 +69,9 @@ func (s *Solver) SolveBatchContext(ctx context.Context, problems []*lp.Problem) 
 	aShared, scales := batchEquilibrate(first)
 
 	width := s.batchWidth(len(problems))
-	workers := make([]*batchWorker, width)
+	workers := make([]*worker, width)
 	for r := range workers {
-		w, err := s.newBatchWorker(r, first, aShared, scales)
+		w, err := s.newShard(r, first, aShared, scales)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +91,7 @@ func (s *Solver) SolveBatchContext(ctx context.Context, problems []*lp.Problem) 
 	var wg sync.WaitGroup
 	for _, w := range workers {
 		wg.Add(1)
-		go func(w *batchWorker) {
+		go func(w *worker) {
 			defer wg.Done()
 			for idx := range jobs {
 				s.runBatchProblem(ctx, w, idx, problems[idx], aShared, scales, &slots[idx])
@@ -167,10 +145,10 @@ func (s *Solver) SolveBatchContext(ctx context.Context, problems []*lp.Problem) 
 			ShardSolves: make([]int, width),
 			ShardBusy:   make([]time.Duration, width),
 		}
-		for _, w := range workers {
+		for shard, w := range workers {
 			stats.Programming = stats.Programming.Add(w.progCost)
-			stats.ShardSolves[w.shard] = w.solves
-			stats.ShardBusy[w.shard] = w.busy
+			stats.ShardSolves[shard] = w.solves
+			stats.ShardBusy[shard] = w.busy
 		}
 		results[0].Counters = results[0].Counters.Add(stats.Programming)
 		results[0].Batch = stats
@@ -205,11 +183,14 @@ func validateBatch(problems []*lp.Problem) error {
 }
 
 // batchEquilibrate builds the batch's shared A-only row scaling: each row of
-// the cloned A is divided by its maximum absolute coefficient. Unlike the
-// single-solve equilibrate it must ignore b, whose value varies per instance.
-func batchEquilibrate(first *lp.Problem) (*linalg.Matrix, []float64) {
+// the cloned A is divided by its maximum absolute coefficient. Unlike
+// equilibrate it must ignore b, whose value varies per instance, so the
+// programmed A-blocks stay valid for the whole batch. Only
+// SolveBatchContext uses it: without it a batch's answers are measurably
+// less accurate, while single solves gain nothing from it (DESIGN.md D12).
+func batchEquilibrate(first *lp.Problem) (*linalg.Matrix, linalg.Vector) {
 	m := first.NumConstraints()
-	scales := make([]float64, m)
+	scales := linalg.NewVector(m)
 	aShared := first.A.Clone()
 	for i := 0; i < m; i++ {
 		var mx float64
@@ -259,20 +240,15 @@ func (s *Solver) replicaFabric(size int) (Fabric, error) {
 	return s.opts.Fabric(size)
 }
 
-// newBatchWorker builds and programs one shard of the pool. Every shard
-// programs the identical extended matrix (built from the first problem at
-// the all-ones start) from an identically-seeded variation stream, so the
+// newShard builds and programs one shard of the pool. Every shard programs
+// the identical extended matrix (built from the first problem at the
+// all-ones start) from an identically-seeded variation stream, so the
 // replicas realize the same conductances cell for cell.
-func (s *Solver) newBatchWorker(shard int, first *lp.Problem, aShared *linalg.Matrix, scales []float64) (*batchWorker, error) {
-	n, m := first.NumVariables(), first.NumConstraints()
-	b := first.B.Clone()
-	for i := range b {
-		b[i] /= scales[i]
-	}
-	scaled := &lp.Problem{Name: first.Name, C: first.C, A: aShared, B: b}
-	x := onesVector(n)
-	y := onesVector(m)
-	ext, err := newExtended(scaled, x, y, y.Clone(), x.Clone())
+func (s *Solver) newShard(shard int, first *lp.Problem, aShared *linalg.Matrix, scales linalg.Vector) (*worker, error) {
+	wk := &worker{tr: newTraceState(s.opts)}
+	x := onesVector(first.NumVariables())
+	y := onesVector(first.NumConstraints())
+	ext, err := newExtended(wk.scaled(first, aShared, scales), x, y, y.Clone(), x.Clone())
 	if err != nil {
 		return nil, err
 	}
@@ -283,49 +259,57 @@ func (s *Solver) newBatchWorker(shard int, first *lp.Problem, aShared *linalg.Ma
 	if err := fab.Program(ext.matrix); err != nil {
 		return nil, fmt.Errorf("core: programming batch replica %d: %w", shard, err)
 	}
-	return &batchWorker{
-		shard:    shard,
-		fab:      fab,
-		ext:      ext,
-		best:     snapshot{score: infNaN()},
-		progCost: fab.Counters(),
-		tr:       newTraceState(s.opts),
-	}, nil
+	wk.fab, wk.ext, wk.progCost = fab, ext, fab.Counters()
+	return wk, nil
 }
 
-// runBatchProblem prepares problem idx for the shard (noise epoch, shared row
-// scaling of b) and records its outcome in the slot. Counters and WallTime
-// are the per-solve marginals on this shard's fabric.
-func (s *Solver) runBatchProblem(ctx context.Context, bw *batchWorker, idx int, p *lp.Problem, aShared *linalg.Matrix, scales []float64, slot *batchSlot) {
+// scaled returns p with the batch's row scaling applied: the shared scaled
+// A, and b divided row by row into the worker's scratch.
+func (wk *worker) scaled(p *lp.Problem, aShared *linalg.Matrix, scales linalg.Vector) *lp.Problem {
+	if cap(wk.bBuf) < len(p.B) {
+		wk.bBuf = linalg.NewVector(len(p.B))
+	}
+	wk.bBuf = wk.bBuf[:len(p.B)]
+	for i, v := range p.B {
+		wk.bBuf[i] = v / scales[i]
+	}
+	return &lp.Problem{Name: p.Name, C: p.C, A: aShared, B: wk.bBuf}
+}
+
+// runBatchProblem solves problem idx on the shard and records its outcome
+// in the slot. It prepares the shard for the problem (noise epoch, row
+// scaling of b, the complementarity rows of the start iterate); the solve
+// itself is solveOn. Counters and WallTime are the per-solve marginals on
+// this shard's fabric.
+func (s *Solver) runBatchProblem(ctx context.Context, bw *worker, idx int, p *lp.Problem, aShared *linalg.Matrix, scales linalg.Vector, slot *batchSlot) {
 	start := engine.WallClock()
 	if ne, ok := bw.fab.(NoiseEpocher); ok {
 		// Stochastic draws for this problem become a function of (base seed,
 		// problem index): independent of the shard and of the pool width.
 		ne.SetNoiseEpoch(int64(idx))
 	}
-	if cap(bw.bBuf) < len(p.B) {
-		bw.bBuf = linalg.NewVector(len(p.B))
-	}
-	bw.bBuf = bw.bBuf[:len(p.B)]
-	copy(bw.bBuf, p.B)
-	for i := range bw.bBuf {
-		bw.bBuf[i] /= scales[i]
-	}
-	scaled := &lp.Problem{Name: p.Name, C: p.C, A: aShared, B: bw.bBuf}
+	scaled := bw.scaled(p, aShared, scales)
 
 	// The trace is keyed by problem index (and so is the noise epoch, per
 	// the determinism contract): its contents cannot depend on the shard.
 	bw.tr.begin(idx, int64(idx))
-	before := bw.fab.Counters()
-	bw.tr.beginAttempt(before)
-	res, ctxErr, err := s.solveOnShard(ctx, bw, scaled, p, scales)
+	bw.beginAttempt()
+	res, ctxErr, err := s.solveOn(ctx, bw, scaled, p, scales, func(x, y, w, z linalg.Vector) error {
+		// The shard's fabric already holds the batch's extended system; only
+		// the complementarity rows change with the start iterate. Skip when
+		// already canceled: the loop's first check then yields the
+		// starting-iterate StatusCanceled partial without spending fabric
+		// writes on a job that will not run.
+		if ctx.Err() != nil {
+			return nil
+		}
+		return bw.writeDiagRows(x, y, w, z)
+	})
 	if err != nil {
 		slot.err = err
 		return
 	}
 	res.WallTime = engine.WallSince(start)
-	// res.Counters holds the shard's digital work; add the fabric's.
-	res.Counters = res.Counters.Add(bw.fab.Counters().Sub(before))
 	res.Trace = bw.tr.finish(res)
 	if s.opts.Recovery != nil {
 		// The ladder itself does not run on the batch path (a pooled shard
@@ -347,158 +331,4 @@ func (s *Solver) runBatchProblem(ctx context.Context, bw *batchWorker, idx int, 
 	if ctxErr == nil {
 		bw.solves++
 	}
-}
-
-// solveOnShard runs the Algorithm 1 iteration on the shard's already-
-// programmed replica, resetting the complementarity rows to the all-ones
-// start first. scaled is the equilibrated problem driving the iteration;
-// orig is used for the final α-check and objective; scales unscale the
-// duals. It follows the solveOnce contract: (result, ctxErr, err), where an
-// interruption returns the partial iterate with lp.StatusCanceled in
-// ctxErr's company.
-func (s *Solver) solveOnShard(ctx context.Context, bw *batchWorker, scaled, orig *lp.Problem, scales []float64) (*engine.Result, error, error) {
-	n, m := scaled.NumVariables(), scaled.NumConstraints()
-	tol := s.opts.Tol
-	ext, fab := bw.ext, bw.fab
-
-	if cap(bw.initBuf) < 2*(n+m) {
-		bw.initBuf = linalg.NewVector(2 * (n + m))
-	}
-	bw.initBuf = bw.initBuf[:2*(n+m)]
-	bw.initBuf.Fill(1)
-	x := bw.initBuf[0:n]
-	y := bw.initBuf[n : n+m]
-	w := bw.initBuf[n+m : n+2*m]
-	z := bw.initBuf[n+2*m:]
-	// Warm-start the shard iterate when set. The seed is derived from the
-	// SCALED problem so the iteration sees consistent units; the stored duals
-	// are user-unit, so scales maps them in (ŷᵢ = yᵢ·scaleᵢ, mirroring the
-	// unscale below). The warm vectors are set before the batch starts and
-	// only read here, so shard workers race neither with each other nor with
-	// the pool — and the seed, like the noise epoch, is shard-independent,
-	// preserving the bit-identical-across-widths contract.
-	if _, err := s.applyWarmStart(scaled, scales, x, y, w, z); err != nil {
-		return nil, nil, err
-	}
-
-	// Reset the complementarity rows for the fresh solve (2(n+m) cells).
-	// Skip when already canceled: the iteration loop's first check then
-	// yields the starting-iterate StatusCanceled partial without spending
-	// fabric writes on a job that will not run.
-	if ctx.Err() == nil {
-		ext.fillDiagRows(x, y, w, z)
-		for _, u := range ext.diagRowUpdates(x, y, w, z) {
-			if err := fab.UpdateRow(u.index, u.row); err != nil {
-				return nil, nil, fmt.Errorf("core: resetting fabric row: %w", err)
-			}
-		}
-	}
-
-	sExt := ext.stateVector(x, y, w, z)
-	factor := ext.factorVector()
-	x = sExt[0:n]
-	y = sExt[n : n+m]
-	w = sExt[n+m : n+2*m]
-	z = sExt[n+2*m : 2*n+2*m]
-
-	res := &engine.Result{Status: lp.StatusIterationLimit, MatrixSize: ext.size}
-	stop := newStopRule(tol, s.opts.StallWindow)
-	best := &bw.best
-	best.reset()
-	var ctxErr error
-	var macs int64
-
-	for iter := 1; iter <= tol.MaxIterations; iter++ {
-		if err := ctx.Err(); err != nil {
-			res.Status = lp.StatusCanceled
-			ctxErr = fmt.Errorf("core: solve canceled at iteration %d: %w", iter, err)
-			break
-		}
-		res.Iterations = iter
-		gap := dualityGap(x, z, y, w)
-		mu := tol.Delta * gap / float64(n+m)
-		r, err := s.newtonResidual(fab, ext, ext.baseVector(scaled, mu), sExt, factor, &macs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: residual mat-vec: %w", err)
-		}
-		res.PrimalInfeasibility = normInfRange(r, ext.rowR1(0), ext.m)
-		res.DualInfeasibility = normInfRange(r, ext.rowR2(0), ext.n)
-		res.DualityGap = gap
-		changed := best.consider(res.PrimalInfeasibility, res.DualInfeasibility, gap, x, y, w, z)
-		if status, done := stop.check(res.PrimalInfeasibility, res.DualInfeasibility, gap, x, y, best, changed); done {
-			res.Status = status
-			break
-		}
-
-		ds, err := fab.Solve(r)
-		if err != nil {
-			res.Status = lp.StatusNumericalFailure
-			break
-		}
-		dx, dy, dw, dz := ext.split(ds)
-		if !dx.AllFinite() || !dy.AllFinite() || !dw.AllFinite() || !dz.AllFinite() {
-			res.Status = lp.StatusNumericalFailure
-			break
-		}
-		theta := stepLength(tol.StepScale, [][2]linalg.Vector{
-			{x, dx}, {y, dy}, {w, dw}, {z, dz},
-		})
-		if bw.tr.active() {
-			bw.tr.note(withMACs(fab.Counters(), macs))
-			bw.tr.emit(trace.Record{
-				Event:               trace.EventIteration,
-				Iteration:           iter,
-				Mu:                  mu,
-				DualityGap:          gap,
-				PrimalInfeasibility: res.PrimalInfeasibility,
-				DualInfeasibility:   res.DualInfeasibility,
-				Theta:               theta,
-			})
-		}
-		if err := sExt.AxpyInPlace(theta, ds); err != nil {
-			return nil, nil, err
-		}
-		clampPositive(x, y, w, z)
-		ext.fillDiagRows(x, y, w, z)
-		for _, u := range ext.diagRowUpdates(x, y, w, z) {
-			if err := fab.UpdateRow(u.index, u.row); err != nil {
-				return nil, nil, fmt.Errorf("core: updating fabric row: %w", err)
-			}
-		}
-	}
-	bw.tr.stopped(stop.reason(res.Status))
-
-	finalX, finalY, finalW, finalZ := x, y, w, z
-	if res.Status == lp.StatusOptimal || res.Status == lp.StatusIterationLimit {
-		if best.valid() {
-			x, y, w, z = best.x, best.y, best.w, best.z
-			res.PrimalInfeasibility = best.pinf
-			res.DualInfeasibility = best.dinf
-			res.DualityGap = best.gap
-		}
-	}
-	res.X, res.Y, res.W, res.Z = x.Clone(), y.Clone(), w.Clone(), z.Clone()
-	for i := range res.Y {
-		res.Y[i] /= scales[i]
-		res.W[i] *= scales[i]
-	}
-	obj, err := orig.Objective(res.X)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Objective = obj
-	res.Counters.DigitalMACs = macs
-
-	if res.Status == lp.StatusOptimal || res.Status == lp.StatusIterationLimit {
-		ok, err := orig.IsFeasible(res.X, s.opts.Alpha-1)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			res.Status = classifyRejected(finalX, finalY, finalW, finalZ)
-		} else {
-			res.Status = lp.StatusOptimal
-		}
-	}
-	return res, ctxErr, nil
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/pdip"
+	"github.com/memlp/memlp/internal/variation"
 )
 
 // batchProblems builds k instances sharing A with varying b and c.
@@ -128,5 +129,92 @@ func TestSolveBatchValidation(t *testing.T) {
 	bad := &lp.Problem{A: problems[0].A, C: linalg.VectorOf(1), B: problems[0].B}
 	if _, err := s.SolveBatch([]*lp.Problem{problems[0], bad}); !errors.Is(err, lp.ErrInvalid) {
 		t.Errorf("invalid problem: %v", err)
+	}
+}
+
+// rowNormalized returns p with every row of [A | b] divided by the row's
+// largest |a|, so batchEquilibrate's scales are exactly 1.
+func rowNormalized(t *testing.T, p *lp.Problem) *lp.Problem {
+	t.Helper()
+	a := p.A.Clone()
+	b := p.B.Clone()
+	for i := range b {
+		var mx float64
+		for _, v := range a.RawRow(i) {
+			mx = math.Max(mx, math.Abs(v))
+		}
+		row := a.RawRow(i)
+		for j := range row {
+			row[j] /= mx
+		}
+		b[i] /= mx
+	}
+	q, err := lp.New(p.Name, p.C, a, b)
+	if err != nil {
+		t.Fatalf("lp.New: %v", err)
+	}
+	return q
+}
+
+// TestBatchOfOneMatchesSingleSolve pins that the single and the batch path
+// run the same Algorithm 1 arithmetic: on an LP whose rows are already
+// normalized (so the batch's row scaling divides by exactly 1), a batch of
+// one returns the single solve's answer bit for bit, in both residual
+// modes. Each solve gets a fresh solver whose fabrics realize the same
+// static device variation.
+func TestBatchOfOneMatchesSingleSolve(t *testing.T) {
+	fabric := func(size int) (Fabric, error) {
+		vm, err := variation.NewPaperModel(0.05, 1)
+		if err != nil {
+			return nil, err
+		}
+		return crossbar.New(crossbar.Config{Size: size, Variation: vm})
+	}
+	opts := Options{Fabric: fabric, ReplicaFabric: fabric, Parallelism: 1}
+	for _, analog := range []bool{false, true} {
+		opts.AnalogResidual = analog
+		for seed := int64(1); seed <= 20; seed++ {
+			g, err := lp.GenerateFeasible(lp.GenConfig{Constraints: 24, Variables: 8, Seed: seed})
+			if err != nil {
+				t.Fatalf("GenerateFeasible: %v", err)
+			}
+			p := rowNormalized(t, g)
+			single, err := NewSolver(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := single.Solve(p)
+			if err != nil {
+				t.Fatalf("analog=%v seed %d: Solve: %v", analog, seed, err)
+			}
+			batch, err := NewSolver(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := batch.SolveBatch([]*lp.Problem{p})
+			if err != nil {
+				t.Fatalf("analog=%v seed %d: SolveBatch: %v", analog, seed, err)
+			}
+			got := results[0]
+			if got.Status != want.Status || got.Iterations != want.Iterations || !linalg.Identical(got.Objective, want.Objective) {
+				t.Errorf("analog=%v seed %d: batch %v after %d iterations, objective %v; single %v after %d, objective %v",
+					analog, seed, got.Status, got.Iterations, got.Objective, want.Status, want.Iterations, want.Objective)
+				continue
+			}
+			for _, v := range []struct {
+				name      string
+				got, want linalg.Vector
+			}{{"X", got.X, want.X}, {"Y", got.Y, want.Y}, {"W", got.W, want.W}, {"Z", got.Z, want.Z}} {
+				if len(v.got) != len(v.want) {
+					t.Fatalf("analog=%v seed %d: %s length %d, want %d", analog, seed, v.name, len(v.got), len(v.want))
+				}
+				for i := range v.got {
+					if !linalg.Identical(v.got[i], v.want[i]) {
+						t.Errorf("analog=%v seed %d: %s[%d] = %v, single solve %v", analog, seed, v.name, i, v.got[i], v.want[i])
+						break
+					}
+				}
+			}
+		}
 	}
 }

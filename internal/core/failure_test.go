@@ -6,6 +6,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/memlp/memlp/internal/crossbar"
@@ -23,6 +24,9 @@ type faultyFabric struct {
 	corruptSolve bool
 	// failProgram makes Program fail immediately.
 	failProgram bool
+	// solveErr, when non-nil, is returned by every Solve: a fabric fault
+	// that is not a singular system.
+	solveErr error
 
 	solves int
 }
@@ -44,6 +48,9 @@ func (f *faultyFabric) MatVecResidual(base, v, factor linalg.Vector) (linalg.Vec
 }
 func (f *faultyFabric) Solve(b linalg.Vector) (linalg.Vector, error) {
 	f.solves++
+	if f.solveErr != nil {
+		return nil, f.solveErr
+	}
 	if f.failSolveAfter > 0 && f.solves >= f.failSolveAfter {
 		return nil, crossbar.ErrSingular
 	}
@@ -122,6 +129,26 @@ func TestSolverProgramFailure(t *testing.T) {
 	}
 	if _, err := s.Solve(testProblem(t)); !errors.Is(err, crossbar.ErrTooLarge) {
 		t.Errorf("Solve = %v, want wrapped ErrTooLarge", err)
+	}
+}
+
+// TestSolveBatchReturnsFabricErrors: only a singular settle is a numerical
+// failure. Any other Solve error is a fault of the fabric, and the batch
+// returns it as a hard error naming the problem, as a single solve does.
+func TestSolveBatchReturnsFabricErrors(t *testing.T) {
+	s, err := NewSolver(Options{Fabric: faultyFactory(func(f *faultyFabric) { f.solveErr = crossbar.ErrNotProgrammed })})
+	if err != nil {
+		t.Fatalf("NewSolver: %v", err)
+	}
+	if _, err := s.Solve(testProblem(t)); !errors.Is(err, crossbar.ErrNotProgrammed) {
+		t.Errorf("Solve = %v, want wrapped ErrNotProgrammed", err)
+	}
+	res, err := s.SolveBatch([]*lp.Problem{testProblem(t)})
+	if !errors.Is(err, crossbar.ErrNotProgrammed) || !strings.HasPrefix(err.Error(), "problem 0: ") {
+		t.Fatalf("SolveBatch = %v, want ErrNotProgrammed wrapped with the problem index", err)
+	}
+	if res != nil {
+		t.Errorf("SolveBatch returned %d results with its error", len(res))
 	}
 }
 

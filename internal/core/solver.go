@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"github.com/memlp/memlp/internal/cone"
 	"github.com/memlp/memlp/internal/crossbar"
@@ -163,19 +164,61 @@ type Result = engine.Result
 type Solver struct {
 	opts Options
 
-	mu      sync.Mutex
-	ext     *extended
-	fab     Fabric
-	fabSize int
-	// initBuf backs the all-ones starting iterate (x, y, w, z are sliced
-	// from it before being copied into the extended state vector), reused
-	// across solves under mu.
-	initBuf linalg.Vector
+	mu sync.Mutex
+	// single runs every single solve, under mu.
+	single worker
 	// warmX/warmY, when non-nil, seed subsequent solves from a prior
 	// primal/dual point instead of the all-ones start (see SetWarmStart).
 	warmX, warmY linalg.Vector
-	// tr records the iteration trace under mu; nil when tracing is off.
+}
+
+// worker owns Algorithm 1's per-fabric state: the fabric, the extended
+// system programmed on it, the starting-iterate buffer, the best-iterate
+// snapshot and the trace recorder. A Solver keeps one for its single
+// solves; SolveBatchContext builds one per shard of its fabric pool, so
+// concurrent shards share nothing they write.
+type worker struct {
+	fab Fabric
+	// fabSize is the extended-system size fab was built for; a single solve
+	// of another size builds a new fabric.
+	fabSize int
+	ext     *extended
+	// initBuf backs the starting iterate (x, y, w, z are sliced from it
+	// before being copied into the extended state vector).
+	initBuf linalg.Vector
+	best    snapshot
+	// tr records the iteration trace; nil when tracing is off.
 	tr *traceState
+	// base holds the fabric's counters when the current attempt began; the
+	// attempt's result reports the difference.
+	base crossbar.Counters
+
+	// Pool shards only: the scaled-b scratch, the one-time programming cost
+	// and the shard's solve and busy-time tallies.
+	bBuf     linalg.Vector
+	progCost crossbar.Counters
+	solves   int
+	busy     time.Duration
+}
+
+// beginAttempt opens the attempt's counter window on the worker's fabric
+// and rebases the trace accumulators on it.
+func (wk *worker) beginAttempt() {
+	wk.base = wk.fab.Counters()
+	wk.tr.beginAttempt(wk.base)
+}
+
+// writeDiagRows refreshes the X/Y/Z/W complementarity rows of the extended
+// system and of the fabric for the iterate (x, y, w, z): the O(N) write of
+// one iteration (2(n+m) ≈ 2.7N cells for n = m/3).
+func (wk *worker) writeDiagRows(x, y, w, z linalg.Vector) error {
+	wk.ext.fillDiagRows(x, y, w, z)
+	for _, u := range wk.ext.diagRowUpdates(x, y, w, z) {
+		if err := wk.fab.UpdateRow(u.index, u.row); err != nil {
+			return fmt.Errorf("core: updating fabric row: %w", err)
+		}
+	}
+	return nil
 }
 
 // warmFloor is the strict-interior safeguard applied to a warm-started
@@ -309,22 +352,7 @@ func NewSolver(opts Options) (*Solver, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	return &Solver{opts: opts, tr: newTraceState(opts)}, nil
-}
-
-// fabric returns the cached analog substrate for the given extended-system
-// size, building one on first use or when the size changes. Callers must
-// hold s.mu.
-func (s *Solver) fabric(size int) (Fabric, error) {
-	if s.fab != nil && s.fabSize == size {
-		return s.fab, nil
-	}
-	fab, err := s.opts.Fabric(size)
-	if err != nil {
-		return nil, fmt.Errorf("core: building fabric: %w", err)
-	}
-	s.fab, s.fabSize = fab, size
-	return fab, nil
+	return &Solver{opts: opts, single: worker{tr: newTraceState(opts)}}, nil
 }
 
 // Fabrics returns the fabric the solver keeps for its next single solve
@@ -333,10 +361,10 @@ func (s *Solver) fabric(size int) (Fabric, error) {
 func (s *Solver) Fabrics() []Fabric {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.fab == nil {
+	if s.single.fab == nil {
 		return nil
 	}
-	return []Fabric{s.fab}
+	return []Fabric{s.single.fab}
 }
 
 // Solve runs Algorithm 1 on p.
@@ -356,14 +384,15 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Resul
 	start := engine.WallClock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tr.begin(0, 0)
+	tr := s.single.tr
+	tr.begin(0, 0)
 	if s.opts.Recovery == nil {
 		res, ctxErr, err := s.solveAttempt(ctx, p)
 		if err != nil {
 			return nil, err
 		}
 		res.WallTime = engine.WallSince(start)
-		res.Trace = s.tr.finish(res)
+		res.Trace = tr.finish(res)
 		return res, ctxErr
 	}
 	res, err := runRecoveryLadder(ctx, p, s.opts, ladderFuncs{
@@ -372,18 +401,18 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Resul
 		},
 		census: s.census,
 		remap:  s.remapFabric,
-		event:  s.tr.event,
+		event:  tr.event,
 	})
 	if res != nil {
 		res.WallTime = engine.WallSince(start)
-		res.Trace = s.tr.finish(res)
+		res.Trace = tr.finish(res)
 	}
 	return res, err
 }
 
 // census tallies the stuck cells on the cached fabric, when it can report.
 func (s *Solver) census() crossbar.FaultCensus {
-	if fr, ok := s.fab.(FaultReporter); ok {
+	if fr, ok := s.single.fab.(FaultReporter); ok {
 		return fr.FaultCensus()
 	}
 	return crossbar.FaultCensus{}
@@ -391,28 +420,72 @@ func (s *Solver) census() crossbar.FaultCensus {
 
 // remapFabric asks the cached fabric to dodge its stuck cells (rung 2).
 func (s *Solver) remapFabric() bool {
-	r, ok := s.fab.(Remapper)
+	r, ok := s.single.fab.(Remapper)
 	return ok && r.RemapAvoidingFaults()
 }
 
-// solveAttempt runs one full Algorithm 1 attempt. It returns (result,
-// ctxErr, err) with the solveOnce contract: ctxErr non-nil means the attempt
-// was interrupted (the result carries the partial iterate); err is a hard
-// failure with no usable result. Callers must hold s.mu.
+// solveAttempt runs one full Algorithm 1 attempt on the single-solve
+// worker: it rebuilds the extended system for p at the start iterate,
+// builds a new fabric when the system's size changed, and programs all of
+// it. Callers must hold s.mu.
 func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Result, error, error) {
+	wk := &s.single
+	return s.solveOn(ctx, wk, p, p, nil, func(x, y, w, z linalg.Vector) error {
+		ext, err := newExtendedInto(wk.ext, p, x, y, w, z)
+		if err != nil {
+			return err
+		}
+		wk.ext = ext
+		if wk.fab == nil || wk.fabSize != ext.size {
+			fab, err := s.opts.Fabric(ext.size)
+			if err != nil {
+				return fmt.Errorf("core: building fabric: %w", err)
+			}
+			wk.fab, wk.fabSize = fab, ext.size
+		}
+		if dp, ok := wk.fab.(DeltaProgrammer); ok {
+			// Delta-write skips are only valid for the scalar complementarity
+			// rows of an orthant LP; conic NT blocks are structurally coupled.
+			// Toggled per solve because the fabric is cached across problems.
+			dp.SetDeltaProgramming(!ext.conic())
+		}
+		wk.beginAttempt()
+		if err := wk.fab.Program(ext.matrix); err != nil {
+			return fmt.Errorf("core: programming fabric: %w", err)
+		}
+		return nil
+	})
+}
+
+// solveOn runs one Algorithm 1 solve of p on wk, for single solves and
+// batch members alike: it sets up the start iterate, runs the Newton
+// iterations and assembles the answer. It returns (result, ctxErr, err):
+// ctxErr non-nil means the solve was interrupted (the result carries the
+// partial iterate); err is a hard failure with no usable result.
+//
+// The paths differ only in load, which puts the start iterate on wk's
+// fabric; once it returns, the attempt's counter window
+// (worker.beginAttempt) must be open. p drives the iteration; orig is the
+// caller's problem, which prices the objective and the §3.2 α-check.
+// scales, when non-nil, are the batch's row scales: row i of p's [A | b]
+// is orig's divided by scales[i], and the returned duals are unscaled.
+func (s *Solver) solveOn(ctx context.Context, wk *worker, p, orig *lp.Problem, scales linalg.Vector,
+	load func(x, y, w, z linalg.Vector) error) (*engine.Result, error, error) {
 	n, m := p.NumVariables(), p.NumConstraints()
 	tol := s.opts.Tol
 
-	if cap(s.initBuf) < 2*(n+m) {
-		s.initBuf = linalg.NewVector(2 * (n + m))
+	// The start iterate: all ones, or the warm start when one is set. The
+	// batch's stored duals are user-unit, so scales maps them into p's.
+	if cap(wk.initBuf) < 2*(n+m) {
+		wk.initBuf = linalg.NewVector(2 * (n + m))
 	}
-	s.initBuf = s.initBuf[:2*(n+m)]
-	s.initBuf.Fill(1)
-	x := s.initBuf[0:n]
-	y := s.initBuf[n : n+m]
-	w := s.initBuf[n+m : n+2*m]
-	z := s.initBuf[n+2*m:]
-	warm, err := s.applyWarmStart(p, nil, x, y, w, z)
+	wk.initBuf = wk.initBuf[:2*(n+m)]
+	wk.initBuf.Fill(1)
+	x := wk.initBuf[0:n]
+	y := wk.initBuf[n : n+m]
+	w := wk.initBuf[n+m : n+2*m]
+	z := wk.initBuf[n+2*m:]
+	warm, err := s.applyWarmStart(p, scales, x, y, w, z)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -422,27 +495,10 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 		cone.InitInterior(y, blocks)
 		cone.InitInterior(w, blocks)
 	}
-
-	ext, err := newExtendedInto(s.ext, p, x, y, w, z)
-	if err != nil {
+	if err := load(x, y, w, z); err != nil {
 		return nil, nil, err
 	}
-	s.ext = ext
-	fab, err := s.fabric(ext.size)
-	if err != nil {
-		return nil, nil, err
-	}
-	if dp, ok := fab.(DeltaProgrammer); ok {
-		// Delta-write skips are only valid for the scalar complementarity
-		// rows of an orthant LP; conic NT blocks are structurally coupled.
-		// Toggled per solve because the fabric is cached across problems.
-		dp.SetDeltaProgramming(len(ext.blocks) == 0)
-	}
-	countersBase := fab.Counters()
-	s.tr.beginAttempt(countersBase)
-	if err := fab.Program(ext.matrix); err != nil {
-		return nil, nil, fmt.Errorf("core: programming fabric: %w", err)
-	}
+	ext, fab := wk.ext, wk.fab
 
 	// The full extended state s = [x, y, w, z, u, v, p] is updated as one
 	// vector with the fabric's Δs — exactly Algorithm 1's "s = s + θΔs".
@@ -464,10 +520,11 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 	// The controller monitors the residuals it reads and keeps the best
 	// iterate seen: near the accuracy floor the analog noise can push later
 	// iterates away from feasibility again.
-	best := snapshot{score: infNaN()}
+	best := &wk.best
+	best.reset()
 	var ctxErr error
-	// macs counts the attempt's digital residual work; the fabric's
-	// counters do not see it.
+	// macs counts the solve's digital residual work; the fabric's counters
+	// do not see it.
 	var macs int64
 
 	for iter := 1; iter <= tol.MaxIterations; iter++ {
@@ -482,9 +539,22 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 		// holds s) — Eq. 8.
 		gap := dualityGap(x, z, y, w)
 		mu := tol.Delta * gap / nu
-		r, err := s.newtonResidual(fab, ext, ext.baseVector(p, mu), sExt, factor, &macs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: residual mat-vec: %w", err)
+		// The residual r = base − factor∘(M·s). In the paper's mode
+		// (Options.AnalogResidual) it is one fused analog operation
+		// (Eq. 15): the fabric computes M·s, halves the r3/r4 rows with
+		// resistive dividers and subtracts from the calibrated base at the
+		// summing amplifiers, so only the residual passes the ADC. By
+		// default the controller computes it digitally from the true
+		// coefficients (D20).
+		base := ext.baseVector(p, mu)
+		var r linalg.Vector
+		if s.opts.AnalogResidual {
+			if r, err = fab.MatVecResidual(base, sExt, factor); err != nil {
+				return nil, nil, fmt.Errorf("core: residual mat-vec: %w", err)
+			}
+		} else {
+			macs += ext.residualMACs()
+			r = ext.residual(base, sExt, factor)
 		}
 
 		// Convergence measures come from the residual the controller reads,
@@ -500,12 +570,13 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 		if changed {
 			bestConeInf = res.ConeInfeasibility
 		}
-		if status, done := stop.check(res.PrimalInfeasibility, res.DualInfeasibility, gap, x, y, &best, changed); done {
+		if status, done := stop.check(res.PrimalInfeasibility, res.DualInfeasibility, gap, x, y, best, changed); done {
 			res.Status = status
 			break
 		}
 
-		// Newton step: one analog settle.
+		// Newton step: one analog settle. Only a singular system is a
+		// numerical failure; any other error is a fault of the fabric.
 		ds, err := fab.Solve(r)
 		if err != nil {
 			if errors.Is(err, crossbar.ErrSingular) {
@@ -528,9 +599,9 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 				{x, dx}, {y, dy}, {w, dw}, {z, dz},
 			})
 		}
-		if s.tr.active() {
-			s.tr.note(withMACs(fab.Counters(), macs))
-			s.tr.emit(trace.Record{
+		if wk.tr.active() {
+			wk.tr.note(withMACs(fab.Counters(), macs))
+			wk.tr.emit(trace.Record{
 				Event:               trace.EventIteration,
 				Iteration:           iter,
 				Mu:                  mu,
@@ -559,17 +630,11 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 		} else {
 			clampPositive(x, y, w, z)
 		}
-
-		// Refresh the complementarity diagonals on the fabric: the O(N)
-		// per-iteration write (2(n+m) ≈ 2.7N cells for n = m/3).
-		ext.fillDiagRows(x, y, w, z)
-		for _, u := range ext.diagRowUpdates(x, y, w, z) {
-			if err := fab.UpdateRow(u.index, u.row); err != nil {
-				return nil, nil, fmt.Errorf("core: updating fabric row: %w", err)
-			}
+		if err := wk.writeDiagRows(x, y, w, z); err != nil {
+			return nil, nil, err
 		}
 	}
-	s.tr.stopped(stop.reason(res.Status))
+	wk.tr.stopped(stop.reason(res.Status))
 
 	// Prefer the best-residual iterate over the last one when the solver
 	// converged normally; blow-up detections keep the final (diverged)
@@ -577,22 +642,23 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 	// separately: divergence classification must look at where the
 	// iteration was heading, not at the best snapshot.
 	finalX, finalY, finalW, finalZ := x, y, w, z
-	if res.Status == lp.StatusOptimal || res.Status == lp.StatusIterationLimit {
-		if best.valid() {
-			x, y, w, z = best.x, best.y, best.w, best.z
-			res.PrimalInfeasibility = best.pinf
-			res.DualInfeasibility = best.dinf
-			res.DualityGap = best.gap
-			res.ConeInfeasibility = bestConeInf
-		}
+	if (res.Status == lp.StatusOptimal || res.Status == lp.StatusIterationLimit) && best.valid() {
+		x, y, w, z = best.x, best.y, best.w, best.z
+		res.PrimalInfeasibility = best.pinf
+		res.DualInfeasibility = best.dinf
+		res.DualityGap = best.gap
+		res.ConeInfeasibility = bestConeInf
+		// The result keeps the snapshot's buffers; the worker's next solve
+		// allocates its own.
+		best.x, best.dual = nil, nil
 	}
 	res.X, res.Y, res.W, res.Z = x, y, w, z
-	obj, err := p.Objective(x)
+	obj, err := orig.Objective(x)
 	if err != nil {
 		return nil, nil, err
 	}
 	res.Objective = obj
-	res.Counters = withMACs(fab.Counters().Sub(countersBase), macs)
+	res.Counters = withMACs(fab.Counters().Sub(wk.base), macs)
 
 	// Robust feasibility detection (§3.2): accept the converged point only
 	// if A·x ≤ α·b; variation can distort the realized constraints, so α is
@@ -600,7 +666,7 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 	// A budget-limited run that still passes the α-check is an acceptable
 	// answer: the analog accuracy floor, not the budget, set its quality.
 	if res.Status == lp.StatusOptimal || res.Status == lp.StatusIterationLimit {
-		ok, err := p.IsFeasible(x, s.opts.Alpha-1)
+		ok, err := orig.IsFeasible(x, s.opts.Alpha-1)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -610,22 +676,12 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 			res.Status = lp.StatusOptimal
 		}
 	}
-	return res, ctxErr, nil
-}
-
-// newtonResidual reads Algorithm 1's residual r = base − factor∘(M·s). In
-// the paper's mode (Options.AnalogResidual) it is one fused analog
-// operation (Eq. 15): the fabric computes M·s, halves the r3/r4 rows with
-// resistive dividers and subtracts from the calibrated base at the summing
-// amplifiers, so only the residual passes the ADC. By default the
-// controller computes it digitally from the true coefficients (D20) and
-// adds the multiply-adds to *macs.
-func (s *Solver) newtonResidual(fab Fabric, ext *extended, base, sExt, factor linalg.Vector, macs *int64) (linalg.Vector, error) {
-	if s.opts.AnalogResidual {
-		return fab.MatVecResidual(base, sExt, factor)
+	// Unscale last: the classification above reads the final iterate in
+	// the loop's units, and without a snapshot res.Y and res.W are it.
+	if scales != nil {
+		unscaleDual(res.Y, res.W, scales)
 	}
-	*macs += ext.residualMACs()
-	return ext.residual(base, sExt, factor), nil
+	return res, ctxErr, nil
 }
 
 // withMACs returns c with the controller's digital multiply-adds added.
@@ -678,11 +734,10 @@ func (s *snapshot) consider(pinf, dinf, gap float64, x, y, w, z linalg.Vector) b
 	return true
 }
 
-// reset invalidates the snapshot while keeping its buffers, so a pool worker
-// reuses one snapshot across every solve it runs.
+// reset empties the snapshot for a new solve, keeping whatever buffers the
+// last result did not take.
 func (s *snapshot) reset() {
-	s.ok = false
-	s.score = infNaN()
+	*s = snapshot{score: infNaN(), x: s.x, dual: s.dual}
 }
 
 func (s *snapshot) valid() bool { return s.ok }
@@ -693,9 +748,12 @@ func (s *snapshot) valid() bool { return s.ok }
 // of the slack variables w (and hence of the w/y coupling coefficients the
 // analog fabric must represent) without changing the primal solution; the
 // dual variables scale as y = y'/d and are unscaled before returning.
-// Algorithm 2 depends on it (its M1 carries the w/y couplings); Algorithm 1
-// deliberately does not use it — compressing b flattens the slack scale and
-// slows its adaptive-step convergence measurably at large m.
+// Algorithm 2 uses it, because its M1 carries the w/y couplings.
+// Algorithm 1 uses neither it nor, for single solves, batchEquilibrate's
+// A-only scaling: compressing b flattens the slack scale and slows its
+// adaptive-step convergence measurably at large m, and the A-only scaling
+// raises single solves' modeled latency with no accuracy gain (DESIGN.md
+// D12).
 func equilibrate(p *lp.Problem) (*lp.Problem, linalg.Vector) {
 	m := p.NumConstraints()
 	d := linalg.NewVector(m)

@@ -539,8 +539,8 @@ func TestSolverCountsOperations(t *testing.T) {
 	// An LP's extended pattern is exactly the mirror's non-zeros: the
 	// complementarity cells stay strictly positive.
 	nnz := 0
-	for i := 0; i < s.ext.matrix.Rows(); i++ {
-		for _, v := range s.ext.matrix.RawRow(i) {
+	for i := 0; i < s.single.ext.matrix.Rows(); i++ {
+		for _, v := range s.single.ext.matrix.RawRow(i) {
 			if v != 0 {
 				nnz++
 			}

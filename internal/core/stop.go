@@ -6,10 +6,10 @@ import (
 	"github.com/memlp/memlp/internal/trace"
 )
 
-// stopRule is the exit test of the interior-point loops: Algorithm 1's
-// single solve and batch worker, and Algorithm 2. Each loop calls check once
-// per iteration, after the residual read and the best-iterate snapshot
-// update and before the Newton settle.
+// stopRule is the exit test of the interior-point loops: Algorithm 1's loop
+// and Algorithm 2. Each loop calls check once per iteration, after the
+// residual read and the best-iterate snapshot update and before the Newton
+// settle.
 //
 // Besides the tolerance and blow-up tests it runs two stall rules, both
 // paused while the iterates are still growing (an infeasible or unbounded

@@ -179,7 +179,7 @@ func TestTraceEnergyFoldsDigitalMACs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nnz := float64(s.ext.residualMACs())
+	nnz := float64(s.single.ext.residualMACs())
 	batch, err := s.SolveBatch([]*lp.Problem{p})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -293,16 +292,4 @@ func sanitizeMPSName(s string) string {
 		out = "MEMLP"
 	}
 	return out
-}
-
-// sortedKeys is a test helper exposed for deterministic iteration in
-// diagnostics; kept here so the MPS code has no map-order dependence in its
-// output path (columns are emitted in index order above).
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -169,10 +169,3 @@ func TestSanitizeMPSName(t *testing.T) {
 		t.Errorf("empty sanitize = %q", got)
 	}
 }
-
-func TestSortedKeysHelper(t *testing.T) {
-	keys := sortedKeys(map[string]float64{"b": 1, "a": 2, "c": 3})
-	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
-		t.Errorf("sortedKeys = %v", keys)
-	}
-}

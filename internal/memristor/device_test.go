@@ -20,11 +20,6 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{"zero RON", func(p *DeviceParams) { p.RON = 0 }},
 		{"negative RON", func(p *DeviceParams) { p.RON = -1 }},
 		{"ROFF below RON", func(p *DeviceParams) { p.ROFF = p.RON / 2 }},
-		{"zero Vth", func(p *DeviceParams) { p.Vth = 0 }},
-		{"Vdd below Vth", func(p *DeviceParams) { p.Vdd = p.Vth / 2 }},
-		{"half-select disturb", func(p *DeviceParams) { p.Vdd = 2.5 * p.Vth }},
-		{"zero mobility", func(p *DeviceParams) { p.MobilityD2 = 0 }},
-		{"zero pulse width", func(p *DeviceParams) { p.WritePulseWidth = 0 }},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

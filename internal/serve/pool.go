@@ -69,12 +69,3 @@ func (p *solverPool) release(s *memlp.Solver) {
 	}
 	p.slots <- s
 }
-
-// stats reports how many handles exist and how many are idle; a quiesced
-// pool has created == idle (the leak check the serving tests assert).
-func (p *solverPool) stats() (created, idle int) {
-	p.mu.Lock()
-	created = p.created
-	p.mu.Unlock()
-	return created, len(p.slots)
-}

@@ -68,6 +68,19 @@ func postSolve(t *testing.T, client *http.Client, url string, req Request, heade
 	return hresp.StatusCode, resp
 }
 
+// poolStats sums handle counts across every pool: quiesced, created == idle
+// (the no-leaked-replicas invariant the tests assert).
+func (s *Server) poolStats() (created, idle int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ent := range s.entries {
+		c, i := ent.pool.stats()
+		created += c
+		idle += i
+	}
+	return created, idle
+}
+
 // waitQuiesced polls until every pooled solver handle is idle again — the
 // no-leaked-replicas invariant.
 func waitQuiesced(t *testing.T, s *Server) {

@@ -218,19 +218,6 @@ func (s *Server) entry(eng memlp.Engine, o Options) (*poolEntry, error) {
 	return ent, nil
 }
 
-// poolStats sums handle counts across every pool: quiesced, created == idle
-// (the no-leaked-replicas invariant the tests assert).
-func (s *Server) poolStats() (created, idle int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, ent := range s.entries {
-		c, i := ent.pool.stats()
-		created += c
-		idle += i
-	}
-	return created, idle
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, "ok\n")

@@ -16,6 +16,15 @@ import (
 	"github.com/memlp/memlp"
 )
 
+// stats reports how many handles exist and how many are idle; a quiesced
+// pool has created == idle (the leak check the serving tests assert).
+func (p *solverPool) stats() (created, idle int) {
+	p.mu.Lock()
+	created = p.created
+	p.mu.Unlock()
+	return created, len(p.slots)
+}
+
 func dietProblem(t *testing.T, slack float64) *memlp.Problem {
 	t.Helper()
 	p, err := memlp.NewProblem("diet",
