@@ -6,8 +6,8 @@ GOVULNCHECK_VERSION ?= v1.1.4
 all: build test lint
 
 # perfbench is its own module (replace => ../), so the root ./... never
-# compiles it; build and vet it with the repo so an internal refactor cannot
-# break the benchmark unnoticed.
+# compiles it; build and vet it with the repo (in build, test and vet) so an
+# internal refactor cannot break the benchmark unnoticed.
 PERFBENCH_CHECK = cd perfbench && $(GO) build ./... && $(GO) vet ./...
 
 build:
@@ -16,6 +16,7 @@ build:
 
 test:
 	$(GO) test ./...
+	$(PERFBENCH_CHECK)
 
 race:
 	$(GO) test -race ./...

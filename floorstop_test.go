@@ -8,7 +8,7 @@ import (
 	"github.com/memlp/memlp/internal/trace"
 )
 
-// stallWindow is core.Options.StallWindow's default, which every public
+// stallWindow is the core package's stall-rule patience, which every public
 // crossbar engine runs with.
 const stallWindow = 10
 
@@ -26,7 +26,7 @@ func goldenCase(t *testing.T, name string) goldenTraceCase {
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestFloorStopEndsAtLastSnapshotChange pins the floor rule on the paper
-// mode's crossbar-gen12 trajectory: the loop ends exactly StallWindow
+// mode's crossbar-gen12 trajectory: the loop ends exactly stallWindow
 // iterations after the best iterate last changed, and it returns that
 // iterate bit for bit — the same answer a run cut off at that iteration
 // returns. The default mode's gen12 trajectory ends on the tolerance rule.

@@ -167,6 +167,18 @@ func goldenTraceCases() []goldenTraceCase {
 		{name: "conic-gen12-paper", engine: EngineConic, paper: true,
 			opts:     []Option{WithSeed(15), WithVariation(0.08), WithCycleNoise(0.5)},
 			problems: single(func(t testing.TB) *Problem { return feasibleSOCP(t, 12, 2, 3, 43) })},
+		// The two retry paths. Algorithm 2's double-check (§4.3): the first
+		// attempt fails, a resolve event marks the re-solve on freshly built
+		// fabrics, and the second attempt converges. Algorithm 1 on a faulty
+		// array: the re-solve does not help, and the recovery ladder ends in
+		// software (StatusDegraded).
+		{name: "largescale-resolve", engine: EngineCrossbarLargeScale,
+			opts:     []Option{WithSeed(2), WithVariation(0.10), WithCycleNoise(0.25)},
+			problems: single(func(t testing.TB) *Problem { return feasibleLP(t, 10, 2) })},
+		{name: "crossbar-faults", engine: EngineCrossbar,
+			opts: []Option{WithSeed(1), WithVariation(0.05),
+				WithFaultModel(FaultModel{StuckOnDensity: 0.01, StuckOffDensity: 0.01})},
+			problems: single(func(t testing.TB) *Problem { return feasibleLP(t, 8, 1) })},
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -68,6 +69,12 @@ func (s *Solver) SolveBatchContext(ctx context.Context, problems []*lp.Problem) 
 	first := problems[0]
 	aShared, scales := batchEquilibrate(first)
 
+	// The shards read the warm start without s.mu, so they share a copy
+	// taken under it: SetWarmStart rewrites the stored vectors in place.
+	s.mu.Lock()
+	warmX, warmY := slices.Clone(s.single.warmX), slices.Clone(s.single.warmY)
+	s.mu.Unlock()
+
 	width := s.batchWidth(len(problems))
 	workers := make([]*worker, width)
 	for r := range workers {
@@ -75,6 +82,7 @@ func (s *Solver) SolveBatchContext(ctx context.Context, problems []*lp.Problem) 
 		if err != nil {
 			return nil, err
 		}
+		w.warmX, w.warmY = warmX, warmY
 		workers[r] = w
 	}
 
@@ -311,16 +319,13 @@ func (s *Solver) runBatchProblem(ctx context.Context, bw *worker, idx int, p *lp
 	}
 	res.WallTime = engine.WallSince(start)
 	res.Trace = bw.tr.finish(res)
-	if s.opts.Recovery != nil {
+	if s.opts.Recovery {
 		// The ladder itself does not run on the batch path (a pooled shard
-		// cannot rebuild or remap mid-batch), but callers that configured
-		// recovery still get the same per-solve telemetry the serial path
-		// attaches: fault census, retry and energy totals.
+		// cannot rebuild mid-batch), but callers that configured recovery
+		// still get the same per-solve telemetry the serial path attaches:
+		// fault census, retry and energy totals.
 		diag := &engine.Diagnostics{Attempts: 1, WriteRetries: res.Counters.WriteRetries}
-		if fr, ok := bw.fab.(FaultReporter); ok {
-			c := fr.FaultCensus()
-			diag.StuckOn, diag.StuckOff = c.StuckOn, c.StuckOff
-		}
+		diag.StuckOn, diag.StuckOff = faultCensus([]Fabric{bw.fab})
 		if s.opts.EnergyModel != nil {
 			diag.EnergyJoules = s.opts.EnergyModel(res.Counters)
 		}

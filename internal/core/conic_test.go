@@ -163,7 +163,7 @@ func TestConicRejectedWhereUnsupported(t *testing.T) {
 func TestAnalogSOCPWithFaultRecovery(t *testing.T) {
 	p, want := socpTestProblem(t)
 	o := crossbarOpts(t, 0, 1)
-	o.Recovery = &RecoveryPolicy{Remap: true, SoftwareFallback: true}
+	o.Recovery = true
 	s, err := NewSolver(o)
 	if err != nil {
 		t.Fatal(err)

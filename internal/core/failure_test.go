@@ -5,11 +5,13 @@ package core
 // bogus optimum — when the analog fabric misbehaves.
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
 
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
 )
@@ -27,6 +29,8 @@ type faultyFabric struct {
 	// solveErr, when non-nil, is returned by every Solve: a fabric fault
 	// that is not a singular system.
 	solveErr error
+	// onFail, when non-nil, runs when failSolveAfter injects its failure.
+	onFail func()
 
 	solves int
 }
@@ -52,6 +56,9 @@ func (f *faultyFabric) Solve(b linalg.Vector) (linalg.Vector, error) {
 		return nil, f.solveErr
 	}
 	if f.failSolveAfter > 0 && f.solves >= f.failSolveAfter {
+		if f.onFail != nil {
+			f.onFail()
+		}
 		return nil, crossbar.ErrSingular
 	}
 	out, err := f.inner.Solve(b)
@@ -186,8 +193,7 @@ func TestLargeScaleSingularTriggersResolve(t *testing.T) {
 
 func TestLargeScaleAllAttemptsFail(t *testing.T) {
 	s, err := NewLargeScaleSolver(Options{
-		Fabric:      faultyFactory(func(f *faultyFabric) { f.failSolveAfter = 1 }),
-		MaxResolves: 2,
+		Fabric: faultyFactory(func(f *faultyFabric) { f.failSolveAfter = 1 }),
 	})
 	if err != nil {
 		t.Fatalf("NewLargeScaleSolver: %v", err)
@@ -199,8 +205,59 @@ func TestLargeScaleAllAttemptsFail(t *testing.T) {
 	if res.Status != lp.StatusNumericalFailure {
 		t.Errorf("status = %v, want numerical-failure", res.Status)
 	}
-	if res.Resolves != 2 {
-		t.Errorf("resolves = %d, want 2", res.Resolves)
+	if res.Resolves != maxResolves {
+		t.Errorf("resolves = %d, want %d", res.Resolves, maxResolves)
+	}
+}
+
+// TestCancelBetweenAttempts: a context canceled after a failed attempt's
+// last check ends the solve before its re-solve, on both algorithms. The
+// caller gets the failed attempt's iterate as a StatusCanceled partial with
+// the wrapped context error, and is charged no second attempt.
+func TestCancelBetweenAttempts(t *testing.T) {
+	type ctxSolver interface {
+		SolveContext(context.Context, *lp.Problem) (*engine.Result, error)
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(Options) (ctxSolver, error)
+	}{
+		{"alg1-recovery", func(o Options) (ctxSolver, error) {
+			o.Recovery = true
+			s, err := NewSolver(o)
+			return s, err
+		}},
+		{"alg2", func(o Options) (ctxSolver, error) {
+			s, err := NewLargeScaleSolver(o)
+			return s, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			// The first settle fails as singular and cancels the context
+			// after the loop's check, so the attempt ends as a numerical
+			// failure and the cancellation lands between attempts.
+			s, err := tc.build(Options{Fabric: faultyFactory(func(f *faultyFabric) {
+				f.failSolveAfter, f.onFail = 1, cancel
+			})})
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			res, err := s.SolveContext(ctx, testProblem(t))
+			if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "core: solve canceled") {
+				t.Fatalf("err = %v, want a wrapped context.Canceled", err)
+			}
+			if res == nil {
+				t.Fatal("no partial result")
+			}
+			if res.Status != lp.StatusCanceled {
+				t.Errorf("status = %v, want %v", res.Status, lp.StatusCanceled)
+			}
+			if res.Resolves != 0 {
+				t.Errorf("resolves = %d, want 0: a canceled caller was charged a re-solve", res.Resolves)
+			}
+		})
 	}
 }
 

@@ -73,8 +73,8 @@ func NewLargeScaleSolver(opts Options) (*LargeScaleSolver, error) {
 	return &LargeScaleSolver{opts: opts, tr: newTraceState(opts)}, nil
 }
 
-// Solve runs Algorithm 2 on p, retrying up to MaxResolves times when a solve
-// fails to converge.
+// Solve runs Algorithm 2 on p, re-solving once when an attempt fails to
+// converge.
 func (s *LargeScaleSolver) Solve(p *lp.Problem) (*engine.Result, error) {
 	return s.SolveContext(context.Background(), p)
 }
@@ -95,60 +95,21 @@ func (s *LargeScaleSolver) SolveContext(ctx context.Context, p *lp.Problem) (*en
 	start := engine.WallClock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tr.begin(0, 0)
-	if s.opts.Recovery != nil {
-		// The recovery ladder subsumes the double-check loop below as its
-		// rung 1 (same MaxResolves budget) and adds remap + software rungs.
-		res, err := runRecoveryLadder(ctx, p, s.opts, ladderFuncs{
-			attempt: func(ctx context.Context) (*engine.Result, error, error) {
-				return s.solveOnce(ctx, p)
-			},
-			census: s.censusBoth,
-			remap:  s.remapFabrics,
-			// No resetFresh: remap offsets must survive between attempts,
-			// and solveOnce re-Programs (= fresh variation draws) anyway.
-			event: s.tr.event,
-		})
-		if res != nil {
-			res.WallTime = engine.WallSince(start)
-			res.Trace = s.tr.finish(res)
-		}
-		return res, err
+	f := ladderFuncs{
+		attempt: func(ctx context.Context) (*engine.Result, error, error) {
+			return s.solveOnce(ctx, p)
+		},
+		fabrics:  s.fabricsLocked,
+		resolves: maxResolves,
+		tr:       s.tr,
 	}
-	var last *engine.Result
-	var counters crossbar.Counters
-	for attempt := 0; attempt <= s.opts.MaxResolves; attempt++ {
-		res, ctxErr, err := s.solveOnce(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		res.Resolves = attempt
-		counters = counters.Add(res.Counters)
-		res.Counters = counters
-		res.WallTime = engine.WallSince(start)
-		if ctxErr != nil {
-			res.Trace = s.tr.finish(res)
-			return res, ctxErr
-		}
-		switch res.Status {
-		case lp.StatusOptimal, lp.StatusInfeasible, lp.StatusUnbounded:
-			res.Trace = s.tr.finish(res)
-			return res, nil
-		}
-		last = res
-		if attempt < s.opts.MaxResolves {
-			// The next loop turn is a double-check re-solve; mark it in the
-			// trace with the status that forced it.
-			s.tr.event(trace.EventResolve, res.Status.String())
-		}
+	if !s.opts.Recovery {
 		// Double-checking (§4.3): a failed attempt retries on freshly built
 		// fabrics, so a fault in the array itself cannot persist across
 		// attempts. Successful solves keep reusing the cached fabrics.
-		s.fab1, s.fab2 = nil, nil
-		s.fab1Size, s.fab2Size = 0, 0
+		f.resetFresh = func() { s.fab1, s.fab2 = nil, nil }
 	}
-	last.Trace = s.tr.finish(last)
-	return last, nil
+	return runRecoveryLadder(ctx, p, s.opts, start, f)
 }
 
 // Fabrics returns the fabrics Algorithm 2 keeps for its next solve: up to
@@ -156,6 +117,11 @@ func (s *LargeScaleSolver) SolveContext(ctx context.Context, p *lp.Problem) (*en
 func (s *LargeScaleSolver) Fabrics() []Fabric {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.fabricsLocked()
+}
+
+// fabricsLocked is Fabrics for callers that hold s.mu.
+func (s *LargeScaleSolver) fabricsLocked() []Fabric {
 	var out []Fabric
 	for _, fab := range []Fabric{s.fab1, s.fab2} {
 		if fab != nil {
@@ -163,31 +129,6 @@ func (s *LargeScaleSolver) Fabrics() []Fabric {
 		}
 	}
 	return out
-}
-
-// censusBoth tallies stuck cells across both of Algorithm 2's fabrics.
-func (s *LargeScaleSolver) censusBoth() crossbar.FaultCensus {
-	var c crossbar.FaultCensus
-	for _, fab := range []Fabric{s.fab1, s.fab2} {
-		if fr, ok := fab.(FaultReporter); ok {
-			fc := fr.FaultCensus()
-			c.StuckOn += fc.StuckOn
-			c.StuckOff += fc.StuckOff
-			c.Mapped += fc.Mapped
-		}
-	}
-	return c
-}
-
-// remapFabrics asks both fabrics to dodge their stuck cells (rung 2).
-func (s *LargeScaleSolver) remapFabrics() bool {
-	moved := false
-	for _, fab := range []Fabric{s.fab1, s.fab2} {
-		if r, ok := fab.(Remapper); ok && r.RemapAvoidingFaults() {
-			moved = true
-		}
-	}
-	return moved
 }
 
 // lsSystem holds the first system M1. Columns are [Δx(n) | Δy(m) | Δp(q)]:
@@ -460,9 +401,7 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 
 	res := &engine.Result{Status: lp.StatusIterationLimit, MatrixSize: sys1.size}
 	best := snapshot{score: infNaN()}
-	// The constant-θ split iteration converges more gradually than
-	// Algorithm 1's damped Newton, so it gets twice the stall patience.
-	stop := newStopRule(tol, 2*s.opts.StallWindow)
+	stop := newStopRule(tol, 2*stallWindow)
 	var ctxErr error
 
 	for iter := 1; iter <= tol.MaxIterations; iter++ {
@@ -626,37 +565,9 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 		}
 	}
 	s.tr.stopped(stop.reason(res.Status))
-
-	finalX, finalY, finalW, finalZ := x.Clone(), y.Clone(), w.Clone(), z.Clone()
-	if res.Status == lp.StatusOptimal || res.Status == lp.StatusIterationLimit {
-		if best.valid() {
-			x, y, w, z = best.x, best.y, best.w, best.z
-			res.PrimalInfeasibility = best.pinf
-			res.DualInfeasibility = best.dinf
-			res.DualityGap = best.gap
-		}
-	}
-	res.X, res.Y, res.W, res.Z = x.Clone(), y.Clone(), w.Clone(), z.Clone()
-	unscaleDual(res.Y, res.W, rowScales)
-	obj, err := orig.Objective(res.X)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Objective = obj
 	res.Counters = fab1.Counters().Sub(countersBase1).Add(fab2.Counters().Sub(countersBase2))
-
-	// A budget-limited run that still passes the α-check is an acceptable
-	// answer: the analog accuracy floor, not the budget, set its quality.
-	if res.Status == lp.StatusOptimal || res.Status == lp.StatusIterationLimit {
-		ok, err := orig.IsFeasible(res.X, s.opts.Alpha-1)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			res.Status = classifyRejected(finalX, finalY, finalW, finalZ)
-		} else {
-			res.Status = lp.StatusOptimal
-		}
+	if err := best.finish(res, orig, s.opts.Alpha, rowScales, x, y, w, z); err != nil {
+		return nil, nil, err
 	}
 	return res, ctxErr, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"github.com/memlp/memlp/internal/cone"
 	"github.com/memlp/memlp/internal/crossbar"
@@ -13,30 +14,10 @@ import (
 	"github.com/memlp/memlp/internal/trace"
 )
 
-// RecoveryPolicy configures the escalation ladder that generalizes the
-// paper's §4.3 "double checking scheme". The paper retries a failed
-// Algorithm 2 solve once on freshly written coefficients; with permanent
-// defects in the array a rewrite is not enough, so the ladder adds two more
-// rungs:
-//
-//	rung 1 — re-solve on the same fabric (fresh writes, fresh variation
-//	         draws), up to Options.MaxResolves extra attempts;
-//	rung 2 — remap the programmed matrix onto a different physical region
-//	         of the array, avoiding the stuck cells found by the census,
-//	         then re-solve once;
-//	rung 3 — abandon the analog path and solve in software (dense-LU PDIP);
-//	         an optimal answer from this rung is reported as
-//	         lp.StatusDegraded, because it is correct but was not computed
-//	         in-memory.
-//
-// The zero value (no policy) preserves the legacy behavior exactly:
-// Algorithm 1 fails fast, Algorithm 2 re-solves per MaxResolves.
-type RecoveryPolicy struct {
-	// Remap enables rung 2 on fabrics that support it (see Remapper).
-	Remap bool
-	// SoftwareFallback enables rung 3.
-	SoftwareFallback bool
-}
+// maxResolves is the re-solve budget of the paper's §4.3 "double checking
+// scheme": a failed attempt is re-solved once on freshly written (hence
+// freshly perturbed) coefficients.
+const maxResolves = 1
 
 // FaultReporter is implemented by fabrics that can census their mapped
 // region for permanent defects (a *crossbar.Crossbar with a fault model).
@@ -44,37 +25,36 @@ type FaultReporter interface {
 	FaultCensus() crossbar.FaultCensus
 }
 
-// Remapper is implemented by fabrics that can move the programmed matrix to
-// a different physical region to dodge stuck cells. RemapAvoidingFaults
-// returns true when the mapping moved; the fabric is then unprogrammed and
-// the next Program call writes the new region.
-type Remapper interface {
-	RemapAvoidingFaults() bool
+var _ FaultReporter = (*crossbar.Crossbar)(nil)
+
+// faultCensus tallies the stuck cells of the fabrics that can report them.
+func faultCensus(fabs []Fabric) (stuckOn, stuckOff int) {
+	for _, fab := range fabs {
+		if fr, ok := fab.(FaultReporter); ok {
+			c := fr.FaultCensus()
+			stuckOn += c.StuckOn
+			stuckOff += c.StuckOff
+		}
+	}
+	return stuckOn, stuckOff
 }
 
-// Compile-time checks: a single crossbar supports the full ladder.
-var (
-	_ FaultReporter = (*crossbar.Crossbar)(nil)
-	_ Remapper      = (*crossbar.Crossbar)(nil)
-)
-
-// ladderFuncs adapts one solver (Algorithm 1 or 2) to the shared ladder.
+// ladderFuncs adapts one solver (Algorithm 1 or 2) to runRecoveryLadder.
 type ladderFuncs struct {
 	// attempt runs one full analog solve attempt. Same contract as
 	// solveOnce: (result, ctxErr, hard error).
 	attempt func(ctx context.Context) (*engine.Result, error, error)
-	// census tallies stuck cells across the solver's fabric(s); nil when no
-	// fabric is built yet or none can report.
-	census func() crossbar.FaultCensus
-	// remap asks the fabric(s) to move off their defects; nil or returning
-	// false skips rung 2.
-	remap func() bool
-	// resetFresh drops cached fabrics so the next attempt rebuilds them
-	// (Algorithm 2's fresh-fabric double-check semantics); may be nil.
+	// fabrics lists the solver's fabrics for the fault census.
+	fabrics func() []Fabric
+	// resolves is the re-solve budget: maxResolves, or zero for Algorithm 1
+	// without Options.Recovery.
+	resolves int
+	// resetFresh, when non-nil, drops the cached fabrics after a failed
+	// attempt so the next solve rebuilds them (Algorithm 2's fresh-fabric
+	// double-check without a recovery policy).
 	resetFresh func()
-	// event records a ladder escalation in the iteration trace; nil-safe
-	// (a traceState method value with a nil receiver is inert).
-	event func(ev, status string)
+	// tr records the iteration trace; nil when tracing is off.
+	tr *traceState
 }
 
 // analogAnswerConsistent is the digital half of the double-check scheme,
@@ -155,93 +135,74 @@ func needsEscalation(status lp.Status, faultsPresent bool) bool {
 	return false
 }
 
-// runRecoveryLadder drives the escalation ladder for one solve. The caller
-// holds the solver's mutex and has validated the problem.
-func runRecoveryLadder(ctx context.Context, p *lp.Problem, opts Options, f ladderFuncs) (*engine.Result, error) {
-	rec := opts.Recovery
-	diag := &engine.Diagnostics{}
-	var counters crossbar.Counters
-	var last *engine.Result
+// acceptable reports whether an attempt's outcome ends the ladder: the
+// status must not warrant escalation, and on a fabric with known defects an
+// "optimal" claim must additionally survive the digital optimality
+// cross-check — a fault-perturbed matrix can yield a confidently wrong
+// optimum that the α-check alone cannot see.
+func acceptable(p *lp.Problem, res *engine.Result, faults bool, opts Options) bool {
+	if needsEscalation(res.Status, faults) {
+		return false
+	}
+	return res.Status != lp.StatusOptimal || !faults || analogAnswerConsistent(p, res, crossCheckTol(opts))
+}
 
+// runRecoveryLadder runs one solve of either crossbar algorithm, the only
+// path by which they run attempts. Rung 1 is the first attempt plus up to
+// f.resolves re-solves; with Options.Recovery, rung 2 falls back to
+// software. It begins and finishes the trace and measures WallTime from
+// start. The caller holds the solver's mutex and has validated the problem.
+func runRecoveryLadder(ctx context.Context, p *lp.Problem, opts Options, start time.Time, f ladderFuncs) (*engine.Result, error) {
+	f.tr.begin(0, 0)
+	var diag engine.Diagnostics
+	var counters crossbar.Counters
+
+	// finish stamps the answer. Diagnostics are attached only with a
+	// recovery policy, so plain solves allocate nothing here.
 	finish := func(res *engine.Result, rung string) *engine.Result {
-		diag.RecoveredBy = rung
-		diag.WriteRetries = counters.WriteRetries
-		if opts.EnergyModel != nil {
-			diag.EnergyJoules = opts.EnergyModel(counters)
-		}
-		res.Diagnostics = diag
 		res.Resolves = diag.Attempts - 1
+		if opts.Recovery {
+			diag.RecoveredBy = rung
+			diag.WriteRetries = counters.WriteRetries
+			if opts.EnergyModel != nil {
+				diag.EnergyJoules = opts.EnergyModel(counters)
+			}
+			d := diag
+			res.Diagnostics = &d
+		}
+		res.WallTime = engine.WallSince(start)
+		res.Trace = f.tr.finish(res)
 		return res
 	}
 
-	// emitEvent records an escalation in the iteration trace, labeled with
-	// the status of the attempt that forced it.
-	emitEvent := func(ev string, prev *engine.Result) {
-		if f.event == nil {
-			return
+	// Rung 1: the initial attempt plus up to f.resolves re-solves.
+	var last *engine.Result
+	for attempt := 0; attempt <= f.resolves; attempt++ {
+		if last != nil {
+			// Cancellation during a solve is handled inside f.attempt; this
+			// check closes the gap between re-solves, so a cancelled caller
+			// is never charged another full attempt. The failed attempt's
+			// iterate is the partial answer.
+			if err := ctx.Err(); err != nil {
+				last.Status = lp.StatusCanceled
+				return finish(last, ""), fmt.Errorf("core: solve canceled before re-solve %d: %w", attempt, err)
+			}
+			f.tr.event(trace.EventResolve, last.Status.String())
 		}
-		status := ""
-		if prev != nil {
-			status = prev.Status.String()
-		}
-		f.event(ev, status)
-	}
-
-	attemptOnce := func() (*engine.Result, error, error) {
 		res, ctxErr, err := f.attempt(ctx)
-		if res != nil {
-			diag.Attempts++
-			counters = counters.Add(res.Counters)
-			res.Counters = counters
-		}
-		return res, ctxErr, err
-	}
-
-	refreshCensus := func() {
-		if f.census == nil {
-			return
-		}
-		c := f.census()
-		diag.StuckOn, diag.StuckOff = c.StuckOn, c.StuckOff
-	}
-
-	// acceptable reports whether an attempt's outcome ends the ladder: the
-	// status must not warrant escalation, and on a fabric with known defects
-	// an "optimal" claim must additionally survive the digital optimality
-	// cross-check — a fault-perturbed matrix can yield a confidently wrong
-	// optimum that the α-check alone cannot see.
-	acceptable := func(res *engine.Result) bool {
-		faults := diag.StuckOn+diag.StuckOff > 0
-		if needsEscalation(res.Status, faults) {
-			return false
-		}
-		if res.Status == lp.StatusOptimal && faults {
-			return analogAnswerConsistent(p, res, crossCheckTol(opts))
-		}
-		return true
-	}
-
-	// Rung 1: the initial attempt plus up to MaxResolves re-solves on the
-	// same (re-written) fabric.
-	for attempt := 0; attempt <= opts.MaxResolves; attempt++ {
-		// Cancellation during a solve is handled inside f.attempt; this
-		// check closes the gap between re-solves, so a cancelled caller is
-		// never charged another full attempt.
-		if last != nil && ctx.Err() != nil {
-			return finish(last, ""), ctx.Err()
-		}
-		if attempt > 0 {
-			emitEvent(trace.EventResolve, last)
-		}
-		res, ctxErr, err := attemptOnce()
 		if err != nil {
 			return nil, err
 		}
-		refreshCensus()
+		diag.Attempts++
+		counters = counters.Add(res.Counters)
+		res.Counters = counters
+		if opts.Recovery {
+			diag.StuckOn, diag.StuckOff = faultCensus(f.fabrics())
+		}
 		if ctxErr != nil {
 			return finish(res, ""), ctxErr
 		}
-		if acceptable(res) {
+		if acceptable(p, res, diag.StuckOn+diag.StuckOff > 0, opts) {
 			rung := ""
 			if attempt > 0 {
 				rung = "resolve"
@@ -249,54 +210,31 @@ func runRecoveryLadder(ctx context.Context, p *lp.Problem, opts Options, f ladde
 			return finish(res, rung), nil
 		}
 		last = res
-		if f.resetFresh != nil && attempt < opts.MaxResolves {
+		if f.resetFresh != nil {
 			f.resetFresh()
 		}
 	}
-
-	// Rung 2: remap away from the stuck cells and try once more.
-	if rec.Remap && f.remap != nil && f.remap() {
-		diag.Remapped = true
-		emitEvent(trace.EventRemap, last)
-		res, ctxErr, err := attemptOnce()
-		if err != nil {
-			return nil, err
-		}
-		refreshCensus()
-		if ctxErr != nil {
-			return finish(res, "remap"), ctxErr
-		}
-		if acceptable(res) {
-			return finish(res, "remap"), nil
-		}
-		last = res
+	if !opts.Recovery {
+		return finish(last, ""), nil
 	}
 
-	// Rung 3: software fallback. Its classification is exact (no analog
+	// Rung 2: software fallback. Its classification is exact (no analog
 	// noise), so infeasible/unbounded verdicts are reported directly; an
 	// optimum is honest about its provenance via StatusDegraded.
-	if rec.SoftwareFallback {
-		diag.SoftwareFallback = true
-		emitEvent(trace.EventSoftware, last)
-		res, err := softwareSolve(ctx, p)
-		if err != nil {
-			if res == nil {
-				return nil, err
-			}
-			res.Counters = counters
-			return finish(res, "software"), err
-		}
-		if res.Status == lp.StatusOptimal {
-			res.Status = lp.StatusDegraded
-		}
-		res.Counters = counters
-		return finish(res, "software"), nil
+	diag.SoftwareFallback = true
+	f.tr.event(trace.EventSoftware, last.Status.String())
+	res, err := softwareSolve(ctx, p)
+	if res == nil {
+		return nil, err
 	}
-
-	return finish(last, ""), nil
+	if err == nil && res.Status == lp.StatusOptimal {
+		res.Status = lp.StatusDegraded
+	}
+	res.Counters = counters
+	return finish(res, "software"), err
 }
 
-// softwareSolve is rung 3: the dense-LU software PDIP at default tolerances
+// softwareSolve is rung 2: the dense-LU software PDIP at default tolerances
 // (the hardware-oriented stall/alpha machinery does not apply). The returned
 // Result carries no fabric counters; the caller attaches the ones already
 // spent on the failed analog attempts.

@@ -24,14 +24,6 @@ type Options struct {
 	// is accepted when A·x ≤ α·b element-wise (α slightly above 1 absorbs
 	// process-variation distortion of the constraints). Zero means 1.05.
 	Alpha float64
-	// StallWindow is the patience of both stall rules at the analog
-	// accuracy floor. The iteration stops when the duality gap has not
-	// improved for this many consecutive iterations, or when the best
-	// iterate (the one a stop returns) has not changed for this many and
-	// a measured residual, not the gap, sets its score (DESIGN.md D19).
-	// Iterations in which the iterates are still growing count toward
-	// neither. Algorithm 2 waits twice as long. Zero means 10.
-	StallWindow int
 	// Fabric builds the analog substrate for a given matrix size.
 	// Nil means a single ideal-variation-free crossbar of sufficient size
 	// (crossbar defaults, no variation).
@@ -40,10 +32,6 @@ type Options struct {
 	// guarantee convergence"). Zero means 0.2 (the AB1 ablation sweeps the
 	// usable band). Ignored by Algorithm 1.
 	ConstantStep float64
-	// MaxResolves is Algorithm 2's "double checking scheme" budget: how many
-	// times a failed solve is retried with freshly written (hence freshly
-	// perturbed) coefficients. Zero means 1. Ignored by Algorithm 1.
-	MaxResolves int
 	// Regularization scales Algorithm 2's literal RU/RL filler entries
 	// relative to the mean |A| entry (§3.4: "very small"); only used with
 	// LiteralFillers. Zero means 0.02. Ignored by Algorithm 1.
@@ -53,12 +41,16 @@ type Options struct {
 	// reduced-KKT diagonals (see the LargeScaleSolver doc). Unstable for
 	// m ≠ n; kept for the AB2 ablation. Ignored by Algorithm 1.
 	LiteralFillers bool
-	// Recovery enables the fault-recovery escalation ladder shared by both
-	// algorithms (see RecoveryPolicy): rung 1 re-solves per MaxResolves,
-	// rung 2 remaps off stuck cells, rung 3 falls back to software. Nil
-	// preserves the legacy behavior exactly (Algorithm 1 fails fast,
-	// Algorithm 2 re-solves per MaxResolves only).
-	Recovery *RecoveryPolicy
+	// Recovery enables the fault-recovery ladder of both algorithms
+	// (runRecoveryLadder, DESIGN.md D10): a failed attempt is re-solved once
+	// on the same fabric, and when that fails too the solve falls back to
+	// software and reports an optimum as lp.StatusDegraded. On a fabric
+	// with stuck cells an infeasible or unbounded verdict, or an optimum
+	// that flunks the digital cross-check, counts as failed. Every result
+	// then carries Diagnostics. Without it Algorithm 1 returns its one
+	// attempt, and Algorithm 2 re-solves a failed attempt once on freshly
+	// built fabrics (the paper's §4.3 double-check).
+	Recovery bool
 	// Parallelism is the fabric-pool width for SolveBatch: the shared
 	// extended matrix is replicated onto this many shard fabrics, each driven
 	// by its own worker goroutine. Zero means GOMAXPROCS; the width is always
@@ -109,17 +101,11 @@ func (o Options) withDefaults() Options {
 	if o.Alpha == 0 {
 		o.Alpha = 1.05
 	}
-	if o.StallWindow == 0 {
-		o.StallWindow = 10
-	}
 	if o.Fabric == nil {
 		o.Fabric = SingleCrossbarFactory(crossbar.Config{})
 	}
 	if o.ConstantStep == 0 {
 		o.ConstantStep = 0.2
-	}
-	if o.MaxResolves == 0 {
-		o.MaxResolves = 1
 	}
 	if o.Regularization == 0 {
 		o.Regularization = 0.02
@@ -134,14 +120,8 @@ func (o Options) validate() error {
 	if o.Alpha < 1 {
 		return fmt.Errorf("%w: alpha %v below 1", lp.ErrInvalid, o.Alpha)
 	}
-	if o.StallWindow < 1 {
-		return fmt.Errorf("%w: stall window %d", lp.ErrInvalid, o.StallWindow)
-	}
 	if !(o.ConstantStep > 0 && o.ConstantStep < 1) {
 		return fmt.Errorf("%w: constant step %v outside (0,1)", lp.ErrInvalid, o.ConstantStep)
-	}
-	if o.MaxResolves < 0 {
-		return fmt.Errorf("%w: max resolves %d", lp.ErrInvalid, o.MaxResolves)
 	}
 	if !(o.Regularization > 0 && o.Regularization < 1) {
 		return fmt.Errorf("%w: regularization %v outside (0,1)", lp.ErrInvalid, o.Regularization)
@@ -167,9 +147,6 @@ type Solver struct {
 	mu sync.Mutex
 	// single runs every single solve, under mu.
 	single worker
-	// warmX/warmY, when non-nil, seed subsequent solves from a prior
-	// primal/dual point instead of the all-ones start (see SetWarmStart).
-	warmX, warmY linalg.Vector
 }
 
 // worker owns Algorithm 1's per-fabric state: the fabric, the extended
@@ -192,6 +169,10 @@ type worker struct {
 	// base holds the fabric's counters when the current attempt began; the
 	// attempt's result reports the difference.
 	base crossbar.Counters
+	// warmX/warmY, when non-nil, seed every solve from a prior primal/dual
+	// point instead of the all-ones start (see SetWarmStart). The shards of
+	// a batch share one copy taken at batch entry, which nothing writes.
+	warmX, warmY linalg.Vector
 
 	// Pool shards only: the scaled-b scratch, the one-time programming cost
 	// and the shard's solve and busy-time tallies.
@@ -245,33 +226,33 @@ const warmFloor = 1e-6
 func (s *Solver) SetWarmStart(x0, y0 linalg.Vector) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	wk := &s.single
 	if x0 == nil || y0 == nil {
-		s.warmX, s.warmY = nil, nil
+		wk.warmX, wk.warmY = nil, nil
 		return
 	}
-	s.warmX = append(s.warmX[:0], x0...)
-	s.warmY = append(s.warmY[:0], y0...)
+	wk.warmX = append(wk.warmX[:0], x0...)
+	wk.warmY = append(wk.warmY[:0], y0...)
 }
 
-// applyWarmStart overwrites the freshly Fill(1)-ed iterate with the stored
-// warm-start point when one is set and usable. yScale, when non-nil, maps the
-// stored (user-unit) duals into the equilibrated problem's units: the batch
-// path row-scales A, under which internal ŷᵢ = yᵢ·scaleᵢ. It reports whether
-// the warm seed was applied (false → caller keeps the cold start). Callers
-// must hold s.mu (single solves) or rely on the batch entry point having
-// snapshotted the vectors (workers only read them).
-func (s *Solver) applyWarmStart(p *lp.Problem, yScale, x, y, w, z linalg.Vector) (bool, error) {
-	if s.warmX == nil || s.warmY == nil {
+// applyWarmStart overwrites the freshly Fill(1)-ed iterate with the
+// warm-start point (warmX, warmY) when one is set and usable. yScale, when
+// non-nil, maps the stored (user-unit) duals into the equilibrated
+// problem's units: the batch path row-scales A, under which internal
+// ŷᵢ = yᵢ·scaleᵢ. It reports whether the warm seed was applied (false →
+// caller keeps the cold start).
+func applyWarmStart(p *lp.Problem, yScale, warmX, warmY, x, y, w, z linalg.Vector) (bool, error) {
+	if warmX == nil || warmY == nil {
 		return false, nil
 	}
-	if len(s.warmX) != len(x) || len(s.warmY) != len(y) {
+	if len(warmX) != len(x) || len(warmY) != len(y) {
 		return false, fmt.Errorf("%w: warm start dimensions %d vars / %d duals, problem has %d vars / %d constraints",
-			lp.ErrInvalid, len(s.warmX), len(s.warmY), len(x), len(y))
+			lp.ErrInvalid, len(warmX), len(warmY), len(x), len(y))
 	}
-	if !allFinite(s.warmX) || !allFinite(s.warmY) {
+	if !allFinite(warmX) || !allFinite(warmY) {
 		return false, nil
 	}
-	seedWarmStart(p, s.warmX, s.warmY, yScale, x, y, w, z)
+	seedWarmStart(p, warmX, warmY, yScale, x, y, w, z)
 	return true, nil
 }
 
@@ -361,6 +342,11 @@ func NewSolver(opts Options) (*Solver, error) {
 func (s *Solver) Fabrics() []Fabric {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.fabricsLocked()
+}
+
+// fabricsLocked is Fabrics for callers that hold s.mu.
+func (s *Solver) fabricsLocked() []Fabric {
 	if s.single.fab == nil {
 		return nil
 	}
@@ -376,7 +362,7 @@ func (s *Solver) Solve(p *lp.Problem) (*engine.Result, error) {
 // the context is checked once per iteration, and an interrupted solve
 // returns its partial iterate with lp.StatusCanceled alongside the wrapped
 // context error. With Options.Recovery configured, a failed attempt climbs
-// the recovery-escalation ladder instead of being returned directly.
+// the recovery ladder instead of being returned directly.
 func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -384,44 +370,18 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Resul
 	start := engine.WallClock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tr := s.single.tr
-	tr.begin(0, 0)
-	if s.opts.Recovery == nil {
-		res, ctxErr, err := s.solveAttempt(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		res.WallTime = engine.WallSince(start)
-		res.Trace = tr.finish(res)
-		return res, ctxErr
+	resolves := 0
+	if s.opts.Recovery {
+		resolves = maxResolves
 	}
-	res, err := runRecoveryLadder(ctx, p, s.opts, ladderFuncs{
+	return runRecoveryLadder(ctx, p, s.opts, start, ladderFuncs{
 		attempt: func(ctx context.Context) (*engine.Result, error, error) {
 			return s.solveAttempt(ctx, p)
 		},
-		census: s.census,
-		remap:  s.remapFabric,
-		event:  tr.event,
+		fabrics:  s.fabricsLocked,
+		resolves: resolves,
+		tr:       s.single.tr,
 	})
-	if res != nil {
-		res.WallTime = engine.WallSince(start)
-		res.Trace = tr.finish(res)
-	}
-	return res, err
-}
-
-// census tallies the stuck cells on the cached fabric, when it can report.
-func (s *Solver) census() crossbar.FaultCensus {
-	if fr, ok := s.single.fab.(FaultReporter); ok {
-		return fr.FaultCensus()
-	}
-	return crossbar.FaultCensus{}
-}
-
-// remapFabric asks the cached fabric to dodge its stuck cells (rung 2).
-func (s *Solver) remapFabric() bool {
-	r, ok := s.single.fab.(Remapper)
-	return ok && r.RemapAvoidingFaults()
 }
 
 // solveAttempt runs one full Algorithm 1 attempt on the single-solve
@@ -485,7 +445,7 @@ func (s *Solver) solveOn(ctx context.Context, wk *worker, p, orig *lp.Problem, s
 	y := wk.initBuf[n : n+m]
 	w := wk.initBuf[n+m : n+2*m]
 	z := wk.initBuf[n+2*m:]
-	warm, err := s.applyWarmStart(p, scales, x, y, w, z)
+	warm, err := applyWarmStart(p, scales, wk.warmX, wk.warmY, x, y, w, z)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -515,8 +475,7 @@ func (s *Solver) solveOn(ctx context.Context, wk *worker, p, orig *lp.Problem, s
 	res := &engine.Result{Status: lp.StatusIterationLimit, MatrixSize: ext.size}
 	conic := ext.conic()
 	nu := ext.barrierDegree()
-	bestConeInf := 0.0
-	stop := newStopRule(tol, s.opts.StallWindow)
+	stop := newStopRule(tol, stallWindow)
 	// The controller monitors the residuals it reads and keeps the best
 	// iterate seen: near the accuracy floor the analog noise can push later
 	// iterates away from feasibility again.
@@ -568,7 +527,7 @@ func (s *Solver) solveOn(ctx context.Context, wk *worker, p, orig *lp.Problem, s
 
 		changed := best.consider(res.PrimalInfeasibility, res.DualInfeasibility, gap, x, y, w, z)
 		if changed {
-			bestConeInf = res.ConeInfeasibility
+			best.coneInf = res.ConeInfeasibility
 		}
 		if status, done := stop.check(res.PrimalInfeasibility, res.DualInfeasibility, gap, x, y, best, changed); done {
 			res.Status = status
@@ -635,51 +594,9 @@ func (s *Solver) solveOn(ctx context.Context, wk *worker, p, orig *lp.Problem, s
 		}
 	}
 	wk.tr.stopped(stop.reason(res.Status))
-
-	// Prefer the best-residual iterate over the last one when the solver
-	// converged normally; blow-up detections keep the final (diverged)
-	// point so callers can inspect it. The final iterate is remembered
-	// separately: divergence classification must look at where the
-	// iteration was heading, not at the best snapshot.
-	finalX, finalY, finalW, finalZ := x, y, w, z
-	if (res.Status == lp.StatusOptimal || res.Status == lp.StatusIterationLimit) && best.valid() {
-		x, y, w, z = best.x, best.y, best.w, best.z
-		res.PrimalInfeasibility = best.pinf
-		res.DualInfeasibility = best.dinf
-		res.DualityGap = best.gap
-		res.ConeInfeasibility = bestConeInf
-		// The result keeps the snapshot's buffers; the worker's next solve
-		// allocates its own.
-		best.x, best.dual = nil, nil
-	}
-	res.X, res.Y, res.W, res.Z = x, y, w, z
-	obj, err := orig.Objective(x)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Objective = obj
 	res.Counters = withMACs(fab.Counters().Sub(wk.base), macs)
-
-	// Robust feasibility detection (§3.2): accept the converged point only
-	// if A·x ≤ α·b; variation can distort the realized constraints, so α is
-	// slightly above 1.
-	// A budget-limited run that still passes the α-check is an acceptable
-	// answer: the analog accuracy floor, not the budget, set its quality.
-	if res.Status == lp.StatusOptimal || res.Status == lp.StatusIterationLimit {
-		ok, err := orig.IsFeasible(x, s.opts.Alpha-1)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			res.Status = classifyRejected(finalX, finalY, finalW, finalZ)
-		} else {
-			res.Status = lp.StatusOptimal
-		}
-	}
-	// Unscale last: the classification above reads the final iterate in
-	// the loop's units, and without a snapshot res.Y and res.W are it.
-	if scales != nil {
-		unscaleDual(res.Y, res.W, scales)
+	if err := best.finish(res, orig, s.opts.Alpha, scales, x, y, w, z); err != nil {
+		return nil, nil, err
 	}
 	return res, ctxErr, nil
 }
@@ -696,7 +613,10 @@ type snapshot struct {
 	ok              bool
 	score           float64
 	pinf, dinf, gap float64
-	x, y, w, z      linalg.Vector
+	// coneInf is the snapshot's cone infeasibility; the conic loop sets it
+	// whenever consider keeps a new iterate.
+	coneInf    float64
+	x, y, w, z linalg.Vector
 	// dual backs y, w and z, so a solve's first snapshot costs two
 	// allocations rather than four. x keeps a buffer of its own: callers
 	// often retain only the primal answer, which must not pin the duals.
@@ -741,6 +661,60 @@ func (s *snapshot) reset() {
 }
 
 func (s *snapshot) valid() bool { return s.ok }
+
+// finish assembles an attempt's answer in res once its loop has ended, for
+// both algorithms. (x, y, w, z) is the final iterate in the loop's units;
+// orig is the caller's problem, which prices the objective and the §3.2
+// α-check. scales, when non-nil, are the row scales of the problem the loop
+// ran (its row i of [A | b] is orig's divided by scales[i]), and the
+// returned duals are unscaled.
+func (s *snapshot) finish(res *engine.Result, orig *lp.Problem, alpha float64, scales, x, y, w, z linalg.Vector) error {
+	// Prefer the best-residual iterate over the last one when the solver
+	// converged normally; blow-up detections keep the final (diverged)
+	// point so callers can inspect it. The final iterate is remembered
+	// separately: divergence classification must look at where the
+	// iteration was heading, not at the best snapshot.
+	finalX, finalY, finalW, finalZ := x, y, w, z
+	if (res.Status == lp.StatusOptimal || res.Status == lp.StatusIterationLimit) && s.valid() {
+		x, y, w, z = s.x, s.y, s.w, s.z
+		res.PrimalInfeasibility = s.pinf
+		res.DualInfeasibility = s.dinf
+		res.DualityGap = s.gap
+		res.ConeInfeasibility = s.coneInf
+		// The result keeps the snapshot's buffers; the next solve allocates
+		// its own.
+		s.x, s.dual = nil, nil
+	}
+	res.X, res.Y, res.W, res.Z = x, y, w, z
+	obj, err := orig.Objective(x)
+	if err != nil {
+		return err
+	}
+	res.Objective = obj
+
+	// Robust feasibility detection (§3.2): accept the converged point only
+	// if A·x ≤ α·b; variation can distort the realized constraints, so α is
+	// slightly above 1.
+	// A budget-limited run that still passes the α-check is an acceptable
+	// answer: the analog accuracy floor, not the budget, set its quality.
+	if res.Status == lp.StatusOptimal || res.Status == lp.StatusIterationLimit {
+		ok, err := orig.IsFeasible(x, alpha-1)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			res.Status = classifyRejected(finalX, finalY, finalW, finalZ)
+		} else {
+			res.Status = lp.StatusOptimal
+		}
+	}
+	// Unscale last: the classification above reads the final iterate in
+	// the loop's units, and without a snapshot res.Y and res.W are it.
+	if scales != nil {
+		unscaleDual(res.Y, res.W, scales)
+	}
+	return nil
+}
 
 // equilibrate row-scales the problem: each constraint row of [A | b] is
 // divided by its maximum absolute coefficient, a standard digital presolve

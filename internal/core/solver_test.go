@@ -81,7 +81,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"alpha below 1", func(o *Options) { o.Alpha = 0.5 }},
 		{"bad constant step", func(o *Options) { o.ConstantStep = 1.5 }},
 		{"bad regularization", func(o *Options) { o.Regularization = 2 }},
-		{"negative resolves", func(o *Options) { o.MaxResolves = -1 }},
 		{"bad delta", func(o *Options) { o.Tol.Delta = 3 }},
 	}
 	for _, tc := range tests {

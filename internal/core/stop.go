@@ -33,6 +33,12 @@ type stopRule struct {
 	fired string
 }
 
+// stallWindow is the patience of both stall rules at the analog accuracy
+// floor, in iterations (D19). Algorithm 2's constant-θ split iteration
+// converges more gradually than Algorithm 1's damped Newton and waits twice
+// as long.
+const stallWindow = 10
+
 func newStopRule(tol lp.Tolerances, window int) stopRule {
 	return stopRule{tol: tol, window: window, bestGap: infNaN()}
 }

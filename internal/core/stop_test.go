@@ -188,7 +188,7 @@ func TestFloorStopWithoutVariation(t *testing.T) {
 
 // TestGapLimitedPlateauRunsToGapStall: in the paper's mode the SOCP of
 // TestAnalogSolveSOCP keeps a gap-limited best iterate on a θ-collapse
-// plateau for more than StallWindow iterations before the gap improves
+// plateau for more than stallWindow iterations before the gap improves
 // again. A floor rule without its residual-limited condition stops there
 // and returns a point that is infeasible at 1e-3. The default mode reaches
 // the tolerance without the plateau.

@@ -11,10 +11,10 @@ import (
 // fabric's monotonic counters into per-problem running totals. A nil
 // *traceState is valid and inert, so untraced solves pay only a nil check.
 //
-// The accumulators rebase on every attempt (beginAttempt) because the
-// recovery ladder and Algorithm 2's double-check can swap in fresh fabrics
-// whose counters restart at zero — a naive delta against the previous
-// fabric's total would go negative.
+// The accumulators rebase on every attempt (beginAttempt) because
+// Algorithm 2's double-check can swap in fresh fabrics whose counters
+// restart at zero — a naive delta against the previous fabric's total would
+// go negative.
 type traceState struct {
 	ring     *trace.Ring
 	onRecord func(trace.Record)
@@ -119,7 +119,7 @@ func (t *traceState) emit(rec trace.Record) {
 	}
 }
 
-// event records a recovery-ladder escalation (resolve/remap/software),
+// event records a recovery-ladder escalation (resolve/software),
 // stamped with the status of the attempt that triggered it. The escalated
 // attempt's stop rule no longer describes the answer, so it is cleared.
 func (t *traceState) event(ev, status string) {

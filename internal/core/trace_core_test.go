@@ -75,12 +75,11 @@ func TestLadderCancelMidRecovery(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	opts := faultyCrossbarOptions(0.2, &RecoveryPolicy{Remap: true, SoftwareFallback: true})
-	opts.MaxResolves = 2
+	opts := faultyCrossbarOptions(0.2)
 	opts.Trace = &TraceOptions{OnRecord: func(rec trace.Record) {
 		// Cancel the moment the ladder announces its first escalation, so
 		// the next attempt starts on a dead context.
-		if rec.Event == trace.EventResolve || rec.Event == trace.EventRemap {
+		if rec.Event == trace.EventResolve {
 			cancel()
 		}
 	}}
@@ -108,7 +107,7 @@ func TestLadderCancelMidRecovery(t *testing.T) {
 	}
 	escalations := 0
 	for _, rec := range res.Trace {
-		if rec.Event == trace.EventResolve || rec.Event == trace.EventRemap {
+		if rec.Event == trace.EventResolve {
 			escalations++
 		}
 	}
@@ -127,7 +126,7 @@ func TestDiagnosticsEnergyOnCleanSolve(t *testing.T) {
 	p := testProblem(t)
 	opts := Options{
 		Fabric:   SingleCrossbarFactory(crossbar.Config{}),
-		Recovery: &RecoveryPolicy{},
+		Recovery: true,
 		EnergyModel: func(c crossbar.Counters) float64 {
 			return 1e-12 * float64(c.MatVecOps+c.SolveOps+c.CellWrites)
 		},

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/memlp/memlp/internal/engine"
@@ -191,6 +192,52 @@ func TestWarmStartBatchDeterministicAcrossParallelism(t *testing.T) {
 				if !linalg.Identical(res.Y[j], want.Y[j]) {
 					t.Fatalf("par=%d problem %d: Y[%d] = %v, want bit-identical %v", par, i, j, res.Y[j], want.Y[j])
 				}
+			}
+		}
+	}
+}
+
+// TestSetWarmStartDuringBatch: a Solver is safe for concurrent use, so
+// replacing the warm start while a batch runs must not race with the pool's
+// workers, which seed every member from the warm point (run under -race).
+func TestSetWarmStartDuringBatch(t *testing.T) {
+	problems := batchProblems(t, 4)
+	s, err := NewSolver(Options{Fabric: newIdealFabric, Parallelism: 2})
+	if err != nil {
+		t.Fatalf("NewSolver: %v", err)
+	}
+	prior, err := s.Solve(problems[0])
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	s.SetWarmStart(prior.X, prior.Y)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.SetWarmStart(prior.X, prior.Y)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for round := 0; round < 3; round++ {
+		results, err := s.SolveBatch(problems)
+		if err != nil {
+			t.Fatalf("round %d: SolveBatch: %v", round, err)
+		}
+		for i, res := range results {
+			if res.Status != lp.StatusOptimal {
+				t.Errorf("round %d problem %d: status %v, want optimal", round, i, res.Status)
 			}
 		}
 	}

@@ -127,8 +127,7 @@ type Config struct {
 	WireResistance float64
 	// Faults models permanent device defects (stuck-at-ON/OFF cells, extra
 	// programming noise, retention drift); nil disables faults. Placement is
-	// deterministic per the model's seed over PHYSICAL coordinates, so
-	// remapping the programmed region moves it relative to the defects.
+	// deterministic per the model's seed over the array's cell coordinates.
 	Faults *memristor.FaultModel
 	// MaxWriteRetries enables write-verify programming: after each cell
 	// write the controller reads the realized conductance back and, while it
@@ -297,11 +296,6 @@ type Crossbar struct {
 	// deltaOff suppresses delta-programming for the current workload even
 	// when cfg.DeltaWriteBits enables it; see SetDeltaProgramming.
 	deltaOff bool
-	// rowOff/colOff place the logical matrix inside the physical array.
-	// Nonzero after RemapAvoidingFaults moved the mapping off defective rows;
-	// fault placement is keyed to PHYSICAL coordinates, so the offset decides
-	// which defects the mapped region inherits.
-	rowOff, colOff int
 	// writeSeq numbers write attempts for the fault model's deterministic
 	// per-attempt programming noise.
 	writeSeq int
@@ -314,7 +308,7 @@ type Crossbar struct {
 	// measured row sums and the settle walk instead of dense rows. It is
 	// rescanned lazily once patValid drops, which happens only where gt can
 	// change between zero and non-zero: a conductance-writer funnel flipping
-	// a cell, Program, and RemapAvoidingFaults.
+	// a cell, and Program.
 	pat      linalg.Pattern
 	patValid bool
 	// live holds one bit per cell, liveWords words per row, set for every
@@ -492,8 +486,8 @@ func (x *Crossbar) Counters() Counters { return x.counters }
 //
 //memlp:conductance-writer
 func (x *Crossbar) Program(a *linalg.Matrix) error {
-	if a.Rows()+x.rowOff > x.cfg.Size || a.Cols()+x.colOff > x.cfg.Size {
-		return fmt.Errorf("%w: %dx%d at offset (%d,%d) into %d", ErrTooLarge, a.Rows(), a.Cols(), x.rowOff, x.colOff, x.cfg.Size)
+	if a.Rows() > x.cfg.Size || a.Cols() > x.cfg.Size {
+		return fmt.Errorf("%w: %dx%d into %d", ErrTooLarge, a.Rows(), a.Cols(), x.cfg.Size)
 	}
 	if !a.AllNonNegative() {
 		return ErrNegative
@@ -1044,8 +1038,10 @@ func (x *Crossbar) Solve(b linalg.Vector) (linalg.Vector, error) {
 
 // EffectiveMatrix reconstructs, in user units, the matrix the array actually
 // realizes after write quantization and process variation:
-// A' = scale · C' with C'₍ᵢ,ⱼ₎ = g'₍ᵢ,ⱼ₎/(gs + S'ᵢ). The NoC layer uses this
-// to simulate a composed (multi-tile) analog solve.
+// A' = scale · C' with C'₍ᵢ,ⱼ₎ = g'₍ᵢ,ⱼ₎/(gs + S'ᵢ). With the post-program
+// row-sum calibration used by Solve, the analog solve direction realizes the
+// same matrix, so the NoC layer uses this to simulate a composed
+// (multi-tile) analog solve.
 func (x *Crossbar) EffectiveMatrix() (*linalg.Matrix, error) {
 	if x.target == nil {
 		return nil, ErrNotProgrammed
@@ -1065,14 +1061,6 @@ func (x *Crossbar) EffectiveMatrix() (*linalg.Matrix, error) {
 		}
 	}
 	return out, nil
-}
-
-// SolveEffectiveMatrix reconstructs, in user units, the matrix whose linear
-// system the array actually solves in the analog solve direction. With the
-// post-program row-sum calibration used by Solve, this equals
-// EffectiveMatrix: both directions see F₍ᵢ,ⱼ₎ = rowScaleᵢ·g'₍ᵢ,ⱼ₎/(gs+S'ᵢ).
-func (x *Crossbar) SolveEffectiveMatrix() (*linalg.Matrix, error) {
-	return x.EffectiveMatrix()
 }
 
 // toAnalog normalizes v to the DAC full-scale range [-1, 1], quantizes it,

@@ -415,22 +415,12 @@ func TestEffectiveMatrixCloseToTarget(t *testing.T) {
 	if !eff.Equal(a, 0.05) {
 		t.Errorf("effective matrix far from target:\n%v\nvs\n%v", eff, a)
 	}
-	solveEff, err := x.SolveEffectiveMatrix()
-	if err != nil {
-		t.Fatalf("SolveEffectiveMatrix: %v", err)
-	}
-	if !solveEff.Equal(a, 0.05) {
-		t.Errorf("solve-effective matrix far from target")
-	}
 }
 
 func TestEffectiveMatrixUnprogrammed(t *testing.T) {
 	x := mustNew(t, idealConfig(4))
 	if _, err := x.EffectiveMatrix(); !errors.Is(err, ErrNotProgrammed) {
 		t.Errorf("EffectiveMatrix: %v", err)
-	}
-	if _, err := x.SolveEffectiveMatrix(); !errors.Is(err, ErrNotProgrammed) {
-		t.Errorf("SolveEffectiveMatrix: %v", err)
 	}
 }
 

@@ -1,11 +1,9 @@
 package crossbar
 
 // This file holds fault-aware programming: stuck-cell pinning, write-verify
-// retry loops, retention drift, the post-program fault census, and remapping
-// the logical matrix away from defective physical regions. All defect
-// placement is keyed to PHYSICAL coordinates (logical index + origin offset),
-// so a remap changes which defects the mapped region inherits while the
-// defect map itself stays fixed — exactly how a real die behaves.
+// retry loops, retention drift, and the post-program fault census. The
+// logical matrix sits at the array's origin, so logical cell (i, j) is
+// physical device (i, j) of the fault model's fixed defect map.
 
 import (
 	"math"
@@ -14,13 +12,12 @@ import (
 	"github.com/memlp/memlp/internal/memristor"
 )
 
-// faultAt returns the permanent defect of the device backing logical cell
-// (i, j) under the current mapping origin.
+// faultAt returns the permanent defect of the device backing cell (i, j).
 func (x *Crossbar) faultAt(i, j int) memristor.FaultKind {
 	if x.cfg.Faults == nil {
 		return memristor.FaultNone
 	}
-	return x.cfg.Faults.FaultAt(i+x.rowOff, j+x.colOff)
+	return x.cfg.Faults.FaultAt(i, j)
 }
 
 // driftEnabled reports whether the fault model includes retention drift.
@@ -100,7 +97,7 @@ func (x *Crossbar) realizeWrite(i, j int, tq float64, attempt int) float64 {
 	}
 	if x.cfg.Faults != nil && x.cfg.Faults.WriteNoise > 0 {
 		x.writeSeq++
-		g *= 1 + (x.cfg.Faults.WriteFactor(i+x.rowOff, j+x.colOff, x.writeSeq)-1)*shrink
+		g *= 1 + (x.cfg.Faults.WriteFactor(i, j, x.writeSeq)-1)*shrink
 	}
 	if g < 0 {
 		g = 0
@@ -151,8 +148,6 @@ type FaultCensus struct {
 	// StuckOn / StuckOff count defective devices inside the mapped region.
 	StuckOn  int
 	StuckOff int
-	// Mapped is the number of devices in the mapped region.
-	Mapped int
 }
 
 // FaultCensus reads back the mapped region and tallies its stuck cells.
@@ -161,76 +156,6 @@ func (x *Crossbar) FaultCensus() FaultCensus {
 	if x.cfg.Faults == nil || x.rows == 0 || x.cols == 0 {
 		return FaultCensus{}
 	}
-	on, off := x.cfg.Faults.CountFaults(x.rowOff, x.colOff, x.rows, x.cols)
-	return FaultCensus{StuckOn: on, StuckOff: off, Mapped: x.rows * x.cols}
-}
-
-// RemapAvoidingFaults searches a bounded set of candidate origins for the
-// placement of the current matrix shape with the fewest stuck cells and moves
-// the mapping there. It returns true when the origin changed, in which case
-// the array is left unprogrammed: the mapping now sits on different physical
-// devices, so every cached conductance, variation draw, and verify target is
-// stale and the caller must re-Program. Rung 2 of the recovery ladder.
-func (x *Crossbar) RemapAvoidingFaults() bool {
-	if x.cfg.Faults == nil || x.cfg.Faults.TotalDensity() == 0 || x.rows == 0 || x.cols == 0 {
-		return false
-	}
-	f := x.cfg.Faults
-	curOn, curOff := f.CountFaults(x.rowOff, x.colOff, x.rows, x.cols)
-	best := curOn + curOff
-	if best == 0 {
-		return false
-	}
-	bestR, bestC := x.rowOff, x.colOff
-	for _, r := range offsetCandidates(x.rows, x.cfg.Size) {
-		for _, c := range offsetCandidates(x.cols, x.cfg.Size) {
-			if r == x.rowOff && c == x.colOff {
-				continue
-			}
-			on, off := f.CountFaults(r, c, x.rows, x.cols)
-			if n := on + off; n < best {
-				best, bestR, bestC = n, r, c
-			}
-		}
-	}
-	if bestR == x.rowOff && bestC == x.colOff {
-		return false
-	}
-	x.rowOff, x.colOff = bestR, bestC
-	x.target = nil
-	x.gt = nil
-	x.patValid = false
-	x.progTarget = nil
-	x.deltaLevel = nil
-	x.deviceFactor = nil
-	x.cellCycle = nil
-	return true
-}
-
-// offsetCandidates returns up to 8 evenly spaced origins (always including 0
-// and the largest valid offset) for a mapped extent inside the physical size.
-// Bounding the candidate set keeps the remap search O(candidates²·cells)
-// instead of scanning every placement on a 4096-wide die.
-func offsetCandidates(extent, size int) []int {
-	maxOff := size - extent
-	if maxOff <= 0 {
-		return []int{0}
-	}
-	n := maxOff/extent + 1
-	if n > 8 {
-		n = 8
-	}
-	if n < 2 {
-		n = 2
-	}
-	cands := make([]int, 0, n)
-	prev := -1
-	for k := 0; k < n; k++ {
-		off := k * maxOff / (n - 1)
-		if off != prev {
-			cands = append(cands, off)
-			prev = off
-		}
-	}
-	return cands
+	on, off := x.cfg.Faults.CountFaults(x.rows, x.cols)
+	return FaultCensus{StuckOn: on, StuckOff: off}
 }

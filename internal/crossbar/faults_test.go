@@ -25,10 +25,9 @@ func TestFaultCensusMatchesModel(t *testing.T) {
 	if err := x.Program(a); err != nil {
 		t.Fatalf("Program: %v", err)
 	}
-	on, off := fm.CountFaults(0, 0, 16, 16)
-	c := x.FaultCensus()
-	if c.StuckOn != on || c.StuckOff != off || c.Mapped != 256 {
-		t.Errorf("census = %+v, want on=%d off=%d mapped=256", c, on, off)
+	on, off := fm.CountFaults(16, 16)
+	if c := x.FaultCensus(); c.StuckOn != on || c.StuckOff != off {
+		t.Errorf("census = %+v, want on=%d off=%d", c, on, off)
 	}
 }
 
@@ -144,53 +143,6 @@ func TestStuckCellBurnsRetryBudget(t *testing.T) {
 	}
 	if c.WriteRetries < int64(census.StuckOff)*int64(cfg.MaxWriteRetries) {
 		t.Errorf("WriteRetries = %d, want ≥ %d", c.WriteRetries, int64(census.StuckOff)*3)
-	}
-}
-
-// TestRemapAvoidingFaults checks rung 2's physical mechanism: on an
-// oversized die the mapping moves to a cleaner region, and the fabric
-// demands a re-Program.
-func TestRemapAvoidingFaults(t *testing.T) {
-	fm := &memristor.FaultModel{StuckOnDensity: 0.02, StuckOffDensity: 0.02, Seed: 21}
-	cfg := idealConfig(96)
-	cfg.Faults = fm
-	x := mustNew(t, cfg)
-	a := randomNonNegMatrix(rand.New(rand.NewSource(5)), 8)
-	if err := x.Program(a); err != nil {
-		t.Fatalf("Program: %v", err)
-	}
-	before := x.FaultCensus()
-	if before.StuckOn+before.StuckOff == 0 {
-		t.Skip("mapped region happens to be defect-free at this seed")
-	}
-	if !x.RemapAvoidingFaults() {
-		t.Fatal("remap declined despite faults and a 96x96 die for an 8x8 matrix")
-	}
-	r, c := x.rowOff, x.colOff
-	if r == 0 && c == 0 {
-		t.Error("remap reported movement but origin unchanged")
-	}
-	if err := x.Program(a); err != nil {
-		t.Fatalf("re-Program after remap: %v", err)
-	}
-	after := x.FaultCensus()
-	if after.StuckOn+after.StuckOff >= before.StuckOn+before.StuckOff {
-		t.Errorf("remap did not reduce faults: %+v → %+v", before, after)
-	}
-}
-
-// TestRemapExactFitDeclines: with no spare devices there is nowhere to go.
-func TestRemapExactFitDeclines(t *testing.T) {
-	fm := &memristor.FaultModel{StuckOffDensity: 0.1, Seed: 3}
-	cfg := idealConfig(8)
-	cfg.Faults = fm
-	x := mustNew(t, cfg)
-	a := randomNonNegMatrix(rand.New(rand.NewSource(6)), 8)
-	if err := x.Program(a); err != nil {
-		t.Fatalf("Program: %v", err)
-	}
-	if x.RemapAvoidingFaults() {
-		t.Error("remap claimed to move on an exactly-sized die")
 	}
 }
 

@@ -273,7 +273,7 @@ func TestPatternTracksConductances(t *testing.T) {
 		requireMatchesDense(t, x, r, "UpdateCellInPlace to zero")
 	})
 
-	t.Run("faults-and-remap", func(t *testing.T) {
+	t.Run("faults", func(t *testing.T) {
 		r := rand.New(rand.NewSource(3))
 		cfg := idealConfig(8 * n)
 		cfg.Faults = &memristor.FaultModel{StuckOnDensity: 0.05, StuckOffDensity: 0.05, Seed: 21}
@@ -284,11 +284,6 @@ func TestPatternTracksConductances(t *testing.T) {
 			t.Fatalf("census %+v: want both stuck-on and stuck-off cells in the mapped region", c)
 		}
 		requireMatchesDense(t, x, r, "Program over stuck cells")
-		if !x.RemapAvoidingFaults() {
-			t.Fatal("remap declined on a die with spare area")
-		}
-		program(t, x, a)
-		requireMatchesDense(t, x, r, "re-Program after RemapAvoidingFaults")
 	})
 
 	t.Run("noise-epoch", func(t *testing.T) {
@@ -393,17 +388,6 @@ func TestPatternInvalidation(t *testing.T) {
 	requireValid(false, "writeDevice flipping a cell")
 	x.pinFaultCell(zi[1], zj[1], memristor.FaultStuckOn, 0)
 	requireValid(false, "pinFaultCell flipping a cell")
-
-	if !x.RemapAvoidingFaults() {
-		t.Fatal("remap declined on a die with spare area")
-	}
-	if x.patValid {
-		t.Fatal("RemapAvoidingFaults: pattern still valid")
-	}
-	if err := x.Program(a); err != nil {
-		t.Fatalf("re-Program: %v", err)
-	}
-	requireValid(false, "re-Program after the remap")
 }
 
 // TestUpdatesRejectNonFinite pins that the in-place update paths refuse NaN

@@ -81,16 +81,13 @@ type Diagnostics struct {
 	// WriteRetries is the number of write-verify corrective pulses consumed
 	// across all attempts of this solve.
 	WriteRetries int64
-	// Attempts is the total number of analog solve attempts, across all
-	// rungs (1 for a clean first-try solve).
+	// Attempts is the total number of analog solve attempts (1 for a clean
+	// first-try solve).
 	Attempts int
-	// Remapped records that the recovery ladder moved the mapping to a new
-	// origin.
-	Remapped bool
 	// SoftwareFallback records that the software rung ran.
 	SoftwareFallback bool
 	// RecoveredBy names the rung that produced the returned result:
-	// "" (first attempt), "resolve", "remap", or "software".
+	// "" (first attempt), "resolve", or "software".
 	RecoveredBy string
 	// EnergyJoules is the modeled energy spent across all attempts of this
 	// solve (zero without an energy model). It is populated on successful

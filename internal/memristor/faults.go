@@ -45,9 +45,8 @@ func (k FaultKind) String() string {
 // Fault placement is a pure function of (Seed, physical row, physical
 // column): the model holds no mutable state, so one FaultModel value can be
 // shared by any number of arrays and goroutines, and every array built from
-// equal configuration sees exactly the same defect map — which is what lets
-// the recovery ladder reason about remapping around stuck cells, and what
-// keeps concurrent solves on one handle consistent.
+// equal configuration sees exactly the same defect map, which keeps
+// concurrent solves on one handle consistent.
 type FaultModel struct {
 	// StuckOnDensity is the fraction of physical cells pinned at GMax.
 	StuckOnDensity float64
@@ -83,9 +82,6 @@ func (f FaultModel) Validate() error {
 	return nil
 }
 
-// TotalDensity returns the combined stuck-cell fraction.
-func (f FaultModel) TotalDensity() float64 { return f.StuckOnDensity + f.StuckOffDensity }
-
 // FaultAt returns the permanent defect of the physical cell (i, j).
 // Deterministic per (Seed, i, j) and safe for concurrent use.
 func (f FaultModel) FaultAt(i, j int) FaultKind {
@@ -103,14 +99,14 @@ func (f FaultModel) FaultAt(i, j int) FaultKind {
 	}
 }
 
-// CountFaults tallies the stuck cells inside the physical region with origin
-// (row0, col0) and the given extent.
-func (f FaultModel) CountFaults(row0, col0, rows, cols int) (stuckOn, stuckOff int) {
+// CountFaults tallies the stuck cells of the rows×cols region at the
+// array's origin.
+func (f FaultModel) CountFaults(rows, cols int) (stuckOn, stuckOff int) {
 	if f.StuckOnDensity == 0 && f.StuckOffDensity == 0 {
 		return 0, 0
 	}
-	for i := row0; i < row0+rows; i++ {
-		for j := col0; j < col0+cols; j++ {
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
 			switch f.FaultAt(i, j) {
 			case FaultStuckOn:
 				stuckOn++

@@ -62,7 +62,7 @@ func TestFaultAtDeterministic(t *testing.T) {
 func TestFaultDensityStatistics(t *testing.T) {
 	fm := FaultModel{StuckOnDensity: 0.03, StuckOffDensity: 0.07, Seed: 7}
 	const dim = 300
-	on, off := fm.CountFaults(0, 0, dim, dim)
+	on, off := fm.CountFaults(dim, dim)
 	cells := float64(dim * dim)
 	if got := float64(on) / cells; math.Abs(got-0.03) > 0.005 {
 		t.Errorf("stuck-on fraction %v, want ≈0.03", got)
@@ -83,7 +83,7 @@ func TestFaultDensityStatistics(t *testing.T) {
 			}
 		}
 	}
-	cOn, cOff := fm.CountFaults(0, 0, 20, 20)
+	cOn, cOff := fm.CountFaults(20, 20)
 	if cOn != on2 || cOff != off2 {
 		t.Errorf("CountFaults = (%d, %d), per-cell tally = (%d, %d)", cOn, cOff, on2, off2)
 	}

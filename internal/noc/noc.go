@@ -368,7 +368,7 @@ func (f *TiledFabric) Solve(b linalg.Vector) (linalg.Vector, error) {
 	composed := linalg.NewMatrix(f.rows, f.cols)
 	for i := 0; i < f.gridR; i++ {
 		for j := 0; j < f.gridC; j++ {
-			eff, err := f.tiles[i][j].SolveEffectiveMatrix()
+			eff, err := f.tiles[i][j].EffectiveMatrix()
 			if err != nil {
 				return nil, fmt.Errorf("noc: tile (%d,%d) effective matrix: %w", i, j, err)
 			}

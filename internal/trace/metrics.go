@@ -125,7 +125,7 @@ func (m *Metrics) Emit(rec Record) {
 			m.gapHist[engine] = gh
 		}
 		gh.observe(rec.DualityGap)
-	case EventResolve, EventRemap, EventSoftware:
+	case EventResolve, EventSoftware:
 		m.events[rec.Event]++
 	}
 }

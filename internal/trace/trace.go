@@ -29,10 +29,7 @@ const (
 	// Algorithm 2 double-check re-program); Status holds the status of
 	// the attempt that triggered it.
 	EventResolve = "resolve"
-	// EventRemap marks a recovery-ladder rung-2 remap to a cleaner die
-	// region.
-	EventRemap = "remap"
-	// EventSoftware marks the rung-3 software fallback.
+	// EventSoftware marks the rung-2 software fallback.
 	EventSoftware = "software"
 	// EventTrial is one xbarsim substrate trial (no LP above it).
 	EventTrial = "trial"

@@ -276,8 +276,8 @@ const (
 	// Solution holds the partial iterate reached at cancellation.
 	StatusCanceled = Status(lp.StatusCanceled)
 	// StatusDegraded means the analog fabric could not produce the answer
-	// (even after the recovery ladder's re-solve and remap rungs) and the
-	// solve fell back to the software path. The returned optimum is correct,
+	// (even after the recovery ladder's re-solve) and the solve fell back to
+	// the software path. The returned optimum is correct,
 	// but it was not computed in-memory: the Hardware estimate covers only
 	// the failed analog attempts, and Diagnostics reports what the fabric
 	// did before giving up. Only possible with WithFaultModel/WithWriteVerify.
@@ -330,8 +330,8 @@ type BatchStats struct {
 // cells, extra per-write programming noise, and retention drift. Pass it to
 // WithFaultModel. Fault placement is a pure, seeded function of the physical
 // cell coordinates, so every array built from the same configuration sees
-// the same defect map — which is what makes the recovery ladder's remap rung
-// meaningful and keeps concurrent solves on one handle consistent.
+// the same defect map, which keeps concurrent solves on one handle
+// consistent.
 type FaultModel struct {
 	// StuckOnDensity is the fraction of cells pinned at maximum conductance.
 	StuckOnDensity float64
@@ -358,15 +358,13 @@ type Diagnostics struct {
 	StuckOff int
 	// WriteRetries counts write-verify corrective pulses across the solve.
 	WriteRetries int64
-	// Attempts is the number of analog solve attempts across all recovery
-	// rungs (1 for a clean first-try solve).
+	// Attempts is the number of analog solve attempts (1 for a clean
+	// first-try solve).
 	Attempts int
-	// Remapped records that the mapping was moved to dodge stuck cells.
-	Remapped bool
 	// SoftwareFallback records that the software rung ran.
 	SoftwareFallback bool
 	// RecoveredBy names the rung that produced the result: "" (first
-	// attempt), "resolve", "remap", or "software".
+	// attempt), "resolve", or "software".
 	RecoveredBy string
 	// EnergyJoules is the modeled analog energy of the returned attempt's
 	// hardware activity. Populated on clean first-try solves too, not just

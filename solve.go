@@ -459,9 +459,9 @@ func WithWarmStart(prev *Solution) Option {
 
 // WithFaultModel injects permanent device defects (stuck-at-ON/OFF cells,
 // extra write noise, retention drift) into the crossbar engines' simulated
-// arrays and enables the recovery-escalation ladder: failed solves are
-// retried, remapped away from the stuck cells, and finally completed in
-// software with StatusDegraded. See FaultModel and Diagnostics.
+// arrays and enables the recovery ladder: a failed solve is re-solved once,
+// and when that fails too it is completed in software with StatusDegraded.
+// See FaultModel and Diagnostics.
 func WithFaultModel(fm FaultModel) Option {
 	return func(o *options) error {
 		inner := memristor.FaultModel{
@@ -716,12 +716,10 @@ func (s *Solver) coreOptions(o options) (core.Options, error) {
 	if o.maxIterations > 0 {
 		copts.Tol.MaxIterations = o.maxIterations
 	}
-	if o.faults != nil || o.writeRetries > 0 {
-		// Fault-aware hardware gets the full recovery ladder: re-solve,
-		// remap off the stuck cells, then software fallback (StatusDegraded)
-		// so the handle always returns an honest answer.
-		copts.Recovery = &core.RecoveryPolicy{Remap: true, SoftwareFallback: true}
-	}
+	// Fault-aware hardware gets the recovery ladder: re-solve, then
+	// software fallback (StatusDegraded), so the handle always returns an
+	// honest answer.
+	copts.Recovery = o.faults != nil || o.writeRetries > 0
 	return copts, nil
 }
 

@@ -17,10 +17,10 @@ const (
 	// TraceEventDone is the terminal record summarizing the solve; its
 	// fields agree with the returned Solution.
 	TraceEventDone = trace.EventDone
-	// TraceEventResolve / TraceEventRemap / TraceEventSoftware mark
-	// recovery-ladder escalations on fault-configured crossbar engines.
+	// TraceEventResolve / TraceEventSoftware mark recovery-ladder
+	// escalations on fault-configured crossbar engines, and
+	// TraceEventResolve also Algorithm 2's double-check re-solve.
 	TraceEventResolve  = trace.EventResolve
-	TraceEventRemap    = trace.EventRemap
 	TraceEventSoftware = trace.EventSoftware
 	// TraceEventRestart marks a PDHG adaptive restart (EnginePDHG only):
 	// the iterate jumped back to the running average since the last
