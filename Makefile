@@ -1,7 +1,7 @@
 GO ?= go
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race lint vet memlpvet vuln cover bench bless-traces
+.PHONY: all build test race lint fmt vet memlpvet vuln cover bench bless-traces
 
 all: build test lint
 
@@ -31,8 +31,14 @@ vet:
 memlpvet:
 	$(GO) run ./cmd/memlpvet ./...
 
-# golangci-lint is optional locally; vet + memlpvet are the required floor.
-lint: vet memlpvet
+# Every tracked Go file is gofmt-clean, except the analyzer fixtures under
+# testdata/, which are unformatted on purpose.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/))"
+
+# golangci-lint is optional locally; fmt + vet + memlpvet are the required
+# floor.
+lint: fmt vet memlpvet
 	@if command -v golangci-lint >/dev/null 2>&1; then \
 		golangci-lint run; \
 	else \

@@ -231,3 +231,59 @@ func TestSolveBatchConcurrentPooled(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSolveBatchMembersClimbRecoveryLadder: with a fault model, every batch
+// member runs the recovery ladder WithFaultModel documents, as a single
+// solve does: the digital cross-check, the re-solve, then software. No
+// member may claim StatusOptimal or StatusDegraded for a fault-perturbed
+// answer far from the reference, a degraded member must say it came from
+// software, and the answers stay bit-identical across pool widths.
+func TestSolveBatchMembersClimbRecoveryLadder(t *testing.T) {
+	fm := FaultModel{StuckOnDensity: 0.01, StuckOffDensity: 0.01}
+	for _, seed := range []int64{1, 2} {
+		problems := poolBatch(t, 4, 8, seed)
+		var ref []*Solution
+		for _, par := range []int{1, 2, 4} {
+			s, err := NewSolver(EngineCrossbar, WithVariation(0.05), WithFaultModel(fm), WithParallelism(par))
+			if err != nil {
+				t.Fatalf("NewSolver: %v", err)
+			}
+			sols, err := s.SolveBatch(context.Background(), problems)
+			if err != nil {
+				t.Fatalf("seed %d par %d: SolveBatch: %v", seed, par, err)
+			}
+			if ref != nil {
+				for i, sol := range sols {
+					if sol.Status != ref[i].Status || math.Float64bits(sol.Objective) != math.Float64bits(ref[i].Objective) {
+						t.Errorf("seed %d par %d member %d: %v %v, want %v %v as at width 1",
+							seed, par, i, sol.Status, sol.Objective, ref[i].Status, ref[i].Objective)
+					}
+				}
+				continue
+			}
+			ref = sols
+			for i, sol := range sols {
+				d := sol.Diagnostics
+				if d == nil || d.Attempts < 1 {
+					t.Errorf("seed %d member %d: diagnostics %+v, want at least one attempt", seed, i, d)
+					continue
+				}
+				want := softwareReference(t, problems[i])
+				rel := math.Abs(sol.Objective-want) / (1 + math.Abs(want))
+				switch sol.Status {
+				case StatusOptimal:
+					if rel > 0.08 {
+						t.Errorf("seed %d member %d: optimal objective %v vs reference %v (rel %.3g)", seed, i, sol.Objective, want, rel)
+					}
+				case StatusDegraded:
+					if !d.SoftwareFallback || d.RecoveredBy != "software" {
+						t.Errorf("seed %d member %d: degraded but diagnostics say %+v", seed, i, d)
+					}
+					if rel > 1e-6 {
+						t.Errorf("seed %d member %d: degraded objective %v vs reference %v (rel %.3g)", seed, i, sol.Objective, want, rel)
+					}
+				}
+			}
+		}
+	}
+}

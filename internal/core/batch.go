@@ -286,9 +286,10 @@ func (wk *worker) scaled(p *lp.Problem, aShared *linalg.Matrix, scales linalg.Ve
 
 // runBatchProblem solves problem idx on the shard and records its outcome
 // in the slot. It prepares the shard for the problem (noise epoch, row
-// scaling of b, the complementarity rows of the start iterate); the solve
-// itself is solveOn. Counters and WallTime are the per-solve marginals on
-// this shard's fabric.
+// scaling of b); the solve runs the recovery ladder like a single solve,
+// and every attempt is solveOn on the shard's programmed replica, which
+// rewrites only the complementarity rows. Counters and WallTime are the
+// per-solve marginals on this shard's fabric.
 func (s *Solver) runBatchProblem(ctx context.Context, bw *worker, idx int, p *lp.Problem, aShared *linalg.Matrix, scales linalg.Vector, slot *batchSlot) {
 	start := engine.WallClock()
 	if ne, ok := bw.fab.(NoiseEpocher); ok {
@@ -297,43 +298,36 @@ func (s *Solver) runBatchProblem(ctx context.Context, bw *worker, idx int, p *lp
 		ne.SetNoiseEpoch(int64(idx))
 	}
 	scaled := bw.scaled(p, aShared, scales)
-
-	// The trace is keyed by problem index (and so is the noise epoch, per
-	// the determinism contract): its contents cannot depend on the shard.
-	bw.tr.begin(idx, int64(idx))
-	bw.beginAttempt()
-	res, ctxErr, err := s.solveOn(ctx, bw, scaled, p, scales, func(x, y, w, z linalg.Vector) error {
-		// The shard's fabric already holds the batch's extended system; only
-		// the complementarity rows change with the start iterate. Skip when
-		// already canceled: the loop's first check then yields the
-		// starting-iterate StatusCanceled partial without spending fabric
-		// writes on a job that will not run.
-		if ctx.Err() != nil {
-			return nil
-		}
-		return bw.writeDiagRows(x, y, w, z)
+	res, err := runRecoveryLadder(ctx, p, s.opts, start, ladderFuncs{
+		attempt: func(ctx context.Context) (*engine.Result, error, error) {
+			bw.beginAttempt()
+			return s.solveOn(ctx, bw, scaled, p, scales, func(x, y, w, z linalg.Vector) error {
+				// The shard's fabric already holds the batch's extended
+				// system; only the complementarity rows change with the start
+				// iterate. Skip when already canceled: the loop's first check
+				// then yields the starting-iterate StatusCanceled partial
+				// without spending fabric writes on a job that will not run.
+				if ctx.Err() != nil {
+					return nil
+				}
+				return bw.writeDiagRows(x, y, w, z)
+			})
+		},
+		fabrics:  bw.fabrics,
+		resolves: s.resolves(),
+		// The trace is keyed by problem index (and so is the noise epoch,
+		// per the determinism contract): its contents cannot depend on the
+		// shard.
+		problem: idx,
+		tr:      bw.tr,
 	})
-	if err != nil {
+	if res == nil {
 		slot.err = err
 		return
 	}
-	res.WallTime = engine.WallSince(start)
-	res.Trace = bw.tr.finish(res)
-	if s.opts.Recovery {
-		// The ladder itself does not run on the batch path (a pooled shard
-		// cannot rebuild mid-batch), but callers that configured recovery
-		// still get the same per-solve telemetry the serial path attaches:
-		// fault census, retry and energy totals.
-		diag := &engine.Diagnostics{Attempts: 1, WriteRetries: res.Counters.WriteRetries}
-		diag.StuckOn, diag.StuckOff = faultCensus([]Fabric{bw.fab})
-		if s.opts.EnergyModel != nil {
-			diag.EnergyJoules = s.opts.EnergyModel(res.Counters)
-		}
-		res.Diagnostics = diag
-	}
-	slot.res, slot.ctxErr = res, ctxErr
+	slot.res, slot.ctxErr = res, err
 	bw.busy += res.WallTime
-	if ctxErr == nil {
+	if err == nil {
 		bw.solves++
 	}
 }

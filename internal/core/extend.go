@@ -64,11 +64,9 @@ type extended struct {
 	// Reusable per-iteration scratch, sized to the extended system. All are
 	// lazily built and survive across solves of same-sized problems so the
 	// steady-state iteration allocates nothing here.
-	upd            []rowUpdate   // diagRowUpdates backing store
-	base           linalg.Vector // baseVector backing store
-	res            linalg.Vector // residual backing store
-	factor         linalg.Vector // factorVector backing store
-	dx, dy, dw, dz linalg.Vector // split backing stores
+	base   linalg.Vector // baseVector backing store
+	res    linalg.Vector // residual backing store
+	factor linalg.Vector // factorVector backing store
 }
 
 // conic reports whether the extended system carries second-order-cone blocks.
@@ -148,16 +146,10 @@ func newExtendedInto(prev *extended, p *lp.Problem, x, y, w, z linalg.Vector) (*
 	if e.matrix == nil || e.size != size {
 		e.size = size
 		e.matrix = linalg.NewMatrix(size, size)
-		e.upd, e.base, e.factor = nil, nil, nil
+		e.base, e.factor = nil, nil
 		e.res = linalg.NewVector(size)
-		e.dx, e.dy, e.dw, e.dz = nil, nil, nil, nil
 	} else {
 		e.matrix.Zero()
-		// A reused update buffer may hold cells from a different cone
-		// layout of the same size; clear so only live cells are programmed.
-		for i := range e.upd {
-			e.upd[i].row.Fill(0)
-		}
 	}
 	if e.conic() && !e.updateScalings(w, y) {
 		return nil, fmt.Errorf("core: initial cone iterate not interior")
@@ -395,79 +387,6 @@ func (e *extended) fillDiagRows(x, y, w, z linalg.Vector) {
 	}
 }
 
-// diagRowUpdates returns, for the current (x, y, w, z), the list of row
-// indices and their new contents — the O(N) per-iteration coefficient
-// refresh (2.7N cells for n = m/3, as §4.4 counts). The returned slice and
-// its row vectors are scratch storage owned by e, overwritten by the next
-// call: each update row has exactly two live cells at fixed positions, so
-// after the first allocation only those cells are rewritten. The rows stay
-// dense, as Fabric.UpdateRow takes them; the crossbar makes one pass over
-// the values and then programs only the row's non-zero and live cells.
-func (e *extended) diagRowUpdates(x, y, w, z linalg.Vector) []rowUpdate {
-	if e.upd == nil {
-		e.upd = make([]rowUpdate, 0, e.n+e.m)
-		for i := 0; i < e.n; i++ {
-			e.upd = append(e.upd, rowUpdate{index: e.rowR3(i), row: linalg.NewVector(e.size)})
-		}
-		for i := 0; i < e.m; i++ {
-			e.upd = append(e.upd, rowUpdate{index: e.rowR4(i), row: linalg.NewVector(e.size)})
-		}
-	}
-	for i := 0; i < e.n; i++ {
-		row := e.upd[i].row
-		row[e.colX(i)] = z[i]
-		row[e.colZ(i)] = x[i]
-	}
-	if !e.conic() {
-		for i := 0; i < e.m; i++ {
-			row := e.upd[e.n+i].row
-			row[e.colY(i)] = w[i]
-			row[e.colW(i)] = y[i]
-		}
-		return e.upd
-	}
-	for i := 0; i < e.m; i++ {
-		if e.socRow[i] >= 0 {
-			continue
-		}
-		row := e.upd[e.n+i].row
-		row[e.colY(i)] = w[i]
-		row[e.colW(i)] = y[i]
-	}
-	// SOC rows rewrite 4·d cells each: the sign-split NT block pair, with
-	// the complementary cell of every pair zeroed. Signs flip across
-	// iterations, and UpdateRow takes the row as the row's new contents: a
-	// stale value would be programmed, and a zeroed cell that held a value
-	// is rewritten to zero.
-	for bi := range e.blocks {
-		blk := e.blocks[bi]
-		sc, d := e.scalings[bi], blk.Dim
-		for i := 0; i < d; i++ {
-			row := e.upd[e.n+blk.Start+i].row
-			for j := 0; j < d; j++ {
-				k := blk.Start + j
-				qv, pv := sc.Q[i*d+j], sc.P[i*d+j]
-				if qv >= 0 {
-					row[e.colY(k)], row[e.colP(e.pOfY[k])] = qv, 0
-				} else {
-					row[e.colY(k)], row[e.colP(e.pOfY[k])] = 0, -qv
-				}
-				if pv >= 0 {
-					row[e.colW(k)], row[e.colU(k)] = pv, 0
-				} else {
-					row[e.colW(k)], row[e.colU(k)] = 0, -pv
-				}
-			}
-		}
-	}
-	return e.upd
-}
-
-type rowUpdate struct {
-	index int
-	row   linalg.Vector
-}
-
 // stateVector assembles s = [x, y, w, z, u, v, p] with u = −w, v = −z and
 // p the mirrors of the negated x/y components (Eq. 15b).
 func (e *extended) stateVector(x, y, w, z linalg.Vector) linalg.Vector {
@@ -546,21 +465,9 @@ func (e *extended) factorVector() linalg.Vector {
 	return f
 }
 
-// split extracts (Δx, Δy, Δw, Δz) from the extended solution vector. The
-// returned vectors are scratch storage owned by e, overwritten by the next
-// call.
+// split returns (Δx, Δy, Δw, Δz) as views of the extended solution vector.
 func (e *extended) split(ds linalg.Vector) (dx, dy, dw, dz linalg.Vector) {
-	if e.dx == nil {
-		e.dx = linalg.NewVector(e.n)
-		e.dy = linalg.NewVector(e.m)
-		e.dw = linalg.NewVector(e.m)
-		e.dz = linalg.NewVector(e.n)
-	}
-	copy(e.dx, ds[0:e.n])
-	copy(e.dy, ds[e.n:e.n+e.m])
-	copy(e.dw, ds[e.n+e.m:e.n+2*e.m])
-	copy(e.dz, ds[e.n+2*e.m:2*e.n+2*e.m])
-	return e.dx, e.dy, e.dw, e.dz
+	return ds[0:e.n], ds[e.n : e.n+e.m], ds[e.n+e.m : e.n+2*e.m], ds[e.n+2*e.m : 2*e.n+2*e.m]
 }
 
 // barrierDegree returns the ν the µ rule divides the duality gap by: n + m

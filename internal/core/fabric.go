@@ -30,7 +30,9 @@ import (
 type Fabric interface {
 	// Program writes a non-negative matrix into the fabric.
 	Program(a *linalg.Matrix) error
-	// UpdateRow rewrites one row's coefficients in place.
+	// UpdateRow rewrites one row's coefficients in place. The fabric reads
+	// row only during the call: the solvers pass rows of their digital
+	// mirrors, which they go on to rewrite.
 	UpdateRow(i int, row linalg.Vector) error
 	// UpdateCellInPlace rewrites one coefficient with a single device write,
 	// without re-balancing the rest of its row.

@@ -28,7 +28,6 @@ func TestIterationKernelAllocations(t *testing.T) {
 		dx[i] -= 1 // mix of signs for the ratio test
 	}
 	pairs := [][2]linalg.Vector{{x, dx}, {y, dy}}
-	flat := []linalg.Vector{x, dx, y, dy}
 	vs := []linalg.Vector{x, y}
 	stop := newStopRule(lp.Tolerances{}.WithDefaults(), 10)
 	best := &snapshot{ok: true, pinf: 1, dinf: 1, gap: 1}
@@ -50,7 +49,6 @@ func TestIterationKernelAllocations(t *testing.T) {
 	}{
 		{"dualityGap", func() { _ = dualityGap(x, z, y, w) }},
 		{"stepLength", func() { _ = stepLength(0.9, pairs) }},
-		{"axpyAll", func() { axpyAll(1e-9, flat...) }},
 		{"clampPositive", func() { clampPositive(vs...) }},
 		{"slewLimit", func() { _ = slewLimit(x, dx) }},
 		{"normInfRange", func() { _ = normInfRange(x, 8, 16) }},

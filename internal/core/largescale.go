@@ -59,7 +59,6 @@ type LargeScaleSolver struct {
 	fab1Size int
 	fab2     Fabric
 	fab2Size int
-	diagRow  linalg.Vector
 	// tr records the iteration trace under mu; nil when tracing is off.
 	tr *traceState
 }
@@ -341,10 +340,13 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 	orig := p
 	p, rowScales := equilibrate(p)
 
+	// The second system's state s2 = [z, w] is one vector, updated as one
+	// with the fabric's Δ, like s1 below.
 	x := onesVector(n)
 	y := onesVector(m)
-	w := onesVector(m)
-	z := onesVector(n)
+	s2 := onesVector(n + m)
+	z := s2[0:n]
+	w := s2[n : n+m]
 
 	sys1, err := newLSSystemInto(s.sys, p, s.opts.Regularization, s.opts.LiteralFillers, x, y, w, z)
 	if err != nil {
@@ -517,10 +519,9 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 		for i := 0; i < m; i++ {
 			m2.Set(n+i, n+i, y[i])
 		}
-		if err := reprogramDiag(fab2, m2, n+m, &s.diagRow); err != nil {
+		if err := reprogramDiag(fab2, m2); err != nil {
 			return nil, nil, err
 		}
-		s2 := linalg.Concat(z, w)
 		// r2 = [µ1 − XZe − Z∘Δx; µ1 − YWe − W∘Δy]: the cross terms restore
 		// the Z·Δx / W·Δy couplings of Eq. 9c/9d; they are O(N) digital
 		// element-wise products folded into the base, and the XZe/YWe
@@ -555,7 +556,9 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 		if lim := slewLimit(s2, ds2); lim < theta2 {
 			theta2 = lim
 		}
-		axpyAll(theta2, z, ds2[0:n], w, ds2[n:n+m])
+		if err := s2.AxpyInPlace(theta2, ds2); err != nil {
+			return nil, nil, err
+		}
 		clampPositive(z, w)
 
 		// Refresh the coupling diagonals for the next iteration: one cell
@@ -572,20 +575,12 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 	return res, ctxErr, nil
 }
 
-// reprogramDiag refreshes the diagonal rows of M2 on the fabric; each row
-// holds exactly one cell, so this is the O(N) coefficient update. scratch is
-// a caller-owned row buffer, reused (and kept all-zero between cells) to
-// avoid allocating size vectors per iteration.
-func reprogramDiag(fab Fabric, m2 *linalg.Matrix, size int, scratch *linalg.Vector) error {
-	if cap(*scratch) < size {
-		*scratch = linalg.NewVector(size)
-	}
-	row := (*scratch)[:size]
-	for i := 0; i < size; i++ {
-		row[i] = m2.At(i, i)
-		err := fab.UpdateRow(i, row)
-		row[i] = 0
-		if err != nil {
+// reprogramDiag refreshes the diagonal rows of M2 on the fabric from the
+// mirror m2; each row holds exactly one cell, so this is the O(N)
+// coefficient update.
+func reprogramDiag(fab Fabric, m2 *linalg.Matrix) error {
+	for i := 0; i < m2.Rows(); i++ {
+		if err := fab.UpdateRow(i, m2.RawRow(i)); err != nil {
 			return fmt.Errorf("core: updating M2 row: %w", err)
 		}
 	}

@@ -49,6 +49,9 @@ type ladderFuncs struct {
 	// resolves is the re-solve budget: maxResolves, or zero for Algorithm 1
 	// without Options.Recovery.
 	resolves int
+	// problem is the batch index the trace and the noise epoch are keyed
+	// by; zero for single solves.
+	problem int
 	// resetFresh, when non-nil, drops the cached fabrics after a failed
 	// attempt so the next solve rebuilds them (Algorithm 2's fresh-fabric
 	// double-check without a recovery policy).
@@ -151,9 +154,10 @@ func acceptable(p *lp.Problem, res *engine.Result, faults bool, opts Options) bo
 // path by which they run attempts. Rung 1 is the first attempt plus up to
 // f.resolves re-solves; with Options.Recovery, rung 2 falls back to
 // software. It begins and finishes the trace and measures WallTime from
-// start. The caller holds the solver's mutex and has validated the problem.
+// start. The caller owns the fabrics f drives (under the solver's mutex, or
+// as a batch shard) and has validated the problem.
 func runRecoveryLadder(ctx context.Context, p *lp.Problem, opts Options, start time.Time, f ladderFuncs) (*engine.Result, error) {
-	f.tr.begin(0, 0)
+	f.tr.begin(f.problem, int64(f.problem))
 	var diag engine.Diagnostics
 	var counters crossbar.Counters
 

@@ -191,11 +191,14 @@ func (wk *worker) beginAttempt() {
 
 // writeDiagRows refreshes the X/Y/Z/W complementarity rows of the extended
 // system and of the fabric for the iterate (x, y, w, z): the O(N) write of
-// one iteration (2(n+m) ≈ 2.7N cells for n = m/3).
+// one iteration (2(n+m) ≈ 2.7N cells for n = m/3). The fabric reads the
+// mirror's r3/r4 rows in place; it makes one pass over each and then
+// programs only the row's non-zero and live cells.
 func (wk *worker) writeDiagRows(x, y, w, z linalg.Vector) error {
-	wk.ext.fillDiagRows(x, y, w, z)
-	for _, u := range wk.ext.diagRowUpdates(x, y, w, z) {
-		if err := wk.fab.UpdateRow(u.index, u.row); err != nil {
+	ext := wk.ext
+	ext.fillDiagRows(x, y, w, z)
+	for r := ext.rowR3(0); r < ext.rowR5(0); r++ {
+		if err := wk.fab.UpdateRow(r, ext.matrix.RawRow(r)); err != nil {
 			return fmt.Errorf("core: updating fabric row: %w", err)
 		}
 	}
@@ -342,15 +345,15 @@ func NewSolver(opts Options) (*Solver, error) {
 func (s *Solver) Fabrics() []Fabric {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.fabricsLocked()
+	return s.single.fabrics()
 }
 
-// fabricsLocked is Fabrics for callers that hold s.mu.
-func (s *Solver) fabricsLocked() []Fabric {
-	if s.single.fab == nil {
+// fabrics lists the worker's fabric: none before its first solve.
+func (wk *worker) fabrics() []Fabric {
+	if wk.fab == nil {
 		return nil
 	}
-	return []Fabric{s.single.fab}
+	return []Fabric{wk.fab}
 }
 
 // Solve runs Algorithm 1 on p.
@@ -370,18 +373,23 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Resul
 	start := engine.WallClock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	resolves := 0
-	if s.opts.Recovery {
-		resolves = maxResolves
-	}
 	return runRecoveryLadder(ctx, p, s.opts, start, ladderFuncs{
 		attempt: func(ctx context.Context) (*engine.Result, error, error) {
 			return s.solveAttempt(ctx, p)
 		},
-		fabrics:  s.fabricsLocked,
-		resolves: resolves,
+		fabrics:  s.single.fabrics,
+		resolves: s.resolves(),
 		tr:       s.single.tr,
 	})
+}
+
+// resolves is Algorithm 1's re-solve budget, for single solves and batch
+// members alike: maxResolves with Options.Recovery, none without.
+func (s *Solver) resolves() int {
+	if s.opts.Recovery {
+		return maxResolves
+	}
+	return 0
 }
 
 // solveAttempt runs one full Algorithm 1 attempt on the single-solve
@@ -544,6 +552,7 @@ func (s *Solver) solveOn(ctx context.Context, wk *worker, p, orig *lp.Problem, s
 			}
 			return nil, nil, fmt.Errorf("core: analog solve: %w", err)
 		}
+		// Views of ds: nothing writes it before the step below.
 		dx, dy, dw, dz := ext.split(ds)
 		if !dx.AllFinite() || !dy.AllFinite() || !dw.AllFinite() || !dz.AllFinite() {
 			res.Status = lp.StatusNumericalFailure
@@ -798,18 +807,7 @@ func dualityGap(x, z, y, w linalg.Vector) float64 {
 func stepLength(r float64, pairs [][2]linalg.Vector) float64 {
 	maxRatio := 0.0
 	for _, pr := range pairs {
-		v, dv := pr[0], pr[1]
-		pin := 1e-6 * v.Max()
-		if pin < 1e-10 {
-			pin = 1e-10
-		}
-		for i := range v {
-			if dv[i] < 0 && v[i] > pin {
-				if ratio := -dv[i] / v[i]; ratio > maxRatio {
-					maxRatio = ratio
-				}
-			}
-		}
+		maxRatio = ratioFull(maxRatio, pr[0], pr[1])
 	}
 	if maxRatio <= 1 {
 		return r
@@ -870,7 +868,7 @@ func ratioConePinned(maxRatio float64, v, dv linalg.Vector, blocks []cone.Block)
 }
 
 // ratioFull folds v's componentwise Eq. 11 ratios into maxRatio, with the
-// same representability pin as stepLength.
+// representability pin stepLength describes.
 //
 //memlp:hotpath
 func ratioFull(maxRatio float64, v, dv linalg.Vector) float64 {
@@ -919,20 +917,6 @@ func clampOrthantRows(v linalg.Vector, socRow []int) {
 	for i, x := range v {
 		if socRow[i] < 0 && x < floor {
 			v[i] = floor
-		}
-	}
-}
-
-// axpyAll applies v ← v + θ·dv to each (v, dv) pair of the flat argument
-// list. The variadic slice is built at the (annotated-caller-free) call
-// sites; the body itself must stay allocation-free.
-//
-//memlp:hotpath
-func axpyAll(theta float64, pairs ...linalg.Vector) {
-	for i := 0; i+1 < len(pairs); i += 2 {
-		v, dv := pairs[i], pairs[i+1]
-		for j := range v {
-			v[j] += theta * dv[j]
 		}
 	}
 }

@@ -338,11 +338,8 @@ func TestDigitalResidualMatchesIdealArray(t *testing.T) {
 			}
 		}
 		x, y, w, z = pos(n), pos(m), pos(m), pos(n)
-		ext.fillDiagRows(x, y, w, z)
-		for _, u := range ext.diagRowUpdates(x, y, w, z) {
-			if err := fab.UpdateRow(u.index, u.row); err != nil {
-				t.Fatal(err)
-			}
+		if err := (&worker{fab: fab, ext: ext}).writeDiagRows(x, y, w, z); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -130,16 +130,3 @@ func (v Vector) AllFinite() bool {
 	}
 	return true
 }
-
-// Concat returns the concatenation of the given vectors.
-func Concat(vs ...Vector) Vector {
-	var n int
-	for _, v := range vs {
-		n += len(v)
-	}
-	out := make(Vector, 0, n)
-	for _, v := range vs {
-		out = append(out, v...)
-	}
-	return out
-}

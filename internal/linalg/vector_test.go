@@ -96,19 +96,6 @@ func TestVectorFill(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	got := Concat(VectorOf(1, 2), VectorOf(3), Vector{}, VectorOf(4, 5))
-	want := VectorOf(1, 2, 3, 4, 5)
-	if len(got) != len(want) {
-		t.Fatalf("Concat len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Concat[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestVectorScale(t *testing.T) {
 	v := VectorOf(1, -2, 3)
 	got := v.Scale(-2)

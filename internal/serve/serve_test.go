@@ -602,3 +602,38 @@ func TestWarmStartCacheThroughServe(t *testing.T) {
 		t.Errorf("serve_warm_starts = %d, want 1", summary.ServeWarm)
 	}
 }
+
+// TestPoolEntriesBounded posts one LP under 3·maxEntries distinct seeds (one
+// pool key each): the server keeps at most maxEntries entries, and a repeat
+// of the first, long-evicted key still answers 200 with its first answer bit
+// for bit. A live entry would have seeded the repeat from its warm-start
+// cache instead.
+func TestPoolEntriesBounded(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	req := func(seed int64) Request {
+		return Request{Problem: dietText(0), NoCoalesce: true, Options: Options{Variation: 0.05, Seed: seed}}
+	}
+	code, first := postSolve(t, nil, ts.URL, req(1), nil)
+	if code != http.StatusOK || first.Status != "optimal" {
+		t.Fatalf("first solve: HTTP %d, %+v", code, first)
+	}
+	for seed := int64(2); seed <= 3*maxEntries; seed++ {
+		if code, resp := postSolve(t, nil, ts.URL, req(seed), nil); code != http.StatusOK {
+			t.Fatalf("seed %d: HTTP %d, %+v", seed, code, resp)
+		}
+	}
+	s.mu.Lock()
+	entries, order := len(s.entries), len(s.order)
+	s.mu.Unlock()
+	if entries > maxEntries || order != entries {
+		t.Errorf("%d entries (%d in eviction order), want at most %d", entries, order, maxEntries)
+	}
+	code, again := postSolve(t, nil, ts.URL, req(1), nil)
+	if code != http.StatusOK {
+		t.Fatalf("evicted key: HTTP %d, %+v", code, again)
+	}
+	if math.Float64bits(float64(again.Objective)) != math.Float64bits(float64(first.Objective)) || again.Iterations != first.Iterations {
+		t.Errorf("evicted key answered %v in %d iterations, first answer %v in %d",
+			again.Objective, again.Iterations, first.Objective, first.Iterations)
+	}
+}

@@ -79,7 +79,16 @@ type Server struct {
 
 	mu      sync.Mutex
 	entries map[string]*poolEntry //memlp:guardedby mu
+	order   []string              //memlp:guardedby mu — insertion order, for eviction
 }
+
+// maxEntries bounds the pool entries a Server keeps. Clients choose the
+// key (every distinct seed is one), and each entry holds solvers with their
+// fabrics plus its caches, so past the bound the oldest entry is evicted,
+// first in first out, as warmCache and the coalescer's canonical-matrix
+// cache bound themselves. In-flight requests keep their entry pointer; the
+// next request for an evicted key builds the entry afresh.
+const maxEntries = 64
 
 // poolEntry is the per-(engine, options)-key state: the solver pool plus, on
 // the batching engine, the coalescer front of it.
@@ -214,6 +223,11 @@ func (s *Server) entry(eng memlp.Engine, o Options) (*poolEntry, error) {
 		// Lost the creation race; the spare solver is garbage-collected.
 		return existing, nil
 	}
+	if len(s.order) >= maxEntries {
+		delete(s.entries, s.order[0])
+		s.order = s.order[1:]
+	}
+	s.order = append(s.order, key)
 	s.entries[key] = ent
 	return ent, nil
 }

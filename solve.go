@@ -847,7 +847,9 @@ func (s *Solver) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 // draws are a function of (seed, problem index), not of scheduling. Each
 // Solution's WallTime and hardware counters are measured per solve; the
 // first additionally carries the pool's one-time programming (and, with NoC,
-// the batch's transfer) cost, plus the BatchStats roll-up.
+// the batch's transfer) cost, plus the BatchStats roll-up. With
+// WithFaultModel or WithWriteVerify every member climbs the recovery ladder
+// on its replica, as a single solve does, and carries Diagnostics.
 //
 // On cancellation the Solutions completed before the interruption are
 // returned together with the wrapped context error; the interrupted solve
