@@ -89,6 +89,10 @@ type goldenTraceCase struct {
 	opts     []Option
 	problems func(t testing.TB) []*Problem
 	batch    bool
+	// sequence solves every problem in order on one handle and
+	// concatenates the traces, pinning what a handle carries from one
+	// problem size to the next.
+	sequence bool
 	// paper runs Algorithm 1 in the paper's mode, the residual read from
 	// the array (core.Options.AnalogResidual), which no public option
 	// selects.
@@ -98,6 +102,23 @@ type goldenTraceCase struct {
 func single(f func(t testing.TB) *Problem) func(t testing.TB) []*Problem {
 	return func(t testing.TB) []*Problem { return []*Problem{f(t)} }
 }
+
+// feasibleSeq returns GenerateFeasible(m, 0, seed) for each (m, seed) pair,
+// in order.
+func feasibleSeq(pairs ...[2]int) func(t testing.TB) []*Problem {
+	return func(t testing.TB) []*Problem {
+		out := make([]*Problem, len(pairs))
+		for i, ms := range pairs {
+			out[i] = feasibleLP(t, ms[0], int64(ms[1]))
+		}
+		return out
+	}
+}
+
+// Algorithm 1's extended sizes 3n+3m+q of this sequence are 37, 33, 47, 34
+// and 38: they shrink, grow past the first, shrink, and grow again within
+// the largest. The first and last changes keep (m, n) and change only q.
+var alg1SizeSeq = feasibleSeq([2]int{8, 7}, [2]int{8, 5}, [2]int{9, 1}, [2]int{8, 3}, [2]int{8, 2})
 
 func goldenTraceCases() []goldenTraceCase {
 	noisy := []Option{WithVariation(0.05), WithCycleNoise(0.25)}
@@ -179,6 +200,22 @@ func goldenTraceCases() []goldenTraceCase {
 			opts: []Option{WithSeed(1), WithVariation(0.05),
 				WithFaultModel(FaultModel{StuckOnDensity: 0.01, StuckOffDensity: 0.01})},
 			problems: single(func(t testing.TB) *Problem { return feasibleLP(t, 8, 1) })},
+		// Problems of changing size solved in turn on one handle: the
+		// fabric, its counter windows and every workspace carried from one
+		// size to the next. No two neighbours share a size.
+		{name: "crossbar-sequence", engine: EngineCrossbar, sequence: true,
+			opts:     append([]Option{WithSeed(17)}, noisy...),
+			problems: alg1SizeSeq},
+		// Algorithm 2's system sizes (n+2m+q, n+m) run (20, 10), (15, 8),
+		// (26, 13), (23, 12).
+		{name: "largescale-sequence", engine: EngineCrossbarLargeScale, sequence: true,
+			opts:     append([]Option{WithSeed(19)}, noisy...),
+			problems: feasibleSeq([2]int{8, 1}, [2]int{6, 3}, [2]int{10, 1}, [2]int{9, 10})},
+		// On 12-wide tiles the sequence's tile grids run 4x4, 3x3, 4x4, 3x3
+		// and 4x4.
+		{name: "crossbar-noc-sequence", engine: EngineCrossbar, sequence: true,
+			opts:     []Option{WithSeed(23), WithVariation(0.05), WithNoC("mesh", 12)},
+			problems: alg1SizeSeq},
 	}
 }
 
@@ -220,9 +257,18 @@ func runGoldenCase(t testing.TB, gc goldenTraceCase) []trace.Record {
 	problems := gc.problems(t)
 	var sols []*Solution
 	var err error
-	if gc.batch {
+	switch {
+	case gc.batch:
 		sols, err = s.SolveBatch(context.Background(), problems)
-	} else {
+	case gc.sequence:
+		for _, p := range problems {
+			var sol *Solution
+			if sol, err = s.Solve(context.Background(), p); err != nil {
+				break
+			}
+			sols = append(sols, sol)
+		}
+	default:
 		var sol *Solution
 		sol, err = s.Solve(context.Background(), problems[0])
 		sols = []*Solution{sol}
