@@ -1,7 +1,7 @@
 GO ?= go
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race lint fmt vet memlpvet vuln cover bench bless-traces
+.PHONY: all build test race lint fmt vet memlpvet vuln cover bench bless-traces check-traces
 
 all: build test lint
 
@@ -65,3 +65,12 @@ bench:
 # other code change before committing.
 bless-traces:
 	$(GO) test . -run 'TestGoldenTraces$$' -args -bless-traces
+
+# The byte-identity gate: bless the goldens afresh, then fail if that left
+# any file under testdata/traces/ modified, deleted or new. A golden that was
+# blessed but never committed is untracked, so `git diff` alone misses it.
+check-traces: bless-traces
+	@status="$$(git status --porcelain -- testdata/traces)"; \
+	if [ -n "$$status" ]; then \
+		echo "golden traces differ from a fresh bless:"; echo "$$status"; exit 1; \
+	fi

@@ -274,10 +274,7 @@ func (s *Solver) newShard(shard int, first *lp.Problem, aShared *linalg.Matrix, 
 // scaled returns p with the batch's row scaling applied: the shared scaled
 // A, and b divided row by row into the worker's scratch.
 func (wk *worker) scaled(p *lp.Problem, aShared *linalg.Matrix, scales linalg.Vector) *lp.Problem {
-	if cap(wk.bBuf) < len(p.B) {
-		wk.bBuf = linalg.NewVector(len(p.B))
-	}
-	wk.bBuf = wk.bBuf[:len(p.B)]
+	wk.bBuf = linalg.Resize(wk.bBuf, len(p.B))
 	for i, v := range p.B {
 		wk.bBuf[i] = v / scales[i]
 	}

@@ -107,7 +107,7 @@ func TestExtendedSystemReproducesEq12Directions(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := ext.stateVector(x, y, w, z)
-		r, err := fab.MatVecResidual(ext.baseVector(p, mu), s, ext.factorVector())
+		r, err := fab.MatVecResidual(ext.baseVector(p, mu), s, ext.factor)
 		if err != nil {
 			t.Fatal(err)
 		}

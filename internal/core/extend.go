@@ -61,12 +61,12 @@ type extended struct {
 	// digital residual walks nnz cells instead of size².
 	pat linalg.Pattern
 
-	// Reusable per-iteration scratch, sized to the extended system. All are
-	// lazily built and survive across solves of same-sized problems so the
-	// steady-state iteration allocates nothing here.
+	// Per-iteration scratch, sized to the extended system by
+	// newExtendedInto on storage that survives across solves, so the
+	// iteration allocates nothing here.
 	base   linalg.Vector // baseVector backing store
 	res    linalg.Vector // residual backing store
-	factor linalg.Vector // factorVector backing store
+	factor linalg.Vector // the per-row analog dividers (fillFactor)
 }
 
 // conic reports whether the extended system carries second-order-cone blocks.
@@ -96,17 +96,19 @@ func newExtended(p *lp.Problem, x, y, w, z linalg.Vector) (*extended, error) {
 	return newExtendedInto(nil, p, x, y, w, z)
 }
 
-// newExtendedInto is newExtended with storage reuse: when prev was built for
-// a problem of the same shape, its matrix and scratch buffers are recycled
-// (the sign pattern of A — and hence q — is recomputed from scratch, so only
-// same-sized extended systems actually share the matrix). Pass nil to
-// allocate fresh. The returned *extended is prev when reuse succeeded.
+// newExtendedInto is newExtended with storage reuse: prev's matrix, pattern
+// and scratch keep their capacity across problems of any shape, so a system
+// no larger than one built before allocates nothing. Pass nil to allocate
+// fresh. The returned *extended is prev when prev is non-nil.
 func newExtendedInto(prev *extended, p *lp.Problem, x, y, w, z linalg.Vector) (*extended, error) {
 	n, m := p.NumVariables(), p.NumConstraints()
 	e := prev
-	if e == nil || e.n != n || e.m != m {
-		e = &extended{n: n, m: m, pOfX: make([]int, n), pOfY: make([]int, m)}
+	if e == nil {
+		e = &extended{}
 	}
+	e.n, e.m = n, m
+	e.pOfX = linalg.Resize(e.pOfX, n)
+	e.pOfY = linalg.Resize(e.pOfY, m)
 	e.prepareCones(p)
 
 	// Assign Δp slots: one per column of A with a negative entry (mirrors
@@ -142,15 +144,13 @@ func newExtendedInto(prev *extended, p *lp.Problem, x, y, w, z linalg.Vector) (*
 		}
 	}
 	e.q = q
-	size := 3*n + 3*m + q
-	if e.matrix == nil || e.size != size {
-		e.size = size
-		e.matrix = linalg.NewMatrix(size, size)
-		e.base, e.factor = nil, nil
-		e.res = linalg.NewVector(size)
-	} else {
-		e.matrix.Zero()
-	}
+	e.size = 3*n + 3*m + q
+	e.matrix = e.matrix.Reshape(e.size, e.size)
+	e.res = linalg.Resize(e.res, e.size)
+	// baseVector refills only the r1–r4 entries; the rest stay zero.
+	e.base = linalg.Resize(e.base, e.size)
+	clear(e.base)
+	e.fillFactor()
 	if e.conic() && !e.updateScalings(w, y) {
 		return nil, fmt.Errorf("core: initial cone iterate not interior")
 	}
@@ -286,9 +286,7 @@ func (e *extended) prepareCones(p *lp.Problem) {
 		return
 	}
 	e.blocks = blocks
-	if len(e.socRow) != e.m {
-		e.socRow = make([]int, e.m)
-	}
+	e.socRow = linalg.Resize(e.socRow, e.m)
 	for i := range e.socRow {
 		e.socRow[i] = -1
 	}
@@ -418,11 +416,8 @@ func (e *extended) stateVector(x, y, w, z linalg.Vector) linalg.Vector {
 // [b; c; µ1; µ1; 0; 0; 0], which the summing amplifiers subtract the analog
 // product from. Only the µ entries change between iterations.
 // The returned vector is scratch storage owned by e, overwritten by the
-// next call; every entry is refilled, so reuse across problems is safe.
+// next call. It refills the r1–r4 entries; newExtendedInto zeroed the rest.
 func (e *extended) baseVector(p *lp.Problem, mu float64) linalg.Vector {
-	if e.base == nil {
-		e.base = linalg.NewVector(e.size)
-	}
 	base := e.base
 	for i := 0; i < e.m; i++ {
 		base[e.rowR1(i)] = p.B[i]
@@ -446,23 +441,18 @@ func (e *extended) baseVector(p *lp.Problem, mu float64) linalg.Vector {
 	return base
 }
 
-// factorVector returns the per-row analog dividers of Eq. 15: the r3/r4 rows
+// fillFactor sets the per-row analog dividers of Eq. 15: the r3/r4 rows
 // arrive as 2XZe and 2YWe and are halved by a resistive divider before the
 // subtraction; all other rows pass through unchanged.
-func (e *extended) factorVector() linalg.Vector {
-	if e.factor != nil {
-		return e.factor
-	}
-	f := linalg.NewVector(e.size)
-	f.Fill(1)
+func (e *extended) fillFactor() {
+	e.factor = linalg.Resize(e.factor, e.size)
+	e.factor.Fill(1)
 	for i := 0; i < e.n; i++ {
-		f[e.rowR3(i)] = 0.5
+		e.factor[e.rowR3(i)] = 0.5
 	}
 	for i := 0; i < e.m; i++ {
-		f[e.rowR4(i)] = 0.5
+		e.factor[e.rowR4(i)] = 0.5
 	}
-	e.factor = f
-	return f
 }
 
 // split returns (Δx, Δy, Δw, Δz) as views of the extended solution vector.

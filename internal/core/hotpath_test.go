@@ -41,7 +41,7 @@ func TestIterationKernelAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	sExt := ext.stateVector(x[:pn], y[:pm], w[:pm], z[:pn])
-	base, factor := ext.baseVector(p, 0.5), ext.factorVector()
+	base, factor := ext.baseVector(p, 0.5), ext.factor
 
 	kernels := []struct {
 		name string

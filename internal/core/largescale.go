@@ -151,15 +151,18 @@ func (l *lsSystem) rowA(i int) int  { return i }       // m rows: primal block
 func (l *lsSystem) rowAT(i int) int { return l.m + i } // n rows: dual block
 func (l *lsSystem) rowP(k int) int  { return l.m + l.n + k }
 
-// newLSSystemInto builds M1 at the initial interior point (x, y, w, z). When
-// prev was built for a same-shaped problem its matrix and index slices are
-// recycled; pass nil to allocate fresh.
+// newLSSystemInto builds M1 at the initial interior point (x, y, w, z). A
+// non-nil prev is recycled: its matrix and index slices keep their capacity
+// across problems of any shape. Pass nil to allocate fresh.
 func newLSSystemInto(prev *lsSystem, p *lp.Problem, regularization float64, literal bool, x, y, w, z linalg.Vector) (*lsSystem, error) {
 	n, m := p.NumVariables(), p.NumConstraints()
 	l := prev
-	if l == nil || l.n != n || l.m != m {
-		l = &lsSystem{n: n, m: m, pOfX: make([]int, n), pOfY: make([]int, m)}
+	if l == nil {
+		l = &lsSystem{}
 	}
+	l.n, l.m = n, m
+	l.pOfX = linalg.Resize(l.pOfX, n)
+	l.pOfY = linalg.Resize(l.pOfY, m)
 	l.literal = literal
 
 	q := 0
@@ -180,13 +183,8 @@ func newLSSystemInto(prev *lsSystem, p *lp.Problem, regularization float64, lite
 		q++
 	}
 	l.q = q
-	size := n + m + q
-	if l.matrix == nil || l.size != size {
-		l.size = size
-		l.matrix = linalg.NewMatrix(size, size)
-	} else {
-		l.matrix.Zero()
-	}
+	l.size = n + m + q
+	l.matrix = l.matrix.Reshape(l.size, l.size)
 
 	var sum float64
 	for i := 0; i < m; i++ {
@@ -341,19 +339,23 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 	p, rowScales := equilibrate(p)
 
 	// The second system's state s2 = [z, w] is one vector, updated as one
-	// with the fabric's Δ, like s1 below.
+	// with the fabric's Δ, like s1 below. base2, its residual base, is
+	// rebuilt in full every iteration.
 	x := onesVector(n)
 	y := onesVector(m)
 	s2 := onesVector(n + m)
 	z := s2[0:n]
 	w := s2[n : n+m]
+	base2 := linalg.NewVector(n + m)
 
 	sys1, err := newLSSystemInto(s.sys, p, s.opts.Regularization, s.opts.LiteralFillers, x, y, w, z)
 	if err != nil {
 		return nil, nil, err
 	}
 	s.sys = sys1
-	if s.fab1 == nil || s.fab1Size != sys1.size {
+	// Each fabric is rebuilt only when its system outgrows it, as for
+	// Algorithm 1 (see Solver.solveAttempt).
+	if s.fab1 == nil || sys1.size > s.fab1Size {
 		fab, err := s.opts.Fabric(sys1.size)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: building fabric 1: %w", err)
@@ -367,7 +369,7 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 	}
 
 	// M2 = diag(X, Y): columns [Δz | Δw].
-	if s.fab2 == nil || s.fab2Size != n+m {
+	if s.fab2 == nil || n+m > s.fab2Size {
 		fab, err := s.opts.Fabric(n + m)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: building fabric 2: %w", err)
@@ -379,11 +381,7 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 	// Rebase the trace accumulators on the combined counters of BOTH
 	// fabrics (fresh double-check fabrics restart at zero).
 	s.tr.beginAttempt(countersBase1.Add(countersBase2))
-	if s.m2 == nil || s.m2.Rows() != n+m {
-		s.m2 = linalg.NewMatrix(n+m, n+m)
-	} else {
-		s.m2.Zero()
-	}
+	s.m2 = s.m2.Reshape(n+m, n+m)
 	m2 := s.m2
 	for i := 0; i < n; i++ {
 		m2.Set(i, i, x[i])
@@ -401,6 +399,9 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 	x = s1[0:n]
 	y = s1[n : n+m]
 
+	// M1's residual base: the primal and dual rows are rebuilt every
+	// iteration, the Δp rows stay zero.
+	base1 := linalg.NewVector(sys1.size)
 	res := &engine.Result{Status: lp.StatusIterationLimit, MatrixSize: sys1.size}
 	best := snapshot{score: infNaN()}
 	stop := newStopRule(tol, 2*stallWindow)
@@ -423,7 +424,6 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 		//   dual rows:   base = c + z + µ/x,  M1·s1 = Aᵀ·y + (Z/X)·x = Aᵀ·y + z
 		// (in literal-filler mode the product carries ε·y / ε·x instead of
 		// the coupling terms; the same bases are used, as Eq. 17a says).
-		base1 := linalg.NewVector(sys1.size)
 		for i := 0; i < m; i++ {
 			base1[sys1.rowA(i)] = p.B[i] - w[i] - mu/y[i]
 		}
@@ -526,7 +526,6 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 		// the Z·Δx / W·Δy couplings of Eq. 9c/9d; they are O(N) digital
 		// element-wise products folded into the base, and the XZe/YWe
 		// products are subtracted in analog.
-		base2 := linalg.NewVector(n + m)
 		for i := 0; i < n; i++ {
 			base2[i] = mu - z[i]*theta1*dx[i]
 		}

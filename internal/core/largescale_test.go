@@ -216,3 +216,45 @@ func TestLargeScaleCountsResolves(t *testing.T) {
 		t.Errorf("resolves = %d", res.Resolves)
 	}
 }
+
+// TestLargeScaleSolveAllocations pins that an Algorithm 2 solve on a reused
+// solver allocates a fixed number of times, however many iterations it
+// runs: the per-iteration residual bases live in buffers of the attempt.
+// A 77-iteration m=96 solve may allocate no more than a 60-iteration m=24
+// one, and neither as often as once per iteration.
+func TestLargeScaleSolveAllocations(t *testing.T) {
+	s, err := NewLargeScaleSolver(crossbarOpts(t, 0, 1))
+	if err != nil {
+		t.Fatalf("NewLargeScaleSolver: %v", err)
+	}
+	var iters, allocs [2]float64
+	for k, m := range []int{24, 96} {
+		p, err := lp.GenerateFeasible(lp.GenConfig{Constraints: m, Seed: 1})
+		if err != nil {
+			t.Fatalf("GenerateFeasible: %v", err)
+		}
+		res, err := s.Solve(p)
+		if err != nil || res.Status != lp.StatusOptimal {
+			t.Fatalf("m=%d: status %v, err %v", m, res.Status, err)
+		}
+		iters[k] = float64(res.Iterations)
+		allocs[k] = testing.AllocsPerRun(5, func() {
+			if _, err := s.Solve(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("m=%d: %.0f iterations, %.0f allocations per solve", m, iters[k], allocs[k])
+	}
+	if iters[1] <= iters[0] {
+		t.Fatalf("the m=96 solve ran %.0f iterations, the m=24 one %.0f: want more", iters[1], iters[0])
+	}
+	if allocs[1] > allocs[0] {
+		t.Errorf("allocations grow with the iteration count: %.0f at %.0f iterations, %.0f at %.0f",
+			allocs[1], iters[1], allocs[0], iters[0])
+	}
+	for k := range allocs {
+		if allocs[k] >= iters[k] {
+			t.Errorf("%.0f allocations for %.0f iterations: want fewer than one per iteration", allocs[k], iters[k])
+		}
+	}
+}

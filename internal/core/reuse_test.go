@@ -11,8 +11,9 @@ import (
 )
 
 // TestSolverReusesFabric pins the handle-reuse guarantee: a hundred
-// sequential same-shape solves build the analog fabric exactly once, and a
-// different-shape problem afterwards forces exactly one rebuild.
+// sequential same-shape solves build the analog fabric exactly once, a
+// larger problem afterwards forces exactly one rebuild, and a smaller one
+// after that builds none: the fabric holds the largest system solved.
 func TestSolverReusesFabric(t *testing.T) {
 	builds := 0
 	o := idealOpts()
@@ -51,6 +52,12 @@ func TestSolverReusesFabric(t *testing.T) {
 	}
 	if builds != 2 {
 		t.Errorf("fabric built %d times after a shape change, want 2", builds)
+	}
+	if _, err := s.Solve(p); err != nil {
+		t.Fatalf("smaller solve: %v", err)
+	}
+	if builds != 2 {
+		t.Errorf("fabric built %d times after a smaller system, want 2", builds)
 	}
 }
 

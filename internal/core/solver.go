@@ -156,8 +156,9 @@ type Solver struct {
 // concurrent shards share nothing they write.
 type worker struct {
 	fab Fabric
-	// fabSize is the extended-system size fab was built for; a single solve
-	// of another size builds a new fabric.
+	// fabSize is the extended-system size fab was built for, the largest
+	// the worker has solved: a single solve of a larger system builds a new
+	// fabric, and one no larger programs this one.
 	fabSize int
 	ext     *extended
 	// initBuf backs the starting iterate (x, y, w, z are sliced from it
@@ -394,8 +395,10 @@ func (s *Solver) resolves() int {
 
 // solveAttempt runs one full Algorithm 1 attempt on the single-solve
 // worker: it rebuilds the extended system for p at the start iterate,
-// builds a new fabric when the system's size changed, and programs all of
-// it. Callers must hold s.mu.
+// builds a new fabric only when the system outgrows the current one, and
+// programs all of it. Keeping the fabric changes no result: the crossbars
+// of a handle share one variation stream, counters are read as windows,
+// and Program rebuilds every per-cell state. Callers must hold s.mu.
 func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Result, error, error) {
 	wk := &s.single
 	return s.solveOn(ctx, wk, p, p, nil, func(x, y, w, z linalg.Vector) error {
@@ -404,7 +407,7 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 			return err
 		}
 		wk.ext = ext
-		if wk.fab == nil || wk.fabSize != ext.size {
+		if wk.fab == nil || ext.size > wk.fabSize {
 			fab, err := s.opts.Fabric(ext.size)
 			if err != nil {
 				return fmt.Errorf("core: building fabric: %w", err)
@@ -444,10 +447,7 @@ func (s *Solver) solveOn(ctx context.Context, wk *worker, p, orig *lp.Problem, s
 
 	// The start iterate: all ones, or the warm start when one is set. The
 	// batch's stored duals are user-unit, so scales maps them into p's.
-	if cap(wk.initBuf) < 2*(n+m) {
-		wk.initBuf = linalg.NewVector(2 * (n + m))
-	}
-	wk.initBuf = wk.initBuf[:2*(n+m)]
+	wk.initBuf = linalg.Resize(wk.initBuf, 2*(n+m))
 	wk.initBuf.Fill(1)
 	x := wk.initBuf[0:n]
 	y := wk.initBuf[n : n+m]
@@ -474,7 +474,7 @@ func (s *Solver) solveOn(ctx context.Context, wk *worker, p, orig *lp.Problem, s
 	// the fabric's variation-perturbed consistency rows and leak a
 	// var-proportional fraction of every step into the residuals.
 	sExt := ext.stateVector(x, y, w, z)
-	factor := ext.factorVector()
+	factor := ext.factor
 	x = sExt[0:n]
 	y = sExt[n : n+m]
 	w = sExt[n+m : n+2*m]

@@ -269,7 +269,7 @@ func refreshDigitalResidual(t *testing.T, r *rand.Rand, ext *extended, p *lp.Pro
 func requireDigitalResidual(t *testing.T, ext *extended, p *lp.Problem, s linalg.Vector, label string) {
 	t.Helper()
 	base := ext.baseVector(p, 0.37)
-	factor := ext.factorVector()
+	factor := ext.factor
 	mv, err := ext.matrix.MatVec(s)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +317,7 @@ func TestDigitalResidualMatchesIdealArray(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		s := ext.stateVector(x, y, w, z)
 		base := ext.baseVector(p, 0.1*float64(trial+1))
-		factor := ext.factorVector()
+		factor := ext.factor
 		analog, err := fab.MatVecResidual(base, s, factor)
 		if err != nil {
 			t.Fatal(err)

@@ -308,15 +308,16 @@ type Crossbar struct {
 	// measured row sums and the settle walk instead of dense rows. It is
 	// rescanned lazily once patValid drops, which happens only where gt can
 	// change between zero and non-zero: a conductance-writer funnel flipping
-	// a cell, and Program.
+	// a cell, and Program under a fault model. A healthy Program builds it.
 	pat      linalg.Pattern
 	patValid bool
 	// live holds one bit per cell, liveWords words per row, set for every
 	// cell a row refresh must visit even when its incoming coefficient is
 	// +0: every cell whose target or progTarget has a bit set (non-zero,
 	// NaN or −0). A set bit may also mark a dead cell, which a refresh visits
-	// harmlessly and clears. Program drops the masks (liveValid) and the
-	// first refresh after it rebuilds them into the same storage.
+	// harmlessly and clears. Program builds the masks as it writes; a
+	// rejected Program drops them (liveValid) and the next refresh rebuilds
+	// them into the same storage.
 	live      []uint64
 	liveWords int
 	liveValid bool
@@ -339,10 +340,7 @@ type Crossbar struct {
 
 // scratchVec returns *buf resized to n, allocating only on growth.
 func scratchVec(buf *linalg.Vector, n int) linalg.Vector {
-	if cap(*buf) < n {
-		*buf = make(linalg.Vector, n)
-	}
-	*buf = (*buf)[:n]
+	*buf = linalg.Resize(*buf, n)
 	return *buf
 }
 
@@ -406,7 +404,7 @@ func (x *Crossbar) invalidateDeltaLevels() {
 // conductance breaks the W² consistency the SOC residual relies on, while the
 // scalar complementarity rows of an orthant LP tolerate it within the I/O
 // precision. Disabling drops the level cache immediately; re-enabling takes
-// effect at the next Program (which allocates and invalidates the cache).
+// effect at the next Program (which sizes and invalidates the cache).
 // A no-op when the config disables delta-programming outright.
 func (x *Crossbar) SetDeltaProgramming(on bool) {
 	x.deltaOff = !on
@@ -481,51 +479,61 @@ func (x *Crossbar) notePatternWrite(old, g float64) {
 func (x *Crossbar) Counters() Counters { return x.counters }
 
 // Program writes matrix a (non-negative, at most Size×Size) into the array.
-// Every cell of the mapped region is physically written: the call costs
-// rows·cols cell writes.
+// Every cell of the mapped region holds its new target afterwards, but the
+// cost in time grows with a's non-zeros, not its size: one pass reads a,
+// the static variation draw fills every cell, and the rest walks only the
+// cells a writes. The array's storage only grows, so a matrix no larger
+// than one programmed before reallocates nothing.
 //
 //memlp:conductance-writer
 func (x *Crossbar) Program(a *linalg.Matrix) error {
-	if a.Rows() > x.cfg.Size || a.Cols() > x.cfg.Size {
-		return fmt.Errorf("%w: %dx%d into %d", ErrTooLarge, a.Rows(), a.Cols(), x.cfg.Size)
+	rows, cols := a.Rows(), a.Cols()
+	if rows > x.cfg.Size || cols > x.cfg.Size {
+		return fmt.Errorf("%w: %dx%d into %d", ErrTooLarge, rows, cols, x.cfg.Size)
 	}
-	if !a.AllNonNegative() {
-		return ErrNegative
+	// One pass checks every value and marks each one with a bit set in the
+	// live masks, −0 included, so its target is stored as −0 as a dense
+	// walk would store it. ErrNegative wins over the non-finite error. A
+	// rejected matrix leaves the array as it was; only the masks, which the
+	// next refresh rebuilds, are dropped.
+	x.liveValid = false
+	live := x.clearLive(rows, cols)
+	nnz := 0
+	var nonFinite error
+	for i := 0; i < rows; i++ {
+		mask := live[i*x.liveWords : (i+1)*x.liveWords]
+		for j, v := range a.RawRow(i) {
+			if math.Float64bits(v) == 0 {
+				continue
+			}
+			if err := checkCoefficient(v); err != nil {
+				if errors.Is(err, ErrNegative) {
+					return err
+				}
+				nonFinite = err
+			}
+			mask[j/64] |= 1 << (j % 64)
+			nnz++
+		}
 	}
-	if !a.AllFinite() {
-		return errNonFinite
+	if nonFinite != nil {
+		return nonFinite
 	}
 
-	sameShape := x.target != nil && x.rows == a.Rows() && x.cols == a.Cols()
-	x.rows, x.cols = a.Rows(), a.Cols()
-	x.patValid = false
-	x.liveValid = false
-	if sameShape {
-		// Reuse the mapping buffers, but clear both the realized
-		// conductances and the program-and-verify cache: stale gt entries
-		// (old variation draws, old non-zero cells) must not survive into
-		// the new matrix, and a zeroed progTarget makes writeRow treat every
-		// non-zero target as a fresh write, exactly as on first Program.
-		x.gt.Zero()
-		x.progTarget.Zero()
-	} else {
-		x.rowScale = make([]float64, x.rows)
-		x.target = linalg.NewMatrix(x.rows, x.cols)
-		x.gt = linalg.NewMatrix(x.rows, x.cols)
-		x.progTarget = linalg.NewMatrix(x.rows, x.cols)
-		x.deviceFactor = nil
-		if x.cfg.Variation != nil {
-			x.deviceFactor = linalg.NewMatrix(x.rows, x.cols)
-		}
-		x.cellCycle = nil
+	// The new matrix starts from a clear array: stale targets, variation
+	// draws and non-zero cells must not survive into it, and a zero
+	// progTarget makes every non-zero target a fresh write.
+	if x.driftEnabled() && (x.cellCycle == nil || x.rows != rows || x.cols != cols) {
+		// Drift clocks start afresh on a new shape only.
+		x.cellCycle = x.cellCycle.Reshape(rows, cols)
 	}
-	if x.driftEnabled() && x.cellCycle == nil {
-		x.cellCycle = linalg.NewMatrix(x.rows, x.cols)
-	}
+	x.rows, x.cols = rows, cols
+	x.target = x.target.Reshape(rows, cols)
+	x.gt = x.gt.Reshape(rows, cols)
+	x.progTarget = x.progTarget.Reshape(rows, cols)
+	x.rowScale = linalg.Resize(x.rowScale, rows)
 	if x.deltaQ != nil && !x.deltaOff {
-		if len(x.deltaLevel) != x.rows*x.cols {
-			x.deltaLevel = make([]int64, x.rows*x.cols)
-		}
+		x.deltaLevel = linalg.Resize(x.deltaLevel, rows*cols)
 		// A (re-)Program is a fresh array: no prior level is epoch-compatible.
 		x.invalidateDeltaLevels()
 	} else {
@@ -533,21 +541,60 @@ func (x *Crossbar) Program(a *linalg.Matrix) error {
 		// check in the write path off.
 		x.deltaLevel = nil
 	}
-	// Draw each device's static variation factor once per Program: geometry
-	// variation persists across rewrites of the same cell, while a full
-	// re-Program models a fresh array (Algorithm 2's double-checking relies
-	// on independent variation draws between attempts).
-	if x.deviceFactor != nil {
-		for i := 0; i < x.rows; i++ {
-			for j := 0; j < x.cols; j++ {
-				x.deviceFactor.Set(i, j, x.cfg.Variation.Factor())
-			}
+	// Draw each device's static variation factor once per Program, one draw
+	// per cell in row-major order, the order that fixes every conductance:
+	// geometry variation persists across rewrites of the same cell, while a
+	// full re-Program models a fresh array (Algorithm 2's double-checking
+	// relies on independent variation draws between attempts).
+	if x.cfg.Variation != nil {
+		x.deviceFactor = x.deviceFactor.Reshape(rows, cols)
+		for i := 0; i < rows; i++ {
+			x.cfg.Variation.Fill(x.deviceFactor.RawRow(i))
 		}
 	}
-	for i := 0; i < x.rows; i++ {
-		x.setTargetRow(i, linalg.Vector(a.RawRow(i)))
-		x.writeRow(i)
+
+	// Each row is programmed like a refresh of a cleared row. Every unmarked
+	// cell keeps a +0 target and a +0 progTarget, where a dense walk would
+	// leave a healthy cell as it is (refreshRow's argument). A stuck cell
+	// must still be pinned, so with a fault model every unmarked cell is
+	// visited too; without one, the pattern of gt is built from the cells
+	// written to a non-zero conductance, in ascending order.
+	healthy := x.cfg.Faults == nil
+	if healthy {
+		x.pat.Start(rows, nnz)
 	}
+	for i := 0; i < rows; i++ {
+		row := linalg.Vector(a.RawRow(i))
+		mask := live[i*x.liveWords : (i+1)*x.liveWords]
+		var sum, maxElem float64
+		for k, w := range mask {
+			for ; w != 0; w &= w - 1 {
+				v := row[k*64+bits.TrailingZeros64(w)]
+				sum += v
+				if v > maxElem {
+					maxElem = v
+				}
+			}
+		}
+		scale := x.rowScaleFor(sum, maxElem)
+		x.rowScale[i] = scale
+		x.refreshRow(i, row, scale, mask)
+		if !healthy {
+			x.pinUnmarked(i, mask)
+			continue
+		}
+		grow := x.gt.RawRow(i)
+		for k, w := range mask {
+			for ; w != 0; w &= w - 1 {
+				if j := k*64 + bits.TrailingZeros64(w); grow[j] != 0 {
+					x.pat.Add(j)
+				}
+			}
+		}
+		x.pat.EndRow(i)
+	}
+	x.liveValid = true
+	x.patValid = healthy
 	return nil
 }
 
@@ -562,38 +609,19 @@ func (x *Crossbar) rowScaleFor(sum, maxElem float64) float64 {
 	return 1
 }
 
-// setTargetRow sets row i's digital scale and stores every cell's scaled
-// target.
-func (x *Crossbar) setTargetRow(i int, row linalg.Vector) {
-	var sum, maxElem float64
-	for _, v := range row {
-		sum += v
-		if v > maxElem {
-			maxElem = v
-		}
-	}
-	scale := x.rowScaleFor(sum, maxElem)
-	x.rowScale[i] = scale
-	for j, v := range row {
-		x.target.Set(i, j, v/scale)
-	}
-}
-
-// writeRow physically programs every cell of row i from the target matrix,
-// drawing fresh variation and applying write quantization. Zero targets map
-// to selector-gated zero-conductance cells. Only Program walks a whole row:
-// a fresh mapping must pin every stuck cell, zero targets included.
-func (x *Crossbar) writeRow(i int) {
-	gs := x.cfg.SenseConductance
-	ri := x.target.RowSum(i)
-	// Exact mapping: g = C·gs/(1−R). Row sums ≤ ρ < 1 by construction.
-	coef := gs / (1 - ri)
+// pinUnmarked pins every stuck cell of row i outside mask, as a dense walk
+// of the row would with its zero target. Pinning is order-independent (it
+// draws no noise and, at a zero target over a zero progTarget, counts no
+// write), so doing it after the marked cells leaves what the dense walk
+// leaves.
+func (x *Crossbar) pinUnmarked(i int, mask []uint64) {
 	for j := 0; j < x.cols; j++ {
-		var tq float64
-		if c := x.target.At(i, j); c > 0 {
-			tq = x.quantizeG(c * coef)
+		if mask[j/64]&(1<<(j%64)) != 0 {
+			continue
 		}
-		x.programCell(i, j, tq)
+		if k := x.faultAt(i, j); k != memristor.FaultNone {
+			x.pinFaultCell(i, j, k, 0)
+		}
 	}
 }
 
@@ -647,16 +675,10 @@ func liveCell(target, progTarget float64) bool {
 }
 
 // liveRow returns row i's live-cell mask, first rebuilding every row's mask
-// from target and progTarget if Program dropped them.
+// from target and progTarget if a rejected Program dropped them.
 func (x *Crossbar) liveRow(i int) []uint64 {
 	if !x.liveValid {
-		x.liveWords = (x.cols + 63) / 64
-		n := x.rows * x.liveWords
-		if cap(x.live) < n {
-			x.live = make([]uint64, n)
-		}
-		x.live = x.live[:n]
-		clear(x.live)
+		x.clearLive(x.rows, x.cols)
 		for r := 0; r < x.rows; r++ {
 			mask := x.live[r*x.liveWords : (r+1)*x.liveWords]
 			prow := x.progTarget.RawRow(r)
@@ -669,6 +691,15 @@ func (x *Crossbar) liveRow(i int) []uint64 {
 		x.liveValid = true
 	}
 	return x.live[i*x.liveWords : (i+1)*x.liveWords]
+}
+
+// clearLive sizes the live masks for a rows×cols array, reusing their
+// storage, and clears them.
+func (x *Crossbar) clearLive(rows, cols int) []uint64 {
+	x.liveWords = (cols + 63) / 64
+	x.live = linalg.Resize(x.live, rows*x.liveWords)
+	clear(x.live)
+	return x.live
 }
 
 // refreshRow stores row i's new targets, row/scale, and programs them,

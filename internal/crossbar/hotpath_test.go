@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/memlp/memlp/internal/linalg"
+	"github.com/memlp/memlp/internal/variation"
 )
 
 // TestAnalogReadAllocations pins the //memlp:hotpath contract at runtime:
@@ -80,6 +81,48 @@ func TestAnalogReadAllocations(t *testing.T) {
 	}
 	if x.Counters().CellWrites == writes {
 		t.Error("the measured refreshes wrote no cell")
+	}
+}
+
+// TestProgramAllocations pins that an array programmed once at its largest
+// shape programs again, at the same shape or a smaller one, without
+// allocating: every buffer keeps its capacity, and the variation draw, the
+// delta levels, the live masks and the pattern are rebuilt in place.
+func TestProgramAllocations(t *testing.T) {
+	const n = 24
+	r := rand.New(rand.NewSource(5))
+	vm, err := variation.NewPaperModel(0.05, 3)
+	if err != nil {
+		t.Fatalf("NewPaperModel: %v", err)
+	}
+	cfg := idealConfig(n)
+	cfg.Variation = vm
+	cfg.CycleNoise = 0.25
+	cfg.DeltaWriteBits = 8
+	x := mustNew(t, cfg)
+	large := randomSparseNonNegMatrix(r, n, 0.1)
+	small := randomSparseNonNegMatrix(r, n-5, 0.2)
+	for _, a := range []*linalg.Matrix{large, small} {
+		if err := x.Program(a); err != nil {
+			t.Fatalf("Program %dx%d: %v", a.Rows(), a.Cols(), err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		seq  []*linalg.Matrix
+	}{
+		{"same shape", []*linalg.Matrix{large}},
+		{"smaller shape", []*linalg.Matrix{small, large}},
+	} {
+		if allocs := testing.AllocsPerRun(20, func() {
+			for _, a := range tc.seq {
+				if err := x.Program(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}); allocs > 0 {
+			t.Errorf("Program at the %s allocates %.0f per call once sized, want 0", tc.name, allocs)
+		}
 	}
 }
 

@@ -5,12 +5,22 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/memristor"
 	"github.com/memlp/memlp/internal/variation"
 )
+
+// rowSum is the dense sum of row i of m, every cell in column order.
+func rowSum(m *linalg.Matrix, i int) float64 {
+	var s float64
+	for _, v := range m.RawRow(i) {
+		s += v
+	}
+	return s
+}
 
 // refSetTargetRow and refWriteRow are the dense row refresh that refreshRow
 // replaced: every cell of the row is rescaled and re-tested, and every cell
@@ -36,7 +46,7 @@ func refSetTargetRow(x *Crossbar, i int, row linalg.Vector) {
 
 func refWriteRow(x *Crossbar, i int) {
 	gs := x.cfg.SenseConductance
-	ri := x.target.RowSum(i)
+	ri := rowSum(x.target, i)
 	coef := gs / (1 - ri)
 	for j := 0; j < x.cols; j++ {
 		c := x.target.At(i, j)
@@ -60,6 +70,63 @@ func refWriteRow(x *Crossbar, i int) {
 		}
 		x.writeDevice(i, j, tq)
 	}
+}
+
+// refProgram is Program as it was before it walked only the non-zeros:
+// two passes check the signs and then the finiteness of a, every buffer is
+// reallocated on a new shape, and every cell of every row is written
+// through the dense reference. TestProgramMatchesDense holds Program to it.
+func refProgram(x *Crossbar, a *linalg.Matrix) error {
+	if a.Rows() > x.cfg.Size || a.Cols() > x.cfg.Size {
+		return ErrTooLarge
+	}
+	if !a.AllNonNegative() {
+		return ErrNegative
+	}
+	if !a.AllFinite() {
+		return errNonFinite
+	}
+	sameShape := x.target != nil && x.rows == a.Rows() && x.cols == a.Cols()
+	x.rows, x.cols = a.Rows(), a.Cols()
+	x.patValid = false
+	x.liveValid = false
+	if sameShape {
+		x.gt.Zero()
+		x.progTarget.Zero()
+	} else {
+		x.rowScale = make([]float64, x.rows)
+		x.target = linalg.NewMatrix(x.rows, x.cols)
+		x.gt = linalg.NewMatrix(x.rows, x.cols)
+		x.progTarget = linalg.NewMatrix(x.rows, x.cols)
+		x.deviceFactor = nil
+		if x.cfg.Variation != nil {
+			x.deviceFactor = linalg.NewMatrix(x.rows, x.cols)
+		}
+		x.cellCycle = nil
+	}
+	if x.driftEnabled() && x.cellCycle == nil {
+		x.cellCycle = linalg.NewMatrix(x.rows, x.cols)
+	}
+	if x.deltaQ != nil && !x.deltaOff {
+		if len(x.deltaLevel) != x.rows*x.cols {
+			x.deltaLevel = make([]int64, x.rows*x.cols)
+		}
+		x.invalidateDeltaLevels()
+	} else {
+		x.deltaLevel = nil
+	}
+	if x.deviceFactor != nil {
+		for i := 0; i < x.rows; i++ {
+			for j := 0; j < x.cols; j++ {
+				x.deviceFactor.Set(i, j, x.cfg.Variation.Factor())
+			}
+		}
+	}
+	for i := 0; i < x.rows; i++ {
+		refSetTargetRow(x, i, linalg.Vector(a.RawRow(i)))
+		refWriteRow(x, i)
+	}
+	return nil
 }
 
 // refUpdateRow is UpdateRow over the dense reference.
@@ -93,7 +160,7 @@ func refUpdateCellInPlace(x *Crossbar, i, j int, value float64) error {
 		return err
 	}
 	c := value / x.rowScale[i]
-	rest := x.target.RowSum(i) - x.target.At(i, j)
+	rest := rowSum(x.target, i) - x.target.At(i, j)
 	if maxC := x.cfg.MaxRowSum - rest; c > maxC {
 		c = maxC
 	}
@@ -110,7 +177,7 @@ func refUpdateCellInPlace(x *Crossbar, i, j int, value float64) error {
 	}
 	var tq float64
 	if c > 0 {
-		coef := x.cfg.SenseConductance / (1 - x.target.RowSum(i))
+		coef := x.cfg.SenseConductance / (1 - rowSum(x.target, i))
 		tq = x.quantizeG(c * coef)
 	}
 	x.programCell(i, j, tq)
@@ -161,6 +228,7 @@ func requireRefreshState(t *testing.T, got, ref *Crossbar, label string) {
 	requireSameBits(t, got.target, ref.target, label+": target")
 	requireSameBits(t, got.progTarget, ref.progTarget, label+": progTarget")
 	requireSameBits(t, got.cellCycle, ref.cellCycle, label+": cellCycle")
+	requireSameBits(t, got.deviceFactor, ref.deviceFactor, label+": deviceFactor")
 	for i, s := range ref.rowScale {
 		if math.Float64bits(got.rowScale[i]) != math.Float64bits(s) {
 			t.Fatalf("%s: rowScale[%d] = %v, reference %v", label, i, got.rowScale[i], s)
@@ -410,6 +478,178 @@ func TestRefreshMatchesDense(t *testing.T) {
 	}
 }
 
+// programMatrix draws a rows×cols matrix about 5% non-zero, with a heavy
+// diagonal so that square settles stay well-posed, and with −0 entries and
+// values small enough to leave a zero target mixed in.
+func programMatrix(r *rand.Rand, rows, cols int) *linalg.Matrix {
+	a := linalg.NewMatrix(rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			switch u := r.Float64(); {
+			case u < 0.05:
+				a.Set(i, j, 4*r.Float64())
+			case u < 0.055:
+				a.Set(i, j, math.Copysign(0, -1))
+			case u < 0.057:
+				a.Set(i, j, math.SmallestNonzeroFloat64)
+			}
+		}
+		if i < cols {
+			a.Set(i, i, 8+r.Float64())
+		}
+	}
+	return a
+}
+
+// requireProgramCaches holds the caches a successful Program leaves valid
+// to a rebuild from the array's state: the live masks to liveCell of every
+// cell, and, on a healthy array, the pattern to a fresh Scan of gt. With a
+// fault model the pattern is left to be scanned at first use.
+func requireProgramCaches(t *testing.T, x *Crossbar, label string) {
+	t.Helper()
+	if x.patValid != (x.cfg.Faults == nil) {
+		t.Fatalf("%s: pattern valid = %v with fault model %v", label, x.patValid, x.cfg.Faults != nil)
+	}
+	if x.patValid {
+		var fresh linalg.Pattern
+		fresh.Scan(x.gt)
+		if x.pat.Rows() != fresh.Rows() || x.pat.NNZ() != fresh.NNZ() {
+			t.Fatalf("%s: pattern has %d rows and %d cells, a scan of gt %d and %d",
+				label, x.pat.Rows(), x.pat.NNZ(), fresh.Rows(), fresh.NNZ())
+		}
+		for i := 0; i < fresh.Rows(); i++ {
+			if !slices.Equal(x.pat.Row(i), fresh.Row(i)) {
+				t.Fatalf("%s: pattern row %d = %v, a scan of gt %v", label, i, x.pat.Row(i), fresh.Row(i))
+			}
+		}
+	}
+	if !x.liveValid || len(x.live) != x.rows*x.liveWords || x.liveWords != (x.cols+63)/64 {
+		t.Fatalf("%s: live masks valid %v, %d words for %dx%d", label, x.liveValid, len(x.live), x.rows, x.cols)
+	}
+	for i := 0; i < x.rows; i++ {
+		mask := x.live[i*x.liveWords : (i+1)*x.liveWords]
+		for j := 0; j < x.liveWords*64; j++ {
+			want := j < x.cols && liveCell(x.target.At(i, j), x.progTarget.At(i, j))
+			if have := mask[j/64]&(1<<(j%64)) != 0; have != want {
+				t.Fatalf("%s: live bit (%d,%d) = %v, a rebuild %v", label, i, j, have, want)
+			}
+		}
+	}
+}
+
+// TestProgramMatchesDense drives one array through Programs of random
+// matrices whose shapes grow and shrink, mixed with row refreshes,
+// single-cell updates, noise epochs, delta-programming toggles and rejected
+// matrices, next to a reference array programmed by refProgram. After every
+// step the two must hold the same conductances, targets, verify caches,
+// variation draws, row scales, drift clocks and counters, bit for bit, and
+// give the same next MatVec and Solve; after every Program the caches it
+// builds must equal a rebuild.
+func TestProgramMatchesDense(t *testing.T) {
+	shapes := [][2]int{{70, 70}, {12, 12}, {130, 130}, {40, 90}, {90, 40}, {129, 129}}
+	for _, tc := range []struct {
+		name  string
+		steps int
+		cfg   func(t *testing.T) Config
+	}{
+		{"variation-noise-faults-verify-drift-delta", 200, func(t *testing.T) Config {
+			vm, err := variation.NewPaperModel(0.05, 7)
+			if err != nil {
+				t.Fatalf("NewPaperModel: %v", err)
+			}
+			return Config{
+				Size: 130, IOBits: 8, WriteBits: 14, DeltaWriteBits: 8,
+				Variation: vm, CycleNoise: 0.5, MaxWriteRetries: 2,
+				Faults: &memristor.FaultModel{StuckOnDensity: 0.03, StuckOffDensity: 0.03,
+					WriteNoise: 0.02, DriftPerCycle: 0.01, Seed: 5},
+			}
+		}},
+		{"variation-noise-verify-delta", 200, func(t *testing.T) Config {
+			vm, err := variation.NewPaperModel(0.05, 13)
+			if err != nil {
+				t.Fatalf("NewPaperModel: %v", err)
+			}
+			return Config{Size: 130, IOBits: 8, WriteBits: 14, DeltaWriteBits: 8,
+				Variation: vm, CycleNoise: 0.5, MaxWriteRetries: 2}
+		}},
+		{"ideal-wire-resistance", 80, func(t *testing.T) Config {
+			return Config{Size: 130, IOBits: 8, WriteBits: 14, WireResistance: 2}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(31))
+			got, ref := mustNew(t, tc.cfg(t)), mustNew(t, tc.cfg(t))
+			program := func(shape [2]int, label string) {
+				t.Helper()
+				a := programMatrix(r, shape[0], shape[1])
+				if got.target != nil && r.Intn(8) == 0 {
+					// Either error may come first in the matrix; ErrNegative
+					// must win wherever it is.
+					bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}
+					for k := 1 + r.Intn(2); k > 0; k-- {
+						a.Set(r.Intn(shape[0]), r.Intn(shape[1]), bad[r.Intn(len(bad))])
+					}
+					label += " rejected"
+				}
+				errGot, errRef := got.Program(a), refProgram(ref, a)
+				if !errors.Is(errGot, errRef) {
+					t.Fatalf("%s: Program error %v, reference %v", label, errGot, errRef)
+				}
+				requireRefreshState(t, got, ref, label)
+				if errGot == nil {
+					requireProgramCaches(t, got, label)
+				}
+			}
+
+			program(shapes[0], "initial Program")
+			for step := 0; step < tc.steps; step++ {
+				var label string
+				switch op := r.Intn(10); {
+				case op < 4:
+					shape := shapes[r.Intn(len(shapes))]
+					label = fmt.Sprintf("step %d: Program %dx%d", step, shape[0], shape[1])
+					program(shape, label)
+				case op < 7:
+					i := r.Intn(got.rows)
+					row := linalg.NewVector(got.cols)
+					for k := r.Intn(6); k > 0; k-- {
+						row[r.Intn(got.cols)] = 4 * r.Float64()
+					}
+					if i < got.cols {
+						row[i] = 8 + r.Float64()
+					}
+					if r.Intn(3) == 0 {
+						row[r.Intn(got.cols)] = math.Copysign(0, -1)
+					}
+					label = fmt.Sprintf("step %d: UpdateRow(%d)", step, i)
+					if errGot, errRef := got.UpdateRow(i, row), refUpdateRow(ref, i, row); errGot != nil || errRef != nil {
+						t.Fatalf("%s: %v, reference %v", label, errGot, errRef)
+					}
+				case op < 8:
+					i, j := r.Intn(got.rows), r.Intn(got.cols)
+					v := []float64{0, 2 * r.Float64(), 1e6}[r.Intn(3)]
+					label = fmt.Sprintf("step %d: UpdateCellInPlace(%d,%d,%v)", step, i, j, v)
+					if errGot, errRef := got.UpdateCellInPlace(i, j, v), refUpdateCellInPlace(ref, i, j, v); errGot != nil || errRef != nil {
+						t.Fatalf("%s: %v, reference %v", label, errGot, errRef)
+					}
+				case op < 9:
+					e := r.Int63n(1000)
+					label = fmt.Sprintf("step %d: SetNoiseEpoch(%d)", step, e)
+					got.SetNoiseEpoch(e)
+					ref.SetNoiseEpoch(e)
+				default:
+					on := r.Intn(2) == 0
+					label = fmt.Sprintf("step %d: SetDeltaProgramming(%v)", step, on)
+					got.SetDeltaProgramming(on)
+					ref.SetDeltaProgramming(on)
+				}
+				requireRefreshState(t, got, ref, label)
+				requireSameReads(t, got, ref, r, label)
+			}
+		})
+	}
+}
+
 // TestUpdateCellMatchesDenseRowSum holds UpdateCellInPlace, whose row sums
 // walk only live cells, to the dense reference on the cases that make a
 // cell dead or live: a −0 target, a stuck cell, and a cell written to zero
@@ -468,7 +708,7 @@ func TestUpdateCellMatchesDenseRowSum(t *testing.T) {
 		}
 		requireRefreshState(t, got, ref, label)
 		for i := 0; i < got.rows; i++ {
-			if s, d := got.liveRowSum(i), got.target.RowSum(i); math.Float64bits(s) != math.Float64bits(d) {
+			if s, d := got.liveRowSum(i), rowSum(got.target, i); math.Float64bits(s) != math.Float64bits(d) {
 				t.Fatalf("%s: row %d live sum %v, dense RowSum %v", label, i, s, d)
 			}
 		}

@@ -72,6 +72,32 @@ func (m *Matrix) Zero() {
 	clear(m.data)
 }
 
+// Reshape returns a rows×cols matrix of zeros: m itself, on its own storage
+// when that holds rows·cols elements and on new storage otherwise, or a new
+// matrix when m is nil. Storage only grows, so a matrix reshaped to a
+// smaller shape keeps the capacity of the largest it has held.
+func (m *Matrix) Reshape(rows, cols int) *Matrix {
+	if m == nil {
+		return NewMatrix(rows, cols)
+	}
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("linalg: invalid matrix shape %dx%d", rows, cols))
+	}
+	m.rows, m.cols = rows, cols
+	m.data = Resize(m.data, rows*cols)
+	clear(m.data)
+	return m
+}
+
+// Resize returns s resized to n elements, on s's storage when its capacity
+// suffices and on new storage otherwise. The elements are unspecified.
+func Resize[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
+}
+
 // Transpose returns mᵀ.
 func (m *Matrix) Transpose() *Matrix {
 	out := NewMatrix(m.cols, m.rows)
@@ -210,15 +236,6 @@ func (m *Matrix) AllFinite() bool {
 		}
 	}
 	return true
-}
-
-// RowSum returns the sum of row i.
-func (m *Matrix) RowSum(i int) float64 {
-	var s float64
-	for _, x := range m.data[i*m.cols : (i+1)*m.cols] {
-		s += x
-	}
-	return s
 }
 
 // Equal reports whether m and b have the same shape and all elements within

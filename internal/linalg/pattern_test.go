@@ -40,3 +40,27 @@ func TestPatternScan(t *testing.T) {
 		t.Errorf("rescanned pattern rows %v %v", p.Row(0), p.Row(1))
 	}
 }
+
+// TestPatternBuild pins the row-by-row builder Scan is made of: rows with
+// no cells, and more cells than Start reserved, which stays correct.
+func TestPatternBuild(t *testing.T) {
+	var p Pattern
+	want := [][]int32{{2, 5}, {}, {0, 1, 3, 4}}
+	for _, nnz := range []int{2, 6} {
+		p.Start(len(want), nnz)
+		for i, row := range want {
+			for _, j := range row {
+				p.Add(int(j))
+			}
+			p.EndRow(i)
+		}
+		if p.Rows() != len(want) || p.NNZ() != 6 {
+			t.Fatalf("reserved %d: %d rows, %d cells", nnz, p.Rows(), p.NNZ())
+		}
+		for i, w := range want {
+			if got := p.Row(i); !slices.Equal(got, w) {
+				t.Errorf("reserved %d: Row(%d) = %v, want %v", nnz, i, got, w)
+			}
+		}
+	}
+}

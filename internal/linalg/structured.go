@@ -131,23 +131,24 @@ func (w *StructuredWorkspace) load(a *Matrix, p *Pattern, b Vector) {
 		// new shape costs a fixed handful of allocations rather than a chain
 		// of regrowths: the order and core lists hold at most one entry per
 		// row, and on the extended PDIP systems fill-in stays below the
-		// pattern's own size.
+		// pattern's own size. Every buffer keeps its capacity, so a system
+		// no larger than one solved before allocates nothing.
 		nnz := len(p.cols)
-		w.colEnts = make([]colEntry, 0, 2*nnz)
-		w.fills = make([]fillIn, 0, nnz)
-		w.order = make([]structuredStep, 0, n)
-		w.queue = make([]int, 0, n)
-		w.coreRows = make([]int, 0, n)
-		w.coreCols = make([]int, 0, n)
-		w.work = NewMatrix(n, n)
-		w.rhs = make(Vector, n)
-		w.rowNNZ = make([]int, n)
-		w.liveRow = make([]bool, n)
-		w.liveCol = make([]bool, n)
-		w.colHead = make([]int32, n)
-		w.colTail = make([]int32, n)
-		w.rowHead = make([]int32, n)
-		w.x = make(Vector, n)
+		w.colEnts = Resize(w.colEnts, 2*nnz)[:0]
+		w.fills = Resize(w.fills, nnz)[:0]
+		w.order = Resize(w.order, n)[:0]
+		w.queue = Resize(w.queue, n)[:0]
+		w.coreRows = Resize(w.coreRows, n)[:0]
+		w.coreCols = Resize(w.coreCols, n)[:0]
+		w.work = w.work.Reshape(n, n)
+		w.rhs = Resize(w.rhs, n)
+		w.rowNNZ = Resize(w.rowNNZ, n)
+		w.liveRow = Resize(w.liveRow, n)
+		w.liveCol = Resize(w.liveCol, n)
+		w.colHead = Resize(w.colHead, n)
+		w.colTail = Resize(w.colTail, n)
+		w.rowHead = Resize(w.rowHead, n)
+		w.x = Resize(w.x, n)
 	}
 	copy(w.rhs, b)
 	clear(w.rowNNZ)
@@ -290,9 +291,9 @@ func (w *StructuredWorkspace) solveLoaded(p *Pattern) (Vector, error) {
 	x := w.x
 	clear(x)
 	if k := len(w.coreRows); k > 0 {
-		if w.core == nil || w.core.Rows() != k || w.core.Cols() != k {
-			w.core = NewMatrix(k, k)
-			w.cb = make(Vector, k)
+		if w.core == nil || w.core.Rows() != k {
+			w.core = w.core.Reshape(k, k)
+			w.cb = Resize(w.cb, k)
 		}
 		core, cb := w.core, w.cb
 		for ci, i := range w.coreRows {

@@ -167,6 +167,9 @@ type TiledFabric struct {
 	// composed counts the composed analog solves, which belong to no
 	// single tile: their settles and the conversions of b and x.
 	composed crossbar.Counters
+	// retired holds the counts of the tiles a re-Program replaced, so the
+	// fabric's counters stay cumulative across Programs.
+	retired crossbar.Counters
 }
 
 // New returns an unprogrammed tiled fabric.
@@ -208,7 +211,10 @@ func hopCount(top Topology, tiles, r, c int) int {
 	}
 }
 
-// Program writes matrix a across the tile grid.
+// Program writes matrix a across the tile grid, on new tiles. A new grid
+// is priced as a fresh fabric prices its first: the hop high-water mark
+// starts afresh, and the programming transfers are priced with no grid in
+// place yet. A re-Program of the same grid keeps both.
 func (f *TiledFabric) Program(a *linalg.Matrix) error {
 	t := f.cfg.TileSize
 	gridR := (a.Rows() + t - 1) / t
@@ -216,6 +222,11 @@ func (f *TiledFabric) Program(a *linalg.Matrix) error {
 	if gridR*gridC > f.cfg.MaxTiles {
 		return fmt.Errorf("%w: %dx%d needs %d tiles of %d, have %d",
 			ErrTooLarge, a.Rows(), a.Cols(), gridR*gridC, t, f.cfg.MaxTiles)
+	}
+	priced := f.gridR * f.gridC
+	if gridR != f.gridR || gridC != f.gridC {
+		priced = 0
+		f.stats.MaxHops = 0
 	}
 	tiles := make([][]*crossbar.Crossbar, gridR)
 	for i := range tiles {
@@ -238,7 +249,12 @@ func (f *TiledFabric) Program(a *linalg.Matrix) error {
 				return fmt.Errorf("noc: programming tile (%d,%d): %w", i, j, err)
 			}
 			tiles[i][j] = xb
-			f.stats.track(rows, f.hops(i, j))
+			f.stats.track(rows, hopCount(f.cfg.Topology, priced, i, j))
+		}
+	}
+	for _, row := range f.tiles {
+		for _, xb := range row {
+			f.retired = f.retired.Add(xb.Counters())
 		}
 	}
 	f.rows, f.cols = a.Rows(), a.Cols()
@@ -428,10 +444,11 @@ func (f *TiledFabric) SetDeltaProgramming(on bool) {
 	}
 }
 
-// Counters aggregates the constituent crossbars' counters and the composed
-// solves, which settle the whole fabric at once.
+// Counters aggregates the constituent crossbars' counters, those of the
+// tiles earlier Programs replaced, and the composed solves, which settle the
+// whole fabric at once.
 func (f *TiledFabric) Counters() crossbar.Counters {
-	total := f.composed
+	total := f.composed.Add(f.retired)
 	for _, row := range f.tiles {
 		for _, xb := range row {
 			total = total.Add(xb.Counters())

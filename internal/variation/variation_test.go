@@ -174,3 +174,28 @@ func TestPropertyApplyPreservesSign(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFillMatchesFactor pins that Fill makes exactly Factor's draws: the
+// same values in order, and the same stream position afterwards, for every
+// distribution and for a zero magnitude, which draws nothing.
+func TestFillMatchesFactor(t *testing.T) {
+	for _, dist := range []Distribution{Uniform, Gaussian, Lognormal} {
+		for _, mag := range []float64{0, 0.1} {
+			got, err := NewModel(dist, mag, 42)
+			if err != nil {
+				t.Fatalf("NewModel: %v", err)
+			}
+			want, _ := NewModel(dist, mag, 42)
+			dst := make([]float64, 37)
+			got.Fill(dst)
+			for k, v := range dst {
+				if w := want.Factor(); math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("%v %v: Fill[%d] = %v, Factor %v", dist, mag, k, v, w)
+				}
+			}
+			if g, w := got.Factor(), want.Factor(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("%v %v: next draw after Fill %v, after Factor %v", dist, mag, g, w)
+			}
+		}
+	}
+}

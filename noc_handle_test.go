@@ -78,6 +78,36 @@ func TestNoCHandleKeepsOnlyLiveFabrics(t *testing.T) {
 	}
 }
 
+// TestNoCHandlePricesRepeatSolves pins that a NoC handle prices a repeat
+// solve of one problem as it priced the first, on both crossbar
+// algorithms: a re-Program replaces every tile, and the counts of the
+// replaced tiles stay in the fabric's cumulative counters, so a counter
+// window opened before the Program loses none of them.
+func TestNoCHandlePricesRepeatSolves(t *testing.T) {
+	p, err := GenerateFeasible(9, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []Engine{EngineCrossbar, EngineCrossbarLargeScale} {
+		s, err := NewSolver(eng, WithNoC("mesh", 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first HardwareEstimate
+		for i := 0; i < 3; i++ {
+			sol, err := s.Solve(context.Background(), p)
+			if err != nil {
+				t.Fatalf("%v solve %d: %v", eng, i, err)
+			}
+			if i == 0 {
+				first = *sol.Hardware
+			} else if *sol.Hardware != first {
+				t.Errorf("%v solve %d: Hardware = %+v, want the first solve's %+v", eng, i, *sol.Hardware, first)
+			}
+		}
+	}
+}
+
 // TestNoCHandleConcurrent mixes solves of two sizes and batches on one NoC
 // handle from several goroutines: under -race it pins that the fabric
 // bookkeeping is safe behind the handle's lock, and the bound still holds.

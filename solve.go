@@ -510,9 +510,11 @@ type engineSolver interface {
 // Solver is a reusable handle on one configured engine. Construction
 // resolves the options, validates them against the engine, and builds the
 // engine's solver once; every Solve call then reuses its iteration
-// workspaces and — for crossbar engines — the persistent simulated fabric,
-// so repeated same-shape solves skip reprogramming and allocate almost
-// nothing.
+// workspaces and — for crossbar engines — the persistent simulated fabric.
+// A crossbar handle keeps its arrays and workspaces at the size of the
+// largest system it has solved: a problem no larger, of any shape, is
+// programmed onto them in place and allocates almost nothing, and a smaller
+// problem does not free them.
 //
 // A Solver is safe for concurrent use: calls serialize on the handle (one
 // simulated fabric cannot run two solves at once). Crossbar results report

@@ -315,6 +315,49 @@ func TestSolverReuseAllocations(t *testing.T) {
 	}
 }
 
+// TestSolverAllocationsAcrossSizes pins that a handle whose problems change
+// size allocates per solve no more than one repeating a single problem,
+// give or take a small constant: the fabric, the extended system and every
+// workspace keep the capacity of the largest system solved, so a smaller
+// one reallocates nothing.
+func TestSolverAllocationsAcrossSizes(t *testing.T) {
+	ctx := context.Background()
+	// Extended sizes 37, 33, 38 and 34, in a cycle: every solve changes it.
+	var problems []*Problem
+	for _, seed := range []int64{7, 5, 2, 3} {
+		p, err := GenerateFeasible(8, 0, seed)
+		if err != nil {
+			t.Fatalf("GenerateFeasible: %v", err)
+		}
+		problems = append(problems, p)
+	}
+	s, err := NewSolver(EngineCrossbar, WithVariation(0.05))
+	if err != nil {
+		t.Fatalf("NewSolver: %v", err)
+	}
+	for _, p := range problems {
+		if _, err := s.Solve(ctx, p); err != nil {
+			t.Fatalf("warmup solve: %v", err)
+		}
+	}
+	same := testing.AllocsPerRun(8, func() {
+		if _, err := s.Solve(ctx, problems[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	k := 0
+	changing := testing.AllocsPerRun(8, func() {
+		if _, err := s.Solve(ctx, problems[k%len(problems)]); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	t.Logf("allocs/solve: one size %.1f, changing sizes %.1f", same, changing)
+	if changing > same+2 {
+		t.Errorf("solves of changing size allocate %.1f each, one size %.1f: want at most 2 more", changing, same)
+	}
+}
+
 // TestSolveBatchPerSolveWallTime checks each batched Solution carries its own
 // measured wall time rather than a share of the batch total.
 func TestSolveBatchPerSolveWallTime(t *testing.T) {
