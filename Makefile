@@ -1,7 +1,7 @@
 GO ?= go
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race lint fmt vet memlpvet vuln cover bench bless-traces check-traces
+.PHONY: all build test race lint fmt vet memlpvet vuln cover bench bless-traces check-traces bless-tables check-tables
 
 all: build test lint
 
@@ -73,4 +73,26 @@ check-traces: bless-traces
 	@status="$$(git status --porcelain -- testdata/traces)"; \
 	if [ -n "$$status" ]; then \
 		echo "golden traces differ from a fresh bless:"; echo "$$status"; exit 1; \
+	fi
+
+# The paper tables whose output is a pure function of the seed. fig6a, fig6b,
+# fig7a, fig7b, infeasible and batch print host wall times, so they are left
+# out.
+TABLES = fig5a fig5b iters varcheck ab1 ab2 ab3 ab4 ab5 ab6 ab7
+
+# Regenerate testdata/tables/<table>.txt, the benchtables output of each
+# deterministic table at a small, fixed sweep. Review the diff like any other
+# code change before committing.
+bless-tables:
+	@mkdir -p testdata/tables
+	@for t in $(TABLES); do \
+		$(GO) run ./cmd/benchtables -table $$t -sizes 4,16,64 -trials 2 > testdata/tables/$$t.txt || exit 1; \
+	done
+
+# The tables' byte-identity gate, built like check-traces: bless afresh, then
+# fail if that left any file under testdata/tables/ modified, deleted or new.
+check-tables: bless-tables
+	@status="$$(git status --porcelain -- testdata/tables)"; \
+	if [ -n "$$status" ]; then \
+		echo "paper tables differ from a fresh bless:"; echo "$$status"; exit 1; \
 	fi
