@@ -44,9 +44,10 @@ type batchSlot struct {
 // alongside the wrapped context error — the same shape the serial path
 // produced.
 //
-// Each result's Counters and WallTime are the per-solve marginals; the first
-// result additionally carries the pool's one-time programming cost (×P for P
-// replicas) and the BatchStats roll-up.
+// Each result's Counters, NoC transfers and WallTime are the per-solve
+// marginals; the first result additionally carries the pool's one-time
+// programming cost and transfers (×P for P replicas) and the BatchStats
+// roll-up.
 //
 // Determinism contract: results are bit-identical for every pool width. Each
 // problem's stochastic write-noise draws are rebased to (base seed, problem
@@ -155,6 +156,7 @@ func (s *Solver) SolveBatchContext(ctx context.Context, problems []*lp.Problem) 
 		}
 		for shard, w := range workers {
 			stats.Programming = stats.Programming.Add(w.progCost)
+			results[0].NoC = results[0].NoC.Add(w.progNoC)
 			stats.ShardSolves[shard] = w.solves
 			stats.ShardBusy[shard] = w.busy
 		}
@@ -267,7 +269,7 @@ func (s *Solver) newShard(shard int, first *lp.Problem, aShared *linalg.Matrix, 
 	if err := fab.Program(ext.matrix); err != nil {
 		return nil, fmt.Errorf("core: programming batch replica %d: %w", shard, err)
 	}
-	wk.fab, wk.ext, wk.progCost = fab, ext, fab.Counters()
+	wk.fab, wk.ext, wk.progCost, wk.progNoC = fab, ext, fab.Counters(), nocStats(fab)
 	return wk, nil
 }
 
@@ -285,8 +287,8 @@ func (wk *worker) scaled(p *lp.Problem, aShared *linalg.Matrix, scales linalg.Ve
 // in the slot. It prepares the shard for the problem (noise epoch, row
 // scaling of b); the solve runs the recovery ladder like a single solve,
 // and every attempt is solveOn on the shard's programmed replica, which
-// rewrites only the complementarity rows. Counters and WallTime are the
-// per-solve marginals on this shard's fabric.
+// rewrites only the complementarity rows. Counters, NoC transfers and
+// WallTime are the per-solve marginals on this shard's fabric.
 func (s *Solver) runBatchProblem(ctx context.Context, bw *worker, idx int, p *lp.Problem, aShared *linalg.Matrix, scales linalg.Vector, slot *batchSlot) {
 	start := engine.WallClock()
 	if ne, ok := bw.fab.(NoiseEpocher); ok {

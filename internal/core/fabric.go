@@ -22,6 +22,7 @@ package core
 import (
 	"github.com/memlp/memlp/internal/crossbar"
 	"github.com/memlp/memlp/internal/linalg"
+	"github.com/memlp/memlp/internal/noc"
 )
 
 // Fabric is the analog compute substrate the solvers drive: a single
@@ -49,6 +50,24 @@ type Fabric interface {
 
 // Compile-time check: a single crossbar is a valid fabric.
 var _ Fabric = (*crossbar.Crossbar)(nil)
+
+// nocReporter is implemented by fabrics whose tiles talk over the NoC (a
+// *noc.TiledFabric). The solvers read its cumulative transfers next to each
+// counter window, so every result reports the transfers of its own solve.
+type nocReporter interface {
+	Stats() noc.Stats
+}
+
+var _ nocReporter = (*noc.TiledFabric)(nil)
+
+// nocStats returns fab's cumulative NoC transfers; a single crossbar moves
+// nothing over a NoC and reports none.
+func nocStats(fab Fabric) noc.Stats {
+	if r, ok := fab.(nocReporter); ok {
+		return r.Stats()
+	}
+	return noc.Stats{}
+}
 
 // NoiseEpocher is implemented by fabrics whose stochastic write-noise state
 // (cycle-noise stream, fault write-sequence counter, verify cache, drift

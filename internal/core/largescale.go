@@ -111,15 +111,9 @@ func (s *LargeScaleSolver) SolveContext(ctx context.Context, p *lp.Problem) (*en
 	return runRecoveryLadder(ctx, p, s.opts, start, f)
 }
 
-// Fabrics returns the fabrics Algorithm 2 keeps for its next solve: up to
-// two, fewer before the first solve and after a failed double-check.
-func (s *LargeScaleSolver) Fabrics() []Fabric {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fabricsLocked()
-}
-
-// fabricsLocked is Fabrics for callers that hold s.mu.
+// fabricsLocked lists the fabrics Algorithm 2 keeps for its next solve,
+// for the fault census: up to two, fewer before the first solve and after
+// a failed double-check. Callers must hold s.mu.
 func (s *LargeScaleSolver) fabricsLocked() []Fabric {
 	var out []Fabric
 	for _, fab := range []Fabric{s.fab1, s.fab2} {
@@ -363,7 +357,7 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 		s.fab1, s.fab1Size = fab, sys1.size
 	}
 	fab1 := s.fab1
-	countersBase1 := fab1.Counters()
+	countersBase1, nocBase1 := fab1.Counters(), nocStats(fab1)
 	if err := fab1.Program(sys1.matrix); err != nil {
 		return nil, nil, fmt.Errorf("core: programming M1: %w", err)
 	}
@@ -377,7 +371,7 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 		s.fab2, s.fab2Size = fab, n+m
 	}
 	fab2 := s.fab2
-	countersBase2 := fab2.Counters()
+	countersBase2, nocBase2 := fab2.Counters(), nocStats(fab2)
 	// Rebase the trace accumulators on the combined counters of BOTH
 	// fabrics (fresh double-check fabrics restart at zero).
 	s.tr.beginAttempt(countersBase1.Add(countersBase2))
@@ -568,6 +562,7 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 	}
 	s.tr.stopped(stop.reason(res.Status))
 	res.Counters = fab1.Counters().Sub(countersBase1).Add(fab2.Counters().Sub(countersBase2))
+	res.NoC = nocStats(fab1).Sub(nocBase1).Add(nocStats(fab2).Sub(nocBase2))
 	if err := best.finish(res, orig, s.opts.Alpha, rowScales, x, y, w, z); err != nil {
 		return nil, nil, err
 	}

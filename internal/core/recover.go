@@ -10,6 +10,7 @@ import (
 	"github.com/memlp/memlp/internal/crossbar"
 	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/lp"
+	"github.com/memlp/memlp/internal/noc"
 	"github.com/memlp/memlp/internal/pdip"
 	"github.com/memlp/memlp/internal/trace"
 )
@@ -159,7 +160,10 @@ func acceptable(p *lp.Problem, res *engine.Result, faults bool, opts Options) bo
 func runRecoveryLadder(ctx context.Context, p *lp.Problem, opts Options, start time.Time, f ladderFuncs) (*engine.Result, error) {
 	f.tr.begin(f.problem, int64(f.problem))
 	var diag engine.Diagnostics
+	// counters and transfers sum the attempts' windows: the result of a
+	// re-solved or fallen-back solve is charged for every attempt.
 	var counters crossbar.Counters
+	var transfers noc.Stats
 
 	// finish stamps the answer. Diagnostics are attached only with a
 	// recovery policy, so plain solves allocate nothing here.
@@ -200,6 +204,8 @@ func runRecoveryLadder(ctx context.Context, p *lp.Problem, opts Options, start t
 		diag.Attempts++
 		counters = counters.Add(res.Counters)
 		res.Counters = counters
+		transfers = transfers.Add(res.NoC)
+		res.NoC = transfers
 		if opts.Recovery {
 			diag.StuckOn, diag.StuckOff = faultCensus(f.fabrics())
 		}
@@ -234,7 +240,7 @@ func runRecoveryLadder(ctx context.Context, p *lp.Problem, opts Options, start t
 	if err == nil && res.Status == lp.StatusOptimal {
 		res.Status = lp.StatusDegraded
 	}
-	res.Counters = counters
+	res.Counters, res.NoC = counters, transfers
 	return finish(res, "software"), err
 }
 

@@ -13,6 +13,7 @@ import (
 	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
+	"github.com/memlp/memlp/internal/noc"
 	"github.com/memlp/memlp/internal/trace"
 )
 
@@ -167,26 +168,30 @@ type worker struct {
 	best    snapshot
 	// tr records the iteration trace; nil when tracing is off.
 	tr *traceState
-	// base holds the fabric's counters when the current attempt began; the
-	// attempt's result reports the difference.
-	base crossbar.Counters
+	// base and nocBase hold the fabric's counters and NoC transfers when
+	// the current attempt began; the attempt's result reports the
+	// differences.
+	base    crossbar.Counters
+	nocBase noc.Stats
 	// warmX/warmY, when non-nil, seed every solve from a prior primal/dual
 	// point instead of the all-ones start (see SetWarmStart). The shards of
 	// a batch share one copy taken at batch entry, which nothing writes.
 	warmX, warmY linalg.Vector
 
 	// Pool shards only: the scaled-b scratch, the one-time programming cost
-	// and the shard's solve and busy-time tallies.
+	// and transfers, and the shard's solve and busy-time tallies.
 	bBuf     linalg.Vector
 	progCost crossbar.Counters
+	progNoC  noc.Stats
 	solves   int
 	busy     time.Duration
 }
 
-// beginAttempt opens the attempt's counter window on the worker's fabric
-// and rebases the trace accumulators on it.
+// beginAttempt opens the attempt's counter and transfer window on the
+// worker's fabric and rebases the trace accumulators on it.
 func (wk *worker) beginAttempt() {
 	wk.base = wk.fab.Counters()
+	wk.nocBase = nocStats(wk.fab)
 	wk.tr.beginAttempt(wk.base)
 }
 
@@ -340,16 +345,8 @@ func NewSolver(opts Options) (*Solver, error) {
 	return &Solver{opts: opts, single: worker{tr: newTraceState(opts)}}, nil
 }
 
-// Fabrics returns the fabric the solver keeps for its next single solve
-// (none before the first). Batch replicas are not kept: each batch builds
-// its own and drops them when it returns.
-func (s *Solver) Fabrics() []Fabric {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.single.fabrics()
-}
-
-// fabrics lists the worker's fabric: none before its first solve.
+// fabrics lists the worker's fabric for the fault census: none before its
+// first solve.
 func (wk *worker) fabrics() []Fabric {
 	if wk.fab == nil {
 		return nil
@@ -604,6 +601,7 @@ func (s *Solver) solveOn(ctx context.Context, wk *worker, p, orig *lp.Problem, s
 	}
 	wk.tr.stopped(stop.reason(res.Status))
 	res.Counters = withMACs(fab.Counters().Sub(wk.base), macs)
+	res.NoC = nocStats(fab).Sub(wk.nocBase)
 	if err := best.finish(res, orig, s.opts.Alpha, scales, x, y, w, z); err != nil {
 		return nil, nil, err
 	}

@@ -49,9 +49,12 @@ type Result struct {
 	// double-check, or any rung-1 retry of the recovery ladder).
 	Resolves int
 
-	// NoC is the scatter/gather traffic of a tiled PDHG solve. Single-fabric
-	// engines on a NoC fabric leave it zero; the public layer reads their
-	// fabrics' transfer counts instead.
+	// NoC is the interconnect traffic of THIS solve: PDHG's scatters and
+	// gathers, or the transfers of the tiled fabrics Algorithms 1 and 2 run
+	// on, summed over attempts like Counters; a batch's first result also
+	// carries the replicas' programming transfers, as its Counters carry
+	// their cell writes. It is the one NoC ledger: the public layer prices
+	// it with perf.NoCCost. Zero on a single crossbar.
 	NoC noc.Stats
 	// Restarts and TilesRefreshed are PDHG's adaptive restarts taken and
 	// canonical tiles re-programmed by its periodic conductance refresh.

@@ -230,7 +230,9 @@ func AblationVariationModel(cfg Config, m int, magnitude float64) ([]AblationRow
 }
 
 // AblationNoC (AB5) compares the two Fig. 3 interconnects at a fixed tile
-// size, reporting accuracy plus the interconnect-inclusive latency.
+// size, reporting accuracy plus the interconnect-inclusive latency: each
+// solve's crossbar cost plus its own NoC transfers, priced as the public
+// layer prices them.
 func AblationNoC(cfg Config, m, tileSize int) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
 	if tileSize == 0 {
@@ -238,41 +240,31 @@ func AblationNoC(cfg Config, m, tileSize int) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, topo := range []noc.Topology{noc.Hierarchical, noc.Mesh} {
-		topo := topo
-		var fabrics []*noc.TiledFabric
-		nocCfg := noc.Config{Topology: topo, TileSize: tileSize}
-		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*engine.Result, error), error) {
-			s, err := core.NewSolver(core.Options{
-				AnalogResidual: true,
-				Fabric: func(size int) (core.Fabric, error) {
-					c := nocCfg
-					needed := (size + c.TileSize - 1) / c.TileSize
-					if needed*needed > c.MaxTiles {
-						c.MaxTiles = needed * needed
-					}
-					f, err := noc.New(c)
-					if err != nil {
-						return nil, err
-					}
-					fabrics = append(fabrics, f)
-					return f, nil
-				},
-			})
-			if err != nil {
-				return nil, err
-			}
-			return s.Solve, nil
-		})
+		nocCfg, err := noc.Config{Topology: topo, TileSize: tileSize}.Resolve()
 		if err != nil {
 			return nil, err
 		}
 		var nocLat time.Duration
-		for _, f := range fabrics {
-			nocLat += perf.NoCCost(f.Stats(), nocCfg).Latency
+		row, err := ablationEval(cfg, m, func(seed int64) (func(*lp.Problem) (*engine.Result, error), error) {
+			s, err := core.NewSolver(core.Options{
+				AnalogResidual: true,
+				Fabric:         func(int) (core.Fabric, error) { return noc.New(nocCfg) },
+			})
+			if err != nil {
+				return nil, err
+			}
+			return func(p *lp.Problem) (*engine.Result, error) {
+				res, err := s.Solve(p)
+				if err == nil {
+					nocLat += perf.NoCCost(res.NoC, nocCfg).Latency
+				}
+				return res, err
+			}, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		if len(fabrics) > 0 {
-			row.Latency += nocLat / time.Duration(len(fabrics))
-		}
+		row.Latency += nocLat / time.Duration(cfg.Trials)
 		row.Label = topo.String()
 		rows = append(rows, row)
 	}

@@ -2,6 +2,11 @@ package experiments
 
 import (
 	"testing"
+
+	"github.com/memlp/memlp/internal/core"
+	"github.com/memlp/memlp/internal/engine"
+	"github.com/memlp/memlp/internal/lp"
+	"github.com/memlp/memlp/internal/noc"
 )
 
 // tinyConfig keeps harness tests fast.
@@ -154,6 +159,40 @@ func TestAblations(t *testing.T) {
 			t.Fatalf("rows=%d err=%v", len(rows), err)
 		}
 	})
+}
+
+// TestAblationNoCPricesTheInterconnect pins that AB5's latency includes each
+// solve's NoC transfers at the resolved hop latency: the two topologies
+// move the same data over different distances, so their rows differ, and
+// each exceeds the crossbar-only latency of the same solves.
+func TestAblationNoCPricesTheInterconnect(t *testing.T) {
+	cfg := Config{Trials: 2}
+	const m, tile = 9, 16
+	rows, err := AblationNoC(cfg, m, tile)
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("rows=%d err=%v", len(rows), err)
+	}
+	bare, err := ablationEval(cfg.withDefaults(), m, func(int64) (func(*lp.Problem) (*engine.Result, error), error) {
+		s, err := core.NewSolver(core.Options{
+			AnalogResidual: true,
+			Fabric:         func(int) (core.Fabric, error) { return noc.New(noc.Config{TileSize: tile}) },
+		})
+		if err != nil {
+			return nil, err
+		}
+		return s.Solve, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows[0].Latency == rows[1].Latency {
+		t.Errorf("%s and %s both priced at %v", rows[0].Label, rows[1].Label, rows[0].Latency)
+	}
+	for _, r := range rows {
+		if r.Latency <= bare.Latency {
+			t.Errorf("%s: latency %v, want more than the crossbar-only %v", r.Label, r.Latency, bare.Latency)
+		}
+	}
 }
 
 func TestAlgorithmString(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/memlp/memlp/internal/crossbar"
 	"github.com/memlp/memlp/internal/linalg"
@@ -17,7 +18,6 @@ func smallTileConfig(topology Topology) Config {
 	return Config{
 		Topology: topology,
 		TileSize: 8,
-		MaxTiles: 64,
 		Crossbar: crossbar.Config{IOBits: 16, WriteBits: 16},
 	}
 }
@@ -51,7 +51,6 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"bad topology", func(c *Config) { c.Topology = Topology(9) }},
 		{"bad tile size", func(c *Config) { c.TileSize = -1 }},
-		{"bad max tiles", func(c *Config) { c.MaxTiles = -2 }},
 		{"negative hop latency", func(c *Config) { c.HopLatency = -1 }},
 	}
 	for _, tc := range tests {
@@ -66,10 +65,15 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	f := mustFabric(t, Config{})
-	cfg := f.Config()
-	if cfg.Topology != Hierarchical || cfg.TileSize != 512 || cfg.MaxTiles != 256 {
+	cfg, err := Config{}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Topology != Hierarchical || cfg.TileSize != 512 || cfg.HopLatency != 5*time.Nanosecond || cfg.HopEnergyPerElement != 0.1e-9 {
 		t.Errorf("defaults wrong: %+v", cfg)
+	}
+	if f := mustFabric(t, Config{}); f.r.cfg != cfg {
+		t.Errorf("New kept %+v, want the resolved %+v", f.r.cfg, cfg)
 	}
 }
 
@@ -79,14 +83,6 @@ func TestTopologyString(t *testing.T) {
 	}
 	if Topology(7).String() == "" {
 		t.Error("unknown topology String empty")
-	}
-}
-
-func TestProgramTooLarge(t *testing.T) {
-	f := mustFabric(t, Config{TileSize: 4, MaxTiles: 4, Crossbar: crossbar.Config{IOBits: 16, WriteBits: 16}})
-	// 9x9 needs a 3x3 grid = 9 tiles > 4.
-	if err := f.Program(linalg.NewMatrix(9, 9)); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("Program = %v, want ErrTooLarge", err)
 	}
 }
 
@@ -115,7 +111,7 @@ func TestTiledMatVecMatchesIdeal(t *testing.T) {
 			if err := f.Program(a); err != nil {
 				t.Fatalf("Program: %v", err)
 			}
-			if tiles := f.gridR * f.gridC; tiles != 9 {
+			if tiles := len(f.tiles) * len(f.tiles[0]); tiles != 9 {
 				t.Errorf("tiles = %d, want 9", tiles)
 			}
 			v := linalg.NewVector(20)
@@ -312,12 +308,49 @@ func TestHopAccounting(t *testing.T) {
 		t.Fatal("element-hops not tracked")
 	}
 	// 2x2 grid: quad-tree depth is 1+1 = 2 for every tile; mesh worst case
-	// is 1+1+1 = 3 hops to tile (1,1).
-	if hs.MaxHops != 2 {
-		t.Errorf("hierarchical MaxHops = %d, want 2", hs.MaxHops)
+	// is 1+1+1 = 3 hops to tile (1,1). Every transfer is charged the worst.
+	if hs.SerialHops != 2*hs.Transfers {
+		t.Errorf("hierarchical SerialHops = %d, want 2 × %d transfers", hs.SerialHops, hs.Transfers)
 	}
-	if ms.MaxHops != 3 {
-		t.Errorf("mesh MaxHops = %d, want 3", ms.MaxHops)
+	if ms.SerialHops != 3*ms.Transfers {
+		t.Errorf("mesh SerialHops = %d, want 3 × %d transfers", ms.SerialHops, ms.Transfers)
+	}
+}
+
+// TestReProgramPricesTheNewGrid pins that a Program onto a new grid prices
+// its transfers, and every later one, on that grid, while the stats of the
+// earlier grid stay in the cumulative ledger: the two grids' windows add.
+func TestReProgramPricesTheNewGrid(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for _, tc := range []struct {
+		topo        Topology
+		small, wide int // worst-case hops of the 1x1 and 3x3 grids
+	}{{Hierarchical, 1, 3}, {Mesh, 1, 5}} {
+		f := mustFabric(t, smallTileConfig(tc.topo))
+		if err := f.Program(randomNonNeg(r, 20, 20)); err != nil {
+			t.Fatal(err)
+		}
+		wide := f.Stats()
+		if wide.Transfers != 9 || wide.SerialHops != int64(9*tc.wide) {
+			t.Errorf("%v 3x3 Program: %+v, want 9 transfers at %d hops", tc.topo, wide, tc.wide)
+		}
+		if err := f.Program(randomNonNeg(r, 8, 8)); err != nil {
+			t.Fatal(err)
+		}
+		v := linalg.NewVector(8)
+		v.Fill(1)
+		if _, err := f.MatVec(v); err != nil {
+			t.Fatal(err)
+		}
+		small := f.Stats().Sub(wide)
+		// One programming transfer, then a scatter and a gather, each
+		// crossing the single tile's one hop.
+		if want := (Stats{Transfers: 3, ElementHops: 3 * 8, SerialHops: int64(3 * tc.small)}); small != want {
+			t.Errorf("%v 1x1 window = %+v, want %+v", tc.topo, small, want)
+		}
+		if got := wide.Add(small); got != f.Stats() {
+			t.Errorf("%v: windows add to %+v, want the ledger's %+v", tc.topo, got, f.Stats())
+		}
 	}
 }
 

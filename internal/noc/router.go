@@ -1,12 +1,16 @@
 package noc
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Router models the NoC's vector scatter/gather traffic for engines that
-// own their per-block crossbars directly instead of going through a
-// TiledFabric — the distributed PDHG engine tiles A into canonical blocks
-// and moves primal/dual vector segments to and from each block every
-// half-iteration.
+// Router is the NoC's transfer ledger: it prices each vector scatter and
+// gather on a tile grid and accumulates them as Stats. A TiledFabric keeps
+// one for its tiles; engines that own their per-block crossbars directly
+// keep their own — the distributed PDHG engine tiles A into canonical
+// blocks and moves primal/dual vector segments to and from each block
+// every half-iteration.
 //
 // Accounting is keyed by canonical block coordinates (the block's position
 // in the tile grid of the matrix), NOT by which worker goroutine happens to
@@ -14,26 +18,38 @@ import "fmt"
 // function of the problem's tiling, so trace records stay bit-identical
 // across worker-grid shapes (the PDHG determinism contract).
 type Router struct {
-	cfg   Config
-	gridR int
-	gridC int
+	cfg Config
+	// worst is the longest controller-to-block path of the grid, in hops,
+	// fixed when the grid is set.
+	worst int
 	stats Stats
 }
 
 // NewRouter returns a router for a gridR×gridC canonical block grid.
 func NewRouter(cfg Config, gridR, gridC int) (*Router, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg, err := cfg.Resolve()
+	if err != nil {
 		return nil, err
 	}
 	if gridR < 1 || gridC < 1 {
 		return nil, fmt.Errorf("%w: router grid %dx%d", ErrBadConfig, gridR, gridC)
 	}
-	if gridR*gridC > cfg.MaxTiles {
-		return nil, fmt.Errorf("%w: %dx%d blocks need %d tiles, have %d",
-			ErrTooLarge, gridR, gridC, gridR*gridC, cfg.MaxTiles)
+	r := &Router{cfg: cfg}
+	r.setGrid(gridR, gridC)
+	return r, nil
+}
+
+// setGrid moves the router onto a gridR×gridC grid; its stats carry over.
+func (r *Router) setGrid(gridR, gridC int) {
+	switch tiles := gridR * gridC; {
+	case r.cfg.Topology == Mesh:
+		r.worst = r.Hops(gridR-1, gridC-1)
+	case tiles <= 1:
+		r.worst = 1
+	default:
+		// Quad-tree: depth levels from root to leaf.
+		r.worst = 1 + int(math.Ceil(math.Log(float64(tiles))/math.Log(4)))
 	}
-	return &Router{cfg: cfg, gridR: gridR, gridC: gridC}, nil
 }
 
 // Config returns the (defaulted) configuration.
@@ -41,21 +57,25 @@ func (r *Router) Config() Config { return r.cfg }
 
 // Hops returns the transfer distance between the controller and canonical
 // block (br, bc) under the configured topology: 1+⌈log₄ blocks⌉ for the
-// quad-tree, 1 + Manhattan distance from (0, 0) for the mesh.
+// quad-tree, whose blocks are all leaves, and 1 + Manhattan distance from
+// (0, 0) for the mesh.
 func (r *Router) Hops(br, bc int) int {
-	return hopCount(r.cfg.Topology, r.gridR*r.gridC, br, bc)
+	if r.cfg.Topology == Mesh {
+		return 1 + br + bc
+	}
+	return r.worst
 }
 
 // Scatter accounts a controller→block transfer of elements vector entries
 // (an input-segment broadcast before a per-block mat-vec).
 func (r *Router) Scatter(br, bc, elements int) {
-	r.stats.track(elements, r.Hops(br, bc))
+	r.stats.track(elements, r.Hops(br, bc), r.worst)
 }
 
 // Gather accounts a block→controller transfer of elements vector entries
 // (a partial-result collection after a per-block mat-vec).
 func (r *Router) Gather(br, bc, elements int) {
-	r.stats.track(elements, r.Hops(br, bc))
+	r.stats.track(elements, r.Hops(br, bc), r.worst)
 }
 
 // Stats returns the cumulative scatter/gather activity. Feed it to

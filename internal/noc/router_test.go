@@ -21,7 +21,7 @@ func mustRouter(t *testing.T, cfg Config, gridR, gridC int) *Router {
 // the controller corner and be equal along every anti-diagonal.
 func TestMeshLatencyMonotoneInManhattanDistance(t *testing.T) {
 	const hop = 3 * time.Nanosecond
-	r := mustRouter(t, Config{Topology: Mesh, HopLatency: hop, MaxTiles: 64}, 4, 4)
+	r := mustRouter(t, Config{Topology: Mesh, HopLatency: hop}, 4, 4)
 
 	byDistance := map[int]time.Duration{}
 	for br := 0; br < 4; br++ {
@@ -47,7 +47,7 @@ func TestMeshLatencyMonotoneInManhattanDistance(t *testing.T) {
 
 func TestHierarchicalHopsUniform(t *testing.T) {
 	// 16 blocks: quad-tree depth ⌈log₄ 16⌉ = 2, so every block is 3 hops out.
-	r := mustRouter(t, Config{Topology: Hierarchical, MaxTiles: 64}, 4, 4)
+	r := mustRouter(t, Config{Topology: Hierarchical}, 4, 4)
 	for br := 0; br < 4; br++ {
 		for bc := 0; bc < 4; bc++ {
 			if got := r.Hops(br, bc); got != 3 {
@@ -64,9 +64,6 @@ func TestRouterValidation(t *testing.T) {
 	if _, err := NewRouter(Config{}, 1, -1); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("grid 1x-1: %v, want ErrBadConfig", err)
 	}
-	if _, err := NewRouter(Config{MaxTiles: 4}, 3, 3); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("9 blocks on 4 tiles: %v, want ErrTooLarge", err)
-	}
 	if _, err := NewRouter(Config{Topology: Topology(9)}, 1, 1); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("bad topology: %v, want ErrBadConfig", err)
 	}
@@ -75,13 +72,13 @@ func TestRouterValidation(t *testing.T) {
 func TestRouterAppliesDefaults(t *testing.T) {
 	r := mustRouter(t, Config{}, 1, 1)
 	cfg := r.Config()
-	if cfg.Topology != Hierarchical || cfg.TileSize != 512 || cfg.MaxTiles != 256 || cfg.HopLatency <= 0 {
+	if cfg.Topology != Hierarchical || cfg.TileSize != 512 || cfg.HopLatency <= 0 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 }
 
 func TestRouterScatterGatherAccounting(t *testing.T) {
-	r := mustRouter(t, Config{Topology: Mesh, MaxTiles: 64}, 2, 2)
+	r := mustRouter(t, Config{Topology: Mesh}, 2, 2)
 	r.Scatter(0, 0, 10) // 1 hop
 	r.Gather(1, 1, 5)   // 3 hops
 	s := r.Stats()
@@ -91,7 +88,8 @@ func TestRouterScatterGatherAccounting(t *testing.T) {
 	if want := int64(10*1 + 5*3); s.ElementHops != want {
 		t.Errorf("ElementHops = %d, want %d", s.ElementHops, want)
 	}
-	if s.MaxHops != 3 {
-		t.Errorf("MaxHops = %d, want 3", s.MaxHops)
+	// Both transfers are charged the grid's worst case, 3 hops to (1, 1).
+	if s.SerialHops != 2*3 {
+		t.Errorf("SerialHops = %d, want 6", s.SerialHops)
 	}
 }

@@ -76,13 +76,12 @@ type fabric struct {
 // crossbar quads in canonical order on the calling goroutine.
 func newFabric(a *linalg.Matrix, ncfg noc.Config, xcfg crossbar.Config) (*fabric, error) {
 	m, n := a.Rows(), a.Cols()
-	// Probe router: resolves the config defaults (tile size, hop costs) so
-	// the block grid can be derived before the real router is sized.
-	probe, err := noc.NewRouter(ncfg, 1, 1)
+	// The tile size default must be applied before the block grid can be
+	// derived.
+	ncfg, err := ncfg.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	ncfg = probe.Config()
 	t := ncfg.TileSize
 	router, err := noc.NewRouter(ncfg, (m+t-1)/t, (n+t-1)/t)
 	if err != nil {

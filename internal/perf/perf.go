@@ -60,9 +60,13 @@ func CrossbarCost(c crossbar.Counters, timing memristor.Timing) Estimate {
 }
 
 // NoCCost converts interconnect statistics into the transfer overhead of a
-// multi-crossbar fabric (Fig. 3), priced by the NoC configuration.
+// multi-crossbar fabric (Fig. 3), priced by the resolved NoC configuration
+// (noc.Config.Resolve). Transfers are serial, each charged the hop latency
+// of its grid's longest path (noc.Stats.SerialHops); energy is charged per
+// element per hop actually traversed. The stats add, so the transfers of
+// several fabrics, grids or attempts are priced as one sum.
 func NoCCost(s noc.Stats, cfg noc.Config) Estimate {
-	lat := time.Duration(s.Transfers) * time.Duration(s.MaxHops) * cfg.HopLatency
+	lat := time.Duration(s.SerialHops) * cfg.HopLatency
 	energy := float64(s.ElementHops) * cfg.HopEnergyPerElement
 	return Estimate{Latency: lat, Energy: energy}
 }

@@ -52,8 +52,8 @@ func TestSoftwareCostUsesCPUPower(t *testing.T) {
 }
 
 func TestNoCCost(t *testing.T) {
-	cfg := noc.Config{HopLatency: 5 * time.Nanosecond, HopEnergyPerElement: 0.1e-9, TileSize: 8, MaxTiles: 4}
-	s := noc.Stats{Transfers: 10, ElementHops: 1000, MaxHops: 3}
+	cfg := noc.Config{HopLatency: 5 * time.Nanosecond, HopEnergyPerElement: 0.1e-9, TileSize: 8}
+	s := noc.Stats{Transfers: 10, ElementHops: 1000, SerialHops: 10 * 3}
 	e := NoCCost(s, cfg)
 	if e.Latency != 10*3*5*time.Nanosecond {
 		t.Errorf("latency = %v", e.Latency)
