@@ -882,11 +882,22 @@ func (x *Crossbar) effG(i, j int, g float64) float64 {
 // row's pattern: a gated-off cell adds an exact zero to both sums, so
 // walking only the non-zero cells, in ascending order, reproduces the dense
 // row sum bit for bit. This is the per-iteration inner kernel of every
-// analog read (Algorithm 1/2 mat-vec and residual paths).
+// analog read (Algorithm 1/2 mat-vec and residual paths). With no wire
+// resistance and no drift, effG returns every non-zero cell as it is, so
+// the row runs a plain sparse dot product and row sum with the same terms
+// in the same order.
 //
 //memlp:hotpath
 func (x *Crossbar) senseRow(i int, cols []int32, vi linalg.Vector) (num, sum float64) {
 	grow := x.gt.RawRow(i)
+	if x.cfg.WireResistance == 0 && (x.cellCycle == nil || !x.driftEnabled()) {
+		for _, j := range cols {
+			g := grow[j]
+			num += g * vi[j]
+			sum += g
+		}
+		return num, sum
+	}
 	for _, j := range cols {
 		ge := x.effG(i, int(j), grow[j])
 		num += ge * vi[j]
@@ -899,19 +910,45 @@ func (x *Crossbar) senseRow(i int, cols []int32, vi linalg.Vector) (num, sum flo
 // quantization of the inputs, the physical network transfer (with the
 // actually-programmed, variation-perturbed conductances), and ADC
 // quantization of the outputs. The digital per-row rescale is applied
-// before returning. The result is crossbar-owned scratch storage, valid
-// until the next MatVec call on this array.
+// before returning. It is ToAnalog followed by MatVecAnalog. The result is
+// crossbar-owned scratch storage, valid until the next MatVec or
+// MatVecAnalog call on this array.
 func (x *Crossbar) MatVec(v linalg.Vector) (linalg.Vector, error) {
-	if x.target == nil {
-		return nil, ErrNotProgrammed
+	if err := x.checkMatVecInput(len(v)); err != nil {
+		return nil, err
 	}
-	if len(v) != x.cols {
-		return nil, fmt.Errorf("%w: matvec input %d for %dx%d", linalg.ErrDimensionMismatch, len(v), x.rows, x.cols)
-	}
-	vi, inScale, err := x.toAnalog(v)
+	vi := scratchVec(&x.analogIn, len(v))
+	inScale, err := x.ToAnalog(vi, v)
 	if err != nil {
 		return nil, err
 	}
+	return x.MatVecAnalog(vi, inScale)
+}
+
+// checkMatVecInput rejects a mat-vec on an unprogrammed array or with an
+// input of the wrong length.
+func (x *Crossbar) checkMatVecInput(n int) error {
+	if x.target == nil {
+		return ErrNotProgrammed
+	}
+	if n != x.cols {
+		return fmt.Errorf("%w: matvec input %d for %dx%d", linalg.ErrDimensionMismatch, n, x.rows, x.cols)
+	}
+	return nil
+}
+
+// MatVecAnalog is MatVec on an input that ToAnalog has already converted:
+// vi = Q(v/inScale). It charges this array what MatVec charges, the DAC
+// conversions of vi included, and returns MatVec(v)'s bits. A controller
+// that broadcasts one input segment to many arrays of one converter
+// configuration converts it once and hands the same vi to each. The result
+// is crossbar-owned scratch storage, valid until the next MatVec or
+// MatVecAnalog call on this array.
+func (x *Crossbar) MatVecAnalog(vi linalg.Vector, inScale float64) (linalg.Vector, error) {
+	if err := x.checkMatVecInput(len(vi)); err != nil {
+		return nil, err
+	}
+	x.counters.IOConversions += int64(len(vi))
 	gs := x.cfg.SenseConductance
 	p := x.pattern()
 	vo := scratchVec(&x.mvOut, x.rows)
@@ -1033,10 +1070,12 @@ func (x *Crossbar) Solve(b linalg.Vector) (linalg.Vector, error) {
 		}
 		vo[i] = b[i] * (gs + srow) / (gs * x.rowScale[i])
 	}
-	voq, inScale, err := x.toAnalog(vo)
+	voq := scratchVec(&x.analogIn, len(vo))
+	inScale, err := x.ToAnalog(voq, vo)
 	if err != nil {
 		return nil, err
 	}
+	x.counters.IOConversions += int64(len(vo))
 	for i := range voq {
 		voq[i] *= gs
 	}
@@ -1094,25 +1133,25 @@ func (x *Crossbar) EffectiveMatrix() (*linalg.Matrix, error) {
 	return out, nil
 }
 
-// toAnalog normalizes v to the DAC full-scale range [-1, 1], quantizes it,
-// and returns the quantized vector together with the normalization factor
-// (result = v/inScale before quantization).
-// The returned vector is scratch storage owned by the crossbar, overwritten
-// by the next toAnalog call.
-func (x *Crossbar) toAnalog(v linalg.Vector) (linalg.Vector, float64, error) {
+// ToAnalog is the DAC step of MatVec and Solve: it normalizes v to the
+// full-scale range [-1, 1], quantizes it into dst, which must hold len(v)
+// elements, and returns the normalization factor inScale, so that
+// dst = Q(v/inScale). It counts nothing; the analog operation that reads
+// dst charges the conversions. The result depends on v and the converter
+// configuration (IOBits, GlobalIORange) alone.
+func (x *Crossbar) ToAnalog(dst, v linalg.Vector) (float64, error) {
 	inScale := v.NormInf()
 	if inScale == 0 {
 		inScale = 1
 	}
-	out := scratchVec(&x.analogIn, len(v))
+	dst = dst[:len(v)]
 	for i, e := range v {
-		out[i] = e / inScale
+		dst[i] = e / inScale
 	}
-	if err := x.QuantizeIO(out); err != nil {
-		return nil, 0, err
+	if err := x.QuantizeIO(dst); err != nil {
+		return 0, err
 	}
-	x.counters.IOConversions += int64(len(v))
-	return out, inScale, nil
+	return inScale, nil
 }
 
 // fromAnalog models the ADC stage on the analog result vector v,
@@ -1125,8 +1164,8 @@ func (x *Crossbar) fromAnalog(v linalg.Vector) error {
 // QuantizeIO applies the array's DAC/ADC converter model to v in place:
 // per-element programmable-gain (each element keeps IOBits of its own
 // magnitude) or, with GlobalIORange, one shared full-scale range across the
-// vector. It does not count conversions; the analog operations that call it
-// do.
+// vector. A finite element stays finite, and NaN and ±Inf pass unchanged.
+// It does not count conversions; the analog operations that call it do.
 func (x *Crossbar) QuantizeIO(v linalg.Vector) error {
 	if x.cfg.GlobalIORange {
 		amp := v.NormInf()
@@ -1142,13 +1181,54 @@ func (x *Crossbar) QuantizeIO(v linalg.Vector) error {
 	}
 	// Per-element PGA: quantize each element against its own power-of-two
 	// full scale, which keeps a constant relative resolution.
-	step := math.Ldexp(1, -(x.cfg.IOBits - 1))
+	//
+	// Where ceilLog2 reads the exponent from the bits, pgaRound keeps the
+	// leading IOBits−1 bits of the significand, rounded half away from
+	// zero. For a normal e = ±1.f·2^E with f ≥ 2⁻²⁰ its step is
+	// 2^(E+2−IOBits), the weight of fraction bit drop = 54−IOBits, so adding
+	// half that weight to e's bits and clearing the bits below it rounds the
+	// magnitude, a carry into the exponent included, without a division.
+	// Below 2^1023 no carry reaches the infinities. A zero, an infinity or an
+	// exact power of two (mantissa 0) passes unchanged, as in pgaRound.
+	// IOBits = 1, which keeps no significand bit, subnormals, the top
+	// binade, NaN and the near-power-of-two mantissas that ceilLog2 sends to
+	// math.Log2 take pgaRound itself.
+	bits := x.cfg.IOBits
+	drop := uint(54 - bits)
+	half := uint64(1) << (drop - 1)
 	for i, e := range v {
-		if e == 0 || math.IsNaN(e) || math.IsInf(e, 0) {
+		b := math.Float64bits(e)
+		exp, m := b>>52&0x7ff, b&(1<<52-1)
+		if bits > 1 && (m == 0 || (m >= 1<<32 && exp-1 < 0x7fd)) {
+			v[i] = math.Float64frombits((b + half) >> drop << drop)
 			continue
 		}
-		scale := math.Ldexp(1, ceilLog2(math.Abs(e))) * step
-		v[i] = math.Round(e/scale) * scale
+		v[i] = pgaRound(e, bits)
 	}
 	return nil
+}
+
+// pgaRound is the per-element converter's formula: e rounded, half away
+// from zero, to a multiple of its step 2^(⌈log₂|e|⌉−(bits−1)). A finite e
+// stays finite. A step below the smallest subnormal leaves e as it is: e
+// has fewer than bits−1 significant bits and already sits on the grid. A
+// round-up past the largest finite float clamps to ±math.MaxFloat64. NaN
+// and ±Inf pass unchanged.
+//
+//memlp:hotpath
+func pgaRound(e float64, bits int) float64 {
+	if e == 0 || math.IsNaN(e) || math.IsInf(e, 0) {
+		return e
+	}
+	step := math.Ldexp(1, ceilLog2(math.Abs(e))-(bits-1))
+	if step == 0 {
+		return e
+	}
+	// Only one bit at |e| > 2^1023 makes the step itself overflow; it
+	// rounds up to 2^1024 as every other round-up past the largest float.
+	q := math.Round(e/step) * step
+	if math.IsInf(step, 0) || math.IsInf(q, 0) {
+		return math.Copysign(math.MaxFloat64, e)
+	}
+	return q
 }

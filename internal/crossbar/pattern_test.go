@@ -462,11 +462,60 @@ func TestCeilLog2MatchesMath(t *testing.T) {
 	}
 }
 
+// exp2IO is the per-element converter formula as it stood before the
+// switch to math.Ldexp and to bit-level rounding. It returns NaN for two
+// kinds of finite input: above 2^1023, where math.Exp2 of ⌈log₂|e|⌉
+// overflows, and where the step 2^(⌈log₂|e|⌉−bits+1) underflows.
+func exp2IO(bits int, e float64) float64 {
+	if e == 0 || math.IsNaN(e) || math.IsInf(e, 0) {
+		return e
+	}
+	step := math.Exp2(-float64(bits - 1))
+	scale := math.Exp2(math.Ceil(math.Log2(math.Abs(e)))) * step
+	return math.Round(e/scale) * scale
+}
+
+// finiteIO is exp2IO amended only where it turns a finite input into NaN,
+// so that a finite input stays finite. A step below the smallest subnormal
+// leaves e unchanged: e has fewer than bits−1 significant bits and already
+// sits on the grid. Above 2^1023, e rounds half away from zero to a
+// multiple of its step, and a round-up to 2^1024 clamps to ±MaxFloat64.
+func finiteIO(bits int, e float64) float64 {
+	want := exp2IO(bits, e)
+	if !math.IsNaN(want) || math.IsNaN(e) {
+		return want
+	}
+	k := int(math.Ceil(math.Log2(math.Abs(e)))) - (bits - 1)
+	if k < -1074 {
+		return e
+	}
+	q := math.Ldexp(math.Round(math.Ldexp(e, -k)), k)
+	if math.IsInf(q, 0) {
+		return math.Copysign(math.MaxFloat64, e)
+	}
+	return q
+}
+
+// requireQuantizeIO checks QuantizeIO on the single element e at the
+// array's IOBits against finiteIO, bit for bit, and returns the result.
+func requireQuantizeIO(t *testing.T, x *Crossbar, e float64) float64 {
+	t.Helper()
+	v := linalg.VectorOf(e)
+	mustQuantize(t, x, v)
+	if want := finiteIO(x.cfg.IOBits, e); math.Float64bits(v[0]) != math.Float64bits(want) {
+		t.Fatalf("quantizeIO(%v [%#x]) at %d bits = %v, want %v", e, math.Float64bits(e), x.cfg.IOBits, v[0], want)
+	}
+	return v[0]
+}
+
 // TestPowerOfTwoScaleMatchesExp2 pins the quantizers' power-of-two scale,
 // math.Ldexp(1, k), to the math.Exp2(float64(k)) it replaced: bitwise equal
 // for every exponent a finite non-zero magnitude can produce, and identical
-// quantizer outputs on random magnitudes, exact powers of two, their float
-// neighbours, and subnormals.
+// quantizer outputs at every converter precision on random magnitudes,
+// exact powers of two, their float neighbours, subnormals, mantissas on
+// both sides of ceilLog2's 2³² threshold and exact half-step ties. The
+// converter's reference is exp2IO, amended by finiteIO only where exp2IO
+// turns a finite input into NaN.
 func TestPowerOfTwoScaleMatchesExp2(t *testing.T) {
 	for k := -1074; k <= 1024; k++ {
 		if got, want := math.Ldexp(1, k), math.Exp2(float64(k)); math.Float64bits(got) != math.Float64bits(want) {
@@ -474,15 +523,7 @@ func TestPowerOfTwoScaleMatchesExp2(t *testing.T) {
 		}
 	}
 
-	// The formulas as they stood before the switch to Ldexp.
-	exp2IO := func(bits int, e float64) float64 {
-		if e == 0 || math.IsNaN(e) || math.IsInf(e, 0) {
-			return e
-		}
-		step := math.Exp2(-float64(bits - 1))
-		scale := math.Exp2(math.Ceil(math.Log2(math.Abs(e)))) * step
-		return math.Round(e/scale) * scale
-	}
+	// The write quantizer's formula as it stood before the switch to Ldexp.
 	exp2G := func(x *Crossbar, g float64) float64 {
 		gmin, gmax := x.cfg.Device.GMin(), x.cfg.Device.GMax()
 		if g <= gmin {
@@ -507,6 +548,13 @@ func TestPowerOfTwoScaleMatchesExp2(t *testing.T) {
 	}
 	mags = append(mags, math.SmallestNonzeroFloat64, 3*math.SmallestNonzeroFloat64,
 		0x1p-1030, 0x1.8p-1040, math.MaxFloat64, 1e-7, 0.1, 1, 3)
+	// Mantissas around 2³², where ceilLog2 switches from math.Log2 to the
+	// bits, at the exponent extremes and a few in between (0 is subnormal).
+	for _, exp := range []uint64{0, 1, 2, 0x3fe, 0x3ff, 0x400, 0x7fc, 0x7fd, 0x7fe} {
+		for _, m := range []uint64{1, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<52 - 1} {
+			mags = append(mags, math.Float64frombits(exp<<52|m))
+		}
+	}
 
 	// quantizeG sees conductances inside the device range.
 	x := mustNew(t, Config{Size: 4})
@@ -520,15 +568,21 @@ func TestPowerOfTwoScaleMatchesExp2(t *testing.T) {
 		conductances = append(conductances, gmin*math.Pow(gmax/gmin, r.Float64()))
 	}
 
-	for _, bits := range []int{4, 8, 16} {
+	for bits := 1; bits <= 24; bits++ {
 		x.cfg.IOBits, x.cfg.WriteBits = bits, bits
 		for _, m := range mags {
-			for _, e := range []float64{m, -m} {
-				v := linalg.VectorOf(e)
-				mustQuantize(t, x, v)
-				if want := exp2IO(bits, e); math.Float64bits(v[0]) != math.Float64bits(want) {
-					t.Fatalf("quantizeIO(%v) at %d bits = %v, want %v", e, bits, v[0], want)
-				}
+			requireQuantizeIO(t, x, m)
+			requireQuantizeIO(t, x, -m)
+		}
+		// Exact ties: (q + ½)·2^k with q of bits−1 significant bits lies
+		// halfway between two grid points of step 2^k, from the subnormals
+		// to the largest binade.
+		if bits >= 2 {
+			for k := -1073; k <= 1025-bits; k += 3 {
+				q := float64(int64(1)<<(bits-2) + r.Int63n(int64(1)<<(bits-2)))
+				tie := math.Ldexp(q+0.5, k)
+				requireQuantizeIO(t, x, tie)
+				requireQuantizeIO(t, x, -tie)
 			}
 		}
 		for _, g := range conductances {
@@ -537,4 +591,25 @@ func TestPowerOfTwoScaleMatchesExp2(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzQuantizeIO checks the per-element converter on arbitrary float64 bits
+// at every IOBits from 1 to 24: bit for bit against the pre-Ldexp formula
+// wherever that is finite, against its finite amendment where it turns a
+// finite input into NaN, and NaN and ±Inf unchanged.
+func FuzzQuantizeIO(f *testing.F) {
+	for _, e := range []float64{0, 1, 0.1, -3, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		0x1p-1030, 0x1.fffffffffffffp1023, 0x1.00000001p-1000, 0x1.000000008p5, math.Inf(-1), math.NaN()} {
+		for _, bits := range []uint8{0, 1, 7, 15, 23} {
+			f.Add(math.Float64bits(e), bits)
+		}
+	}
+	f.Fuzz(func(t *testing.T, b uint64, bits uint8) {
+		x := mustNew(t, Config{Size: 1, IOBits: int(bits)%24 + 1})
+		e := math.Float64frombits(b)
+		got := requireQuantizeIO(t, x, e)
+		if !math.IsNaN(e) && !math.IsInf(e, 0) && (math.IsNaN(got) || math.IsInf(got, 0)) {
+			t.Fatalf("quantizeIO(%v) at %d bits = %v, want a finite value", e, x.cfg.IOBits, got)
+		}
+	})
 }

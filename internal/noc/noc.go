@@ -167,6 +167,12 @@ type TiledFabric struct {
 	// retired holds the counts of the tiles a re-Program replaced, so the
 	// fabric's counters stay cumulative across Programs.
 	retired crossbar.Counters
+
+	// in holds MatVec's input after the controller's DAC, one TileSize-wide
+	// segment per tile column, and inScale each segment's normalization
+	// factor.
+	in      linalg.Vector
+	inScale []float64
 }
 
 // New returns an unprogrammed tiled fabric.
@@ -260,9 +266,11 @@ func (f *TiledFabric) UpdateCellInPlace(i, j int, value float64) error {
 	return f.tiles[i/t][j/t].UpdateCellInPlace(i%t, j%t, value)
 }
 
-// MatVec multiplies the programmed matrix by v: input segments are broadcast
-// to tile columns, every tile multiplies in parallel, and partial outputs are
-// summed along tile rows at the arbiters (analog summation).
+// MatVec multiplies the programmed matrix by v: the controller converts each
+// input segment once, the segments are broadcast to tile columns, every tile
+// multiplies in parallel, and partial outputs are summed along tile rows at
+// the arbiters (analog summation). Every tile reads its column's converted
+// segment and charges its own conversions (crossbar.MatVecAnalog).
 func (f *TiledFabric) MatVec(v linalg.Vector) (linalg.Vector, error) {
 	if f.tiles == nil {
 		return nil, crossbar.ErrNotProgrammed
@@ -271,6 +279,17 @@ func (f *TiledFabric) MatVec(v linalg.Vector) (linalg.Vector, error) {
 		return nil, fmt.Errorf("%w: matvec input %d for %dx%d", linalg.ErrDimensionMismatch, len(v), f.rows, f.cols)
 	}
 	t := f.r.cfg.TileSize
+	f.in = linalg.Resize(f.in, f.cols)
+	f.inScale = linalg.Resize(f.inScale, len(f.tiles[0]))
+	for j := range f.inScale {
+		clo, chi := j*t, min(j*t+t, f.cols)
+		// The tiles share one converter configuration, as in quantizeIO.
+		scale, err := f.tiles[0][0].ToAnalog(f.in[clo:chi], v[clo:chi])
+		if err != nil {
+			return nil, fmt.Errorf("noc: converting segment %d: %w", j, err)
+		}
+		f.inScale[j] = scale
+	}
 	out := linalg.NewVector(f.rows)
 	for i, row := range f.tiles {
 		rlo := i * t
@@ -278,7 +297,7 @@ func (f *TiledFabric) MatVec(v linalg.Vector) (linalg.Vector, error) {
 		for j, xb := range row {
 			clo := j * t
 			chi := min(clo+t, f.cols)
-			part, err := xb.MatVec(v[clo:chi])
+			part, err := xb.MatVecAnalog(f.in[clo:chi], f.inScale[j])
 			if err != nil {
 				return nil, fmt.Errorf("noc: tile (%d,%d) mat-vec: %w", i, j, err)
 			}

@@ -69,6 +69,12 @@ type fabric struct {
 	blocks []*block // row-major canonical order
 	router *noc.Router
 
+	// in holds the current half-iteration's input after the controller's
+	// DAC, one t-wide segment per block column (forward) or block row
+	// (adjoint), and inScale each segment's normalization factor.
+	in      linalg.Vector
+	inScale []float64
+
 	tilesRefreshed int64
 }
 
@@ -94,7 +100,9 @@ func newFabric(a *linalg.Matrix, ncfg noc.Config, xcfg crossbar.Config) (*fabric
 		bRows:  (m + t - 1) / t,
 		bCols:  (n + t - 1) / t,
 		router: router,
+		in:     linalg.NewVector(max(m, n)),
 	}
+	f.inScale = make([]float64, max(f.bRows, f.bCols))
 	f.blocks = make([]*block, 0, f.bRows*f.bCols)
 	for br := 0; br < f.bRows; br++ {
 		for bc := 0; bc < f.bCols; bc++ {
@@ -179,21 +187,30 @@ func (f *fabric) buildTile(blockIndex, slot int, xcfg crossbar.Config, target *l
 	return xb, nil
 }
 
-// matVec computes out ← A·x on the tiled fabric: the controller scatters
-// the input segments across the NoC, the worker grid runs every block's
-// differential analog multiply into block-owned staging buffers, and after
-// the join barrier the controller gathers the partials and reduces them in
-// canonical block order. The fixed reduction order keeps the floating-point
-// sum — and therefore the whole trajectory — identical for every worker
-// count.
+// direction selects a half-iteration's read: forward reads the ±A tiles,
+// adjoint the ±Aᵀ tiles.
+type direction int
+
+const (
+	forward direction = iota
+	adjoint
+)
+
+// matVec computes out ← A·x on the tiled fabric: the controller converts
+// each input segment once and scatters it across the NoC, the worker grid
+// runs every block's differential analog multiply into block-owned staging
+// buffers, and after the join barrier the controller gathers the partials
+// and reduces them in canonical block order. The fixed reduction order
+// keeps the floating-point sum — and therefore the whole trajectory —
+// identical for every worker count.
 func (f *fabric) matVec(out, x linalg.Vector, workers int) error {
+	if err := f.convert(x); err != nil {
+		return err
+	}
 	for _, b := range f.blocks {
 		f.router.Scatter(b.br, b.bc, b.cols)
 	}
-	f.sweep(workers, func(b *block) error {
-		seg := x[b.bc*f.t : b.bc*f.t+b.cols]
-		return b.differentialMatVec(b.pos, b.neg, b.axOut, seg)
-	})
+	f.sweep(workers, forward)
 	for _, b := range f.blocks {
 		f.router.Gather(b.br, b.bc, b.rows)
 		if b.err != nil {
@@ -211,13 +228,13 @@ func (f *fabric) matVec(out, x linalg.Vector, workers int) error {
 // transposed crossbar pair of each block; same halo-exchange structure as
 // matVec with the roles of rows and columns swapped.
 func (f *fabric) matVecT(out, y linalg.Vector, workers int) error {
+	if err := f.convert(y); err != nil {
+		return err
+	}
 	for _, b := range f.blocks {
 		f.router.Scatter(b.br, b.bc, b.rows)
 	}
-	f.sweep(workers, func(b *block) error {
-		seg := y[b.br*f.t : b.br*f.t+b.rows]
-		return b.differentialMatVec(b.posT, b.negT, b.atyOut, seg)
-	})
+	f.sweep(workers, adjoint)
 	for _, b := range f.blocks {
 		f.router.Gather(b.br, b.bc, b.cols)
 		if b.err != nil {
@@ -231,45 +248,80 @@ func (f *fabric) matVecT(out, y linalg.Vector, workers int) error {
 	return nil
 }
 
-// sweep runs fn over every block on the worker grid: worker w owns blocks
-// w, w+workers, w+2·workers, … so ownership is disjoint and each crossbar
-// is driven by exactly one goroutine per pass. The WaitGroup join is the
-// barrier between half-iterations.
-func (f *fabric) sweep(workers int, fn func(*block) error) {
+// convert runs the controller's DAC over every t-wide segment of v into
+// f.in, once per half-iteration. Every array that reads a segment reads the
+// same converted bits it would convert itself, and still charges its own
+// conversions (crossbar.MatVecAnalog). The tiles share one converter
+// configuration, so block 0's positive array stands for all of them.
+func (f *fabric) convert(v linalg.Vector) error {
+	dac := f.blocks[0].pos
+	for s := 0; s*f.t < len(v); s++ {
+		lo, hi := s*f.t, min(s*f.t+f.t, len(v))
+		scale, err := dac.ToAnalog(f.in[lo:hi], v[lo:hi])
+		if err != nil {
+			return fmt.Errorf("pdhg: converting segment %d: %w", s, err)
+		}
+		f.inScale[s] = scale
+	}
+	return nil
+}
+
+// sweep runs every block's read in direction d on the worker grid. At one
+// worker the controller runs them in canonical order and allocates nothing.
+func (f *fabric) sweep(workers int, d direction) {
 	if workers > len(f.blocks) {
 		workers = len(f.blocks)
 	}
 	if workers <= 1 {
 		for _, b := range f.blocks {
-			b.err = fn(b)
+			f.read(b, d)
 		}
 		return
 	}
+	f.fanOut(workers, d)
+}
+
+// fanOut spreads the reads over workers goroutines: worker w owns blocks
+// w, w+workers, w+2·workers, … so ownership is disjoint and each crossbar
+// is driven by exactly one goroutine per pass. The WaitGroup join is the
+// barrier between half-iterations.
+func (f *fabric) fanOut(workers int, d direction) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for k := w; k < len(f.blocks); k += workers {
-				b := f.blocks[k]
-				b.err = fn(b)
+				f.read(f.blocks[k], d)
 			}
 		}(w)
 	}
 	wg.Wait()
 }
 
+// read runs block b's differential analog multiply in direction d on the
+// converted input segment it reads, recording the first error in b.err.
+func (f *fabric) read(b *block, d direction) {
+	if d == forward {
+		lo := b.bc * f.t
+		b.err = b.differentialMatVec(b.pos, b.neg, b.axOut, f.in[lo:lo+b.cols], f.inScale[b.bc])
+		return
+	}
+	lo := b.br * f.t
+	b.err = b.differentialMatVec(b.posT, b.negT, b.atyOut, f.in[lo:lo+b.rows], f.inScale[b.br])
+}
+
 // differentialMatVec runs the block's differential analog multiply
-// out ← pos·seg − neg·seg. The crossbar's MatVec result is scratch-owned,
-// so the positive partial is copied into the block's staging buffer before
-// the negative array runs.
-func (b *block) differentialMatVec(pos, neg *crossbar.Crossbar, out, seg linalg.Vector) error {
-	pv, err := pos.MatVec(seg)
+// out ← pos·seg − neg·seg on the converted segment vi = Q(seg/inScale).
+// The crossbar's result is scratch-owned, so the positive partial is copied
+// into the block's staging buffer before the negative array runs.
+func (b *block) differentialMatVec(pos, neg *crossbar.Crossbar, out, vi linalg.Vector, inScale float64) error {
+	pv, err := pos.MatVecAnalog(vi, inScale)
 	if err != nil {
 		return fmt.Errorf("pdhg: block %d mat-vec: %w", b.index, err)
 	}
 	copy(out, pv)
-	nv, err := neg.MatVec(seg)
+	nv, err := neg.MatVecAnalog(vi, inScale)
 	if err != nil {
 		return fmt.Errorf("pdhg: block %d mat-vec: %w", b.index, err)
 	}
