@@ -30,12 +30,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -43,6 +40,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"github.com/memlp/memlp/internal/cli"
 	"github.com/memlp/memlp/internal/experiments"
 	"github.com/memlp/memlp/internal/trace"
 )
@@ -135,33 +133,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if metrics != nil {
-		return serveMetrics(ctx, *metricsAddr, metrics, stdout, stderr)
-	}
-	return 0
-}
-
-// serveMetrics exposes m in Prometheus text format on addr/metrics until ctx
-// is canceled.
-func serveMetrics(ctx context.Context, addr string, m *trace.Metrics, stdout, stderr io.Writer) int {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = m.WriteProm(w)
-	})
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "benchtables: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "metrics: serving on http://%s/metrics (interrupt to exit)\n", ln.Addr())
-	srv := &http.Server{Handler: mux}
-	go func() {
-		<-ctx.Done()
-		_ = srv.Shutdown(context.Background())
-	}()
-	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(stderr, "benchtables: %v\n", err)
-		return 1
+		srv := cli.MetricsServer{Tool: "benchtables", Banner: "metrics:", Prom: metrics.WriteProm}
+		return srv.Serve(ctx, *metricsAddr, stdout, stderr)
 	}
 	return 0
 }

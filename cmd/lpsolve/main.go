@@ -22,17 +22,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 
 	"github.com/memlp/memlp"
+	"github.com/memlp/memlp/internal/cli"
 )
 
 func main() {
@@ -181,37 +179,8 @@ func finishObservability(ctx context.Context, code int, solver *memlp.Solver, me
 	if metrics == nil || code != 0 {
 		return code
 	}
-	return serveMetrics(ctx, addr, metrics, stdout, stderr)
-}
-
-// serveMetrics exposes m in Prometheus text format on addr/metrics (and a
-// compact JSON summary on addr/vars) until ctx is canceled.
-func serveMetrics(ctx context.Context, addr string, m *memlp.Metrics, stdout, stderr io.Writer) int {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = m.WritePrometheus(w)
-	})
-	mux.HandleFunc("/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, m.String())
-	})
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "lpsolve: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "metrics:    serving on http://%s/metrics (interrupt to exit)\n", ln.Addr())
-	srv := &http.Server{Handler: mux}
-	go func() {
-		<-ctx.Done()
-		_ = srv.Shutdown(context.Background())
-	}()
-	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(stderr, "lpsolve: %v\n", err)
-		return 1
-	}
-	return 0
+	srv := cli.MetricsServer{Tool: "lpsolve", Banner: "metrics:   ", Prom: metrics.WritePrometheus, Vars: metrics.String}
+	return srv.Serve(ctx, addr, stdout, stderr)
 }
 
 // readProblems reads one problem per file argument, or a single problem from

@@ -30,20 +30,18 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
 	"sort"
 	"sync"
 
+	"github.com/memlp/memlp/internal/cli"
 	"github.com/memlp/memlp/internal/crossbar"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/memristor"
@@ -242,33 +240,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if metrics != nil {
-		return serveMetrics(ctx, *metricsAddr, metrics, stdout, stderr)
-	}
-	return 0
-}
-
-// serveMetrics exposes m in Prometheus text format on addr/metrics until ctx
-// is canceled.
-func serveMetrics(ctx context.Context, addr string, m *trace.Metrics, stdout, stderr io.Writer) int {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = m.WriteProm(w)
-	})
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "xbarsim: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "metrics: serving on http://%s/metrics (interrupt to exit)\n", ln.Addr())
-	srv := &http.Server{Handler: mux}
-	go func() {
-		<-ctx.Done()
-		_ = srv.Shutdown(context.Background())
-	}()
-	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(stderr, "xbarsim: %v\n", err)
-		return 1
+		srv := cli.MetricsServer{Tool: "xbarsim", Banner: "metrics:", Prom: metrics.WriteProm}
+		return srv.Serve(ctx, *metricsAddr, stdout, stderr)
 	}
 	return 0
 }

@@ -64,11 +64,13 @@ func (s *Solver) SolveBatchContext(ctx context.Context, problems []*lp.Problem) 
 		return nil, fmt.Errorf("core: batch canceled before problem 0: %w", err)
 	}
 
-	// Shared digital presolve, once per batch: row equilibration depends only
-	// on A (the b's differ across the batch), so the programmed A-blocks stay
-	// valid for every instance.
+	// Shared digital presolve, once per batch: an A-only row scaling. Unlike
+	// equilibrate it ignores b, whose value varies per instance, so the
+	// programmed A-blocks stay valid for every instance. Only batches use
+	// it: without it a batch's answers are measurably less accurate, while
+	// single solves gain nothing from it (DESIGN.md D12).
 	first := problems[0]
-	aShared, scales := batchEquilibrate(first)
+	aShared, _, scales := scaleRows(first.A, nil)
 
 	// The shards read the warm start without s.mu, so they share a copy
 	// taken under it: SetWarmStart rewrites the stored vectors in place.
@@ -192,38 +194,6 @@ func validateBatch(problems []*lp.Problem) error {
 	return nil
 }
 
-// batchEquilibrate builds the batch's shared A-only row scaling: each row of
-// the cloned A is divided by its maximum absolute coefficient. Unlike
-// equilibrate it must ignore b, whose value varies per instance, so the
-// programmed A-blocks stay valid for the whole batch. Only
-// SolveBatchContext uses it: without it a batch's answers are measurably
-// less accurate, while single solves gain nothing from it (DESIGN.md D12).
-func batchEquilibrate(first *lp.Problem) (*linalg.Matrix, linalg.Vector) {
-	m := first.NumConstraints()
-	scales := linalg.NewVector(m)
-	aShared := first.A.Clone()
-	for i := 0; i < m; i++ {
-		var mx float64
-		for _, v := range aShared.RawRow(i) {
-			if v < 0 {
-				v = -v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		if mx == 0 {
-			mx = 1
-		}
-		scales[i] = mx
-		row := aShared.RawRow(i)
-		for j := range row {
-			row[j] /= mx
-		}
-	}
-	return aShared, scales
-}
-
 // batchWidth resolves the pool width: Options.Parallelism, defaulting to
 // GOMAXPROCS, clamped to the batch size (an idle replica is pure programming
 // cost).
@@ -256,20 +226,20 @@ func (s *Solver) replicaFabric(size int) (Fabric, error) {
 // replicas realize the same conductances cell for cell.
 func (s *Solver) newShard(shard int, first *lp.Problem, aShared *linalg.Matrix, scales linalg.Vector) (*worker, error) {
 	wk := &worker{tr: newTraceState(s.opts)}
-	x := onesVector(first.NumVariables())
-	y := onesVector(first.NumConstraints())
+	x := linalg.Ones(first.NumVariables())
+	y := linalg.Ones(first.NumConstraints())
 	ext, err := newExtended(wk.scaled(first, aShared, scales), x, y, y.Clone(), x.Clone())
 	if err != nil {
 		return nil, err
 	}
-	fab, err := s.replicaFabric(ext.size)
+	fab, err := wk.slot.ensure(s.replicaFabric, ext.size)
 	if err != nil {
 		return nil, fmt.Errorf("core: building batch replica %d: %w", shard, err)
 	}
 	if err := fab.Program(ext.matrix); err != nil {
 		return nil, fmt.Errorf("core: programming batch replica %d: %w", shard, err)
 	}
-	wk.fab, wk.ext, wk.progCost, wk.progNoC = fab, ext, fab.Counters(), nocStats(fab)
+	wk.ext, wk.progCost, wk.progNoC = ext, fab.Counters(), nocStats(fab)
 	return wk, nil
 }
 
@@ -291,7 +261,7 @@ func (wk *worker) scaled(p *lp.Problem, aShared *linalg.Matrix, scales linalg.Ve
 // WallTime are the per-solve marginals on this shard's fabric.
 func (s *Solver) runBatchProblem(ctx context.Context, bw *worker, idx int, p *lp.Problem, aShared *linalg.Matrix, scales linalg.Vector, slot *batchSlot) {
 	start := engine.WallClock()
-	if ne, ok := bw.fab.(NoiseEpocher); ok {
+	if ne, ok := bw.slot.fab.(NoiseEpocher); ok {
 		// Stochastic draws for this problem become a function of (base seed,
 		// problem index): independent of the shard and of the pool width.
 		ne.SetNoiseEpoch(int64(idx))
@@ -299,7 +269,8 @@ func (s *Solver) runBatchProblem(ctx context.Context, bw *worker, idx int, p *lp
 	scaled := bw.scaled(p, aShared, scales)
 	res, err := runRecoveryLadder(ctx, p, s.opts, start, ladderFuncs{
 		attempt: func(ctx context.Context) (*engine.Result, error, error) {
-			bw.beginAttempt()
+			bw.slot.begin()
+			bw.tr.beginAttempt(bw.slot.base)
 			return s.solveOn(ctx, bw, scaled, p, scales, func(x, y, w, z linalg.Vector) error {
 				// The shard's fabric already holds the batch's extended
 				// system; only the complementarity rows change with the start
@@ -312,7 +283,7 @@ func (s *Solver) runBatchProblem(ctx context.Context, bw *worker, idx int, p *lp
 				return bw.writeDiagRows(x, y, w, z)
 			})
 		},
-		fabrics:  bw.fabrics,
+		slots:    []*fabricSlot{&bw.slot},
 		resolves: s.resolves(),
 		// The trace is keyed by problem index (and so is the noise epoch,
 		// per the determinism contract): its contents cannot depend on the

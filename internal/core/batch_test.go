@@ -133,7 +133,7 @@ func TestSolveBatchValidation(t *testing.T) {
 }
 
 // rowNormalized returns p with every row of [A | b] divided by the row's
-// largest |a|, so batchEquilibrate's scales are exactly 1.
+// largest |a|, so the batch's row scales are exactly 1.
 func rowNormalized(t *testing.T, p *lp.Problem) *lp.Problem {
 	t.Helper()
 	a := p.A.Clone()

@@ -16,8 +16,8 @@ import (
 func TestConicKernelAllocations(t *testing.T) {
 	p, _ := socpTestProblem(t)
 	n, m := p.NumVariables(), p.NumConstraints()
-	x, z := onesVector(n), onesVector(n)
-	y, w := onesVector(m), onesVector(m)
+	x, z := linalg.Ones(n), linalg.Ones(n)
+	y, w := linalg.Ones(m), linalg.Ones(m)
 	blocks := p.SOCBlocks()
 	cone.InitInterior(y, blocks)
 	cone.InitInterior(w, blocks)
@@ -25,7 +25,7 @@ func TestConicKernelAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatalf("newExtended: %v", err)
 	}
-	if !ext.conic() {
+	if !ext.cones.Conic() {
 		t.Fatal("extended system is not conic")
 	}
 
@@ -45,15 +45,15 @@ func TestConicKernelAllocations(t *testing.T) {
 		name string
 		run  func()
 	}{
-		{"updateScalings", func() { _ = ext.updateScalings(w, y) }},
+		{"cones.Update", func() { _ = ext.cones.Update(w, y) }},
 		{"fillDiagRows", func() { ext.fillDiagRows(x, y, w, z) }},
-		{"slackConeInf", func() { _ = ext.slackConeInf(res, w) }},
+		{"cones.SlackDist", func() { _ = ext.cones.SlackDist(res, w) }},
 		{"stepLengthConic", func() { _ = stepLengthConic(0.9, ext, x, dx, y, dy, w, dw, z, dz) }},
-		{"ratioConePinned", func() { _ = ratioConePinned(0, y, dy, ext.blocks) }},
-		{"ratioOrthant", func() { _ = ratioOrthant(0, y, dy, ext.socRow) }},
+		{"ratioConePinned", func() { _ = ratioConePinned(0, y, dy, ext.cones.Blocks) }},
+		{"ratioOrthant", func() { _ = ratioOrthant(0, y, dy, &ext.cones) }},
 		{"ratioFull", func() { _ = ratioFull(0, x, dx) }},
-		{"clampOrthantRows", func() { clampOrthantRows(y, ext.socRow) }},
-		{"coneClampInterior", func() { cone.ClampInterior(y, ext.blocks, 1e-12) }},
+		{"coneFloorOrthant", func() { cone.FloorOrthant(y, ext.cones.Blocks, iterFloor) }},
+		{"coneClampInterior", func() { cone.ClampInterior(y, ext.cones.Blocks, iterFloor) }},
 	}
 	for _, k := range kernels {
 		if allocs := testing.AllocsPerRun(100, k.run); allocs > 0 {

@@ -23,9 +23,10 @@ import (
 //	r6 (n): Δz + Δv                              = 0
 //	r7 (q): Δx_j + Δp_k  or  Δy_k' + Δp_k        = 0
 //
-// where A′/Aᵀ′ zero out the negative entries of A/Aᵀ, A″/Aᵀ″ carry their
-// absolute values in the Δp columns (Eq. 13), and q is the number of columns
-// of A (resp. rows of A) containing at least one negative entry.
+// where r1, r2 and r7 are the sign split's primal, dual and Δp consistency
+// rows (signSplit, Eq. 13): A′/Aᵀ′ zero out the negative entries of A/Aᵀ,
+// A″/Aᵀ″ carry their absolute values in the Δp columns, and q is the number
+// of columns (resp. rows) of A containing at least one negative entry.
 //
 // For conic problems the r4 rows of each second-order-cone block carry the
 // dense Nesterov–Todd complementarity blocks instead of the scalar W/Y
@@ -39,20 +40,12 @@ import (
 // Eq. 13 handles negative A entries), and negative Δw coefficients reuse the
 // Δu = −Δw mirror that row r5 already enforces.
 type extended struct {
-	n, m, q int
-	size    int
+	signSplit
 
-	// pOfX[j] is the Δp index mirroring −Δx_j, or -1; pOfY likewise for y.
-	pOfX, pOfY []int
-
-	// Cone geometry: blocks lists the second-order-cone blocks of the
-	// constraint rows (empty for pure LPs), socRow[i] is the block index
-	// owning row i or -1, and scalings holds one NT scaling per block,
-	// refreshed each iteration before the r4 rows are rewritten.
-	blocks   []cone.Block
-	socRow   []int
-	scalings []*cone.Scaling
-	coneTmp  linalg.Vector // per-block slack scratch (max block dim)
+	// cones is the cone layout of the constraint rows (no blocks for pure
+	// LPs); its NT scalings are refreshed each iteration before the r4 rows
+	// are rewritten.
+	cones cone.Layout
 
 	// matrix is the digital mirror of what is programmed on the fabric.
 	matrix *linalg.Matrix
@@ -69,26 +62,17 @@ type extended struct {
 	factor linalg.Vector // the per-row analog dividers (fillFactor)
 }
 
-// conic reports whether the extended system carries second-order-cone blocks.
-func (e *extended) conic() bool { return len(e.blocks) > 0 }
-
-// Column offsets within the extended variable vector.
-func (e *extended) colX(j int) int { return j }
-func (e *extended) colY(k int) int { return e.n + k }
+// Column offsets of the blocks beyond the sign split's Δx, Δy and Δp.
 func (e *extended) colW(k int) int { return e.n + e.m + k }
 func (e *extended) colZ(j int) int { return e.n + 2*e.m + j }
 func (e *extended) colU(k int) int { return 2*e.n + 2*e.m + k }
 func (e *extended) colV(j int) int { return 2*e.n + 3*e.m + j }
-func (e *extended) colP(k int) int { return 3*e.n + 3*e.m + k }
 
-// Row offsets of the block rows.
-func (e *extended) rowR1(i int) int { return i }
-func (e *extended) rowR2(i int) int { return e.m + i }
+// Row offsets of the block rows beyond the sign split's r1, r2 and r7.
 func (e *extended) rowR3(i int) int { return e.m + e.n + i }
 func (e *extended) rowR4(i int) int { return e.m + 2*e.n + i }
 func (e *extended) rowR5(i int) int { return 2*e.m + 2*e.n + i }
 func (e *extended) rowR6(i int) int { return 3*e.m + 2*e.n + i }
-func (e *extended) rowR7(i int) int { return 3*e.m + 3*e.n + i }
 
 // newExtended builds the extended matrix for problem p with the initial
 // interior point (x, y, w, z).
@@ -106,81 +90,29 @@ func newExtendedInto(prev *extended, p *lp.Problem, x, y, w, z linalg.Vector) (*
 	if e == nil {
 		e = &extended{}
 	}
-	e.n, e.m = n, m
-	e.pOfX = linalg.Resize(e.pOfX, n)
-	e.pOfY = linalg.Resize(e.pOfY, m)
-	e.prepareCones(p)
-
-	// Assign Δp slots: one per column of A with a negative entry (mirrors
-	// −Δx_j) and one per row of A with a negative entry (mirrors −Δy_k,
-	// because row k of A is column k of Aᵀ). Every SOC row gets a mirror
-	// unconditionally: its r4 coefficients flip sign from iteration to
-	// iteration, so the −Δy column must exist even when row k of A is
-	// all-nonnegative.
-	q := 0
-	for j := 0; j < n; j++ {
-		e.pOfX[j] = -1
-		for i := 0; i < m; i++ {
-			if p.A.At(i, j) < 0 {
-				e.pOfX[j] = q
-				q++
-				break
-			}
-		}
-	}
-	for k := 0; k < m; k++ {
-		e.pOfY[k] = -1
-		if e.socRow != nil && e.socRow[k] >= 0 {
-			e.pOfY[k] = q
-			q++
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if p.A.At(k, j) < 0 {
-				e.pOfY[k] = q
-				q++
-				break
-			}
-		}
-	}
-	e.q = q
-	e.size = 3*n + 3*m + q
+	e.cones.Reset(m, p.SOCBlocks())
+	// The Δp block follows the six blocks of Δx … Δv. Every SOC row gets a
+	// y-mirror: its r4 coefficients flip sign from iteration to iteration,
+	// so the −Δy column must exist even when row k of A is all-nonnegative.
+	e.assign(p.A, 3*n+3*m, e.cones.InCone)
 	e.matrix = e.matrix.Reshape(e.size, e.size)
 	e.res = linalg.Resize(e.res, e.size)
 	// baseVector refills only the r1–r4 entries; the rest stay zero.
 	e.base = linalg.Resize(e.base, e.size)
 	clear(e.base)
 	e.fillFactor()
-	if e.conic() && !e.updateScalings(w, y) {
+	if e.cones.Conic() && !e.cones.Update(w, y) {
 		return nil, fmt.Errorf("core: initial cone iterate not interior")
 	}
 
 	mtx := e.matrix
-	// r1: A′ on Δx, |negatives| on Δp, I on Δw.
+	// r1, r2 and r7: the sign split, with I on Δw in r1 and on Δv in r2.
+	e.write(mtx, p.A)
 	for i := 0; i < m; i++ {
-		r := e.rowR1(i)
-		for j := 0; j < n; j++ {
-			v := p.A.At(i, j)
-			if v >= 0 {
-				mtx.Set(r, e.colX(j), v)
-			} else {
-				mtx.Set(r, e.colP(e.pOfX[j]), -v)
-			}
-		}
-		mtx.Set(r, e.colW(i), 1)
+		mtx.Set(e.rowA(i), e.colW(i), 1)
 	}
-	// r2: Aᵀ′ on Δy, |negatives| on Δp (y-mirrors), I on Δv.
-	for i := 0; i < n; i++ {
-		r := e.rowR2(i)
-		for k := 0; k < m; k++ {
-			v := p.A.At(k, i) // Aᵀ(i,k)
-			if v >= 0 {
-				mtx.Set(r, e.colY(k), v)
-			} else {
-				mtx.Set(r, e.colP(e.pOfY[k]), -v)
-			}
-		}
-		mtx.Set(r, e.colV(i), 1)
+	for j := 0; j < n; j++ {
+		mtx.Set(e.rowAT(j), e.colV(j), 1)
 	}
 	// r3/r4: complementarity diagonals, refreshed every iteration. Every
 	// cell a refresh can write is marked first, so the pattern scanned
@@ -198,21 +130,6 @@ func newExtendedInto(prev *extended, p *lp.Problem, x, y, w, z linalg.Vector) (*
 		r := e.rowR6(i)
 		mtx.Set(r, e.colZ(i), 1)
 		mtx.Set(r, e.colV(i), 1)
-	}
-	// r7: Δx_j + Δp = 0 and Δy_k + Δp = 0.
-	for j := 0; j < n; j++ {
-		if k := e.pOfX[j]; k >= 0 {
-			r := e.rowR7(k)
-			mtx.Set(r, e.colX(j), 1)
-			mtx.Set(r, e.colP(k), 1)
-		}
-	}
-	for y0 := 0; y0 < m; y0++ {
-		if k := e.pOfY[y0]; k >= 0 {
-			r := e.rowR7(k)
-			mtx.Set(r, e.colY(y0), 1)
-			mtx.Set(r, e.colP(k), 1)
-		}
 	}
 
 	e.pat.Scan(mtx)
@@ -234,18 +151,21 @@ func (e *extended) markDiagCells() {
 		e.matrix.Set(r, e.colZ(i), 1)
 	}
 	for i := 0; i < e.m; i++ {
-		r := e.rowR4(i)
-		if e.socRow == nil || e.socRow[i] < 0 {
+		if !e.cones.InCone(i) {
+			r := e.rowR4(i)
 			e.matrix.Set(r, e.colY(i), 1)
 			e.matrix.Set(r, e.colW(i), 1)
-			continue
 		}
-		blk := e.blocks[e.socRow[i]]
-		for k := blk.Start; k < blk.Start+blk.Dim; k++ {
-			e.matrix.Set(r, e.colY(k), 1)
-			e.matrix.Set(r, e.colP(e.pOfY[k]), 1)
-			e.matrix.Set(r, e.colW(k), 1)
-			e.matrix.Set(r, e.colU(k), 1)
+	}
+	for _, blk := range e.cones.Blocks {
+		for i := blk.Start; i < blk.Start+blk.Dim; i++ {
+			r := e.rowR4(i)
+			for k := blk.Start; k < blk.Start+blk.Dim; k++ {
+				e.matrix.Set(r, e.colY(k), 1)
+				e.matrix.Set(r, e.colP(e.pOfY[k]), 1)
+				e.matrix.Set(r, e.colW(k), 1)
+				e.matrix.Set(r, e.colU(k), 1)
+			}
 		}
 	}
 }
@@ -276,64 +196,12 @@ func (e *extended) residual(base, s, factor linalg.Vector) linalg.Vector {
 // residualMACs is the number of multiply-adds one residual call costs.
 func (e *extended) residualMACs() int64 { return int64(e.pat.NNZ()) }
 
-// prepareCones (re)derives the cone geometry from p. Scalings are reused
-// when the block layout is unchanged, so same-shaped conic solves allocate
-// nothing here.
-func (e *extended) prepareCones(p *lp.Problem) {
-	blocks := p.SOCBlocks()
-	if len(blocks) == 0 {
-		e.blocks, e.socRow, e.scalings, e.coneTmp = nil, nil, nil, nil
-		return
-	}
-	e.blocks = blocks
-	e.socRow = linalg.Resize(e.socRow, e.m)
-	for i := range e.socRow {
-		e.socRow[i] = -1
-	}
-	maxDim := 0
-	reuse := len(e.scalings) == len(blocks)
-	for bi, blk := range blocks {
-		for i := 0; i < blk.Dim; i++ {
-			e.socRow[blk.Start+i] = bi
-		}
-		if blk.Dim > maxDim {
-			maxDim = blk.Dim
-		}
-		if reuse && e.scalings[bi].Dim() != blk.Dim {
-			reuse = false
-		}
-	}
-	if !reuse {
-		e.scalings = make([]*cone.Scaling, len(blocks))
-		for bi, blk := range blocks {
-			e.scalings[bi] = cone.NewScaling(blk.Dim)
-		}
-	}
-	if len(e.coneTmp) < maxDim {
-		e.coneTmp = linalg.NewVector(maxDim)
-	}
-}
-
-// updateScalings refreshes the per-block NT scalings from the current
-// iterate. It reports false when a block of w or y has left the cone
-// interior, which the caller must treat as a numerical failure.
-//
-//memlp:hotpath
-func (e *extended) updateScalings(w, y linalg.Vector) bool {
-	for bi, blk := range e.blocks {
-		if !e.scalings[bi].Update(w[blk.Start:blk.Start+blk.Dim], y[blk.Start:blk.Start+blk.Dim]) {
-			return false
-		}
-	}
-	return true
-}
-
 // fillDiagRows writes the X/Y/Z/W complementarity entries into the digital
 // mirror (rows r3 and r4). Orthant rows keep the scalar w/y cells; SOC rows
 // get their dense NT blocks, sign-split across the mirror columns (the
 // complementary cell of each pair is zeroed so stale magnitudes never
 // survive a sign flip). For conic systems the caller must refresh the
-// scalings (updateScalings) first.
+// scalings (cones.Update) first.
 //
 //memlp:hotpath
 func (e *extended) fillDiagRows(x, y, w, z linalg.Vector) {
@@ -342,25 +210,16 @@ func (e *extended) fillDiagRows(x, y, w, z linalg.Vector) {
 		e.matrix.Set(r, e.colX(i), z[i])
 		e.matrix.Set(r, e.colZ(i), x[i])
 	}
-	if !e.conic() {
-		for i := 0; i < e.m; i++ {
-			r := e.rowR4(i)
-			e.matrix.Set(r, e.colY(i), w[i])
-			e.matrix.Set(r, e.colW(i), y[i])
-		}
-		return
-	}
 	for i := 0; i < e.m; i++ {
-		if e.socRow[i] >= 0 {
+		if e.cones.InCone(i) {
 			continue
 		}
 		r := e.rowR4(i)
 		e.matrix.Set(r, e.colY(i), w[i])
 		e.matrix.Set(r, e.colW(i), y[i])
 	}
-	for bi := range e.blocks {
-		blk := e.blocks[bi]
-		sc, d := e.scalings[bi], blk.Dim
+	for bi, blk := range e.cones.Blocks {
+		sc, d := e.cones.Scalings[bi], blk.Dim
 		for i := 0; i < d; i++ {
 			r := e.rowR4(blk.Start + i)
 			for j := 0; j < d; j++ {
@@ -388,26 +247,14 @@ func (e *extended) fillDiagRows(x, y, w, z linalg.Vector) {
 // stateVector assembles s = [x, y, w, z, u, v, p] with u = −w, v = −z and
 // p the mirrors of the negated x/y components (Eq. 15b).
 func (e *extended) stateVector(x, y, w, z linalg.Vector) linalg.Vector {
-	s := linalg.NewVector(e.size)
-	copy(s[0:e.n], x)
-	copy(s[e.n:e.n+e.m], y)
-	copy(s[e.n+e.m:e.n+2*e.m], w)
-	copy(s[e.n+2*e.m:2*e.n+2*e.m], z)
-	for i := 0; i < e.m; i++ {
-		s[e.colU(i)] = -w[i]
+	s := e.signSplit.stateVector(x, y)
+	copy(s[e.colW(0):], w)
+	copy(s[e.colZ(0):], z)
+	for i, v := range w {
+		s[e.colU(i)] = -v
 	}
-	for i := 0; i < e.n; i++ {
-		s[e.colV(i)] = -z[i]
-	}
-	for j := 0; j < e.n; j++ {
-		if k := e.pOfX[j]; k >= 0 {
-			s[e.colP(k)] = -x[j]
-		}
-	}
-	for k := 0; k < e.m; k++ {
-		if idx := e.pOfY[k]; idx >= 0 {
-			s[e.colP(idx)] = -y[k]
-		}
+	for j, v := range z {
+		s[e.colV(j)] = -v
 	}
 	return s
 }
@@ -420,10 +267,10 @@ func (e *extended) stateVector(x, y, w, z linalg.Vector) linalg.Vector {
 func (e *extended) baseVector(p *lp.Problem, mu float64) linalg.Vector {
 	base := e.base
 	for i := 0; i < e.m; i++ {
-		base[e.rowR1(i)] = p.B[i]
+		base[e.rowA(i)] = p.B[i]
 	}
 	for i := 0; i < e.n; i++ {
-		base[e.rowR2(i)] = p.C[i]
+		base[e.rowAT(i)] = p.C[i]
 	}
 	for i := 0; i < e.n; i++ {
 		base[e.rowR3(i)] = mu
@@ -433,7 +280,7 @@ func (e *extended) baseVector(p *lp.Problem, mu float64) linalg.Vector {
 	}
 	// SOC rows center on µ·e with e the Jordan identity: µ sits on the
 	// block axis only, the tail rows subtract the full analog product.
-	for _, blk := range e.blocks {
+	for _, blk := range e.cones.Blocks {
 		for i := 1; i < blk.Dim; i++ {
 			base[e.rowR4(blk.Start+i)] = 0
 		}
@@ -458,36 +305,4 @@ func (e *extended) fillFactor() {
 // split returns (Δx, Δy, Δw, Δz) as views of the extended solution vector.
 func (e *extended) split(ds linalg.Vector) (dx, dy, dw, dz linalg.Vector) {
 	return ds[0:e.n], ds[e.n : e.n+e.m], ds[e.n+e.m : e.n+2*e.m], ds[e.n+2*e.m : 2*e.n+2*e.m]
-}
-
-// barrierDegree returns the ν the µ rule divides the duality gap by: n + m
-// for pure LPs (every complementarity pair is scalar), and for conic systems
-// each SOC block counts once instead of once per row.
-func (e *extended) barrierDegree() float64 {
-	if !e.conic() {
-		return float64(e.n + e.m)
-	}
-	socRows := 0
-	for _, blk := range e.blocks {
-		socRows += blk.Dim
-	}
-	return float64(e.n + (e.m - socRows) + len(e.blocks))
-}
-
-// slackConeInf measures the worst second-order-cone violation of the
-// reconstructed constraint slack b − A·x ≈ r1 + w, read off the measured
-// residual exactly as the controller sees it.
-//
-//memlp:hotpath
-func (e *extended) slackConeInf(r, w linalg.Vector) float64 {
-	worst := 0.0
-	for _, blk := range e.blocks {
-		for i := 0; i < blk.Dim; i++ {
-			e.coneTmp[i] = r[e.rowR1(blk.Start+i)] + w[blk.Start+i]
-		}
-		if d := cone.Dist(e.coneTmp[:blk.Dim]); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

@@ -21,6 +21,7 @@ package core
 
 import (
 	"github.com/memlp/memlp/internal/crossbar"
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/noc"
 )
@@ -67,6 +68,47 @@ func nocStats(fab Fabric) noc.Stats {
 		return r.Stats()
 	}
 	return noc.Stats{}
+}
+
+// fabricSlot keeps one fabric of a solver across solves: Algorithm 1's
+// single-solve and batch-shard fabrics, and each of Algorithm 2's two. It
+// builds a new fabric only when a system outgrows the one it holds, which
+// changes no result: the crossbars of a handle share one variation stream
+// and Program rebuilds every per-cell state. Each attempt reads the fabric
+// through a counter and NoC window (begin, end), so its result reports its
+// own operations however many solves the fabric has run.
+type fabricSlot struct {
+	fab Fabric
+	// size is the system size fab was built for.
+	size int
+	// base and nocBase hold fab's counters and NoC transfers when the
+	// current attempt began.
+	base    crossbar.Counters
+	nocBase noc.Stats
+}
+
+// ensure returns the slot's fabric, building one with build first when the
+// slot is empty or its fabric was built for a smaller system than size.
+func (sl *fabricSlot) ensure(build FabricFactory, size int) (Fabric, error) {
+	if sl.fab == nil || size > sl.size {
+		fab, err := build(size)
+		if err != nil {
+			return nil, err
+		}
+		sl.fab, sl.size = fab, size
+	}
+	return sl.fab, nil
+}
+
+// begin opens an attempt's window on the slot's fabric.
+func (sl *fabricSlot) begin() {
+	sl.base, sl.nocBase = sl.fab.Counters(), nocStats(sl.fab)
+}
+
+// end adds the counters and NoC transfers of the attempt's window to res.
+func (sl *fabricSlot) end(res *engine.Result) {
+	res.Counters = res.Counters.Add(sl.fab.Counters().Sub(sl.base))
+	res.NoC = res.NoC.Add(nocStats(sl.fab).Sub(sl.nocBase))
 }
 
 // NoiseEpocher is implemented by fabrics whose stochastic write-noise state

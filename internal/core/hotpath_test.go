@@ -47,7 +47,7 @@ func TestIterationKernelAllocations(t *testing.T) {
 		name string
 		run  func()
 	}{
-		{"dualityGap", func() { _ = dualityGap(x, z, y, w) }},
+		{"lp.DualityGap", func() { _ = lp.DualityGap(x, z, y, w) }},
 		{"stepLength", func() { _ = stepLength(0.9, pairs) }},
 		{"clampPositive", func() { clampPositive(vs...) }},
 		{"slewLimit", func() { _ = slewLimit(x, dx) }},

@@ -47,18 +47,16 @@ import (
 type LargeScaleSolver struct {
 	opts Options
 
-	// Persistent per-handle state: the two fabrics and the M1/M2 mirrors
-	// survive across solves so same-shaped problems pay no rebuild cost.
-	// (Each solve still re-Programs the arrays, which redraws variation —
-	// the double-checking scheme's fresh-write semantics are preserved.)
-	// A LargeScaleSolver is safe for concurrent use; solves serialize on mu.
-	mu       sync.Mutex
-	sys      *lsSystem
-	m2       *linalg.Matrix
-	fab1     Fabric
-	fab1Size int
-	fab2     Fabric
-	fab2Size int
+	// Persistent per-handle state: the two fabrics (slots[0] holds M1,
+	// slots[1] M2) and the M1/M2 mirrors survive across solves so
+	// same-shaped problems pay no rebuild cost. (Each solve still
+	// re-Programs the arrays, which redraws variation — the double-checking
+	// scheme's fresh-write semantics are preserved.) A LargeScaleSolver is
+	// safe for concurrent use; solves serialize on mu.
+	mu    sync.Mutex
+	sys   *lsSystem
+	m2    *linalg.Matrix
+	slots [2]fabricSlot
 	// tr records the iteration trace under mu; nil when tracing is off.
 	tr *traceState
 }
@@ -94,56 +92,32 @@ func (s *LargeScaleSolver) SolveContext(ctx context.Context, p *lp.Problem) (*en
 	start := engine.WallClock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f := ladderFuncs{
+	return runRecoveryLadder(ctx, p, s.opts, start, ladderFuncs{
 		attempt: func(ctx context.Context) (*engine.Result, error, error) {
 			return s.solveOnce(ctx, p)
 		},
-		fabrics:  s.fabricsLocked,
+		slots:    []*fabricSlot{&s.slots[0], &s.slots[1]},
 		resolves: maxResolves,
-		tr:       s.tr,
-	}
-	if !s.opts.Recovery {
-		// Double-checking (§4.3): a failed attempt retries on freshly built
-		// fabrics, so a fault in the array itself cannot persist across
-		// attempts. Successful solves keep reusing the cached fabrics.
-		f.resetFresh = func() { s.fab1, s.fab2 = nil, nil }
-	}
-	return runRecoveryLadder(ctx, p, s.opts, start, f)
+		// Double-checking (§4.3): without a recovery policy a failed attempt
+		// retries on freshly built fabrics, so a fault in the array itself
+		// cannot persist across attempts. Successful solves keep reusing
+		// the cached fabrics.
+		fresh: !s.opts.Recovery,
+		tr:    s.tr,
+	})
 }
 
-// fabricsLocked lists the fabrics Algorithm 2 keeps for its next solve,
-// for the fault census: up to two, fewer before the first solve and after
-// a failed double-check. Callers must hold s.mu.
-func (s *LargeScaleSolver) fabricsLocked() []Fabric {
-	var out []Fabric
-	for _, fab := range []Fabric{s.fab1, s.fab2} {
-		if fab != nil {
-			out = append(out, fab)
-		}
-	}
-	return out
-}
-
-// lsSystem holds the first system M1. Columns are [Δx(n) | Δy(m) | Δp(q)]:
-// every column of A with a negative entry gets an x-mirror Δp, and every
-// row of A gets a y-mirror Δp (the y-mirrors carry both the |negative| Aᵀ
-// entries and the −Y⁻¹W diagonal).
+// lsSystem holds the first system M1. Columns are [Δx(n) | Δy(m) | Δp(q)]
+// and rows [primal(m) | dual(n) | Δp consistency(q)], the sign split with
+// its Δp block right after Δy: every column of A with a negative entry gets
+// an x-mirror Δp, and every row of A gets a y-mirror Δp (the y-mirrors
+// carry both the |negative| Aᵀ entries and the −Y⁻¹W diagonal).
 type lsSystem struct {
-	n, m, q int
-	size    int
-	pOfX    []int // x-mirror index per variable, or -1
-	pOfY    []int // y-mirror index per constraint (always assigned)
+	signSplit
 	eps     float64
 	literal bool
 	matrix  *linalg.Matrix
 }
-
-func (l *lsSystem) colX(j int) int  { return j }
-func (l *lsSystem) colY(k int) int  { return l.n + k }
-func (l *lsSystem) colP(k int) int  { return l.n + l.m + k }
-func (l *lsSystem) rowA(i int) int  { return i }       // m rows: primal block
-func (l *lsSystem) rowAT(i int) int { return l.m + i } // n rows: dual block
-func (l *lsSystem) rowP(k int) int  { return l.m + l.n + k }
 
 // newLSSystemInto builds M1 at the initial interior point (x, y, w, z). A
 // non-nil prev is recycled: its matrix and index slices keep their capacity
@@ -154,30 +128,10 @@ func newLSSystemInto(prev *lsSystem, p *lp.Problem, regularization float64, lite
 	if l == nil {
 		l = &lsSystem{}
 	}
-	l.n, l.m = n, m
-	l.pOfX = linalg.Resize(l.pOfX, n)
-	l.pOfY = linalg.Resize(l.pOfY, m)
 	l.literal = literal
-
-	q := 0
-	for j := 0; j < n; j++ {
-		l.pOfX[j] = -1
-		for i := 0; i < m; i++ {
-			if p.A.At(i, j) < 0 {
-				l.pOfX[j] = q
-				q++
-				break
-			}
-		}
-	}
 	// Every constraint gets a y-mirror: it carries |negative| Aᵀ entries
 	// and, in the default (reduced-KKT) mode, the w/y diagonal.
-	for k := 0; k < m; k++ {
-		l.pOfY[k] = q
-		q++
-	}
-	l.q = q
-	l.size = n + m + q
+	l.assign(p.A, n+m, func(int) bool { return true })
 	l.matrix = l.matrix.Reshape(l.size, l.size)
 
 	var sum float64
@@ -195,47 +149,12 @@ func newLSSystemInto(prev *lsSystem, p *lp.Problem, regularization float64, lite
 		l.eps = regularization
 	}
 
-	mtx := l.matrix
-	// Primal block rows: A′·Δx + A″·Δp(x-mirrors) [+ diagonal coupling].
-	for i := 0; i < m; i++ {
-		r := l.rowA(i)
-		for j := 0; j < n; j++ {
-			v := p.A.At(i, j)
-			if v >= 0 {
-				mtx.Set(r, l.colX(j), v)
-			} else {
-				mtx.Set(r, l.colP(l.pOfX[j]), -v)
-			}
-		}
-	}
-	// Dual block rows: Aᵀ′·Δy + Aᵀ″·Δp(y-mirrors) [+ diagonal coupling].
-	for i := 0; i < n; i++ {
-		r := l.rowAT(i)
-		for k := 0; k < m; k++ {
-			v := p.A.At(k, i)
-			if v >= 0 {
-				mtx.Set(r, l.colY(k), v)
-			} else {
-				mtx.Set(r, l.colP(l.pOfY[k]), -v)
-			}
-		}
-	}
-	// Consistency rows for Δp.
-	for j := 0; j < n; j++ {
-		if k := l.pOfX[j]; k >= 0 {
-			mtx.Set(l.rowP(k), l.colX(j), 1)
-			mtx.Set(l.rowP(k), l.colP(k), 1)
-		}
-	}
-	for y0 := 0; y0 < m; y0++ {
-		k := l.pOfY[y0]
-		mtx.Set(l.rowP(k), l.colY(y0), 1)
-		mtx.Set(l.rowP(k), l.colP(k), 1)
-	}
-	// Off-diagonal coupling blocks.
-	l.setCoupling(mtx, x, y, w, z)
+	// A′·Δx + A″·Δp and Aᵀ′·Δy + Aᵀ″·Δp with the Δp consistency rows, then
+	// the off-diagonal coupling blocks.
+	l.write(l.matrix, p.A)
+	l.setCoupling(l.matrix, x, y, w, z)
 
-	if !mtx.AllNonNegative() {
+	if !l.matrix.AllNonNegative() {
 		return nil, fmt.Errorf("core: internal error: M1 has negative entries")
 	}
 	return l, nil
@@ -303,22 +222,6 @@ func capAt(v, cap float64) float64 {
 	return v
 }
 
-// stateVector assembles s1 = [x, y, p] with all mirrors set consistently.
-func (l *lsSystem) stateVector(x, y linalg.Vector) linalg.Vector {
-	s := linalg.NewVector(l.size)
-	copy(s[0:l.n], x)
-	copy(s[l.n:l.n+l.m], y)
-	for j := 0; j < l.n; j++ {
-		if k := l.pOfX[j]; k >= 0 {
-			s[l.colP(k)] = -x[j]
-		}
-	}
-	for k0 := 0; k0 < l.m; k0++ {
-		s[l.colP(l.pOfY[k0])] = -y[k0]
-	}
-	return s
-}
-
 // solveOnce runs one Algorithm 2 attempt. It returns (result, ctxErr, err):
 // ctxErr is non-nil when the attempt was interrupted by the context (the
 // result then carries the partial iterate with lp.StatusCanceled); err is a
@@ -335,9 +238,9 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 	// The second system's state s2 = [z, w] is one vector, updated as one
 	// with the fabric's Δ, like s1 below. base2, its residual base, is
 	// rebuilt in full every iteration.
-	x := onesVector(n)
-	y := onesVector(m)
-	s2 := onesVector(n + m)
+	x := linalg.Ones(n)
+	y := linalg.Ones(m)
+	s2 := linalg.Ones(n + m)
 	z := s2[0:n]
 	w := s2[n : n+m]
 	base2 := linalg.NewVector(n + m)
@@ -348,33 +251,25 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 	}
 	s.sys = sys1
 	// Each fabric is rebuilt only when its system outgrows it, as for
-	// Algorithm 1 (see Solver.solveAttempt).
-	if s.fab1 == nil || sys1.size > s.fab1Size {
-		fab, err := s.opts.Fabric(sys1.size)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: building fabric 1: %w", err)
-		}
-		s.fab1, s.fab1Size = fab, sys1.size
+	// Algorithm 1.
+	fab1, err := s.slots[0].ensure(s.opts.Fabric, sys1.size)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: building fabric 1: %w", err)
 	}
-	fab1 := s.fab1
-	countersBase1, nocBase1 := fab1.Counters(), nocStats(fab1)
+	s.slots[0].begin()
 	if err := fab1.Program(sys1.matrix); err != nil {
 		return nil, nil, fmt.Errorf("core: programming M1: %w", err)
 	}
 
 	// M2 = diag(X, Y): columns [Δz | Δw].
-	if s.fab2 == nil || n+m > s.fab2Size {
-		fab, err := s.opts.Fabric(n + m)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: building fabric 2: %w", err)
-		}
-		s.fab2, s.fab2Size = fab, n+m
+	fab2, err := s.slots[1].ensure(s.opts.Fabric, n+m)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: building fabric 2: %w", err)
 	}
-	fab2 := s.fab2
-	countersBase2, nocBase2 := fab2.Counters(), nocStats(fab2)
 	// Rebase the trace accumulators on the combined counters of BOTH
 	// fabrics (fresh double-check fabrics restart at zero).
-	s.tr.beginAttempt(countersBase1.Add(countersBase2))
+	s.slots[1].begin()
+	s.tr.beginAttempt(s.slots[0].base.Add(s.slots[1].base))
 	s.m2 = s.m2.Reshape(n+m, n+m)
 	m2 := s.m2
 	for i := 0; i < n; i++ {
@@ -409,7 +304,7 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 		}
 		res.Iterations = iter
 
-		gap := dualityGap(x, z, y, w)
+		gap := lp.DualityGap(x, z, y, w)
 		mu := tol.Delta * gap / float64(n+m)
 
 		// --- first half-step: Δx, Δy from M1 (one fused residual + solve).
@@ -561,8 +456,8 @@ func (s *LargeScaleSolver) solveOnce(ctx context.Context, p *lp.Problem) (*engin
 		}
 	}
 	s.tr.stopped(stop.reason(res.Status))
-	res.Counters = fab1.Counters().Sub(countersBase1).Add(fab2.Counters().Sub(countersBase2))
-	res.NoC = nocStats(fab1).Sub(nocBase1).Add(nocStats(fab2).Sub(nocBase2))
+	s.slots[0].end(res)
+	s.slots[1].end(res)
 	if err := best.finish(res, orig, s.opts.Alpha, rowScales, x, y, w, z); err != nil {
 		return nil, nil, err
 	}

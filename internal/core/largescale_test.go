@@ -13,7 +13,7 @@ func TestLSSystemShape(t *testing.T) {
 	// columns of the A rows); both columns and two rows carry negatives.
 	p := mustProblem(t, linalg.VectorOf(1, 1),
 		mustMatrix(t, [][]float64{{1, -2}, {-3, 4}, {1, 1}}), linalg.VectorOf(5, 5, 5))
-	sys, err := newLSSystemInto(nil, p, 0.02, true, onesVector(p.NumVariables()), onesVector(p.NumConstraints()), onesVector(p.NumConstraints()), onesVector(p.NumVariables()))
+	sys, err := newLSSystemInto(nil, p, 0.02, true, linalg.Ones(p.NumVariables()), linalg.Ones(p.NumConstraints()), linalg.Ones(p.NumConstraints()), linalg.Ones(p.NumVariables()))
 	if err != nil {
 		t.Fatalf("newLSSystemInto: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestLSSystemTallVariables(t *testing.T) {
 	// n > m ⇒ RL fills the Aᵀ-row diagonal instead.
 	p := mustProblem(t, linalg.VectorOf(1, 1, 1),
 		mustMatrix(t, [][]float64{{1, -1, 2}, {2, 1, -1}}), linalg.VectorOf(5, 5))
-	sys, err := newLSSystemInto(nil, p, 0.02, true, onesVector(p.NumVariables()), onesVector(p.NumConstraints()), onesVector(p.NumConstraints()), onesVector(p.NumVariables()))
+	sys, err := newLSSystemInto(nil, p, 0.02, true, linalg.Ones(p.NumVariables()), linalg.Ones(p.NumConstraints()), linalg.Ones(p.NumConstraints()), linalg.Ones(p.NumVariables()))
 	if err != nil {
 		t.Fatalf("newLSSystemInto: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestLSSystemMatVecIdentity(t *testing.T) {
 	// regularizer contribution on the A rows.
 	p := mustProblem(t, linalg.VectorOf(1, 2),
 		mustMatrix(t, [][]float64{{1, -2}, {-3, 4}, {0.5, 1}}), linalg.VectorOf(5, 5, 5))
-	sys, err := newLSSystemInto(nil, p, 0.02, true, onesVector(p.NumVariables()), onesVector(p.NumConstraints()), onesVector(p.NumConstraints()), onesVector(p.NumVariables()))
+	sys, err := newLSSystemInto(nil, p, 0.02, true, linalg.Ones(p.NumVariables()), linalg.Ones(p.NumConstraints()), linalg.Ones(p.NumConstraints()), linalg.Ones(p.NumVariables()))
 	if err != nil {
 		t.Fatalf("newLSSystemInto: %v", err)
 	}

@@ -21,17 +21,22 @@ import (
 const maxResolves = 1
 
 // FaultReporter is implemented by fabrics that can census their mapped
-// region for permanent defects (a *crossbar.Crossbar with a fault model).
+// region for permanent defects (a *crossbar.Crossbar with a fault model, or
+// a *noc.TiledFabric of them).
 type FaultReporter interface {
 	FaultCensus() crossbar.FaultCensus
 }
 
-var _ FaultReporter = (*crossbar.Crossbar)(nil)
+var (
+	_ FaultReporter = (*crossbar.Crossbar)(nil)
+	_ FaultReporter = (*noc.TiledFabric)(nil)
+)
 
-// faultCensus tallies the stuck cells of the fabrics that can report them.
-func faultCensus(fabs []Fabric) (stuckOn, stuckOff int) {
-	for _, fab := range fabs {
-		if fr, ok := fab.(FaultReporter); ok {
+// faultCensus tallies the stuck cells of the slots' fabrics that can report
+// them; an empty slot reports none.
+func faultCensus(slots []*fabricSlot) (stuckOn, stuckOff int) {
+	for _, sl := range slots {
+		if fr, ok := sl.fab.(FaultReporter); ok {
 			c := fr.FaultCensus()
 			stuckOn += c.StuckOn
 			stuckOff += c.StuckOff
@@ -45,18 +50,19 @@ type ladderFuncs struct {
 	// attempt runs one full analog solve attempt. Same contract as
 	// solveOnce: (result, ctxErr, hard error).
 	attempt func(ctx context.Context) (*engine.Result, error, error)
-	// fabrics lists the solver's fabrics for the fault census.
-	fabrics func() []Fabric
+	// slots holds the solver's fabrics: the ladder censuses them for stuck
+	// cells, and empties them after a failed attempt when fresh is set.
+	slots []*fabricSlot
 	// resolves is the re-solve budget: maxResolves, or zero for Algorithm 1
 	// without Options.Recovery.
 	resolves int
 	// problem is the batch index the trace and the noise epoch are keyed
 	// by; zero for single solves.
 	problem int
-	// resetFresh, when non-nil, drops the cached fabrics after a failed
-	// attempt so the next solve rebuilds them (Algorithm 2's fresh-fabric
-	// double-check without a recovery policy).
-	resetFresh func()
+	// fresh empties the slots after a failed attempt, so the next attempt
+	// builds new fabrics (Algorithm 2's fresh-fabric double-check without a
+	// recovery policy).
+	fresh bool
 	// tr records the iteration trace; nil when tracing is off.
 	tr *traceState
 }
@@ -207,7 +213,7 @@ func runRecoveryLadder(ctx context.Context, p *lp.Problem, opts Options, start t
 		transfers = transfers.Add(res.NoC)
 		res.NoC = transfers
 		if opts.Recovery {
-			diag.StuckOn, diag.StuckOff = faultCensus(f.fabrics())
+			diag.StuckOn, diag.StuckOff = faultCensus(f.slots)
 		}
 		if ctxErr != nil {
 			return finish(res, ""), ctxErr
@@ -220,8 +226,10 @@ func runRecoveryLadder(ctx context.Context, p *lp.Problem, opts Options, start t
 			return finish(res, rung), nil
 		}
 		last = res
-		if f.resetFresh != nil {
-			f.resetFresh()
+		if f.fresh {
+			for _, sl := range f.slots {
+				sl.fab = nil
+			}
 		}
 	}
 	if !opts.Recovery {

@@ -150,29 +150,20 @@ type Solver struct {
 	single worker
 }
 
-// worker owns Algorithm 1's per-fabric state: the fabric, the extended
-// system programmed on it, the starting-iterate buffer, the best-iterate
-// snapshot and the trace recorder. A Solver keeps one for its single
-// solves; SolveBatchContext builds one per shard of its fabric pool, so
-// concurrent shards share nothing they write.
+// worker owns Algorithm 1's per-fabric state: the fabric slot, the
+// extended system programmed on its fabric, the starting-iterate buffer,
+// the best-iterate snapshot and the trace recorder. A Solver keeps one for
+// its single solves; SolveBatchContext builds one per shard of its fabric
+// pool, so concurrent shards share nothing they write.
 type worker struct {
-	fab Fabric
-	// fabSize is the extended-system size fab was built for, the largest
-	// the worker has solved: a single solve of a larger system builds a new
-	// fabric, and one no larger programs this one.
-	fabSize int
-	ext     *extended
+	slot fabricSlot
+	ext  *extended
 	// initBuf backs the starting iterate (x, y, w, z are sliced from it
 	// before being copied into the extended state vector).
 	initBuf linalg.Vector
 	best    snapshot
 	// tr records the iteration trace; nil when tracing is off.
 	tr *traceState
-	// base and nocBase hold the fabric's counters and NoC transfers when
-	// the current attempt began; the attempt's result reports the
-	// differences.
-	base    crossbar.Counters
-	nocBase noc.Stats
 	// warmX/warmY, when non-nil, seed every solve from a prior primal/dual
 	// point instead of the all-ones start (see SetWarmStart). The shards of
 	// a batch share one copy taken at batch entry, which nothing writes.
@@ -187,14 +178,6 @@ type worker struct {
 	busy     time.Duration
 }
 
-// beginAttempt opens the attempt's counter and transfer window on the
-// worker's fabric and rebases the trace accumulators on it.
-func (wk *worker) beginAttempt() {
-	wk.base = wk.fab.Counters()
-	wk.nocBase = nocStats(wk.fab)
-	wk.tr.beginAttempt(wk.base)
-}
-
 // writeDiagRows refreshes the X/Y/Z/W complementarity rows of the extended
 // system and of the fabric for the iterate (x, y, w, z): the O(N) write of
 // one iteration (2(n+m) ≈ 2.7N cells for n = m/3). The fabric reads the
@@ -204,7 +187,7 @@ func (wk *worker) writeDiagRows(x, y, w, z linalg.Vector) error {
 	ext := wk.ext
 	ext.fillDiagRows(x, y, w, z)
 	for r := ext.rowR3(0); r < ext.rowR5(0); r++ {
-		if err := wk.fab.UpdateRow(r, ext.matrix.RawRow(r)); err != nil {
+		if err := wk.slot.fab.UpdateRow(r, ext.matrix.RawRow(r)); err != nil {
 			return fmt.Errorf("core: updating fabric row: %w", err)
 		}
 	}
@@ -258,20 +241,11 @@ func applyWarmStart(p *lp.Problem, yScale, warmX, warmY, x, y, w, z linalg.Vecto
 		return false, fmt.Errorf("%w: warm start dimensions %d vars / %d duals, problem has %d vars / %d constraints",
 			lp.ErrInvalid, len(warmX), len(warmY), len(x), len(y))
 	}
-	if !allFinite(warmX) || !allFinite(warmY) {
+	if !warmX.AllFinite() || !warmY.AllFinite() {
 		return false, nil
 	}
 	seedWarmStart(p, warmX, warmY, yScale, x, y, w, z)
 	return true, nil
-}
-
-func allFinite(v linalg.Vector) bool {
-	for _, e := range v {
-		if math.IsNaN(e) || math.IsInf(e, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // seedWarmStart fills the iterate from a prior point: x and y are taken from
@@ -308,32 +282,10 @@ func seedWarmStart(p *lp.Problem, x0, y0, yScale, x, y, w, z linalg.Vector) {
 		z[i] = v
 	}
 	blocks := p.SOCBlocks()
-	floorOrthantRows(y, blocks)
-	floorOrthantRows(w, blocks)
-	if len(blocks) > 0 {
-		cone.ClampInterior(y, blocks, warmFloor)
-		cone.ClampInterior(w, blocks, warmFloor)
-	}
-}
-
-// floorOrthantRows applies the warm-start interior floor to every row of v
-// not covered by a second-order cone block (blocks are ordered and disjoint
-// per lp.Problem.Validate).
-func floorOrthantRows(v linalg.Vector, blocks []cone.Block) {
-	i := 0
-	for _, b := range blocks {
-		for ; i < b.Start; i++ {
-			if v[i] < warmFloor {
-				v[i] = warmFloor
-			}
-		}
-		i = b.Start + b.Dim
-	}
-	for ; i < len(v); i++ {
-		if v[i] < warmFloor {
-			v[i] = warmFloor
-		}
-	}
+	cone.FloorOrthant(y, blocks, warmFloor)
+	cone.FloorOrthant(w, blocks, warmFloor)
+	cone.ClampInterior(y, blocks, warmFloor)
+	cone.ClampInterior(w, blocks, warmFloor)
 }
 
 // NewSolver returns an Algorithm 1 solver.
@@ -343,15 +295,6 @@ func NewSolver(opts Options) (*Solver, error) {
 		return nil, err
 	}
 	return &Solver{opts: opts, single: worker{tr: newTraceState(opts)}}, nil
-}
-
-// fabrics lists the worker's fabric for the fault census: none before its
-// first solve.
-func (wk *worker) fabrics() []Fabric {
-	if wk.fab == nil {
-		return nil
-	}
-	return []Fabric{wk.fab}
 }
 
 // Solve runs Algorithm 1 on p.
@@ -375,7 +318,7 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Resul
 		attempt: func(ctx context.Context) (*engine.Result, error, error) {
 			return s.solveAttempt(ctx, p)
 		},
-		fabrics:  s.single.fabrics,
+		slots:    []*fabricSlot{&s.single.slot},
 		resolves: s.resolves(),
 		tr:       s.single.tr,
 	})
@@ -391,11 +334,9 @@ func (s *Solver) resolves() int {
 }
 
 // solveAttempt runs one full Algorithm 1 attempt on the single-solve
-// worker: it rebuilds the extended system for p at the start iterate,
-// builds a new fabric only when the system outgrows the current one, and
-// programs all of it. Keeping the fabric changes no result: the crossbars
-// of a handle share one variation stream, counters are read as windows,
-// and Program rebuilds every per-cell state. Callers must hold s.mu.
+// worker: it rebuilds the extended system for p at the start iterate, takes
+// the slot's fabric (a new one only when the system outgrows it) and
+// programs all of it. Callers must hold s.mu.
 func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Result, error, error) {
 	wk := &s.single
 	return s.solveOn(ctx, wk, p, p, nil, func(x, y, w, z linalg.Vector) error {
@@ -404,21 +345,19 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 			return err
 		}
 		wk.ext = ext
-		if wk.fab == nil || ext.size > wk.fabSize {
-			fab, err := s.opts.Fabric(ext.size)
-			if err != nil {
-				return fmt.Errorf("core: building fabric: %w", err)
-			}
-			wk.fab, wk.fabSize = fab, ext.size
+		fab, err := wk.slot.ensure(s.opts.Fabric, ext.size)
+		if err != nil {
+			return fmt.Errorf("core: building fabric: %w", err)
 		}
-		if dp, ok := wk.fab.(DeltaProgrammer); ok {
+		if dp, ok := fab.(DeltaProgrammer); ok {
 			// Delta-write skips are only valid for the scalar complementarity
 			// rows of an orthant LP; conic NT blocks are structurally coupled.
 			// Toggled per solve because the fabric is cached across problems.
-			dp.SetDeltaProgramming(!ext.conic())
+			dp.SetDeltaProgramming(!ext.cones.Conic())
 		}
-		wk.beginAttempt()
-		if err := wk.fab.Program(ext.matrix); err != nil {
+		wk.slot.begin()
+		wk.tr.beginAttempt(wk.slot.base)
+		if err := fab.Program(ext.matrix); err != nil {
 			return fmt.Errorf("core: programming fabric: %w", err)
 		}
 		return nil
@@ -432,11 +371,11 @@ func (s *Solver) solveAttempt(ctx context.Context, p *lp.Problem) (*engine.Resul
 // partial iterate); err is a hard failure with no usable result.
 //
 // The paths differ only in load, which puts the start iterate on wk's
-// fabric; once it returns, the attempt's counter window
-// (worker.beginAttempt) must be open. p drives the iteration; orig is the
-// caller's problem, which prices the objective and the §3.2 α-check.
-// scales, when non-nil, are the batch's row scales: row i of p's [A | b]
-// is orig's divided by scales[i], and the returned duals are unscaled.
+// fabric; once it returns, the attempt's counter window (fabricSlot.begin)
+// must be open. p drives the iteration; orig is the caller's problem,
+// which prices the objective and the §3.2 α-check. scales, when non-nil,
+// are the batch's row scales: row i of p's [A | b] is orig's divided by
+// scales[i], and the returned duals are unscaled.
 func (s *Solver) solveOn(ctx context.Context, wk *worker, p, orig *lp.Problem, scales linalg.Vector,
 	load func(x, y, w, z linalg.Vector) error) (*engine.Result, error, error) {
 	n, m := p.NumVariables(), p.NumConstraints()
@@ -463,7 +402,7 @@ func (s *Solver) solveOn(ctx context.Context, wk *worker, p, orig *lp.Problem, s
 	if err := load(x, y, w, z); err != nil {
 		return nil, nil, err
 	}
-	ext, fab := wk.ext, wk.fab
+	ext, fab := wk.ext, wk.slot.fab
 
 	// The full extended state s = [x, y, w, z, u, v, p] is updated as one
 	// vector with the fabric's Δs — exactly Algorithm 1's "s = s + θΔs".
@@ -478,8 +417,10 @@ func (s *Solver) solveOn(ctx context.Context, wk *worker, p, orig *lp.Problem, s
 	z = sExt[n+2*m : 2*n+2*m]
 
 	res := &engine.Result{Status: lp.StatusIterationLimit, MatrixSize: ext.size}
-	conic := ext.conic()
-	nu := ext.barrierDegree()
+	conic := ext.cones.Conic()
+	// µ's degree: the n x∘z pairs, and the cone layout's count over the
+	// constraint rows, which takes each SOC block once.
+	nu := float64(n + ext.cones.Degree())
 	stop := newStopRule(tol, stallWindow)
 	// The controller monitors the residuals it reads and keeps the best
 	// iterate seen: near the accuracy floor the analog noise can push later
@@ -501,7 +442,7 @@ func (s *Solver) solveOn(ctx context.Context, wk *worker, p, orig *lp.Problem, s
 
 		// The duality gap zᵀx + yᵀw is computed digitally (the controller
 		// holds s) — Eq. 8.
-		gap := dualityGap(x, z, y, w)
+		gap := lp.DualityGap(x, z, y, w)
 		mu := tol.Delta * gap / nu
 		// The residual r = base − factor∘(M·s). In the paper's mode
 		// (Options.AnalogResidual) it is one fused analog operation
@@ -523,11 +464,12 @@ func (s *Solver) solveOn(ctx context.Context, wk *worker, p, orig *lp.Problem, s
 
 		// Convergence measures come from the residual the controller reads,
 		// as the hardware controller would.
-		res.PrimalInfeasibility = normInfRange(r, ext.rowR1(0), ext.m)
-		res.DualInfeasibility = normInfRange(r, ext.rowR2(0), ext.n)
+		res.PrimalInfeasibility = normInfRange(r, ext.rowA(0), ext.m)
+		res.DualInfeasibility = normInfRange(r, ext.rowAT(0), ext.n)
 		res.DualityGap = gap
 		if conic {
-			res.ConeInfeasibility = ext.slackConeInf(r, w)
+			// r's primal rows are b − A·x − w as the controller reads them.
+			res.ConeInfeasibility = ext.cones.SlackDist(r, w)
 		}
 
 		changed := best.consider(res.PrimalInfeasibility, res.DualInfeasibility, gap, x, y, w, z)
@@ -582,26 +524,24 @@ func (s *Solver) solveOn(ctx context.Context, wk *worker, p, orig *lp.Problem, s
 		if err := sExt.AxpyInPlace(theta, ds); err != nil {
 			return nil, nil, err
 		}
+		clampPositive(x, z)
+		cone.FloorOrthant(y, ext.cones.Blocks, iterFloor)
+		cone.FloorOrthant(w, ext.cones.Blocks, iterFloor)
 		if conic {
-			clampPositive(x, z)
-			clampOrthantRows(y, ext.socRow)
-			clampOrthantRows(w, ext.socRow)
-			cone.ClampInterior(y, ext.blocks, 1e-12)
-			cone.ClampInterior(w, ext.blocks, 1e-12)
-			if !ext.updateScalings(w, y) {
+			cone.ClampInterior(y, ext.cones.Blocks, iterFloor)
+			cone.ClampInterior(w, ext.cones.Blocks, iterFloor)
+			if !ext.cones.Update(w, y) {
 				res.Status = lp.StatusNumericalFailure
 				break
 			}
-		} else {
-			clampPositive(x, y, w, z)
 		}
 		if err := wk.writeDiagRows(x, y, w, z); err != nil {
 			return nil, nil, err
 		}
 	}
 	wk.tr.stopped(stop.reason(res.Status))
-	res.Counters = withMACs(fab.Counters().Sub(wk.base), macs)
-	res.NoC = nocStats(fab).Sub(wk.nocBase)
+	wk.slot.end(res)
+	res.Counters = withMACs(res.Counters, macs)
 	if err := best.finish(res, orig, s.opts.Alpha, scales, x, y, w, z); err != nil {
 		return nil, nil, err
 	}
@@ -730,42 +670,46 @@ func (s *snapshot) finish(res *engine.Result, orig *lp.Problem, alpha float64, s
 // analog fabric must represent) without changing the primal solution; the
 // dual variables scale as y = y'/d and are unscaled before returning.
 // Algorithm 2 uses it, because its M1 carries the w/y couplings.
-// Algorithm 1 uses neither it nor, for single solves, batchEquilibrate's
+// Algorithm 1 uses neither it nor, for single solves, the batch's
 // A-only scaling: compressing b flattens the slack scale and slows its
 // adaptive-step convergence measurably at large m, and the A-only scaling
 // raises single solves' modeled latency with no accuracy gain (DESIGN.md
 // D12).
 func equilibrate(p *lp.Problem) (*lp.Problem, linalg.Vector) {
-	m := p.NumConstraints()
-	d := linalg.NewVector(m)
-	a := p.A.Clone()
-	b := p.B.Clone()
-	for i := 0; i < m; i++ {
+	a, b, d := scaleRows(p.A, p.B)
+	return &lp.Problem{Name: p.Name, C: p.C, A: a, B: b}, d
+}
+
+// scaleRows returns copies of a and, when b is non-nil, of b with each row
+// divided by its scale, and the scales: the row's largest absolute
+// coefficient, b's entry included, or 1 for an all-zero row.
+func scaleRows(a *linalg.Matrix, b linalg.Vector) (*linalg.Matrix, linalg.Vector, linalg.Vector) {
+	d := linalg.NewVector(a.Rows())
+	a = a.Clone()
+	if b != nil {
+		b = b.Clone()
+	}
+	for i := range d {
+		row := a.RawRow(i)
 		var mx float64
-		for _, v := range a.RawRow(i) {
-			if v < 0 {
-				v = -v
-			}
-			if v > mx {
-				mx = v
-			}
+		for _, v := range row {
+			mx = max(mx, math.Abs(v))
 		}
-		if bv := b[i]; bv < 0 && -bv > mx {
-			mx = -bv
-		} else if bv > mx {
-			mx = bv
+		if b != nil {
+			mx = max(mx, math.Abs(b[i]))
 		}
 		if mx == 0 {
 			mx = 1
 		}
 		d[i] = mx
-		row := a.RawRow(i)
 		for j := range row {
 			row[j] /= mx
 		}
-		b[i] /= mx
+		if b != nil {
+			b[i] /= mx
+		}
 	}
-	return &lp.Problem{Name: p.Name, C: p.C, A: a, B: b}, d
+	return a, b, d
 }
 
 // unscaleDual maps the equilibrated problem's duals back to the original
@@ -778,21 +722,6 @@ func unscaleDual(y, w, d linalg.Vector) {
 }
 
 // --- shared helpers -------------------------------------------------------
-
-func onesVector(n int) linalg.Vector {
-	v := linalg.NewVector(n)
-	v.Fill(1)
-	return v
-}
-
-// dualityGap computes zᵀx + yᵀw, the Eq. 8 complementarity gap.
-//
-//memlp:hotpath
-func dualityGap(x, z, y, w linalg.Vector) float64 {
-	zx, _ := z.Dot(x)
-	yw, _ := y.Dot(w)
-	return zx + yw
-}
 
 // stepLength implements Eq. 11. Components that have shrunk far below their
 // vector's scale are excluded from the ratio test: the analog fabric cannot
@@ -823,10 +752,10 @@ func stepLength(r float64, pairs [][2]linalg.Vector) float64 {
 func stepLengthConic(r float64, e *extended, x, dx, y, dy, w, dw, z, dz linalg.Vector) float64 {
 	maxRatio := ratioFull(0, x, dx)
 	maxRatio = ratioFull(maxRatio, z, dz)
-	maxRatio = ratioOrthant(maxRatio, y, dy, e.socRow)
-	maxRatio = ratioOrthant(maxRatio, w, dw, e.socRow)
-	maxRatio = ratioConePinned(maxRatio, y, dy, e.blocks)
-	maxRatio = ratioConePinned(maxRatio, w, dw, e.blocks)
+	maxRatio = ratioOrthant(maxRatio, y, dy, &e.cones)
+	maxRatio = ratioOrthant(maxRatio, w, dw, &e.cones)
+	maxRatio = ratioConePinned(maxRatio, y, dy, e.cones.Blocks)
+	maxRatio = ratioConePinned(maxRatio, w, dw, e.cones.Blocks)
 	if maxRatio <= 1 {
 		return r
 	}
@@ -887,13 +816,13 @@ func ratioFull(maxRatio float64, v, dv linalg.Vector) float64 {
 // ratioOrthant is ratioFull restricted to rows outside SOC blocks.
 //
 //memlp:hotpath
-func ratioOrthant(maxRatio float64, v, dv linalg.Vector, socRow []int) float64 {
+func ratioOrthant(maxRatio float64, v, dv linalg.Vector, cones *cone.Layout) float64 {
 	pin := 1e-6 * v.Max()
 	if pin < 1e-10 {
 		pin = 1e-10
 	}
 	for i := range v {
-		if socRow[i] >= 0 {
+		if cones.InCone(i) {
 			continue
 		}
 		if dv[i] < 0 && v[i] > pin {
@@ -905,30 +834,18 @@ func ratioOrthant(maxRatio float64, v, dv linalg.Vector, socRow []int) float64 {
 	return maxRatio
 }
 
-// clampOrthantRows floors the orthant rows of a constraint-space vector at
-// the representability floor, leaving SOC-block components untouched (their
-// tails are legitimately signed; cone.ClampInterior handles the blocks).
-//
-//memlp:hotpath
-func clampOrthantRows(v linalg.Vector, socRow []int) {
-	const floor = 1e-12
-	for i, x := range v {
-		if socRow[i] < 0 && x < floor {
-			v[i] = floor
-		}
-	}
-}
+// iterFloor is the representability floor the iterates are clamped to,
+// which keeps them strictly interior.
+const iterFloor = 1e-12
 
-// clampPositive floors every component at the representability floor,
-// keeping the interior iterates strictly positive.
+// clampPositive floors every component at iterFloor.
 //
 //memlp:hotpath
 func clampPositive(vs ...linalg.Vector) {
-	const floor = 1e-12
 	for _, v := range vs {
 		for i, x := range v {
-			if x < floor {
-				v[i] = floor
+			if x < iterFloor {
+				v[i] = iterFloor
 			}
 		}
 	}

@@ -102,7 +102,7 @@ func TestExtendedSystemShape(t *testing.T) {
 	// so q = 2 (x mirrors) + 2 (y mirrors) = 4.
 	p := mustProblem(t, linalg.VectorOf(1, 1),
 		mustMatrix(t, [][]float64{{1, -2}, {-3, 4}}), linalg.VectorOf(5, 5))
-	ones := onesVector(2)
+	ones := linalg.Ones(2)
 	ext, err := newExtended(p, ones, ones, ones, ones)
 	if err != nil {
 		t.Fatalf("newExtended: %v", err)
@@ -148,14 +148,14 @@ func TestExtendedMatVecIdentity(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		want := ax[i] + w[i]
-		if math.Abs(got[ext.rowR1(i)]-want) > 1e-12 {
-			t.Errorf("r1[%d] = %v, want %v", i, got[ext.rowR1(i)], want)
+		if math.Abs(got[ext.rowA(i)]-want) > 1e-12 {
+			t.Errorf("r1[%d] = %v, want %v", i, got[ext.rowA(i)], want)
 		}
 	}
 	for i := 0; i < 2; i++ {
 		want := aty[i] - z[i]
-		if math.Abs(got[ext.rowR2(i)]-want) > 1e-12 {
-			t.Errorf("r2[%d] = %v, want %v", i, got[ext.rowR2(i)], want)
+		if math.Abs(got[ext.rowAT(i)]-want) > 1e-12 {
+			t.Errorf("r2[%d] = %v, want %v", i, got[ext.rowAT(i)], want)
 		}
 	}
 	for i := 0; i < 2; i++ {
@@ -185,8 +185,8 @@ func TestExtendedMatVecIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	requireDigitalResidual(t, ext, p, s, "start")
 	refreshDigitalResidual(t, r, ext, p, 4, "lp")
-	ones := onesVector(2)
-	onesM := onesVector(3)
+	ones := linalg.Ones(2)
+	onesM := linalg.Ones(3)
 	for _, rows := range [][][]float64{
 		{{1, 2}, {3, 4}, {-0.5, 1}},   // q = 2: one x mirror, one y mirror
 		{{1, 2}, {-3, 4}, {0.5, 1}},   // q = 2 again, mirrors moved
@@ -210,8 +210,8 @@ func TestExtendedMatVecIdentity(t *testing.T) {
 // sides across refreshes, and the pattern must cover both sides of each.
 func TestExtendedResidualSOCP(t *testing.T) {
 	p, _ := socpTestProblem(t)
-	x := onesVector(2)
-	y, w := onesVector(4), onesVector(4)
+	x := linalg.Ones(2)
+	y, w := linalg.Ones(4), linalg.Ones(4)
 	cone.InitInterior(y, p.SOCBlocks())
 	cone.InitInterior(w, p.SOCBlocks())
 	ext, err := newExtended(p, x, y, w, x.Clone())
@@ -247,7 +247,7 @@ func refreshDigitalResidual(t *testing.T, r *rand.Rand, ext *extended, p *lp.Pro
 	}
 	for step := 0; step < steps; step++ {
 		x, y, w, z := pos(ext.n), pos(ext.m), pos(ext.m), pos(ext.n)
-		for _, blk := range ext.blocks {
+		for _, blk := range ext.cones.Blocks {
 			for _, v := range []linalg.Vector{y, w} {
 				// A random signed tail inside the cone.
 				for i := 1; i < blk.Dim; i++ {
@@ -256,7 +256,7 @@ func refreshDigitalResidual(t *testing.T, r *rand.Rand, ext *extended, p *lp.Pro
 				v[blk.Start] = 2 + r.Float64()
 			}
 		}
-		if ext.conic() && !ext.updateScalings(w, y) {
+		if ext.cones.Conic() && !ext.cones.Update(w, y) {
 			t.Fatalf("%s step %d: iterate left the cone", label, step)
 		}
 		ext.fillDiagRows(x, y, w, z)
@@ -338,7 +338,7 @@ func TestDigitalResidualMatchesIdealArray(t *testing.T) {
 			}
 		}
 		x, y, w, z = pos(n), pos(m), pos(m), pos(n)
-		if err := (&worker{fab: fab, ext: ext}).writeDiagRows(x, y, w, z); err != nil {
+		if err := (&worker{slot: fabricSlot{fab: fab}, ext: ext}).writeDiagRows(x, y, w, z); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -15,13 +15,25 @@ import (
 // after warm-up, the per-iteration analog read kernels (MatVec, its
 // ToAnalog and MatVecAnalog halves, residual read, linear solve) and the
 // row refresh run without allocating — all results live in crossbar-owned
-// scratch. The memlpvet hotpath analyzer enforces the same property at the
-// source level for the annotated leaf kernels.
+// scratch — under the per-element converter and under GlobalIORange. The
+// memlpvet hotpath analyzer enforces the same property at the source level
+// for the annotated leaf kernels.
 func TestAnalogReadAllocations(t *testing.T) {
+	for _, global := range []bool{false, true} {
+		analogReadAllocations(t, global)
+	}
+}
+
+func analogReadAllocations(t *testing.T, global bool) {
 	const n = 16
+	mode := "per-element"
+	if global {
+		mode = "GlobalIORange"
+	}
 	r := rand.New(rand.NewSource(7))
 	cfg := idealConfig(n)
 	cfg.DeltaWriteBits = 8
+	cfg.GlobalIORange = global
 	x := mustNew(t, cfg)
 	if err := x.Program(randomNonNegMatrix(r, n)); err != nil {
 		t.Fatalf("Program: %v", err)
@@ -56,7 +68,7 @@ func TestAnalogReadAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); allocs > 0 {
-		t.Errorf("MatVec allocates %.0f per call after warm-up, want 0", allocs)
+		t.Errorf("%s: MatVec allocates %.0f per call after warm-up, want 0", mode, allocs)
 	}
 	vi := linalg.NewVector(n)
 	if allocs := testing.AllocsPerRun(50, func() {
@@ -68,21 +80,21 @@ func TestAnalogReadAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); allocs > 0 {
-		t.Errorf("ToAnalog + MatVecAnalog allocate %.0f per call after warm-up, want 0", allocs)
+		t.Errorf("%s: ToAnalog + MatVecAnalog allocate %.0f per call after warm-up, want 0", mode, allocs)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		if _, err := x.MatVecResidual(base, v, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 0 {
-		t.Errorf("MatVecResidual allocates %.0f per call after warm-up, want 0", allocs)
+		t.Errorf("%s: MatVecResidual allocates %.0f per call after warm-up, want 0", mode, allocs)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		if _, err := x.Solve(base); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 0 {
-		t.Errorf("Solve allocates %.0f per call after warm-up, want 0", allocs)
+		t.Errorf("%s: Solve allocates %.0f per call after warm-up, want 0", mode, allocs)
 	}
 	writes := x.Counters().CellWrites
 	k := 0
@@ -92,10 +104,10 @@ func TestAnalogReadAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); allocs > 0 {
-		t.Errorf("UpdateRow allocates %.0f per call after warm-up, want 0", allocs)
+		t.Errorf("%s: UpdateRow allocates %.0f per call after warm-up, want 0", mode, allocs)
 	}
 	if x.Counters().CellWrites == writes {
-		t.Error("the measured refreshes wrote no cell")
+		t.Errorf("%s: the measured refreshes wrote no cell", mode)
 	}
 }
 

@@ -24,6 +24,13 @@ type Vector []float64
 // NewVector returns a zero vector of length n.
 func NewVector(n int) Vector { return make(Vector, n) }
 
+// Ones returns a vector of n ones.
+func Ones(n int) Vector {
+	v := make(Vector, n)
+	v.Fill(1)
+	return v
+}
+
 // VectorOf returns a vector with the given elements (copied).
 //
 //memlpvet:ignore deadexport a shared literal-vector fixture for the tests of many packages

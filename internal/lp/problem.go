@@ -87,6 +87,16 @@ func (p *Problem) Objective(x linalg.Vector) (float64, error) {
 	return p.C.Dot(x)
 }
 
+// DualityGap returns zᵀx + yᵀw, the complementarity gap (Eq. 8) of the
+// slack-form iterate (x, y, w, z).
+//
+//memlp:hotpath
+func DualityGap(x, z, y, w linalg.Vector) float64 {
+	zx, _ := z.Dot(x)
+	yw, _ := y.Dot(w)
+	return zx + yw
+}
+
 // IsFeasible reports whether x satisfies b − A·x ∈ K within tolerance (the
 // paper's relaxed α-check from §3.2, with α = 1+tol) and x ≥ −tol. For
 // orthant rows the check is the classic A·x ≤ b + tol·(1+|b|); for

@@ -438,6 +438,20 @@ func (f *TiledFabric) Counters() crossbar.Counters {
 	return total
 }
 
+// FaultCensus sums the stuck cells of the tiles' mapped regions; without a
+// fault model, or before programming, it is all zeros.
+func (f *TiledFabric) FaultCensus() crossbar.FaultCensus {
+	var total crossbar.FaultCensus
+	for _, row := range f.tiles {
+		for _, xb := range row {
+			c := xb.FaultCensus()
+			total.StuckOn += c.StuckOn
+			total.StuckOff += c.StuckOff
+		}
+	}
+	return total
+}
+
 // quantizeIO applies the fabric's DAC/ADC boundary: the tiles share one
 // converter configuration, so tile (0, 0)'s converter model stands for the
 // fabric's (per-element or shared full-scale, per crossbar.Config).

@@ -9,6 +9,7 @@ import (
 
 	"github.com/memlp/memlp/internal/crossbar"
 	"github.com/memlp/memlp/internal/linalg"
+	"github.com/memlp/memlp/internal/memristor"
 	"github.com/memlp/memlp/internal/quant"
 	"github.com/memlp/memlp/internal/variation"
 )
@@ -371,6 +372,38 @@ func TestCountersAggregate(t *testing.T) {
 	}
 	if got := f.Counters().MatVecOps; got != 4 {
 		t.Errorf("MatVecOps = %d, want 4 (one per tile)", got)
+	}
+}
+
+// TestFaultCensusSumsTiles checks that the fabric's census is the sum of
+// its tiles' censuses over their mapped regions, and is empty before the
+// first Program.
+func TestFaultCensusSumsTiles(t *testing.T) {
+	cfg := smallTileConfig(Mesh)
+	fm := &memristor.FaultModel{StuckOnDensity: 0.05, StuckOffDensity: 0.05, Seed: 1}
+	cfg.Crossbar.Faults = fm
+	f := mustFabric(t, cfg)
+	if c := f.FaultCensus(); c != (crossbar.FaultCensus{}) {
+		t.Fatalf("census before Program = %+v, want zero", c)
+	}
+	// 20×13 on 8-wide tiles: a 3×2 grid whose last row and column of
+	// tiles are partly mapped.
+	if err := f.Program(randomNonNeg(rand.New(rand.NewSource(4)), 20, 13)); err != nil {
+		t.Fatalf("Program: %v", err)
+	}
+	var want crossbar.FaultCensus
+	for _, rows := range []int{8, 8, 4} {
+		for _, cols := range []int{8, 5} {
+			on, off := fm.CountFaults(rows, cols)
+			want.StuckOn += on
+			want.StuckOff += off
+		}
+	}
+	if want.StuckOn == 0 || want.StuckOff == 0 {
+		t.Fatalf("fault model placed no stuck cells (%+v); pick another seed", want)
+	}
+	if got := f.FaultCensus(); got != want {
+		t.Errorf("FaultCensus = %+v, want the tiles' sum %+v", got, want)
 	}
 }
 

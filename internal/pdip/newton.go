@@ -26,60 +26,21 @@ type workspace struct {
 	refine linalg.Vector // 2(n+m) scratch for one LDLᵀ refinement step
 	dw, dz linalg.Vector
 
-	// Conic state, nil/empty for pure LPs: the second-order cone blocks of
-	// the constraint rows, a per-row block index (−1 for orthant rows), one
-	// NT scaling per block, and two length-m scratch vectors for the
+	// cones is the cone layout of the constraint rows (no blocks for pure
+	// LPs). coneRc and conePinv are length-m scratch for the cone rows'
 	// complementarity residual µe − λ∘λ and its P⁻¹ image.
-	blocks   []cone.Block
-	socRow   []int
-	scalings []*cone.Scaling
+	cones    cone.Layout
 	coneRc   linalg.Vector
 	conePinv linalg.Vector
-}
-
-// prepareCones (re)builds the conic bookkeeping for p; called by prepare.
-func (ws *workspace) prepareCones(p *lp.Problem) {
-	ws.blocks = p.SOCBlocks()
-	ws.socRow = nil
-	ws.scalings = nil
-	if len(ws.blocks) == 0 {
-		return
-	}
-	m := ws.m
-	ws.socRow = make([]int, m)
-	for i := range ws.socRow {
-		ws.socRow[i] = -1
-	}
-	for k, blk := range ws.blocks {
-		ws.scalings = append(ws.scalings, cone.NewScaling(blk.Dim))
-		for i := 0; i < blk.Dim; i++ {
-			ws.socRow[blk.Start+i] = k
-		}
-	}
-	ws.coneRc = linalg.NewVector(m)
-	ws.conePinv = linalg.NewVector(m)
-}
-
-// updateScalings refreshes every block's NT scaling from the current (w, y)
-// iterate. It reports false when a block has lost interiority, which the
-// caller must surface as a numerical failure.
-func (ws *workspace) updateScalings(w, y linalg.Vector) bool {
-	for k, blk := range ws.blocks {
-		end := blk.Start + blk.Dim
-		if !ws.scalings[k].Update(w[blk.Start:end], y[blk.Start:end]) {
-			return false
-		}
-	}
-	return true
 }
 
 // coneResiduals fills coneRc with the centered complementarity residual
 // µe − λ∘λ on the cone rows (e is the Jordan identity: 1 on each block's
 // axis row, 0 on tail rows).
 func (ws *workspace) coneResiduals(mu float64) {
-	for k, blk := range ws.blocks {
+	for k, blk := range ws.cones.Blocks {
 		rc := ws.coneRc[blk.Start : blk.Start+blk.Dim]
-		ws.scalings[k].LambdaSq(rc)
+		ws.cones.Scalings[k].LambdaSq(rc)
 		rc[0] = mu - rc[0]
 		for i := 1; i < blk.Dim; i++ {
 			rc[i] = -rc[i]
@@ -115,7 +76,11 @@ func (ws *workspace) prepare(p *lp.Problem, backend NewtonBackend) {
 	} else {
 		ws.mat.Zero()
 	}
-	ws.prepareCones(p)
+	ws.cones.Reset(m, p.SOCBlocks())
+	if ws.cones.Conic() {
+		ws.coneRc = linalg.Resize(ws.coneRc, m)
+		ws.conePinv = linalg.Resize(ws.conePinv, m)
+	}
 
 	mat := ws.mat
 	if backend == NewtonFull {
@@ -173,14 +138,14 @@ func (ws *workspace) solveNewtonFull(x, y, w, z, rho, sigma linalg.Vector, mu fl
 	// dense d×d blocks P = Arw(λ)W⁻¹ and Q = Arw(λ)W replacing the scalar
 	// diagonals (the d = 1 degenerate case is exactly P = y, Q = w).
 	for i := 0; i < m; i++ {
-		if ws.socRow != nil && ws.socRow[i] >= 0 {
+		if ws.cones.InCone(i) {
 			continue
 		}
 		big.Set(m+2*n+i, n+i, w[i])
 		big.Set(m+2*n+i, n+m+i, y[i])
 	}
-	for k, blk := range ws.blocks {
-		sc, d := ws.scalings[k], blk.Dim
+	for k, blk := range ws.cones.Blocks {
+		sc, d := ws.cones.Scalings[k], blk.Dim
 		for i := 0; i < d; i++ {
 			row := big.RawRow(m + 2*n + blk.Start + i)
 			for j := 0; j < d; j++ {
@@ -197,14 +162,14 @@ func (ws *workspace) solveNewtonFull(x, y, w, z, rho, sigma linalg.Vector, mu fl
 		rhs[m+n+i] = mu - x[i]*z[i]
 	}
 	for i := 0; i < m; i++ {
-		if ws.socRow != nil && ws.socRow[i] >= 0 {
+		if ws.cones.InCone(i) {
 			continue
 		}
 		rhs[m+2*n+i] = mu - y[i]*w[i]
 	}
-	if len(ws.blocks) > 0 {
+	if ws.cones.Conic() {
 		ws.coneResiduals(mu)
-		for _, blk := range ws.blocks {
+		for _, blk := range ws.cones.Blocks {
 			for i := 0; i < blk.Dim; i++ {
 				rhs[m+2*n+blk.Start+i] = ws.coneRc[blk.Start+i]
 			}
@@ -253,13 +218,13 @@ func (ws *workspace) solveNewtonReduced(x, y, w, z, rho, sigma linalg.Vector, mu
 		kkt.Set(i, i, z[i]/x[i])
 	}
 	for i := 0; i < m; i++ {
-		if ws.socRow != nil && ws.socRow[i] >= 0 {
+		if ws.cones.InCone(i) {
 			continue
 		}
 		kkt.Set(n+i, n+i, -w[i]/y[i])
 	}
-	for k, blk := range ws.blocks {
-		sc, d := ws.scalings[k], blk.Dim
+	for k, blk := range ws.cones.Blocks {
+		sc, d := ws.cones.Scalings[k], blk.Dim
 		for i := 0; i < d; i++ {
 			row := kkt.RawRow(n + blk.Start + i)
 			for j := 0; j < d; j++ {
@@ -273,16 +238,16 @@ func (ws *workspace) solveNewtonReduced(x, y, w, z, rho, sigma linalg.Vector, mu
 		rhs[i] = sigma[i] + (mu-x[i]*z[i])/x[i]
 	}
 	for i := 0; i < m; i++ {
-		if ws.socRow != nil && ws.socRow[i] >= 0 {
+		if ws.cones.InCone(i) {
 			continue
 		}
 		rhs[n+i] = rho[i] - (mu-y[i]*w[i])/y[i]
 	}
-	if len(ws.blocks) > 0 {
+	if ws.cones.Conic() {
 		ws.coneResiduals(mu)
-		for k, blk := range ws.blocks {
+		for k, blk := range ws.cones.Blocks {
 			end := blk.Start + blk.Dim
-			if !ws.scalings[k].SolveP(ws.conePinv[blk.Start:end], ws.coneRc[blk.Start:end]) {
+			if !ws.cones.Scalings[k].SolveP(ws.conePinv[blk.Start:end], ws.coneRc[blk.Start:end]) {
 				return nil, nil, nil, nil, errConeScaling
 			}
 			for i := blk.Start; i < end; i++ {
@@ -328,13 +293,13 @@ func (ws *workspace) solveNewtonReduced(x, y, w, z, rho, sigma linalg.Vector, mu
 	}
 	dw = ws.dw
 	for i := 0; i < m; i++ {
-		if ws.socRow != nil && ws.socRow[i] >= 0 {
+		if ws.cones.InCone(i) {
 			continue
 		}
 		dw[i] = (mu-y[i]*w[i])/y[i] - w[i]/y[i]*dy[i]
 	}
-	for k, blk := range ws.blocks {
-		sc, d := ws.scalings[k], blk.Dim
+	for k, blk := range ws.cones.Blocks {
+		sc, d := ws.cones.Scalings[k], blk.Dim
 		for i := 0; i < d; i++ {
 			s := ws.conePinv[blk.Start+i]
 			for j := 0; j < d; j++ {

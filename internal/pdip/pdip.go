@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"github.com/memlp/memlp/internal/cone"
@@ -110,7 +109,7 @@ func (s *Solver) applyWarmStart(p *lp.Problem, x, y, w, z linalg.Vector) error {
 		return fmt.Errorf("%w: warm start dimensions %d vars / %d duals, problem has %d vars / %d constraints",
 			lp.ErrInvalid, len(s.warmX), len(s.warmY), len(x), len(y))
 	}
-	if !allFinite(s.warmX) || !allFinite(s.warmY) {
+	if !s.warmX.AllFinite() || !s.warmY.AllFinite() {
 		return nil
 	}
 	copy(x, s.warmX)
@@ -126,17 +125,7 @@ func (s *Solver) applyWarmStart(p *lp.Problem, x, y, w, z linalg.Vector) error {
 	for i := range z {
 		z[i] -= p.C[i]
 	}
-	clampFloor(x, warmStartFloor)
-	clampFloor(z, warmStartFloor)
-	if blocks := s.ws.blocks; len(blocks) > 0 {
-		clampFloorOrthant(y, s.ws.socRow, warmStartFloor)
-		clampFloorOrthant(w, s.ws.socRow, warmStartFloor)
-		cone.ClampInterior(y, blocks, warmStartFloor)
-		cone.ClampInterior(w, blocks, warmStartFloor)
-	} else {
-		clampFloor(y, warmStartFloor)
-		clampFloor(w, warmStartFloor)
-	}
+	clampInterior(x, y, w, z, s.ws.cones.Blocks, warmStartFloor)
 	return nil
 }
 
@@ -203,24 +192,17 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Resul
 	// vectors"); all-ones is the conventional choice. Cone blocks of w and
 	// y start at the Jordan identity e = (1, 0, …, 0) instead — all-ones is
 	// not interior to a second-order cone of dimension ≥ 2.
-	x := onesVector(n)
-	w := onesVector(m)
-	y := onesVector(m)
-	z := onesVector(n)
-	blocks := s.ws.blocks
-	conic := len(blocks) > 0
-	nu := float64(n + m)
-	if conic {
-		socRows := 0
-		for _, blk := range blocks {
-			socRows += blk.Dim
-		}
-		// µ's degree: n orthant pairs on x∘z, one orthant pair per
-		// orthant row, and rank 1 per second-order cone block.
-		nu = float64(n + (m - socRows) + len(blocks))
-		cone.InitInterior(w, blocks)
-		cone.InitInterior(y, blocks)
-	}
+	x := linalg.Ones(n)
+	w := linalg.Ones(m)
+	y := linalg.Ones(m)
+	z := linalg.Ones(n)
+	blocks := s.ws.cones.Blocks
+	conic := s.ws.cones.Conic()
+	// µ's degree: n orthant pairs on x∘z, and the cone layout's count over
+	// the constraint rows, one per orthant row and one per cone block.
+	nu := float64(n + s.ws.cones.Degree())
+	cone.InitInterior(w, blocks)
+	cone.InitInterior(y, blocks)
 	if err := s.applyWarmStart(p, x, y, w, z); err != nil {
 		return nil, err
 	}
@@ -241,13 +223,13 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Resul
 		if err := dualResidualInto(sigma, p, y, z); err != nil { // c − Aᵀ·y + z
 			return nil, err
 		}
-		gap := dualityGap(x, z, y, w)
+		gap := lp.DualityGap(x, z, y, w)
 
 		res.PrimalInfeasibility = rho.NormInf()
 		res.DualInfeasibility = sigma.NormInf()
 		res.DualityGap = gap
 		if conic {
-			res.ConeInfeasibility = slackConeInfeasibility(&s.ws, rho, w)
+			res.ConeInfeasibility = s.ws.cones.SlackDist(rho, w)
 		}
 
 		if res.PrimalInfeasibility <= s.tol.PrimalFeasTol &&
@@ -267,7 +249,7 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Resul
 
 		mu := s.tol.Delta * gap / nu // Eq. 8
 
-		if conic && !s.ws.updateScalings(w, y) {
+		if conic && !s.ws.cones.Update(w, y) {
 			res.Status = lp.StatusNumericalFailure
 			break
 		}
@@ -320,17 +302,7 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Resul
 		if err := z.AxpyInPlace(theta, dz); err != nil {
 			return nil, err
 		}
-		clampPositive(x)
-		clampPositive(z)
-		if conic {
-			clampPositiveOrthant(y, s.ws.socRow)
-			clampPositiveOrthant(w, s.ws.socRow)
-			cone.ClampInterior(y, blocks, 1e-14)
-			cone.ClampInterior(w, blocks, 1e-14)
-		} else {
-			clampPositive(y)
-			clampPositive(w)
-		}
+		clampInterior(x, y, w, z, blocks, iterFloor)
 	}
 
 	res.X, res.Y, res.W, res.Z = x, y, w, z
@@ -379,13 +351,6 @@ func dualResidualInto(dst linalg.Vector, p *lp.Problem, y, z linalg.Vector) erro
 	return nil
 }
 
-// dualityGap returns zᵀx + yᵀw.
-func dualityGap(x, z, y, w linalg.Vector) float64 {
-	zx, _ := z.Dot(x)
-	yw, _ := y.Dot(w)
-	return zx + yw
-}
-
 // stepLength implements Eq. 11: θ = r · min(1, 1/max(−Δv_i/v_i)) where the
 // max runs over all components of all variable/direction pairs with Δv < 0.
 func stepLength(r float64, pairs [][2]linalg.Vector) float64 {
@@ -413,7 +378,7 @@ func stepLengthConic(r float64, ws *workspace, x, dx, y, dy, w, dw, z, dz linalg
 	maxRatio := 0.0
 	scan := func(v, dv linalg.Vector, orthantOnly bool) {
 		for i := range v {
-			if orthantOnly && ws.socRow[i] >= 0 {
+			if orthantOnly && ws.cones.InCone(i) {
 				continue
 			}
 			if dv[i] < 0 && v[i] > 0 {
@@ -427,10 +392,10 @@ func stepLengthConic(r float64, ws *workspace, x, dx, y, dy, w, dw, z, dz linalg
 	scan(z, dz, false)
 	scan(y, dy, true)
 	scan(w, dw, true)
-	if ratio := cone.MaxStepRatio(y, dy, ws.blocks); ratio > maxRatio {
+	if ratio := cone.MaxStepRatio(y, dy, ws.cones.Blocks); ratio > maxRatio {
 		maxRatio = ratio
 	}
-	if ratio := cone.MaxStepRatio(w, dw, ws.blocks); ratio > maxRatio {
+	if ratio := cone.MaxStepRatio(w, dw, ws.cones.Blocks); ratio > maxRatio {
 		maxRatio = ratio
 	}
 	if maxRatio <= 1 {
@@ -439,77 +404,19 @@ func stepLengthConic(r float64, ws *workspace, x, dx, y, dy, w, dw, z, dz linalg
 	return r / maxRatio
 }
 
-// slackConeInfeasibility measures the worst cone violation of the true slack
-// b − A·x = ρ + w over the cone blocks, using the workspace scratch.
-func slackConeInfeasibility(ws *workspace, rho, w linalg.Vector) float64 {
-	var worst float64
-	for _, blk := range ws.blocks {
-		s := ws.conePinv[blk.Start : blk.Start+blk.Dim]
-		for i := range s {
-			s[i] = rho[blk.Start+i] + w[blk.Start+i]
-		}
-		if d := cone.Dist(s); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
+// iterFloor is the floor the iterates are clamped to after each step: the
+// damped step keeps them positive in exact arithmetic, and the floor
+// guards the X⁻¹, Y⁻¹ scalings against rounding.
+const iterFloor = 1e-14
 
-// clampPositive nudges non-positive entries to a tiny positive value; the
-// damped step keeps variables positive in exact arithmetic, and this guards
-// the X⁻¹, Y⁻¹ scalings against rounding.
-func clampPositive(v linalg.Vector) {
-	const floor = 1e-14
-	for i, x := range v {
-		if x < floor {
-			v[i] = floor
-		}
-	}
-}
-
-// clampPositiveOrthant is clampPositive restricted to orthant rows; cone
-// rows are restored by cone.ClampInterior instead (tail components of a
-// second-order cone block are legitimately negative).
-func clampPositiveOrthant(v linalg.Vector, socRow []int) {
-	const floor = 1e-14
-	for i, x := range v {
-		if socRow[i] < 0 && x < floor {
-			v[i] = floor
-		}
-	}
-}
-
-// clampFloor raises every entry of v below floor up to it (the warm-start
-// analogue of clampPositive, with a caller-chosen floor).
-func clampFloor(v linalg.Vector, floor float64) {
-	for i, x := range v {
-		if x < floor {
-			v[i] = floor
-		}
-	}
-}
-
-// clampFloorOrthant is clampFloor restricted to orthant rows; cone rows are
-// restored by cone.ClampInterior instead.
-func clampFloorOrthant(v linalg.Vector, socRow []int, floor float64) {
-	for i, x := range v {
-		if socRow[i] < 0 && x < floor {
-			v[i] = floor
-		}
-	}
-}
-
-func allFinite(v linalg.Vector) bool {
-	for _, e := range v {
-		if math.IsNaN(e) || math.IsInf(e, 0) {
-			return false
-		}
-	}
-	return true
-}
-
-func onesVector(n int) linalg.Vector {
-	v := linalg.NewVector(n)
-	v.Fill(1)
-	return v
+// clampInterior restores the strict interior of the iterate: x, z and the
+// orthant rows of y and w are raised to floor, and the cone blocks of y and
+// w get the cone interior clamp (their tails are legitimately signed).
+func clampInterior(x, y, w, z linalg.Vector, blocks []cone.Block, floor float64) {
+	cone.FloorOrthant(x, nil, floor)
+	cone.FloorOrthant(z, nil, floor)
+	cone.FloorOrthant(y, blocks, floor)
+	cone.FloorOrthant(w, blocks, floor)
+	cone.ClampInterior(y, blocks, floor)
+	cone.ClampInterior(w, blocks, floor)
 }

@@ -29,14 +29,24 @@ type Quantizer struct {
 
 // New returns a quantizer with the given bit width over [min, max].
 func New(bits int, min, max float64) (*Quantizer, error) {
+	q, err := newQuantizer(bits, min, max)
+	if err != nil {
+		return nil, err
+	}
+	return &q, nil
+}
+
+// newQuantizer is New returning the quantizer by value, so a caller that
+// builds one per vector keeps it off the heap.
+func newQuantizer(bits int, min, max float64) (Quantizer, error) {
 	if bits < 1 || bits > 24 {
-		return nil, fmt.Errorf("%w: %d", ErrInvalidBits, bits)
+		return Quantizer{}, fmt.Errorf("%w: %d", ErrInvalidBits, bits)
 	}
 	if !(min < max) || math.IsInf(min, 0) || math.IsInf(max, 0) || math.IsNaN(min) || math.IsNaN(max) {
-		return nil, fmt.Errorf("%w: [%v, %v]", ErrInvalidRange, min, max)
+		return Quantizer{}, fmt.Errorf("%w: [%v, %v]", ErrInvalidRange, min, max)
 	}
 	levels := 1 << uint(bits)
-	return &Quantizer{
+	return Quantizer{
 		min:    min,
 		max:    max,
 		levels: levels,
@@ -82,10 +92,12 @@ func (q *Quantizer) QuantizeVector(v []float64) []float64 {
 
 // SymmetricAroundZero returns a quantizer over [-amp, +amp]. This models the
 // bipolar DAC/ADC voltage paths of the solver, where signals can take either
-// sign within the supply rails.
-func SymmetricAroundZero(bits int, amp float64) (*Quantizer, error) {
+// sign within the supply rails. It returns the quantizer by value: the
+// global-range converter builds one for every vector it converts, and that
+// read path must not allocate.
+func SymmetricAroundZero(bits int, amp float64) (Quantizer, error) {
 	if !(amp > 0) || math.IsInf(amp, 0) || math.IsNaN(amp) {
-		return nil, fmt.Errorf("%w: amplitude %v", ErrInvalidRange, amp)
+		return Quantizer{}, fmt.Errorf("%w: amplitude %v", ErrInvalidRange, amp)
 	}
-	return New(bits, -amp, amp)
+	return newQuantizer(bits, -amp, amp)
 }

@@ -99,6 +99,37 @@ func TestNoCHandlePricesRepeatSolves(t *testing.T) {
 	}
 }
 
+// TestNoCHandleCensusesStuckCells checks that a WithNoC handle reports the
+// stuck cells of its tiles, as a one-array handle reports its own: the
+// recovery ladder's digital cross-check and its escalation of infeasible
+// and unbounded verdicts run only on a non-empty census.
+func TestNoCHandleCensusesStuckCells(t *testing.T) {
+	p, err := GenerateFeasible(9, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm := FaultModel{StuckOnDensity: 0.02, StuckOffDensity: 0.02, Seed: 3}
+	for _, eng := range []Engine{EngineCrossbar, EngineCrossbarLargeScale} {
+		for _, tiled := range []bool{false, true} {
+			opts := []Option{WithVariation(0.05), WithFaultModel(fm)}
+			if tiled {
+				opts = append(opts, WithNoC("mesh", 16))
+			}
+			s, err := NewSolver(eng, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol, err := s.Solve(context.Background(), p)
+			if err != nil {
+				t.Fatalf("%v (NoC %v): %v", eng, tiled, err)
+			}
+			if d := sol.Diagnostics; d == nil || d.StuckOn == 0 || d.StuckOff == 0 {
+				t.Errorf("%v (NoC %v): Diagnostics = %+v, want stuck-on and stuck-off cells counted", eng, tiled, d)
+			}
+		}
+	}
+}
+
 // TestNoCHandleConcurrent mixes solves of two sizes and batches on one NoC
 // handle from several goroutines: under -race it pins that the handle's
 // fabrics and their transfer ledgers are safe behind the handle's lock.
