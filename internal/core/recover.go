@@ -178,9 +178,6 @@ func runRecoveryLadder(ctx context.Context, p *lp.Problem, opts Options, start t
 		if opts.Recovery {
 			diag.RecoveredBy = rung
 			diag.WriteRetries = counters.WriteRetries
-			if opts.EnergyModel != nil {
-				diag.EnergyJoules = opts.EnergyModel(counters)
-			}
 			d := diag
 			res.Diagnostics = &d
 		}

@@ -73,8 +73,7 @@ type Options struct {
 	// terminal done record into a bounded ring, returned as engine.Result.Trace.
 	Trace *TraceOptions
 	// EnergyModel converts fabric counters into modeled energy (joules).
-	// It prices the trace's cumulative energy field and
-	// Diagnostics.EnergyJoules; nil leaves both zero.
+	// It prices the trace's cumulative energy field; nil leaves it zero.
 	EnergyModel func(crossbar.Counters) float64
 	// AnalogResidual selects the paper's Algorithm 1 residual: r is read
 	// from the array with one analog mat-vec (Eq. 15b), through the DAC and

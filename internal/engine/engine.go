@@ -93,8 +93,8 @@ type Diagnostics struct {
 	// "" (first attempt), "resolve", or "software".
 	RecoveredBy string
 	// EnergyJoules is the modeled energy spent across all attempts of this
-	// solve (zero without an energy model). It is populated on successful
-	// first-try solves too, not only on recovered or degraded ones.
+	// solve. Engines leave it zero: the public layer sets it from the
+	// hardware estimate it prices, NoC transfers included.
 	EnergyJoules float64
 }
 

@@ -212,9 +212,6 @@ func TestGridBitIdentical(t *testing.T) {
 		if res.NoC != ref.NoC {
 			t.Errorf("grid=%d: NoC stats %+v, want %+v", g, res.NoC, ref.NoC)
 		}
-		if math.Float64bits(res.Diagnostics.EnergyJoules) != math.Float64bits(ref.Diagnostics.EnergyJoules) {
-			t.Errorf("grid=%d: energy %v, want bit-identical %v", g, res.Diagnostics.EnergyJoules, ref.Diagnostics.EnergyJoules)
-		}
 		if diff := trace.Diff(res.Trace, ref.Trace, 0); len(diff) != 0 {
 			t.Errorf("grid=%d: trace diverged:\n  %s", g, diff[0])
 		}

@@ -366,9 +366,10 @@ type Diagnostics struct {
 	// RecoveredBy names the rung that produced the result: "" (first
 	// attempt), "resolve", or "software".
 	RecoveredBy string
-	// EnergyJoules is the modeled analog energy of the returned attempt's
-	// hardware activity. Populated on clean first-try solves too, not just
-	// recovered ones.
+	// EnergyJoules is Hardware.EnergyJoules: the modeled energy of every
+	// attempt of the solve, NoC transfers included (and the pool's
+	// programming on a batch's first Solution). Populated on clean first-try
+	// solves too, not just recovered ones.
 	EnergyJoules float64
 }
 

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -305,5 +306,50 @@ func TestDiagnosticsOnSuccessfulBatch(t *testing.T) {
 		if d.EnergyJoules <= 0 {
 			t.Errorf("solution %d: EnergyJoules = %v, want > 0", i, d.EnergyJoules)
 		}
+	}
+}
+
+// TestDiagnosticsEnergyIsHardwareEnergy: a Solution's Diagnostics energy is
+// its hardware estimate's energy, bit for bit, priced once by the public
+// layer: NoC transfers included on the Newton engines under WithNoC, on
+// PDHG, and on every member of a pooled batch (the first carries the pool's
+// programming, as its Hardware does).
+func TestDiagnosticsEnergyIsHardwareEnergy(t *testing.T) {
+	ctx := context.Background()
+	p, err := GenerateFeasible(9, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, sol *Solution) {
+		t.Helper()
+		if sol.Diagnostics == nil || sol.Hardware == nil {
+			t.Fatalf("%s: Diagnostics %v, Hardware %v", name, sol.Diagnostics, sol.Hardware)
+		}
+		if d, hw := sol.Diagnostics.EnergyJoules, sol.Hardware.EnergyJoules; math.Float64bits(d) != math.Float64bits(hw) || !(d > 0) {
+			t.Errorf("%s: Diagnostics energy %.8g J, Hardware energy %.8g J", name, d, hw)
+		}
+	}
+	for _, eng := range []Engine{EngineCrossbar, EngineCrossbarLargeScale} {
+		sol, err := Solve(p, eng, WithWriteVerify(2, 0.01), WithNoC("mesh", 16))
+		if err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		check(eng.String(), sol)
+	}
+	sol, err := Solve(p, EnginePDHG, WithNoC("mesh", 4), WithVariation(0.05))
+	if err != nil {
+		t.Fatalf("pdhg: %v", err)
+	}
+	check("pdhg", sol)
+	s, err := NewSolver(EngineCrossbar, WithParallelism(2), WithWriteVerify(2, 0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sols, err := s.SolveBatch(ctx, poolBatch(t, 4, 9, 3))
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	for i, sol := range sols {
+		check(fmt.Sprintf("batch member %d", i), sol)
 	}
 }
