@@ -1,6 +1,9 @@
 package variation
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestCloneReplaysBaseStream checks a clone restarts the base seed's draw
 // sequence from the beginning — the fabric pool relies on this so every
@@ -101,6 +104,32 @@ func TestReseedEpochErasesPosition(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		if got, want := used.Factor(), fresh.Factor(); got != want {
 			t.Fatalf("draw %d = %v, want %v (history leaked through reseed)", i, got, want)
+		}
+	}
+}
+
+// TestReseedEpochInPlace checks a reseed restarts the stream in place: the
+// draws after it are those of a new source seeded with mixEpoch(seed, epoch),
+// for every distribution, and the call allocates nothing.
+func TestReseedEpochInPlace(t *testing.T) {
+	for _, dist := range []Distribution{Uniform, Gaussian, Lognormal} {
+		m, err := NewModel(dist, 0.1, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 37; i++ {
+			m.Factor()
+		}
+		m.ReseedEpoch(5)
+		want := &Model{dist: dist, magnitude: 0.1, seed: 17, rng: rand.New(rand.NewSource(mixEpoch(17, 5)))}
+		for i := 0; i < 1000; i++ {
+			if got, w := m.Factor(), want.Factor(); got != w {
+				t.Fatalf("%v: draw %d = %v, want %v", dist, i, got, w)
+			}
+		}
+		epoch := int64(0)
+		if a := testing.AllocsPerRun(100, func() { epoch++; m.ReseedEpoch(epoch) }); a != 0 {
+			t.Errorf("%v: ReseedEpoch allocates %v times per call, want 0", dist, a)
 		}
 	}
 }

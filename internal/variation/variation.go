@@ -96,9 +96,10 @@ func (m *Model) Clone() *Model {
 // PROBLEM index before every batch member, which is what makes batch results
 // bit-identical regardless of which shard (or how many shards) ran them.
 // Epoch values must not collide with the base seed's own stream; mixEpoch
-// guarantees that by avalanche-mixing the pair.
+// guarantees that by avalanche-mixing the pair. The source is reseeded in
+// place, so the call allocates nothing.
 func (m *Model) ReseedEpoch(epoch int64) {
-	m.rng = rand.New(rand.NewSource(mixEpoch(m.seed, epoch)))
+	m.rng.Seed(mixEpoch(m.seed, epoch))
 }
 
 // mixEpoch combines a base seed and an epoch into one well-distributed
