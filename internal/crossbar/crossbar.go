@@ -71,17 +71,23 @@ func checkCoefficient(v float64) error {
 	return errNonFinite
 }
 
+// The sense resistor and the mapping headroom of every array. Both are
+// typed, so expressions keep their run-time rounding step by step.
+const (
+	// senseConductance is gs in siemens: 100·GMax, which keeps the bitline
+	// sense node stiff relative to the array.
+	senseConductance float64 = 100 * memristor.GMax
+	// maxRowSum is the mapping headroom ρ: the programmed connection matrix
+	// keeps every row sum ≤ ρ < 1, leaving headroom for in-place
+	// coefficient updates that grow a row.
+	maxRowSum float64 = 0.5
+)
+
 // Config parameterizes a crossbar array.
 type Config struct {
 	// Size is the physical array dimension (Size×Size devices).
 	// Zero means 4096.
 	Size int
-	// Device holds the memristor technology parameters.
-	// The zero value means memristor.DefaultParams().
-	Device memristor.DeviceParams
-	// SenseConductance is gs in siemens. Zero means 100·GMax, which keeps
-	// the bitline sense node stiff relative to the array.
-	SenseConductance float64
 	// IOBits is the DAC/ADC precision for voltages. Zero means 8 (§4.1).
 	IOBits int
 	// GlobalIORange, when true, quantizes whole vectors against a single
@@ -115,10 +121,6 @@ type Config struct {
 	// fraction of the static variation magnitude (0 disables; the AB4
 	// ablation sweeps it). Requires Variation.
 	CycleNoise float64
-	// MaxRowSum is the mapping headroom ρ: the programmed connection matrix
-	// keeps every row sum ≤ ρ < 1. Zero means 0.5, leaving headroom for
-	// in-place coefficient updates that grow a row.
-	MaxRowSum float64
 	// WireResistance is the metal line resistance per crossbar segment in
 	// ohms (IR drop). Each cell's conductance is attenuated by the series
 	// word-line and bit-line wire on its current path:
@@ -145,20 +147,11 @@ func (c Config) withDefaults() Config {
 	if c.Size == 0 {
 		c.Size = 4096
 	}
-	if c.Device == (memristor.DeviceParams{}) {
-		c.Device = memristor.DefaultParams()
-	}
-	if c.SenseConductance == 0 {
-		c.SenseConductance = 100 * c.Device.GMax()
-	}
 	if c.IOBits == 0 {
 		c.IOBits = 8
 	}
 	if c.WriteBits == 0 {
 		c.WriteBits = 14
-	}
-	if c.MaxRowSum == 0 {
-		c.MaxRowSum = 0.5
 	}
 	if c.MaxWriteRetries > 0 && c.WriteVerifyTol == 0 {
 		c.WriteVerifyTol = 0.01
@@ -170,12 +163,6 @@ func (c Config) validate() error {
 	if c.Size < 1 {
 		return fmt.Errorf("%w: size %d", ErrBadConfig, c.Size)
 	}
-	if err := c.Device.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	if !(c.SenseConductance > 0) {
-		return fmt.Errorf("%w: sense conductance %v", ErrBadConfig, c.SenseConductance)
-	}
 	if c.IOBits < 1 || c.IOBits > 24 {
 		return fmt.Errorf("%w: IO bits %d", ErrBadConfig, c.IOBits)
 	}
@@ -184,9 +171,6 @@ func (c Config) validate() error {
 	}
 	if c.DeltaWriteBits != 0 && (c.DeltaWriteBits < 2 || c.DeltaWriteBits > 24) {
 		return fmt.Errorf("%w: delta write bits %d", ErrBadConfig, c.DeltaWriteBits)
-	}
-	if !(c.MaxRowSum > 0 && c.MaxRowSum < 1) {
-		return fmt.Errorf("%w: max row sum %v", ErrBadConfig, c.MaxRowSum)
 	}
 	if c.CycleNoise < 0 || c.CycleNoise > 1 {
 		return fmt.Errorf("%w: cycle noise %v outside [0,1]", ErrBadConfig, c.CycleNoise)
@@ -422,12 +406,11 @@ func (x *Crossbar) SetDeltaProgramming(on bool) {
 //
 //memlp:hotpath
 func (x *Crossbar) quantizeG(g float64) float64 {
-	gmin, gmax := x.cfg.Device.GMin(), x.cfg.Device.GMax()
-	if g <= gmin {
-		return gmin
+	if g <= memristor.GMin {
+		return memristor.GMin
 	}
-	if g >= gmax {
-		return gmax
+	if g >= memristor.GMax {
+		return memristor.GMax
 	}
 	step := math.Ldexp(1, -(x.cfg.WriteBits - 1))
 	scale := math.Ldexp(1, ceilLog2(g)) * step
@@ -603,8 +586,8 @@ func (x *Crossbar) Program(a *linalg.Matrix) error {
 // ≤ ρ and (b) every mapped conductance g = v·gs/(scaleᵢ − rowsum) stays
 // ≤ gmax.
 func (x *Crossbar) rowScaleFor(sum, maxElem float64) float64 {
-	if req := sum + maxElem*x.cfg.SenseConductance/x.cfg.Device.GMax(); req > 0 {
-		return req / x.cfg.MaxRowSum
+	if req := sum + maxElem*senseConductance/memristor.GMax; req > 0 {
+		return req / maxRowSum
 	}
 	return 1
 }
@@ -729,7 +712,7 @@ func (x *Crossbar) refreshRow(i int, row linalg.Vector, scale float64, live []ui
 		}
 	}
 	// Exact mapping: g = C·gs/(1−R). Row sums ≤ ρ < 1 by construction.
-	coef := x.cfg.SenseConductance / (1 - ri)
+	coef := senseConductance / (1 - ri)
 	prow := x.progTarget.RawRow(i)
 	for k, w := range live {
 		for ; w != 0; w &= w - 1 {
@@ -814,12 +797,12 @@ func (x *Crossbar) UpdateCellInPlace(i, j int, value float64) error {
 	c := value / x.rowScale[i]
 	oldTarget := x.target.At(i, j)
 	rest := x.liveRowSum(i) - oldTarget
-	if maxC := x.cfg.MaxRowSum - rest; c > maxC {
+	if maxC := maxRowSum - rest; c > maxC {
 		c = maxC
 	}
 	// Conductance ceiling: c·gs/(1−rest−c) ≤ gmax ⇔ c ≤ gmax(1−rest)/(gs+gmax).
-	gmax := x.cfg.Device.GMax()
-	if maxC := gmax * (1 - rest) / (x.cfg.SenseConductance + gmax); c > maxC {
+	const gmax = memristor.GMax
+	if maxC := gmax * (1 - rest) / (senseConductance + gmax); c > maxC {
 		c = maxC
 	}
 	if c < 0 {
@@ -835,7 +818,7 @@ func (x *Crossbar) UpdateCellInPlace(i, j int, value float64) error {
 	var tq float64
 	if c > 0 {
 		ri := x.liveRowSum(i)
-		coef := x.cfg.SenseConductance / (1 - ri)
+		coef := senseConductance / (1 - ri)
 		tq = x.quantizeG(c * coef)
 	}
 	x.programCell(i, j, tq)
@@ -949,7 +932,7 @@ func (x *Crossbar) MatVecAnalog(vi linalg.Vector, inScale float64) (linalg.Vecto
 		return nil, err
 	}
 	x.counters.IOConversions += int64(len(vi))
-	gs := x.cfg.SenseConductance
+	const gs = senseConductance
 	p := x.pattern()
 	vo := scratchVec(&x.mvOut, x.rows)
 	for i := 0; i < x.rows; i++ {
@@ -997,7 +980,7 @@ func (x *Crossbar) MatVecResidual(base, v, factor linalg.Vector) (linalg.Vector,
 		return nil, err
 	}
 	x.counters.IOConversions += int64(len(vi))
-	gs := x.cfg.SenseConductance
+	const gs = senseConductance
 	p := x.pattern()
 	out := scratchVec(&x.resOut, x.rows)
 	for i := 0; i < x.rows; i++ {
@@ -1042,7 +1025,7 @@ func (x *Crossbar) Solve(b linalg.Vector) (linalg.Vector, error) {
 	// F₍ᵢ,ⱼ₎ = rowScaleᵢ·g'₍ᵢ,ⱼ₎/(gs+S'ᵢ). Without calibration, the O(var)
 	// mismatch between ideal and realized row sums leaks a fraction of
 	// every Newton step into the primal residual (DESIGN.md §D3).
-	gs := x.cfg.SenseConductance
+	const gs = senseConductance
 	// The attenuated network has gt's zeros (effG(0) = 0), so gt's pattern
 	// covers it as well. The row sums below and SolvePattern read only the
 	// pattern's entries of the network, so only those are filled; the rest
@@ -1116,7 +1099,7 @@ func (x *Crossbar) EffectiveMatrix() (*linalg.Matrix, error) {
 	if x.target == nil {
 		return nil, ErrNotProgrammed
 	}
-	gs := x.cfg.SenseConductance
+	const gs = senseConductance
 	out := linalg.NewMatrix(x.rows, x.cols)
 	for i := 0; i < x.rows; i++ {
 		grow := x.gt.RawRow(i)

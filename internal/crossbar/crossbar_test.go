@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/memlp/memlp/internal/linalg"
+	"github.com/memlp/memlp/internal/memristor"
 	"github.com/memlp/memlp/internal/variation"
 )
 
@@ -54,9 +55,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative size", func(c *Config) { c.Size = -1 }},
 		{"bad IO bits", func(c *Config) { c.IOBits = 30 }},
 		{"bad write bits", func(c *Config) { c.WriteBits = -2 }},
-		{"row sum one", func(c *Config) { c.MaxRowSum = 1 }},
-		{"row sum negative", func(c *Config) { c.MaxRowSum = -0.5 }},
-		{"negative sense", func(c *Config) { c.SenseConductance = -1 }},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,11 +70,8 @@ func TestConfigValidation(t *testing.T) {
 func TestDefaultsApplied(t *testing.T) {
 	x := mustNew(t, Config{})
 	cfg := x.cfg
-	if cfg.Size != 4096 || cfg.IOBits != 8 || cfg.WriteBits != 14 || cfg.MaxRowSum != 0.5 {
+	if cfg.Size != 4096 || cfg.IOBits != 8 || cfg.WriteBits != 14 {
 		t.Errorf("defaults wrong: %+v", cfg)
-	}
-	if cfg.SenseConductance <= 0 {
-		t.Error("sense conductance default not positive")
 	}
 }
 
@@ -345,9 +340,8 @@ func TestScaleReported(t *testing.T) {
 	}
 	// Required scale: max over rows of (rowsum + maxElem·gs/gmax), divided
 	// by the headroom ρ. Row 0: 4 + 3·(gs/gmax); row 1: 2 + 2·(gs/gmax).
-	cfg := x.cfg
-	ratio := cfg.SenseConductance / cfg.Device.GMax()
-	want := (4 + 3*ratio) / cfg.MaxRowSum
+	ratio := senseConductance / memristor.GMax
+	want := (4 + 3*ratio) / maxRowSum
 	if got := math.Max(x.rowScale[0], x.rowScale[1]); math.Abs(got-want)/want > 1e-12 {
 		t.Errorf("Scale = %v, want %v", got, want)
 	}

@@ -49,7 +49,7 @@ func (x *Crossbar) driftFactor(i, j int) float64 {
 func (x *Crossbar) pinFaultCell(i, j int, kind memristor.FaultKind, tq float64) {
 	pinned := 0.0
 	if kind == memristor.FaultStuckOn {
-		pinned = x.cfg.Device.GMax()
+		pinned = memristor.GMax
 	}
 	if !linalg.Identical(tq, x.progTarget.At(i, j)) {
 		x.progTarget.Set(i, j, tq)

@@ -200,7 +200,7 @@ func TestSenseRowMatchesMatVec(t *testing.T) {
 			if _, err := x.ToAnalog(vi, v); err != nil {
 				t.Fatalf("ToAnalog: %v", err)
 			}
-			gs := x.cfg.SenseConductance
+			gs := senseConductance
 			p := x.pattern()
 			attenuated := false
 			for i := 0; i < n; i++ {

@@ -52,7 +52,7 @@ func denseMatVec(t *testing.T, x *Crossbar, v linalg.Vector) linalg.Vector {
 		vi[i] = e / inScale
 	}
 	mustQuantize(t, x, vi)
-	gs := x.cfg.SenseConductance
+	gs := senseConductance
 	out := make(linalg.Vector, x.rows)
 	for i := range out {
 		num, s := denseSenseRow(x, i, vi)
@@ -70,7 +70,7 @@ func denseMatVecResidual(t *testing.T, x *Crossbar, base, v, factor linalg.Vecto
 	t.Helper()
 	vi := v.Clone()
 	mustQuantize(t, x, vi)
-	gs := x.cfg.SenseConductance
+	gs := senseConductance
 	out := make(linalg.Vector, x.rows)
 	for i := range out {
 		num, s := denseSenseRow(x, i, vi)
@@ -89,7 +89,7 @@ func denseMatVecResidual(t *testing.T, x *Crossbar, base, v, factor linalg.Vecto
 // own pattern instead of using the array's cached one.
 func denseSolve(t *testing.T, x *Crossbar, b linalg.Vector) (linalg.Vector, error) {
 	t.Helper()
-	gs := x.cfg.SenseConductance
+	gs := senseConductance
 	net := linalg.NewMatrix(x.rows, x.cols)
 	for i := 0; i < x.rows; i++ {
 		for j, g := range x.gt.RawRow(i) {
@@ -384,7 +384,7 @@ func TestPatternInvalidation(t *testing.T) {
 	if len(zi) < 2 {
 		t.Fatalf("want two healthy gated-off cells, have %d", len(zi))
 	}
-	x.writeDevice(zi[0], zj[0], x.cfg.Device.GMax()/2)
+	x.writeDevice(zi[0], zj[0], memristor.GMax/2)
 	requireValid(false, "writeDevice flipping a cell")
 	x.pinFaultCell(zi[1], zj[1], memristor.FaultStuckOn, 0)
 	requireValid(false, "pinFaultCell flipping a cell")
@@ -525,7 +525,7 @@ func TestPowerOfTwoScaleMatchesExp2(t *testing.T) {
 
 	// The write quantizer's formula as it stood before the switch to Ldexp.
 	exp2G := func(x *Crossbar, g float64) float64 {
-		gmin, gmax := x.cfg.Device.GMin(), x.cfg.Device.GMax()
+		gmin, gmax := memristor.GMin, memristor.GMax
 		if g <= gmin {
 			return gmin
 		}
@@ -558,7 +558,7 @@ func TestPowerOfTwoScaleMatchesExp2(t *testing.T) {
 
 	// quantizeG sees conductances inside the device range.
 	x := mustNew(t, Config{Size: 4})
-	gmin, gmax := x.cfg.Device.GMin(), x.cfg.Device.GMax()
+	gmin, gmax := memristor.GMin, memristor.GMax
 	var conductances []float64
 	for k := math.Ilogb(gmin); k <= math.Ilogb(gmax)+1; k++ {
 		p := math.Ldexp(1, k)

@@ -35,8 +35,8 @@ func refSetTargetRow(x *Crossbar, i int, row linalg.Vector) {
 		}
 	}
 	scale := 1.0
-	if req := sum + maxElem*x.cfg.SenseConductance/x.cfg.Device.GMax(); req > 0 {
-		scale = req / x.cfg.MaxRowSum
+	if req := sum + maxElem*senseConductance/memristor.GMax; req > 0 {
+		scale = req / maxRowSum
 	}
 	x.rowScale[i] = scale
 	for j, v := range row {
@@ -45,7 +45,7 @@ func refSetTargetRow(x *Crossbar, i int, row linalg.Vector) {
 }
 
 func refWriteRow(x *Crossbar, i int) {
-	gs := x.cfg.SenseConductance
+	gs := senseConductance
 	ri := rowSum(x.target, i)
 	coef := gs / (1 - ri)
 	for j := 0; j < x.cols; j++ {
@@ -161,11 +161,11 @@ func refUpdateCellInPlace(x *Crossbar, i, j int, value float64) error {
 	}
 	c := value / x.rowScale[i]
 	rest := rowSum(x.target, i) - x.target.At(i, j)
-	if maxC := x.cfg.MaxRowSum - rest; c > maxC {
+	if maxC := maxRowSum - rest; c > maxC {
 		c = maxC
 	}
-	gmax := x.cfg.Device.GMax()
-	if maxC := gmax * (1 - rest) / (x.cfg.SenseConductance + gmax); c > maxC {
+	gmax := memristor.GMax
+	if maxC := gmax * (1 - rest) / (senseConductance + gmax); c > maxC {
 		c = maxC
 	}
 	if c < 0 {
@@ -177,7 +177,7 @@ func refUpdateCellInPlace(x *Crossbar, i, j int, value float64) error {
 	}
 	var tq float64
 	if c > 0 {
-		coef := x.cfg.SenseConductance / (1 - rowSum(x.target, i))
+		coef := senseConductance / (1 - rowSum(x.target, i))
 		tq = x.quantizeG(c * coef)
 	}
 	x.programCell(i, j, tq)
@@ -250,7 +250,7 @@ func requireRefreshState(t *testing.T, got, ref *Crossbar, label string) {
 				// gt at the pinned conductance and a drift clock of +Inf.
 				pinned := 0.0
 				if k == memristor.FaultStuckOn {
-					pinned = got.cfg.Device.GMax()
+					pinned = memristor.GMax
 				}
 				if math.Float64bits(got.gt.At(i, j)) != math.Float64bits(pinned) {
 					t.Fatalf("%s: stuck cell (%d,%d) holds %v, want pinned %v", label, i, j, got.gt.At(i, j), pinned)

@@ -1,5 +1,5 @@
 // Package memristor holds the device technology behind a crossbar: the
-// HP TiO₂-class resistance range (DeviceParams), the deterministic stuck-at
+// HP TiO₂-class conductance range (GMin, GMax), the deterministic stuck-at
 // fault model, and the per-operation timing/energy constants used by the
 // performance estimator.
 //
@@ -9,44 +9,13 @@
 // range [1/ROFF, 1/RON] those bounds give.
 package memristor
 
-import (
-	"errors"
-	"fmt"
+// The conductance range of TiO₂-class devices consistent with the HP device
+// literature ([3][13]): RON = 1 kΩ and ROFF = 10 MΩ, a 10⁴ on/off ratio.
+// Both are typed, so each is one correctly rounded division, as 1/ROFF and
+// 1/RON are at run time.
+const (
+	// GMin is the minimum programmable conductance 1/ROFF, in siemens.
+	GMin float64 = 1 / 10_000_000.0
+	// GMax is the maximum programmable conductance 1/RON, in siemens.
+	GMax float64 = 1 / 1_000.0
 )
-
-// ErrInvalidParams is returned when device parameters are not physical.
-var ErrInvalidParams = errors.New("memristor: invalid device parameters")
-
-// DeviceParams describes one memristor device technology.
-type DeviceParams struct {
-	// RON is the low-resistance (fully doped) state, in ohms.
-	RON float64
-	// ROFF is the high-resistance (undoped) state, in ohms.
-	ROFF float64
-}
-
-// DefaultParams returns TiO₂-class device parameters consistent with the HP
-// device literature ([3][13]).
-func DefaultParams() DeviceParams {
-	return DeviceParams{
-		RON:  1_000,      // Ω
-		ROFF: 10_000_000, // Ω (10⁴ on/off ratio, TiO₂ class)
-	}
-}
-
-// Validate checks physical consistency of the parameters.
-func (p DeviceParams) Validate() error {
-	switch {
-	case !(p.RON > 0):
-		return fmt.Errorf("%w: RON = %v", ErrInvalidParams, p.RON)
-	case !(p.ROFF > p.RON):
-		return fmt.Errorf("%w: ROFF = %v must exceed RON = %v", ErrInvalidParams, p.ROFF, p.RON)
-	}
-	return nil
-}
-
-// GMin returns the minimum programmable conductance 1/ROFF.
-func (p DeviceParams) GMin() float64 { return 1 / p.ROFF }
-
-// GMax returns the maximum programmable conductance 1/RON.
-func (p DeviceParams) GMax() float64 { return 1 / p.RON }

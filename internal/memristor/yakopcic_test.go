@@ -56,21 +56,24 @@ func DefaultYakopcicParams() YakopcicParams {
 	}
 }
 
+// errInvalidParams is returned when Yakopcic parameters are not physical.
+var errInvalidParams = errors.New("memristor: invalid device parameters")
+
 // Validate rejects non-physical parameters.
 func (p YakopcicParams) Validate() error {
 	switch {
 	case !(p.A1 > 0) || !(p.A2 > 0):
-		return fmt.Errorf("%w: current amplitudes %v, %v", ErrInvalidParams, p.A1, p.A2)
+		return fmt.Errorf("%w: current amplitudes %v, %v", errInvalidParams, p.A1, p.A2)
 	case !(p.B > 0):
-		return fmt.Errorf("%w: b = %v", ErrInvalidParams, p.B)
+		return fmt.Errorf("%w: b = %v", errInvalidParams, p.B)
 	case !(p.Vp > 0) || !(p.Vn > 0):
-		return fmt.Errorf("%w: thresholds %v, %v", ErrInvalidParams, p.Vp, p.Vn)
+		return fmt.Errorf("%w: thresholds %v, %v", errInvalidParams, p.Vp, p.Vn)
 	case !(p.Ap > 0) || !(p.An > 0):
-		return fmt.Errorf("%w: motion amplitudes %v, %v", ErrInvalidParams, p.Ap, p.An)
+		return fmt.Errorf("%w: motion amplitudes %v, %v", errInvalidParams, p.Ap, p.An)
 	case p.Xp <= 0 || p.Xp >= 1 || p.Xn <= 0 || p.Xn >= 1:
-		return fmt.Errorf("%w: window points %v, %v", ErrInvalidParams, p.Xp, p.Xn)
+		return fmt.Errorf("%w: window points %v, %v", errInvalidParams, p.Xp, p.Xn)
 	case p.Eta != 1 && p.Eta != -1:
-		return fmt.Errorf("%w: eta = %v (must be ±1)", ErrInvalidParams, p.Eta)
+		return fmt.Errorf("%w: eta = %v (must be ±1)", errInvalidParams, p.Eta)
 	}
 	return nil
 }
@@ -87,7 +90,7 @@ func NewYakopcicDevice(params YakopcicParams, x0 float64) (*YakopcicDevice, erro
 		return nil, err
 	}
 	if x0 < 0 || x0 > 1 || math.IsNaN(x0) {
-		return nil, fmt.Errorf("%w: x0 = %v", ErrInvalidParams, x0)
+		return nil, fmt.Errorf("%w: x0 = %v", errInvalidParams, x0)
 	}
 	return &YakopcicDevice{params: params, x: x0}, nil
 }
@@ -224,12 +227,12 @@ func TestYakopcicValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := base
 			tc.mutate(&p)
-			if err := p.Validate(); !errors.Is(err, ErrInvalidParams) {
-				t.Errorf("Validate = %v, want ErrInvalidParams", err)
+			if err := p.Validate(); !errors.Is(err, errInvalidParams) {
+				t.Errorf("Validate = %v, want errInvalidParams", err)
 			}
 		})
 	}
-	if _, err := NewYakopcicDevice(base, 1.5); !errors.Is(err, ErrInvalidParams) {
+	if _, err := NewYakopcicDevice(base, 1.5); !errors.Is(err, errInvalidParams) {
 		t.Errorf("bad x0: %v", err)
 	}
 }
