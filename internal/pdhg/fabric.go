@@ -196,54 +196,51 @@ const (
 	adjoint
 )
 
-// matVec computes out ← A·x on the tiled fabric: the controller converts
-// each input segment once and scatters it across the NoC, the worker grid
-// runs every block's differential analog multiply into block-owned staging
-// buffers, and after the join barrier the controller gathers the partials
-// and reduces them in canonical block order. The fixed reduction order
-// keeps the floating-point sum — and therefore the whole trajectory —
-// identical for every worker count.
-func (f *fabric) matVec(out, x linalg.Vector, workers int) error {
-	if err := f.convert(x); err != nil {
-		return err
-	}
-	for _, b := range f.blocks {
-		f.router.Scatter(b.br, b.bc, b.cols)
-	}
-	f.sweep(workers, forward)
-	for _, b := range f.blocks {
-		f.router.Gather(b.br, b.bc, b.rows)
-		if b.err != nil {
-			return b.err
-		}
-	}
-	out.Fill(0)
-	for _, b := range f.blocks {
-		reduceInto(out[b.br*f.t:b.br*f.t+b.rows], b.axOut)
-	}
-	return nil
+// side is block b's read in one direction: the crossbar pair, the staging
+// buffer, and the block-grid index and length of the input segment it reads
+// and the output segment it writes.
+type side struct {
+	pos, neg       *crossbar.Crossbar
+	staged         linalg.Vector
+	inSeg, inLen   int
+	outSeg, outLen int
 }
 
-// matVecT computes out ← Aᵀ·y, the adjoint half-iteration, on the
-// transposed crossbar pair of each block; same halo-exchange structure as
-// matVec with the roles of rows and columns swapped.
-func (f *fabric) matVecT(out, y linalg.Vector, workers int) error {
-	if err := f.convert(y); err != nil {
+// side returns the forward read (block column in, block row out) or the
+// adjoint one, on the transposed pair with rows and columns swapped.
+func (b *block) side(d direction) side {
+	if d == forward {
+		return side{b.pos, b.neg, b.axOut, b.bc, b.cols, b.br, b.rows}
+	}
+	return side{b.posT, b.negT, b.atyOut, b.br, b.rows, b.bc, b.cols}
+}
+
+// matVec computes out ← A·v (forward) or out ← Aᵀ·v (adjoint) on the tiled
+// fabric: the controller converts each input segment once and scatters it
+// across the NoC, the worker grid runs every block's differential analog
+// multiply into block-owned staging buffers, and after the join barrier the
+// controller gathers the partials and reduces them in canonical block
+// order. The fixed reduction order keeps the floating-point sum — and
+// therefore the whole trajectory — identical for every worker count.
+func (f *fabric) matVec(out, v linalg.Vector, d direction, workers int) error {
+	if err := f.convert(v); err != nil {
 		return err
 	}
 	for _, b := range f.blocks {
-		f.router.Scatter(b.br, b.bc, b.rows)
+		f.router.Scatter(b.br, b.bc, b.side(d).inLen)
 	}
-	f.sweep(workers, adjoint)
+	f.sweep(workers, d)
 	for _, b := range f.blocks {
-		f.router.Gather(b.br, b.bc, b.cols)
+		f.router.Gather(b.br, b.bc, b.side(d).outLen)
 		if b.err != nil {
 			return b.err
 		}
 	}
 	out.Fill(0)
 	for _, b := range f.blocks {
-		reduceInto(out[b.bc*f.t:b.bc*f.t+b.cols], b.atyOut)
+		s := b.side(d)
+		lo := s.outSeg * f.t
+		reduceInto(out[lo:lo+s.outLen], s.staged)
 	}
 	return nil
 }
@@ -302,13 +299,9 @@ func (f *fabric) fanOut(workers int, d direction) {
 // read runs block b's differential analog multiply in direction d on the
 // converted input segment it reads, recording the first error in b.err.
 func (f *fabric) read(b *block, d direction) {
-	if d == forward {
-		lo := b.bc * f.t
-		b.err = b.differentialMatVec(b.pos, b.neg, b.axOut, f.in[lo:lo+b.cols], f.inScale[b.bc])
-		return
-	}
-	lo := b.br * f.t
-	b.err = b.differentialMatVec(b.posT, b.negT, b.atyOut, f.in[lo:lo+b.rows], f.inScale[b.br])
+	s := b.side(d)
+	lo := s.inSeg * f.t
+	b.err = b.differentialMatVec(s.pos, s.neg, s.staged, f.in[lo:lo+s.inLen], f.inScale[s.inSeg])
 }
 
 // differentialMatVec runs the block's differential analog multiply

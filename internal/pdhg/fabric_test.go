@@ -81,10 +81,10 @@ func TestFabricReadMatchesPerArrayMatVec(t *testing.T) {
 			outTGot, outTWant := linalg.NewVector(n), linalg.NewVector(n)
 			for k := 0; k < 10; k++ {
 				x, y := randomInput(r, n), randomInput(r, m)
-				if err := got.matVecT(outTGot, y, 1); err != nil {
-					t.Fatalf("matVecT: %v", err)
+				if err := got.matVec(outTGot, y, adjoint, 1); err != nil {
+					t.Fatalf("adjoint matVec: %v", err)
 				}
-				if err := got.matVec(outGot, x, 1); err != nil {
+				if err := got.matVec(outGot, x, forward, 1); err != nil {
 					t.Fatalf("matVec: %v", err)
 				}
 				if err := perArrayRead(want, outTWant, y, adjoint); err != nil {
@@ -120,15 +120,15 @@ func TestSweepAllocations(t *testing.T) {
 	x, y := randomInput(r, n), randomInput(r, m)
 	z, v := linalg.NewVector(n), linalg.NewVector(m)
 	pair := func() {
-		if err := f.matVecT(z, y, 1); err != nil {
+		if err := f.matVec(z, y, adjoint, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.matVec(v, x, 1); err != nil {
+		if err := f.matVec(v, x, forward, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	pair()
 	if allocs := testing.AllocsPerRun(20, pair); allocs != 0 {
-		t.Errorf("matVecT + matVec at one worker allocate %.0f per pair, want 0", allocs)
+		t.Errorf("forward + adjoint matVec at one worker allocate %.0f per pair, want 0", allocs)
 	}
 }

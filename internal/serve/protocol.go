@@ -6,12 +6,12 @@
 package serve
 
 import (
-	"math"
 	"sort"
 	"strconv"
 	"strings"
 
 	"github.com/memlp/memlp"
+	"github.com/memlp/memlp/internal/trace"
 )
 
 // Request is the JSON body of a POST /solve submission. The problem itself
@@ -164,33 +164,7 @@ func requestEngine(name string) (memlp.Engine, error) {
 // values as shortest round-trip decimals, and the non-finite values that
 // encoding/json rejects (NaN, ±Inf — e.g. sentinel residual fills on failed
 // analog attempts) as quoted strings that strconv.ParseFloat accepts back.
-type jsonFloat float64
-
-// MarshalJSON implements json.Marshaler.
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return strconv.AppendQuote(nil, strconv.FormatFloat(v, 'g', -1, 64)), nil
-	}
-	return strconv.AppendFloat(nil, v, 'g', -1, 64), nil
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (f *jsonFloat) UnmarshalJSON(b []byte) error {
-	s := string(b)
-	if len(s) >= 2 && s[0] == '"' {
-		var err error
-		if s, err = strconv.Unquote(s); err != nil {
-			return err
-		}
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return err
-	}
-	*f = jsonFloat(v)
-	return nil
-}
+type jsonFloat = trace.JSONFloat
 
 func toJSONFloats(v []float64) []jsonFloat {
 	if v == nil {

@@ -11,14 +11,16 @@ import (
 	"sync"
 )
 
-// jsonFloat marshals float64 exactly: finite values use the shortest
+// JSONFloat marshals float64 exactly: finite values use the shortest
 // round-trip decimal representation, and the non-finite values that
 // encoding/json rejects (NaN, ±Inf — e.g. the sentinel infeasibility fill
 // on failed attempts) are quoted strings that strconv.ParseFloat accepts
-// back. Golden-trace files depend on this being byte-deterministic.
-type jsonFloat float64
+// back. Golden-trace files depend on this being byte-deterministic; the
+// serving protocol writes its floats the same way.
+type JSONFloat float64
 
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
+// MarshalJSON implements json.Marshaler.
+func (f JSONFloat) MarshalJSON() ([]byte, error) {
 	v := float64(f)
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return strconv.AppendQuote(nil, strconv.FormatFloat(v, 'g', -1, 64)), nil
@@ -26,13 +28,14 @@ func (f jsonFloat) MarshalJSON() ([]byte, error) {
 	return strconv.AppendFloat(nil, v, 'g', -1, 64), nil
 }
 
-func (f *jsonFloat) UnmarshalJSON(b []byte) error {
+// UnmarshalJSON implements json.Unmarshaler.
+func (f *JSONFloat) UnmarshalJSON(b []byte) error {
 	s := strings.Trim(string(b), `"`)
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return fmt.Errorf("trace: bad float %q: %w", s, err)
 	}
-	*f = jsonFloat(v)
+	*f = JSONFloat(v)
 	return nil
 }
 
@@ -47,20 +50,20 @@ type jsonRecord struct {
 	Status    string `json:"status,omitempty"`
 	Stop      string `json:"stop,omitempty"`
 
-	Mu                  jsonFloat `json:"mu"`
-	DualityGap          jsonFloat `json:"gap"`
-	PrimalInfeasibility jsonFloat `json:"pinf"`
-	DualInfeasibility   jsonFloat `json:"dinf"`
-	ConeInfeasibility   jsonFloat `json:"cone_inf,omitempty"`
-	Theta               jsonFloat `json:"theta"`
-	Objective           jsonFloat `json:"objective"`
+	Mu                  JSONFloat `json:"mu"`
+	DualityGap          JSONFloat `json:"gap"`
+	PrimalInfeasibility JSONFloat `json:"pinf"`
+	DualInfeasibility   JSONFloat `json:"dinf"`
+	ConeInfeasibility   JSONFloat `json:"cone_inf,omitempty"`
+	Theta               JSONFloat `json:"theta"`
+	Objective           JSONFloat `json:"objective"`
 
 	WriteRetries   int64     `json:"write_retries"`
 	CellsWritten   int64     `json:"cells_written,omitempty"`
 	CellsSkipped   int64     `json:"cells_skipped,omitempty"`
 	TilesRefreshed int64     `json:"tiles_refreshed,omitempty"`
 	NoiseEpoch     int64     `json:"noise_epoch"`
-	EnergyJoules   jsonFloat `json:"energy_joules"`
+	EnergyJoules   JSONFloat `json:"energy_joules"`
 }
 
 func toJSON(r Record) jsonRecord {
@@ -72,19 +75,19 @@ func toJSON(r Record) jsonRecord {
 		Event:               r.Event,
 		Status:              r.Status,
 		Stop:                r.Stop,
-		Mu:                  jsonFloat(r.Mu),
-		DualityGap:          jsonFloat(r.DualityGap),
-		PrimalInfeasibility: jsonFloat(r.PrimalInfeasibility),
-		DualInfeasibility:   jsonFloat(r.DualInfeasibility),
-		ConeInfeasibility:   jsonFloat(r.ConeInfeasibility),
-		Theta:               jsonFloat(r.Theta),
-		Objective:           jsonFloat(r.Objective),
+		Mu:                  JSONFloat(r.Mu),
+		DualityGap:          JSONFloat(r.DualityGap),
+		PrimalInfeasibility: JSONFloat(r.PrimalInfeasibility),
+		DualInfeasibility:   JSONFloat(r.DualInfeasibility),
+		ConeInfeasibility:   JSONFloat(r.ConeInfeasibility),
+		Theta:               JSONFloat(r.Theta),
+		Objective:           JSONFloat(r.Objective),
 		WriteRetries:        r.WriteRetries,
 		CellsWritten:        r.CellsWritten,
 		CellsSkipped:        r.CellsSkipped,
 		TilesRefreshed:      r.TilesRefreshed,
 		NoiseEpoch:          r.NoiseEpoch,
-		EnergyJoules:        jsonFloat(r.EnergyJoules),
+		EnergyJoules:        JSONFloat(r.EnergyJoules),
 	}
 }
 
