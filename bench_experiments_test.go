@@ -7,8 +7,9 @@ package memlp_test
 // modelled hardware latency and energy, speed-up factors) so `go test
 // -bench` output captures the reproduction figures directly.
 //
-// External test package: internal/experiments transitively imports memlp
-// (through the serving layer), which an in-package test file may not.
+// External test package: internal/experiments imports neither memlp nor the
+// serving layer, so nothing forces it; the benchmarks use only the harness's
+// exported API, as cmd/benchtables does, and none of memlp's internals.
 //
 // The full paper-scale sweep (m up to 1024, 100 trials per point) is run via
 // `go run ./cmd/benchtables -sizes 4,16,64,256,1024 -trials 100`; the

@@ -11,10 +11,8 @@ import (
 	"time"
 
 	"github.com/memlp/memlp/internal/core"
-	"github.com/memlp/memlp/internal/crossbar"
 	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/lp"
-	"github.com/memlp/memlp/internal/variation"
 )
 
 // BatchRow is one (m, width) point of the batch-throughput table.
@@ -32,36 +30,6 @@ type BatchRow struct {
 	Optimal float64
 }
 
-// batchSolverFor builds an Algorithm 1 solver with a fabric pool of the given
-// width. Each replica gets its own variation-model clone at the base seed, so
-// results are bit-identical across widths (the pool's determinism contract).
-func batchSolverFor(varPct float64, seed int64, width int) (*core.Solver, error) {
-	cfg := crossbar.Config{}
-	var vm *variation.Model
-	if varPct > 0 {
-		m, err := variation.NewPaperModel(varPct, seed)
-		if err != nil {
-			return nil, err
-		}
-		vm = m
-		cfg.Variation = vm
-	}
-	opts := core.Options{
-		Fabric:         core.SingleCrossbarFactory(cfg),
-		Alpha:          1.05 + 2*varPct,
-		Parallelism:    width,
-		AnalogResidual: true,
-	}
-	if vm != nil {
-		opts.ReplicaFabric = func(size int) (core.Fabric, error) {
-			c := cfg
-			c.Variation = vm.Clone()
-			return core.SingleCrossbarFactory(c)(size)
-		}
-	}
-	return core.NewSolver(opts)
-}
-
 // BatchThroughput measures SolveBatch wall time across pool widths for each
 // configured size. Every batch shares one constraint matrix (the pool's
 // requirement) with per-instance right-hand sides; batch is the number of
@@ -76,7 +44,10 @@ func BatchThroughput(cfg Config, batch int, widths []int) ([]BatchRow, error) {
 	if len(widths) == 0 {
 		widths = []int{1, 2, 4}
 	}
-	varPct := cfg.Variations[0]
+	// The table times the host: records from the pool's workers would slow
+	// the batch and interleave, so its solves are not traced.
+	cfg.Trace = nil
+	pooled := paper(Algorithm1, cfg.Variations[0])
 	var rows []BatchRow
 	for _, m := range cfg.Sizes {
 		base, err := lp.GenerateFeasible(lp.GenConfig{Constraints: m, Seed: cfg.Seed + int64(m)})
@@ -105,10 +76,14 @@ func BatchThroughput(cfg Config, batch int, widths []int) ([]BatchRow, error) {
 			if w < 1 {
 				return nil, fmt.Errorf("experiments: pool width %d < 1", w)
 			}
-			solver, err := batchSolverFor(varPct, 1000+cfg.Seed, w)
+			pooled.opts.Parallelism = w
+			s, err := cfg.solver(pooled, 1000+cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
+			// Every replica clones the variation model at the base seed, so
+			// results are bit-identical across widths (the pool's contract).
+			solver := s.(*core.Solver)
 			start := time.Now()
 			var results []*engine.Result
 			if cfg.Context != nil {

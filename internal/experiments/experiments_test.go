@@ -3,9 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"github.com/memlp/memlp/internal/core"
-	"github.com/memlp/memlp/internal/engine"
-	"github.com/memlp/memlp/internal/lp"
 	"github.com/memlp/memlp/internal/noc"
 )
 
@@ -172,16 +169,9 @@ func TestAblationNoCPricesTheInterconnect(t *testing.T) {
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("rows=%d err=%v", len(rows), err)
 	}
-	bare, err := ablationEval(cfg.withDefaults(), m, func(int64) (func(*lp.Problem) (*engine.Result, error), error) {
-		s, err := core.NewSolver(core.Options{
-			AnalogResidual: true,
-			Fabric:         func(int) (core.Fabric, error) { return noc.New(noc.Config{TileSize: tile}) },
-		})
-		if err != nil {
-			return nil, err
-		}
-		return s.Solve, nil
-	})
+	// An unresolved interconnect prices every hop at zero, so this arm's
+	// latency is the crossbar's alone.
+	bare, err := cfg.withDefaults().evaluate(m, arm{alg: Algorithm1, noc: noc.Config{TileSize: tile}})
 	if err != nil {
 		t.Fatal(err)
 	}
