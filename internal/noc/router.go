@@ -6,11 +6,8 @@ import (
 )
 
 // Router is the NoC's transfer ledger: it prices each vector scatter and
-// gather on a tile grid and accumulates them as Stats. A TiledFabric keeps
-// one for its tiles; engines that own their per-block crossbars directly
-// keep their own — the distributed PDHG engine tiles A into canonical
-// blocks and moves primal/dual vector segments to and from each block
-// every half-iteration.
+// gather on a tile grid and accumulates them as Stats. Every TiledFabric
+// keeps one for its tiles.
 //
 // Accounting is keyed by canonical block coordinates (the block's position
 // in the tile grid of the matrix), NOT by which worker goroutine happens to

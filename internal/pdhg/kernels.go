@@ -65,24 +65,6 @@ func scaleInto(dst, src linalg.Vector, alpha float64) {
 	}
 }
 
-// subInto subtracts v from dst element-wise (the differential-pair combine).
-//
-//memlp:hotpath
-func subInto(dst, v linalg.Vector) {
-	for i := range dst {
-		dst[i] -= v[i]
-	}
-}
-
-// reduceInto adds a block's partial segment into the reduction target.
-//
-//memlp:hotpath
-func reduceInto(dst, part linalg.Vector) {
-	for i := range part {
-		dst[i] += part[i]
-	}
-}
-
 // maxPosDiff returns max_i (a[i] − b[i])₊ — the ∞-norm of the positive
 // part of a − b, the numerator of the one-sided KKT residuals (Ax ≤ b and
 // Aᵀy ≥ c violations).

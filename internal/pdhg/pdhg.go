@@ -7,11 +7,11 @@
 // only A·x and Aᵀ·y — so the constraint matrix can be cut into
 // crossbar-sized blocks with no coupling beyond vector segments. The matrix
 // is tiled into canonical t×t blocks (four physical crossbars per block:
-// the differential A⁺/A⁻ pair and its transpose pair), the blocks are
-// swept by a worker grid, and the primal/dual vector segments are
-// scattered/gathered over the modeled NoC between half-iterations. That
-// scales past the single-fabric ceiling: a problem too large for any one
-// crossbar solves on many small tiles.
+// the differential A⁺/A⁻ pair on A's signed noc.TiledFabric and its
+// transpose pair on Aᵀ's), the tiles are read by a worker grid, and the
+// primal/dual vector segments are scattered/gathered over the modeled NoC
+// between half-iterations. That scales past the single-fabric ceiling: a
+// problem too large for any one crossbar solves on many small tiles.
 //
 // Determinism contract (the PR 4 pool-width contract, extended to tiles):
 // the canonical tiling depends only on the tile size, every tile's noise
@@ -127,7 +127,7 @@ func WithTrace(capacity int) Option {
 }
 
 // WithEnergyModel prices aggregate crossbar counters in joules for the
-// trace records; NoC hop energy is added on top from the router's config.
+// trace records; NoC hop energy is added on top from the NoC config.
 func WithEnergyModel(f func(crossbar.Counters) float64) Option {
 	return func(s *Solver) { s.energy = f }
 }
@@ -266,12 +266,12 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Resul
 			break
 		}
 		// Adjoint half-iteration: z ← Aᵀ·y on the transpose tiles.
-		if err := fab.matVec(z, y, adjoint, workers); err != nil {
+		if err := fab.adj.MatVecInto(z, y, workers); err != nil {
 			return nil, err
 		}
 		primalStep(x, xbar, z, p.C, tau)
 		// Forward half-iteration: v ← A·x̄ on the forward tiles.
-		if err := fab.matVec(v, xbar, forward, workers); err != nil {
+		if err := fab.fwd.MatVecInto(v, xbar, workers); err != nil {
 			return nil, err
 		}
 		dualStep(y, v, p.B, sigma)
@@ -328,10 +328,10 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Resul
 			inv := 1 / float64(sinceRestart)
 			scaleInto(xavg, xsum, inv)
 			scaleInto(yavg, ysum, inv)
-			if err := fab.matVec(axAvg, xavg, forward, workers); err != nil {
+			if err := fab.fwd.MatVecInto(axAvg, xavg, workers); err != nil {
 				return nil, err
 			}
-			if err := fab.matVec(zAvg, yavg, adjoint, workers); err != nil {
+			if err := fab.adj.MatVecInto(zAvg, yavg, workers); err != nil {
 				return nil, err
 			}
 			objA := dot(p.C, xavg)
@@ -382,7 +382,7 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Resul
 		DualInfeasibility:   final.dinf,
 		DualityGap:          final.gap,
 		Counters:            ctr,
-		NoC:                 fab.router.Stats(),
+		NoC:                 fab.stats(),
 		MatrixSize:          max(m, n),
 		Diagnostics: &engine.Diagnostics{
 			WriteRetries: ctr.WriteRetries,
@@ -399,7 +399,7 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Resul
 
 // energyFor prices the aggregate crossbar counters plus the NoC traffic.
 func (s *Solver) energyFor(ctr crossbar.Counters, fab *fabric) float64 {
-	e := perf.NoCCost(fab.router.Stats(), fab.router.Config()).Energy
+	e := perf.NoCCost(fab.stats(), fab.cfg).Energy
 	if s.energy != nil {
 		e += s.energy(ctr)
 	}
