@@ -61,7 +61,7 @@ func Default() []*Analyzer {
 			Pkgs: []string{
 				"internal/core", "internal/engine", "internal/linalg",
 				"internal/cone", "internal/trace", "internal/serve",
-				"internal/pdhg",
+				"internal/pdhg", "internal/noc",
 			},
 		}),
 		Wallclock(WallclockConfig{
