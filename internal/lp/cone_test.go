@@ -2,7 +2,6 @@ package lp
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"testing"
 
@@ -128,31 +127,6 @@ func TestConicTextRoundTrip(t *testing.T) {
 	}
 	if q.Name != p.Name || len(q.C) != len(p.C) || len(q.B) != len(p.B) {
 		t.Errorf("text round-trip lost data: %+v", q)
-	}
-}
-
-func TestConicJSONRoundTrip(t *testing.T) {
-	p := socpFixture(t)
-	data, err := json.Marshal(p)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var q Problem
-	if err := json.Unmarshal(data, &q); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if !conesEqual(p.Cones, q.Cones) {
-		t.Errorf("json round-trip cones %+v != %+v", q.Cones, p.Cones)
-	}
-
-	// A pure LP must not grow a cones key (wire compatibility).
-	lp, _ := GenerateFeasible(GenConfig{Constraints: 3, Seed: 2})
-	data, err = json.Marshal(lp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(data, []byte("cones")) {
-		t.Errorf("pure LP JSON contains cones key: %s", data)
 	}
 }
 

@@ -2,7 +2,6 @@ package lp
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -10,60 +9,6 @@ import (
 
 	"github.com/memlp/memlp/internal/linalg"
 )
-
-// jsonProblem is the wire representation for JSON encoding.
-type jsonProblem struct {
-	Name  string      `json:"name,omitempty"`
-	C     []float64   `json:"c"`
-	A     [][]float64 `json:"a"`
-	B     []float64   `json:"b"`
-	Cones []jsonCone  `json:"cones,omitempty"`
-}
-
-// jsonCone mirrors Cone with the textual type keyword ("nonneg"/"soc").
-type jsonCone struct {
-	Type string `json:"type"`
-	Dim  int    `json:"dim"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (p *Problem) MarshalJSON() ([]byte, error) {
-	rows := make([][]float64, p.A.Rows())
-	for i := range rows {
-		rows[i] = p.A.Row(i)
-	}
-	var cones []jsonCone
-	for _, c := range p.Cones {
-		cones = append(cones, jsonCone{Type: c.Type.String(), Dim: c.Dim})
-	}
-	return json.Marshal(jsonProblem{Name: p.Name, C: p.C, A: rows, B: p.B, Cones: cones})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (p *Problem) UnmarshalJSON(data []byte) error {
-	var jp jsonProblem
-	if err := json.Unmarshal(data, &jp); err != nil {
-		return fmt.Errorf("lp: decode: %w", err)
-	}
-	a, err := linalg.MatrixFromRows(jp.A)
-	if err != nil {
-		return fmt.Errorf("lp: decode matrix: %w", err)
-	}
-	var cones []Cone
-	for i, jc := range jp.Cones {
-		t, err := parseConeType(jc.Type)
-		if err != nil {
-			return fmt.Errorf("%w: cone %d: %v", ErrInvalid, i, err)
-		}
-		cones = append(cones, Cone{Type: t, Dim: jc.Dim})
-	}
-	tmp := Problem{Name: jp.Name, C: jp.C, A: a, B: jp.B, Cones: cones}
-	if err := tmp.Validate(); err != nil {
-		return err
-	}
-	*p = tmp
-	return nil
-}
 
 func parseConeType(s string) (ConeType, error) {
 	switch s {

@@ -2,52 +2,10 @@ package lp
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
 )
-
-func TestJSONRoundTrip(t *testing.T) {
-	p := tinyLP(t)
-	data, err := json.Marshal(p)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	var q Problem
-	if err := json.Unmarshal(data, &q); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if q.Name != p.Name {
-		t.Errorf("name = %q, want %q", q.Name, p.Name)
-	}
-	if !q.A.Equal(p.A, 0) {
-		t.Error("A corrupted through JSON")
-	}
-	for i := range p.C {
-		if q.C[i] != p.C[i] {
-			t.Errorf("c[%d] = %v, want %v", i, q.C[i], p.C[i])
-		}
-	}
-	for i := range p.B {
-		if q.B[i] != p.B[i] {
-			t.Errorf("b[%d] = %v, want %v", i, q.B[i], p.B[i])
-		}
-	}
-}
-
-func TestJSONRejectsInvalid(t *testing.T) {
-	var q Problem
-	if err := json.Unmarshal([]byte(`{"c":[1],"a":[[1,2]],"b":[1]}`), &q); !errors.Is(err, ErrInvalid) {
-		t.Errorf("shape mismatch: %v, want ErrInvalid", err)
-	}
-	if err := json.Unmarshal([]byte(`{"c":[1],"a":[[1],[2,3]],"b":[1,2]}`), &q); err == nil {
-		t.Error("ragged matrix accepted")
-	}
-	if err := json.Unmarshal([]byte(`not json`), &q); err == nil {
-		t.Error("garbage accepted")
-	}
-}
 
 func TestTextRoundTrip(t *testing.T) {
 	p := tinyLP(t)

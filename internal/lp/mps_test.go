@@ -81,7 +81,7 @@ ENDATA
 	}
 	// G: x ≥ 1 became −x ≤ −1.
 	if p.A.At(0, 0) != -1 || p.B[0] != -1 {
-		t.Errorf("G row wrong: %v %v", p.A.Row(0), p.B[0])
+		t.Errorf("G row wrong: %v %v", p.A.RawRow(0), p.B[0])
 	}
 	// E: 2x = 4 became 2x ≤ 4 and −2x ≤ −4.
 	if p.A.At(1, 0) != 2 || p.B[1] != 4 || p.A.At(2, 0) != -2 || p.B[2] != -4 {
