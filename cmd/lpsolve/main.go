@@ -70,10 +70,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	// Hardware options only apply to the crossbar engines; passing them to a
-	// software engine would be rejected by memlp.NewSolver.
+	// software engine would be rejected by memlp.NewSolver. Any non-zero
+	// -variation reaches WithVariation, so a negative or NaN one is rejected
+	// there rather than ignored.
 	var opts []memlp.Option
 	if engine.Analog() {
-		if *varPct > 0 {
+		if *varPct != 0 {
 			opts = append(opts, memlp.WithVariation(*varPct))
 		}
 		opts = append(opts, memlp.WithSeed(*seed))
@@ -81,7 +83,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if *nocTopo != "" {
 			opts = append(opts, memlp.WithNoC(*nocTopo, *tile))
 		}
-	} else if *varPct > 0 || *nocTopo != "" || *deltaBits != 8 {
+	} else if *varPct != 0 || *nocTopo != "" || *deltaBits != 8 {
 		fmt.Fprintf(stderr, "lpsolve: -variation, -delta-bits, and -noc require a crossbar engine\n")
 		return 2
 	}
@@ -121,8 +123,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	solver, err := memlp.NewSolver(engine, opts...)
 	if err != nil {
+		// Every option comes from a flag, so a rejected one is a usage
+		// error.
 		fmt.Fprintf(stderr, "lpsolve: %v\n", err)
-		return 1
+		return 2
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

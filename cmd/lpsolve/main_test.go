@@ -103,6 +103,24 @@ func TestRunUnknownEngine(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadVariation: a -variation that is not a finite value in
+// [0, 1) is a usage error on every engine, never silently ignored.
+func TestRunRejectsBadVariation(t *testing.T) {
+	for _, tc := range []struct{ engine, variation string }{
+		{"crossbar", "NaN"},
+		{"crossbar", "+Inf"},
+		{"crossbar", "-0.1"},
+		{"simplex", "NaN"},
+	} {
+		var out, errBuf bytes.Buffer
+		code := run([]string{"-engine", tc.engine, "-variation", tc.variation},
+			strings.NewReader(tinyProblem), &out, &errBuf)
+		if code != 2 {
+			t.Errorf("%s -variation %s: exit = %d, want 2; stdout:\n%s", tc.engine, tc.variation, code, out.String())
+		}
+	}
+}
+
 func TestRunBadProblem(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	code := run(nil, strings.NewReader("nonsense"), &out, &errBuf)

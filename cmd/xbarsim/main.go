@@ -266,7 +266,7 @@ func runTrial(cfg trialConfig, trial int) trialResult {
 			Seed:            cfg.seed + int64(trial),
 		}
 	}
-	if cfg.varPct > 0 {
+	if cfg.varPct != 0 { // a negative or NaN magnitude fails here
 		vm, err := variation.NewPaperModel(cfg.varPct, cfg.seed+int64(trial))
 		if err != nil {
 			res.err = err

@@ -42,6 +42,13 @@ func TestRunBadArgs(t *testing.T) {
 	if code := run([]string{"-iobits", "99"}, &out, &errBuf); code != 1 {
 		t.Fatalf("iobits=99 exit = %d, want 1", code)
 	}
+	// Invalid device parameters fail the trials instead of silently
+	// simulating an ideal array.
+	for _, args := range [][]string{{"-variation", "NaN"}, {"-variation", "-0.5"}, {"-wire", "NaN"}, {"-wire", "+Inf"}} {
+		if code := run(append([]string{"-size", "4", "-trials", "1"}, args...), &out, &errBuf); code != 1 {
+			t.Errorf("%v exit = %d, want 1", args, code)
+		}
+	}
 }
 
 // TestRunParallelWidthIndependent pins the -parallel contract: per-trial

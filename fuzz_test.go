@@ -1,16 +1,20 @@
 package memlp
 
-// Fuzz target for the validation and solve pipeline: arbitrary byte soup is
-// decoded into problem data (naturally producing NaN/Inf coefficients, zero
-// dimensions, m > n shapes, and rank-deficient matrices) and fed through
-// NewProblem and every fast engine. The contract under fuzzing is strict:
-// malformed inputs fail with errors matching ErrInvalid, solvable inputs
-// return a Solution with a meaningful Status — and nothing ever panics.
+// Fuzz targets for the validation and solve pipeline. FuzzSolve decodes
+// arbitrary byte soup into problem data (naturally producing NaN/Inf
+// coefficients, zero dimensions, m > n shapes, and rank-deficient matrices)
+// and feeds it through NewProblem and every fast engine. FuzzOptions feeds
+// arbitrary floats to the float-valued options. The contract under fuzzing is
+// strict: malformed inputs fail with errors matching ErrInvalid, accepted
+// inputs return a Solution with a meaningful Status — and nothing ever
+// panics.
 //
 // Run locally with: go test -fuzz=FuzzSolve -fuzztime=30s .
-// The seed corpus lives in testdata/fuzz/FuzzSolve.
+// (or -run '^$' -fuzz='^FuzzOptions$'). The seed corpus of FuzzSolve lives
+// in testdata/fuzz/FuzzSolve.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -36,6 +40,73 @@ func fuzzValues(payload []byte, count int) []float64 {
 		pos += 8
 	}
 	return vals
+}
+
+// listedStatus reports whether st is one of the exported Status values.
+func listedStatus(st Status) bool {
+	switch st {
+	case StatusOptimal, StatusInfeasible, StatusUnbounded,
+		StatusIterationLimit, StatusNumericalFailure,
+		StatusCanceled, StatusDegraded:
+		return true
+	}
+	return false
+}
+
+// FuzzOptions holds the float options to their ranges: NewSolver either
+// rejects the values with ErrInvalid or accepts only finite, in-range ones,
+// and a solver it builds answers the diet LP with a listed status.
+func FuzzOptions(f *testing.F) {
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(1.05, 0.05, 0.5, 0.0, 0.01)
+	f.Add(1.3, 0.1, 1.0, 1e-3, 0.0)
+	f.Add(math.NaN(), 0.05, 0.5, 0.0, 0.01)
+	f.Add(1.05, math.NaN(), 0.0, 0.0, 0.0)
+	f.Add(1.05, 0.05, math.NaN(), 0.0, 0.0)
+	f.Add(1.05, 0.0, 0.0, math.NaN(), 0.0)
+	f.Add(1.05, 0.0, 0.0, 0.0, math.NaN())
+	f.Add(math.Inf(1), 0.0, 0.0, math.Inf(1), 0.0)
+	f.Add(1e300, 0.999, 1.0, 1e300, 0.999)
+
+	diet, err := NewProblem("diet", []float64{3, 2}, [][]float64{{1, 1}, {1, 3}}, []float64{4, 6})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, alpha, variation, cycleNoise, wire, tol float64) {
+		opts := []Option{
+			WithAlpha(alpha),
+			WithVariation(variation),
+			WithCycleNoise(cycleNoise),
+			WithWireResistance(wire),
+			WithWriteVerify(2, tol),
+		}
+		s, err := NewSolver(EngineCrossbar, opts...)
+		if err != nil {
+			if !errors.Is(err, ErrInvalid) {
+				t.Fatalf("NewSolver error not typed ErrInvalid: %v", err)
+			}
+			return
+		}
+		o := defaultOptions()
+		for _, fn := range opts {
+			if err := fn(&o); err != nil {
+				t.Fatalf("NewSolver accepted an option that fails alone: %v", err)
+			}
+		}
+		if !(o.alpha >= 1 && o.alpha <= math.MaxFloat64 && o.variationPct >= 0 && o.variationPct < 1 &&
+			o.cycleNoise >= 0 && o.cycleNoise <= 1 && o.wireResistance >= 0 && o.wireResistance <= math.MaxFloat64 &&
+			o.writeVerifyTol >= 0 && o.writeVerifyTol < 1) {
+			t.Fatalf("accepted out-of-range options: alpha %v, variation %v, cycle noise %v, wire %v, tolerance %v",
+				o.alpha, o.variationPct, o.cycleNoise, o.wireResistance, o.writeVerifyTol)
+		}
+		sol, err := s.Solve(context.Background(), diet)
+		if err != nil {
+			t.Fatalf("Solve: %v", err)
+		}
+		if !listedStatus(sol.Status) {
+			t.Fatalf("unknown status %d", int(sol.Status))
+		}
+	})
 }
 
 func FuzzSolve(f *testing.F) {
@@ -90,11 +161,7 @@ func FuzzSolve(f *testing.F) {
 			if sol == nil {
 				t.Fatalf("%v: nil solution and nil error", eng)
 			}
-			switch sol.Status {
-			case StatusOptimal, StatusInfeasible, StatusUnbounded,
-				StatusIterationLimit, StatusNumericalFailure,
-				StatusCanceled, StatusDegraded:
-			default:
+			if !listedStatus(sol.Status) {
 				t.Fatalf("%v: unknown status %d", eng, int(sol.Status))
 			}
 			if sol.Status == StatusOptimal {

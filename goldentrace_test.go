@@ -278,9 +278,7 @@ func runGoldenCase(t testing.TB, gc goldenTraceCase) []trace.Record {
 	}
 	var recs []trace.Record
 	for _, sol := range sols {
-		for _, r := range sol.Trace() {
-			recs = append(recs, trace.Record(r))
-		}
+		recs = append(recs, sol.Trace()...)
 	}
 	if len(recs) == 0 {
 		t.Fatalf("solve %s produced an empty trace", gc.name)

@@ -157,12 +157,11 @@ func (s *Solver) SolveBatchContext(ctx context.Context, problems []*lp.Problem) 
 			ShardBusy:   make([]time.Duration, width),
 		}
 		for shard, w := range workers {
-			stats.Programming = stats.Programming.Add(w.progCost)
+			results[0].Counters = results[0].Counters.Add(w.progCost)
 			results[0].NoC = results[0].NoC.Add(w.progNoC)
 			stats.ShardSolves[shard] = w.solves
 			stats.ShardBusy[shard] = w.busy
 		}
-		results[0].Counters = results[0].Counters.Add(stats.Programming)
 		results[0].Batch = stats
 	}
 	return results, tailErr

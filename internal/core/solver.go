@@ -117,8 +117,8 @@ func (o Options) validate() error {
 	if err := o.Tol.Validate(); err != nil {
 		return err
 	}
-	if o.Alpha < 1 {
-		return fmt.Errorf("%w: alpha %v below 1", lp.ErrInvalid, o.Alpha)
+	if !(o.Alpha >= 1 && o.Alpha <= math.MaxFloat64) {
+		return fmt.Errorf("%w: alpha %v not finite and at least 1", lp.ErrInvalid, o.Alpha)
 	}
 	if !(o.ConstantStep > 0 && o.ConstantStep < 1) {
 		return fmt.Errorf("%w: constant step %v outside (0,1)", lp.ErrInvalid, o.ConstantStep)
@@ -193,27 +193,17 @@ func (wk *worker) writeDiagRows(x, y, w, z linalg.Vector) error {
 	return nil
 }
 
-// warmFloor is the strict-interior safeguard applied to a warm-started
-// iterate: a converged previous solution sits on the boundary (inactive rows
-// have y ≈ 0, basic variables have z ≈ 0), and seeding the interior-point
-// iteration exactly on the boundary stalls the very first step. 1e-6 is far
-// above the iteration's own representability floor (1e-12) but small enough
-// that the centering work it re-introduces is a couple of iterations, not a
-// cold start.
-const warmFloor = 1e-6
-
 // SetWarmStart seeds subsequent solves from a previously computed primal/dual
 // point (typically Result.X and Result.Y of an earlier solve of a nearby
-// problem) instead of the all-ones interior start. The slacks are re-derived
-// from the new problem data (w = b − A·x, z = Aᵀ·y − c) and everything is
-// clamped to the strict interior — orthant rows to warmFloor, second-order
-// cone rows via the cone interior clamp — so a boundary point from a
-// converged solve becomes a usable interior seed. The warm start stays in
-// effect for every following solve (including batch members) until replaced
-// or cleared; passing nil for either vector clears it. Vectors whose
-// dimensions do not match a subsequent problem cause that solve to fail with
-// lp.ErrInvalid; non-finite entries (a degraded previous solution) silently
-// fall back to the cold start.
+// problem) instead of the all-ones interior start. lp.Problem.SeedWarmStart
+// re-derives the slacks from the new problem data (w = b − A·x,
+// z = Aᵀ·y − c) and clamps everything to the strict interior, so a boundary
+// point from a converged solve becomes a usable interior seed. The warm
+// start stays in effect for every following solve (including batch members)
+// until replaced or cleared; passing nil for either vector clears it.
+// Vectors whose dimensions do not match a subsequent problem cause that
+// solve to fail with lp.ErrInvalid; non-finite entries (a degraded previous
+// solution) silently fall back to the cold start.
 func (s *Solver) SetWarmStart(x0, y0 linalg.Vector) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -224,67 +214,6 @@ func (s *Solver) SetWarmStart(x0, y0 linalg.Vector) {
 	}
 	wk.warmX = append(wk.warmX[:0], x0...)
 	wk.warmY = append(wk.warmY[:0], y0...)
-}
-
-// applyWarmStart overwrites the freshly Fill(1)-ed iterate with the
-// warm-start point (warmX, warmY) when one is set and usable. yScale, when
-// non-nil, maps the stored (user-unit) duals into the equilibrated
-// problem's units: the batch path row-scales A, under which internal
-// ŷᵢ = yᵢ·scaleᵢ. It reports whether the warm seed was applied (false →
-// caller keeps the cold start).
-func applyWarmStart(p *lp.Problem, yScale, warmX, warmY, x, y, w, z linalg.Vector) (bool, error) {
-	if warmX == nil || warmY == nil {
-		return false, nil
-	}
-	if len(warmX) != len(x) || len(warmY) != len(y) {
-		return false, fmt.Errorf("%w: warm start dimensions %d vars / %d duals, problem has %d vars / %d constraints",
-			lp.ErrInvalid, len(warmX), len(warmY), len(x), len(y))
-	}
-	if !warmX.AllFinite() || !warmY.AllFinite() {
-		return false, nil
-	}
-	seedWarmStart(p, warmX, warmY, yScale, x, y, w, z)
-	return true, nil
-}
-
-// seedWarmStart fills the iterate from a prior point: x and y are taken from
-// (x0, y0), the slacks are re-derived from the CURRENT problem data
-// (w = b − A·x at zero primal residual, z = Aᵀ·y − c at zero dual residual),
-// and all four are clamped to the strict interior. Cone-covered rows of y and
-// w keep their sign-free warm values and get the cone interior clamp instead
-// of the orthant floor.
-func seedWarmStart(p *lp.Problem, x0, y0, yScale, x, y, w, z linalg.Vector) {
-	for i, v := range x0 {
-		if v < warmFloor {
-			v = warmFloor
-		}
-		x[i] = v
-	}
-	for i, v := range y0 {
-		if yScale != nil {
-			v *= yScale[i]
-		}
-		y[i] = v
-	}
-	// Dimensions are pre-checked by applyWarmStart, so the Into errors
-	// cannot fire.
-	_ = p.A.MatVecInto(w, x)
-	for i := range w {
-		w[i] = p.B[i] - w[i]
-	}
-	_ = p.A.MatVecTransposeInto(z, y)
-	for i := range z {
-		v := z[i] - p.C[i]
-		if v < warmFloor {
-			v = warmFloor
-		}
-		z[i] = v
-	}
-	blocks := p.SOCBlocks()
-	cone.FloorOrthant(y, blocks, warmFloor)
-	cone.FloorOrthant(w, blocks, warmFloor)
-	cone.ClampInterior(y, blocks, warmFloor)
-	cone.ClampInterior(w, blocks, warmFloor)
 }
 
 // NewSolver returns an Algorithm 1 solver.
@@ -388,7 +317,7 @@ func (s *Solver) solveOn(ctx context.Context, wk *worker, p, orig *lp.Problem, s
 	y := wk.initBuf[n : n+m]
 	w := wk.initBuf[n+m : n+2*m]
 	z := wk.initBuf[n+2*m:]
-	warm, err := applyWarmStart(p, scales, wk.warmX, wk.warmY, x, y, w, z)
+	warm, err := p.SeedWarmStart(wk.warmX, wk.warmY, scales, x, y, w, z)
 	if err != nil {
 		return nil, nil, err
 	}

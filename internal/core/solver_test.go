@@ -79,6 +79,8 @@ func TestOptionsValidation(t *testing.T) {
 		mutate func(*Options)
 	}{
 		{"alpha below 1", func(o *Options) { o.Alpha = 0.5 }},
+		{"NaN alpha", func(o *Options) { o.Alpha = math.NaN() }},
+		{"infinite alpha", func(o *Options) { o.Alpha = math.Inf(1) }},
 		{"bad constant step", func(o *Options) { o.ConstantStep = 1.5 }},
 		{"bad regularization", func(o *Options) { o.Regularization = 2 }},
 		{"bad delta", func(o *Options) { o.Tol.Delta = 3 }},

@@ -172,10 +172,10 @@ func (c Config) validate() error {
 	if c.DeltaWriteBits != 0 && (c.DeltaWriteBits < 2 || c.DeltaWriteBits > 24) {
 		return fmt.Errorf("%w: delta write bits %d", ErrBadConfig, c.DeltaWriteBits)
 	}
-	if c.CycleNoise < 0 || c.CycleNoise > 1 {
+	if !(c.CycleNoise >= 0 && c.CycleNoise <= 1) {
 		return fmt.Errorf("%w: cycle noise %v outside [0,1]", ErrBadConfig, c.CycleNoise)
 	}
-	if c.WireResistance < 0 {
+	if !(c.WireResistance >= 0 && c.WireResistance <= math.MaxFloat64) {
 		return fmt.Errorf("%w: wire resistance %v", ErrBadConfig, c.WireResistance)
 	}
 	if c.Faults != nil {
@@ -186,7 +186,7 @@ func (c Config) validate() error {
 	if c.MaxWriteRetries < 0 {
 		return fmt.Errorf("%w: max write retries %d", ErrBadConfig, c.MaxWriteRetries)
 	}
-	if c.WriteVerifyTol < 0 || c.WriteVerifyTol >= 1 {
+	if !(c.WriteVerifyTol >= 0 && c.WriteVerifyTol < 1) {
 		return fmt.Errorf("%w: write verify tolerance %v", ErrBadConfig, c.WriteVerifyTol)
 	}
 	return nil

@@ -55,6 +55,10 @@ func TestConfigValidation(t *testing.T) {
 		{"negative size", func(c *Config) { c.Size = -1 }},
 		{"bad IO bits", func(c *Config) { c.IOBits = 30 }},
 		{"bad write bits", func(c *Config) { c.WriteBits = -2 }},
+		{"NaN cycle noise", func(c *Config) { c.CycleNoise = math.NaN() }},
+		{"NaN wire resistance", func(c *Config) { c.WireResistance = math.NaN() }},
+		{"infinite wire resistance", func(c *Config) { c.WireResistance = math.Inf(1) }},
+		{"NaN write-verify tolerance", func(c *Config) { c.WriteVerifyTol = math.NaN() }},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

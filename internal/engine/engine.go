@@ -74,48 +74,51 @@ type Result struct {
 }
 
 // Diagnostics reports what the fault-recovery machinery observed and did
-// during one solve.
+// during one solve; memlp.Diagnostics is this type. Present on results of
+// crossbar solvers configured with WithFaultModel or WithWriteVerify (a
+// recovery policy), and on every PDHG result (one attempt, its write
+// retries and modeled energy).
 type Diagnostics struct {
-	// StuckOn / StuckOff count the defective devices inside the fabric's
-	// mapped region (post-program census; zero when the fabric cannot
-	// report faults).
+	// StuckOn / StuckOff count the defective devices inside the fabric
+	// region the solve actually used (post-program census; zero when the
+	// fabric cannot report faults).
 	StuckOn  int
 	StuckOff int
-	// WriteRetries is the number of write-verify corrective pulses consumed
-	// across all attempts of this solve.
+	// WriteRetries counts write-verify corrective pulses across all
+	// attempts of the solve.
 	WriteRetries int64
-	// Attempts is the total number of analog solve attempts (1 for a clean
+	// Attempts is the number of analog solve attempts (1 for a clean
 	// first-try solve).
 	Attempts int
 	// SoftwareFallback records that the software rung ran.
 	SoftwareFallback bool
-	// RecoveredBy names the rung that produced the returned result:
-	// "" (first attempt), "resolve", or "software".
+	// RecoveredBy names the rung that produced the result: "" (first
+	// attempt), "resolve", or "software".
 	RecoveredBy string
-	// EnergyJoules is the modeled energy spent across all attempts of this
-	// solve. Engines leave it zero: the public layer sets it from the
-	// hardware estimate it prices, NoC transfers included.
+	// EnergyJoules is Hardware.EnergyJoules: the modeled energy of every
+	// attempt of the solve, NoC transfers included (and the pool's
+	// programming on a batch's first Solution). Populated on clean first-try
+	// solves too, not just recovered ones. Engines leave it zero; the public
+	// layer sets it when it prices the hardware estimate.
 	EnergyJoules float64
 }
 
-// BatchStats is the pool-level roll-up of one batch solve. Per-solve
-// Counters stay honest marginals — what THAT solve cost on whichever shard
-// ran it — while the replica count and per-shard utilization live here,
-// because they are properties of the batch, not of any single solve.
+// BatchStats is the fabric-pool roll-up of one batch solve (SolveBatch);
+// memlp.BatchStats is this type. It is attached to the batch's first
+// result, the same place the pool's one-time programming cost is charged.
+// Per-result hardware counters remain per-solve marginals, what that solve
+// cost on whichever shard ran it; the replica count and shard utilization
+// are batch-level properties and live here.
 type BatchStats struct {
-	// Replicas is the pool width P: how many shard fabrics were built and
+	// Replicas is the pool width: how many fabric replicas were built and
 	// programmed. The one-time programming cost scales with it.
 	Replicas int
-	// Programming is the combined programming cost of all P replicas. It is
-	// also folded into the first result's Counters, preserving the serial
-	// contract that the first result carries the batch's one-time cost.
-	Programming crossbar.Counters
-	// ShardSolves[r] counts the problems shard r completed — the pool's
-	// load-balance picture. Scheduling is nondeterministic, so these numbers
-	// vary run to run even though every result is bit-identical.
+	// ShardSolves[r] counts the problems shard r completed. Scheduling is
+	// load-balanced and nondeterministic, so the split varies run to run even
+	// though every result is bit-identical.
 	ShardSolves []int
-	// ShardBusy[r] is the total wall time shard r spent solving; dividing by
-	// the batch wall time gives that shard's utilization.
+	// ShardBusy[r] is the wall time shard r spent solving; divide by the
+	// batch wall time for that shard's utilization.
 	ShardBusy []time.Duration
 }
 

@@ -71,22 +71,14 @@ type Solver struct {
 	ring *trace.Ring
 }
 
-// warmStartFloor is the strict-interior safeguard for warm-started iterates:
-// a converged previous solution sits on the boundary (y ≈ 0 on inactive rows,
-// z ≈ 0 on basic variables), and an interior-point step from an exactly-
-// boundary point stalls. Well above the iteration floor (1e-14), small enough
-// to keep the seed close to the previous optimum.
-const warmStartFloor = 1e-6
-
 // SetWarmStart seeds subsequent solves from a previously computed primal/dual
 // point (typically Result.X and Result.Y of an earlier solve of a nearby
-// problem). The slacks are re-derived from the new problem data (w = b − A·x,
-// z = Aᵀ·y − c) and the seed is clamped to the strict interior, orthant rows
-// by warmStartFloor and second-order-cone rows via the cone interior clamp.
-// The warm start persists across solves until replaced or cleared; passing
-// nil for either vector clears it. Dimension mismatches against a subsequent
-// problem fail that solve with lp.ErrInvalid; non-finite entries silently
-// fall back to the cold start.
+// problem). lp.Problem.SeedWarmStart re-derives the slacks from the new
+// problem data (w = b − A·x, z = Aᵀ·y − c) and clamps the seed to the strict
+// interior. The warm start persists across solves until replaced or
+// cleared; passing nil for either vector clears it. Dimension mismatches
+// against a subsequent problem fail that solve with lp.ErrInvalid;
+// non-finite entries silently fall back to the cold start.
 func (s *Solver) SetWarmStart(x0, y0 linalg.Vector) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -96,37 +88,6 @@ func (s *Solver) SetWarmStart(x0, y0 linalg.Vector) {
 	}
 	s.warmX = append(s.warmX[:0], x0...)
 	s.warmY = append(s.warmY[:0], y0...)
-}
-
-// applyWarmStart overwrites the all-ones starting iterate with the stored
-// warm point when one is set and usable. Callers must hold s.mu with the
-// workspace prepared for p.
-func (s *Solver) applyWarmStart(p *lp.Problem, x, y, w, z linalg.Vector) error {
-	if s.warmX == nil || s.warmY == nil {
-		return nil
-	}
-	if len(s.warmX) != len(x) || len(s.warmY) != len(y) {
-		return fmt.Errorf("%w: warm start dimensions %d vars / %d duals, problem has %d vars / %d constraints",
-			lp.ErrInvalid, len(s.warmX), len(s.warmY), len(x), len(y))
-	}
-	if !s.warmX.AllFinite() || !s.warmY.AllFinite() {
-		return nil
-	}
-	copy(x, s.warmX)
-	copy(y, s.warmY)
-	// Slacks at zero residual for the NEW problem data: w = b − A·x,
-	// z = Aᵀ·y − c. Dimensions are pre-checked, so the Into errors cannot
-	// fire.
-	_ = p.A.MatVecInto(w, x)
-	for i := range w {
-		w[i] = p.B[i] - w[i]
-	}
-	_ = p.A.MatVecTransposeInto(z, y)
-	for i := range z {
-		z[i] -= p.C[i]
-	}
-	clampInterior(x, y, w, z, s.ws.cones.Blocks, warmStartFloor)
-	return nil
 }
 
 // Option configures the solver.
@@ -203,7 +164,7 @@ func (s *Solver) SolveContext(ctx context.Context, p *lp.Problem) (*engine.Resul
 	nu := float64(n + s.ws.cones.Degree())
 	cone.InitInterior(w, blocks)
 	cone.InitInterior(y, blocks)
-	if err := s.applyWarmStart(p, x, y, w, z); err != nil {
+	if _, err := p.SeedWarmStart(s.warmX, s.warmY, nil, x, y, w, z); err != nil {
 		return nil, err
 	}
 

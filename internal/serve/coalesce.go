@@ -3,26 +3,29 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/memlp/memlp"
+	"github.com/memlp/memlp/internal/trace"
 )
 
 // batchRunner executes one coalesced batch: check a solver out of the pool,
 // SolveBatch, check it back in. Injected by the server so the coalescer
-// stays free of pool and metrics plumbing.
+// stays free of pool plumbing.
 type batchRunner func(ctx context.Context, probs []*memlp.Problem) ([]*memlp.Solution, error)
 
 // coalescer folds concurrent same-matrix submissions for one (engine,
 // options) key into shared SolveBatch calls. A submission's constraint
-// matrix is fingerprinted and matched against a bounded canonical-matrix
-// cache; on a hit the problem adopts the canonical matrix object (pointer
-// identity, with element-equality confirming the hash) and joins the open
-// pending batch for that fingerprint. The batch launches when its coalesce
-// window expires or it reaches maxBatch members.
+// matrix is fingerprinted; when a batch for that fingerprint is open, the
+// problem adopts the matrix object of the batch's first member (pointer
+// identity, with element-equality confirming the hash) and joins it.
+// Otherwise it opens a new batch. The batch launches when its coalesce
+// window expires or it reaches maxBatch members. Nothing outlives its
+// batch: once a batch launches, the coalescer holds none of its problems.
 //
 // Determinism contract: before launch the members are ordered by their
 // textual serialization (Problem.WriteText bytes, ties by arrival), and
@@ -31,16 +34,14 @@ type batchRunner func(ctx context.Context, probs []*memlp.Problem) ([]*memlp.Sol
 // bit-identical to a direct SolveBatch of the same problems in the same
 // canonical order — regardless of request arrival interleaving.
 type coalescer struct {
-	window     time.Duration
-	maxBatch   int
-	cacheLimit int
-	run        batchRunner
-	observe    func(size int) // batch-size metrics hook; may be nil
-	baseCtx    context.Context
+	window   time.Duration
+	maxBatch int
+	run      batchRunner
+	metrics  *trace.Metrics // counts launches and panicked batches
+	baseCtx  context.Context
 
 	mu      sync.Mutex
-	canon   map[uint64]*memlp.Problem //memlp:guardedby mu
-	pending map[uint64]*pendingBatch  //memlp:guardedby mu
+	pending map[uint64]*pendingBatch //memlp:guardedby mu
 }
 
 // pendingBatch is one open (or launched) same-matrix batch.
@@ -67,49 +68,39 @@ type waiter struct {
 	size  int
 }
 
-func newCoalescer(baseCtx context.Context, window time.Duration, maxBatch, cacheLimit int, run batchRunner, observe func(int)) *coalescer {
+func newCoalescer(baseCtx context.Context, window time.Duration, maxBatch int, run batchRunner, metrics *trace.Metrics) *coalescer {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
-	if cacheLimit < 1 {
-		cacheLimit = 1
-	}
 	return &coalescer{
-		window:     window,
-		maxBatch:   maxBatch,
-		cacheLimit: cacheLimit,
-		run:        run,
-		observe:    observe,
-		baseCtx:    baseCtx,
-		canon:      make(map[uint64]*memlp.Problem),
-		pending:    make(map[uint64]*pendingBatch),
+		window:   window,
+		maxBatch: maxBatch,
+		run:      run,
+		metrics:  metrics,
+		baseCtx:  baseCtx,
+		pending:  make(map[uint64]*pendingBatch),
 	}
 }
 
 // submit seats the problem in a pending batch and returns its waiter. A
 // false second return means the problem cannot coalesce (fingerprint
-// collision against the cached canonical matrix) and the caller must solve
-// it solo.
+// collision against the open batch's matrix) and the caller must solve it
+// solo.
 func (c *coalescer) submit(ctx context.Context, prob *memlp.Problem) (*waiter, bool) {
 	var buf bytes.Buffer
 	_ = prob.WriteText(&buf) // bytes.Buffer cannot fail
 	fp := prob.MatrixFingerprint()
 
 	c.mu.Lock()
-	canon, ok := c.canon[fp]
-	if !ok {
-		c.evictLocked()
-		c.canon[fp] = prob
-	} else if !prob.AdoptMatrixOf(canon) {
-		// Hash collision between genuinely different matrices: do not batch.
-		c.mu.Unlock()
-		return nil, false
-	}
 	pb := c.pending[fp]
-	if pb == nil || pb.launched {
+	if pb == nil {
 		pb = &pendingBatch{fingerprint: fp, done: make(chan struct{})}
 		c.pending[fp] = pb
 		pb.timer = time.AfterFunc(c.window, func() { c.launch(pb) })
+	} else if !prob.AdoptMatrixOf(pb.members[0].prob) {
+		// Hash collision between genuinely different matrices: do not batch.
+		c.mu.Unlock()
+		return nil, false
 	}
 	w := &waiter{prob: prob, text: buf.String(), ctx: ctx, done: pb.done}
 	pb.members = append(pb.members, w)
@@ -122,23 +113,6 @@ func (c *coalescer) submit(ctx context.Context, prob *memlp.Problem) (*waiter, b
 	return w, true
 }
 
-// evictLocked bounds the canonical-matrix cache; callers hold c.mu. Eviction
-// only drops the dedup anchor for a matrix — in-flight batches keep their
-// problems alive, and a re-submission simply becomes the new canon.
-func (c *coalescer) evictLocked() {
-	if len(c.canon) < c.cacheLimit {
-		return
-	}
-	for fp := range c.canon {
-		if _, open := c.pending[fp]; !open {
-			delete(c.canon, fp)
-			return
-		}
-	}
-	// Every cached matrix has an open batch: let the cache exceed the limit
-	// rather than break an active coalescing point.
-}
-
 // launch closes a pending batch to new members, orders it canonically, runs
 // it under the merged member context, and distributes the results. Safe to
 // call more than once; only the first call acts.
@@ -149,9 +123,7 @@ func (c *coalescer) launch(pb *pendingBatch) {
 		return
 	}
 	pb.launched = true
-	if c.pending[pb.fingerprint] == pb {
-		delete(c.pending, pb.fingerprint)
-	}
+	delete(c.pending, pb.fingerprint)
 	members := pb.members
 	c.mu.Unlock()
 	pb.timer.Stop()
@@ -168,15 +140,13 @@ func (c *coalescer) launch(pb *pendingBatch) {
 		probs[i] = w.prob
 		ctxs[i] = w.ctx
 	}
-	if c.observe != nil {
-		c.observe(len(members))
-	}
+	c.metrics.ObserveServeBatch(len(members))
 
 	// The batch keeps running while any member still wants the answer; it is
 	// canceled only when every member's request context has gone away.
 	mctx, cancel := mergedContext(c.baseCtx, ctxs)
 	defer cancel()
-	sols, err := c.run(mctx, probs)
+	sols, err := c.runRecovered(mctx, probs)
 
 	for i, w := range members {
 		if i < len(sols) {
@@ -187,6 +157,20 @@ func (c *coalescer) launch(pb *pendingBatch) {
 		}
 	}
 	close(pb.done)
+}
+
+// runRecovered runs the batch and turns a panic into an error for every
+// member. The batch runs on a timer or launch goroutine, where an unrecovered
+// panic would end the daemon; the runner's own deferred calls (the pool
+// handle's release) still run while the panic unwinds.
+func (c *coalescer) runRecovered(ctx context.Context, probs []*memlp.Problem) (sols []*memlp.Solution, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			sols, err = nil, fmt.Errorf("serve: coalesced batch of %d panicked: %v", len(probs), r)
+			c.metrics.ObserveServePanic()
+		}
+	}()
+	return c.run(ctx, probs)
 }
 
 // mergedContext derives a context that cancels once every member context is

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -520,16 +521,7 @@ func TestGoldenTraceThroughServe(t *testing.T) {
 		t.Fatalf("Solve: %v", err)
 	}
 
-	got := make([]trace.Record, len(served))
-	for i, r := range served {
-		got[i] = trace.Record(r)
-	}
-	local := sol.Trace()
-	want := make([]trace.Record, len(local))
-	for i, r := range local {
-		want[i] = trace.Record(r)
-	}
-	if diffs := trace.Diff(got, want, 1e-9); len(diffs) > 0 {
+	if diffs := trace.Diff(served, sol.Trace(), 1e-9); len(diffs) > 0 {
 		t.Errorf("served trace diverges from in-process solve:\n%s", strings.Join(diffs, "\n"))
 	}
 }
@@ -567,6 +559,55 @@ func TestServerCoalescingDisabled(t *testing.T) {
 	}
 	if resp.Coalesced {
 		t.Errorf("request coalesced with coalescing disabled: %+v", resp)
+	}
+}
+
+// TestBatchPanicAnswers500: a coalesced batch whose run panics costs its
+// member a 500, not the daemon. The panic is counted in /metrics, the pool
+// handle the batch held goes back to the pool, and the next request is
+// served.
+func TestBatchPanicAnswers500(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxBatch: 1})
+	ent, err := s.entry(memlp.EngineCrossbar, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := ent.co.run
+	var calls atomic.Int32
+	ent.co.run = func(ctx context.Context, probs []*memlp.Problem) ([]*memlp.Solution, error) {
+		if calls.Add(1) > 1 {
+			return solve(ctx, probs)
+		}
+		solver, err := ent.pool.acquire(ctx)
+		if err != nil {
+			return nil, err
+		}
+		defer ent.pool.release(solver)
+		panic("injected backend fault")
+	}
+
+	code, resp := postSolve(t, nil, ts.URL, Request{Problem: dietText(0), Engine: "crossbar"}, nil)
+	if code != http.StatusInternalServerError || !strings.Contains(resp.Error, "injected backend fault") {
+		t.Fatalf("panicking batch: HTTP %d, error %q; want 500 naming the panic", code, resp.Error)
+	}
+	waitQuiesced(t, s)
+	code, resp = postSolve(t, nil, ts.URL, Request{Problem: dietText(1), Engine: "crossbar"}, nil)
+	if code != http.StatusOK || resp.Status != "optimal" {
+		t.Fatalf("request after the panic: HTTP %d status %q", code, resp.Status)
+	}
+	hresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hresp.Body.Close()
+	var prom bytes.Buffer
+	if _, err := prom.ReadFrom(hresp.Body); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"memlp_serve_batch_panics_total 1", `memlp_serve_requests_total{code="500"} 1`} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
 	}
 }
 

@@ -37,7 +37,9 @@ type Config struct {
 	// DisableCoalescing turns same-matrix batching off server-wide; every
 	// request is solved solo (the benchmark baseline).
 	DisableCoalescing bool
-	// MatrixCacheLimit bounds the canonical-matrix cache per key. Default 256.
+	// MatrixCacheLimit bounds the warm-start cache per key: the number of
+	// constraint matrices whose last optimal solution seeds the next solo
+	// solve. Default 256.
 	MatrixCacheLimit int
 	// MaxBodyBytes bounds the /solve request body. Default 8 MiB.
 	MaxBodyBytes int64
@@ -84,10 +86,10 @@ type Server struct {
 
 // maxEntries bounds the pool entries a Server keeps. Clients choose the
 // key (every distinct seed is one), and each entry holds solvers with their
-// fabrics plus its caches, so past the bound the oldest entry is evicted,
-// first in first out, as warmCache and the coalescer's canonical-matrix
-// cache bound themselves. In-flight requests keep their entry pointer; the
-// next request for an evicted key builds the entry afresh.
+// fabrics plus its warm-start cache, so past the bound the oldest entry is
+// evicted, first in first out, as warmCache bounds itself. In-flight
+// requests keep their entry pointer; the next request for an evicted key
+// builds the entry afresh.
 const maxEntries = 64
 
 // poolEntry is the per-(engine, options)-key state: the solver pool plus, on
@@ -104,7 +106,7 @@ type poolEntry struct {
 // state: b and c drift, A stays) seeds each solve from the previous optimum
 // instead of a cold start. Solo solves only — coalesced batches stay
 // cold-started so their results depend only on the batch contents, never on
-// server history. FIFO-bounded like the coalescer's canonical-matrix cache.
+// server history. FIFO-bounded at Config.MatrixCacheLimit matrices.
 type warmCache struct {
 	mu    sync.Mutex
 	limit int
@@ -213,8 +215,7 @@ func (s *Server) entry(eng memlp.Engine, o Options) (*poolEntry, error) {
 			defer ent.pool.release(solver)
 			return solver.SolveBatch(ctx, probs)
 		}
-		ent.co = newCoalescer(s.baseCtx, s.cfg.CoalesceWindow, s.cfg.MaxBatch,
-			s.cfg.MatrixCacheLimit, run, s.metrics.ObserveServeBatch)
+		ent.co = newCoalescer(s.baseCtx, s.cfg.CoalesceWindow, s.cfg.MaxBatch, run, s.metrics)
 	}
 
 	s.mu.Lock()
@@ -441,14 +442,10 @@ func (s *Server) finishSolve(w http.ResponseWriter, start time.Time, req Request
 // when this solution carries the roll-up.
 func (s *Server) observeSolution(sol *memlp.Solution) {
 	for _, r := range sol.Trace() {
-		s.metrics.Emit(trace.Record(r))
+		s.metrics.Emit(r)
 	}
 	if b := sol.Batch; b != nil {
-		busy := make([]float64, len(b.ShardBusy))
-		for i, d := range b.ShardBusy {
-			busy[i] = d.Seconds()
-		}
-		s.metrics.ObserveBatch(b.ShardSolves, busy)
+		s.metrics.ObserveBatch(b.ShardSolves, b.ShardBusy)
 	}
 }
 

@@ -1,19 +1,23 @@
 package serve
 
 // White-box unit tests for the serving building blocks: the solver pool's
-// acquire/release state machine, the coalescer's canonical-matrix cache
-// bound, the merged batch context, and the jsonFloat wire convention. The
-// HTTP-level behavior lives in serve_test.go.
+// acquire/release state machine, the coalescer's batch lifetime and panic
+// recovery, the merged batch context, and the jsonFloat wire convention.
+// The HTTP-level behavior lives in serve_test.go.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/memlp/memlp"
+	"github.com/memlp/memlp/internal/trace"
 )
 
 // stats reports how many handles exist and how many are idle; a quiesced
@@ -119,24 +123,30 @@ func TestPoolBuildErrorRollsBack(t *testing.T) {
 	pool.release(s)
 }
 
-func TestCoalescerCacheEviction(t *testing.T) {
-	run := func(ctx context.Context, probs []*memlp.Problem) ([]*memlp.Solution, error) {
-		s, err := memlp.NewSolver(memlp.EngineCrossbar, memlp.WithSeed(1))
-		if err != nil {
-			return nil, err
-		}
-		return s.SolveBatch(ctx, probs)
+// batchOf is a batchRunner that solves on a fresh crossbar handle.
+func batchOf(ctx context.Context, probs []*memlp.Problem) ([]*memlp.Solution, error) {
+	s, err := memlp.NewSolver(memlp.EngineCrossbar, memlp.WithSeed(1))
+	if err != nil {
+		return nil, err
 	}
-	co := newCoalescer(context.Background(), time.Millisecond, 4, 2, run, nil)
+	return s.SolveBatch(ctx, probs)
+}
 
-	// Three distinct matrices through a 2-entry cache: the oldest quiescent
-	// anchors are evicted, the bound holds once batches drain.
-	for i := 0; i < 3; i++ {
+// TestCoalescerReleasesDrainedProblems: only an open batch needs a problem
+// (its first member's matrix is what later members adopt), so once the
+// batches have answered, the coalescer holds none of their problems and
+// the garbage collector reclaims every one.
+func TestCoalescerReleasesDrainedProblems(t *testing.T) {
+	co := newCoalescer(context.Background(), time.Millisecond, 4, batchOf, trace.NewMetrics())
+	const n = 3
+	var collected atomic.Int32
+	for i := 0; i < n; i++ {
 		p, err := memlp.NewProblem("p", []float64{1, 1},
 			[][]float64{{1, float64(i)}, {2, 1}}, []float64{4, 6})
 		if err != nil {
 			t.Fatal(err)
 		}
+		runtime.SetFinalizer(p, func(*memlp.Problem) { collected.Add(1) })
 		w, ok := co.submit(context.Background(), p)
 		if !ok {
 			t.Fatalf("submit %d refused", i)
@@ -147,16 +157,27 @@ func TestCoalescerCacheEviction(t *testing.T) {
 		}
 	}
 	co.mu.Lock()
-	size := len(co.canon)
+	open := len(co.pending)
 	co.mu.Unlock()
-	if size > 2 {
-		t.Errorf("canonical cache holds %d matrices, limit 2", size)
+	if open != 0 {
+		t.Errorf("%d batches still open after every batch answered", open)
 	}
+	// The launch goroutines may still be returning; give the finalizers a
+	// few collections to run.
+	for deadline := time.Now().Add(5 * time.Second); collected.Load() < n && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := collected.Load(); got != n {
+		t.Errorf("%d of %d drained problems are still reachable", n-got, n)
+	}
+	// The coalescer stays live throughout: it is what must not hold them.
+	runtime.KeepAlive(co)
 
 	// Same matrix twice coalesces into one batch of two. The batch closes by
 	// size: its window outlasts the test, so a slow second submit cannot
 	// miss it and land in a batch of its own.
-	bySize := newCoalescer(context.Background(), time.Hour, 2, 2, run, nil)
+	bySize := newCoalescer(context.Background(), time.Hour, 2, batchOf, trace.NewMetrics())
 	a, b := dietProblem(t, 4), dietProblem(t, 5)
 	wa, ok := bySize.submit(context.Background(), a)
 	if !ok {
@@ -171,6 +192,54 @@ func TestCoalescerCacheEviction(t *testing.T) {
 	if wa.size != 2 || wb.size != 2 || wa.index == wb.index {
 		t.Errorf("batch seating = (%d/%d, %d/%d), want distinct indices in a batch of 2",
 			wa.index, wa.size, wb.index, wb.size)
+	}
+}
+
+// TestCoalescerRecoversBatchPanic: a batch whose run panics wakes every
+// member with an error and counts the panic, and the coalescer goes on to
+// serve the next batch.
+func TestCoalescerRecoversBatchPanic(t *testing.T) {
+	var calls atomic.Int32
+	run := func(ctx context.Context, probs []*memlp.Problem) ([]*memlp.Solution, error) {
+		if calls.Add(1) == 1 {
+			panic("injected backend fault")
+		}
+		return batchOf(ctx, probs)
+	}
+	metrics := trace.NewMetrics()
+	co := newCoalescer(context.Background(), time.Hour, 2, run, metrics)
+	submitPair := func(slack float64) []*waiter {
+		var ws []*waiter
+		for _, p := range []*memlp.Problem{dietProblem(t, slack), dietProblem(t, slack+1)} {
+			w, ok := co.submit(context.Background(), p)
+			if !ok {
+				t.Fatal("submit refused")
+			}
+			ws = append(ws, w)
+		}
+		for _, w := range ws {
+			<-w.done
+		}
+		return ws
+	}
+	for i, w := range submitPair(4) {
+		if w.err == nil || w.sol != nil {
+			t.Errorf("member %d of the panicking batch: sol=%v err=%v, want an error", i, w.sol, w.err)
+		}
+	}
+	for i, w := range submitPair(6) {
+		if w.err != nil || w.sol == nil || w.sol.Status != memlp.StatusOptimal {
+			t.Errorf("member %d of the next batch: sol=%v err=%v", i, w.sol, w.err)
+		}
+	}
+	var prom strings.Builder
+	if err := metrics.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"memlp_serve_batch_panics_total 1", "memlp_serve_batches_total 2"} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("metrics lack %q", want)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"time"
 )
 
 // Histogram bucket bounds. Iteration buckets cover the O(√N) range the
@@ -74,6 +75,7 @@ type Metrics struct {
 	serveCoalesced int64            //memlp:guardedby mu — requests that shared a batch with >= 1 other
 	serveRejected  int64            //memlp:guardedby mu — requests refused by admission control (429)
 	serveWarm      int64            //memlp:guardedby mu — solo solves seeded from the warm-start cache
+	servePanics    int64            //memlp:guardedby mu — coalesced batches whose run panicked
 }
 
 // NewMetrics returns an empty aggregator.
@@ -131,16 +133,16 @@ func (m *Metrics) Emit(rec Record) {
 }
 
 // ObserveBatch folds one batch-pool roll-up into the per-shard counters:
-// solves per shard and busy wall time per shard, in seconds.
-func (m *Metrics) ObserveBatch(shardSolves []int, shardBusySeconds []float64) {
+// solves per shard and busy wall time per shard.
+func (m *Metrics) ObserveBatch(shardSolves []int, shardBusy []time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.batches++
 	for i, n := range shardSolves {
 		m.shardSolves[i] += int64(n)
 	}
-	for i, s := range shardBusySeconds {
-		m.shardBusy[i] += s
+	for i, d := range shardBusy {
+		m.shardBusy[i] += d.Seconds()
 	}
 }
 
@@ -175,6 +177,14 @@ func (m *Metrics) ObserveServeRejection() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.serveRejected++
+}
+
+// ObserveServePanic counts one coalesced batch whose run panicked; its
+// members were answered with an error.
+func (m *Metrics) ObserveServePanic() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.servePanics++
 }
 
 // ObserveServeWarmStart counts one solo solve seeded from the server's
@@ -305,6 +315,10 @@ func (m *Metrics) WriteProm(w io.Writer) error {
 	p("# HELP memlp_serve_warm_starts_total Solo solves seeded from the warm-start cache.\n")
 	p("# TYPE memlp_serve_warm_starts_total counter\n")
 	p("memlp_serve_warm_starts_total %d\n", m.serveWarm)
+
+	p("# HELP memlp_serve_batch_panics_total Coalesced batches whose run panicked; their members were answered with an error.\n")
+	p("# TYPE memlp_serve_batch_panics_total counter\n")
+	p("memlp_serve_batch_panics_total %d\n", m.servePanics)
 	return err
 }
 
@@ -368,9 +382,10 @@ func (m *Metrics) String() string {
 		ServeCoal  int64              `json:"serve_coalesced,omitempty"`
 		ServeRej   int64              `json:"serve_rejected,omitempty"`
 		ServeWarm  int64              `json:"serve_warm_starts,omitempty"`
+		ServePanic int64              `json:"serve_batch_panics,omitempty"`
 	}{m.records, m.solves, m.iterations, m.retries, m.cellsWritten, m.cellsSkipped,
 		m.energy, m.events, m.batches,
-		m.serveReqs, m.serveBatches, m.serveCoalesced, m.serveRejected, m.serveWarm}
+		m.serveReqs, m.serveBatches, m.serveCoalesced, m.serveRejected, m.serveWarm, m.servePanics}
 	b, err := json.Marshal(summary)
 	if err != nil {
 		return "{}"

@@ -53,15 +53,19 @@ const (
 	StopIterationLimit = "iteration-limit"
 )
 
-// Record is one point of a solve trajectory. It is a plain value struct so
-// emitting one copies it into the sink without heap allocation.
+// Record is one point of a solve trajectory: a snapshot of the convergence
+// state (µ, duality gap, residual norms, step length θ) plus the hardware
+// activity attributed to the solve so far (write retries, cell writes,
+// modeled energy); memlp.TraceRecord is this type. It is a plain value
+// struct so emitting one copies it into the sink without heap allocation.
 //
-// Not every field is meaningful for every event: pivot records carry the
-// tableau objective but no µ; substrate trials reuse the residual fields
-// for mat-vec/solve errors. Fields that do not apply are zero.
+// Not every field is meaningful for every event: software engines leave the
+// hardware fields zero; pivot records carry the tableau objective but no µ;
+// substrate trials reuse the residual fields for mat-vec/solve errors.
+// Fields that do not apply are zero.
 type Record struct {
-	// Engine is the emitting engine name ("crossbar", "simplex", ...).
-	// Engines leave it empty; the public memlp layer stamps it.
+	// Engine is the emitting engine name ("crossbar", "pdip", "simplex",
+	// ...). Engines leave it empty; the public memlp layer stamps it.
 	Engine string
 	// Problem is the batch problem index (0 for single solves).
 	Problem int

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func sampleRecord(i int) Record {
@@ -203,7 +204,7 @@ func TestMetricsProm(t *testing.T) {
 	m.Emit(doneRecord("simplex", "optimal", 5, 0))
 	m.Emit(Record{Event: EventResolve, Status: "numerical-failure"})
 	m.Emit(Record{Event: EventSoftware})
-	m.ObserveBatch([]int{3, 2}, []float64{0.5, 0.25})
+	m.ObserveBatch([]int{3, 2}, []time.Duration{500 * time.Millisecond, 250 * time.Millisecond})
 
 	var buf bytes.Buffer
 	if err := m.WriteProm(&buf); err != nil {

@@ -47,8 +47,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
+	"github.com/memlp/memlp/internal/engine"
 	"github.com/memlp/memlp/internal/linalg"
 	"github.com/memlp/memlp/internal/lp"
 )
@@ -93,26 +95,25 @@ func NewProblem(name string, c []float64, a [][]float64, b []float64) (*Problem,
 }
 
 // ConeType identifies a cone family in a conic problem's constraint-row
-// partition.
-type ConeType int
+// partition. Its String is the family's keyword in the text problem
+// format: "nonneg" or "soc".
+type ConeType = lp.ConeType
 
 // Cone families.
 const (
 	// ConeNonNeg is the non-negative orthant: each covered row is an ordinary
 	// scalar inequality slack.
-	ConeNonNeg = ConeType(lp.ConeNonNeg)
+	ConeNonNeg = lp.ConeNonNeg
 	// ConeSOC is the second-order (Lorentz) cone: the covered rows' slack
 	// s = b − A·x must satisfy s₀ ≥ ‖s₁…‖ (axis row first).
-	ConeSOC = ConeType(lp.ConeSOC)
+	ConeSOC = lp.ConeSOC
 )
 
 // Cone describes one block of a conic problem's ordered constraint-row
-// partition: Dim consecutive rows belonging to one cone. NonNeg blocks need
-// Dim ≥ 1, SOC blocks Dim ≥ 2; block dims must sum to the constraint count.
-type Cone struct {
-	Type ConeType
-	Dim  int
-}
+// partition: Dim consecutive rows belonging to one cone of family Type.
+// NonNeg blocks need Dim ≥ 1, SOC blocks Dim ≥ 2; block dims must sum to the
+// constraint count.
+type Cone = lp.Cone
 
 // NewConicProblem constructs and validates a conic problem: maximize cᵀx
 // subject to b − A·x ∈ K and x ≥ 0, where K is the product of the given
@@ -127,11 +128,7 @@ func NewConicProblem(name string, c []float64, a [][]float64, b []float64, cones
 	copy(cv, c)
 	bv := make(linalg.Vector, len(b))
 	copy(bv, b)
-	inner := make([]lp.Cone, len(cones))
-	for i, k := range cones {
-		inner[i] = lp.Cone{Type: lp.ConeType(k.Type), Dim: k.Dim}
-	}
-	prob, err := lp.NewConic(name, cv, mat, bv, inner)
+	prob, err := lp.NewConic(name, cv, mat, bv, slices.Clone(cones))
 	if err != nil {
 		return nil, err
 	}
@@ -151,11 +148,7 @@ func (p *Problem) Cones() []Cone {
 	if len(p.inner.Cones) == 0 {
 		return nil
 	}
-	out := make([]Cone, len(p.inner.Cones))
-	for i, k := range p.inner.Cones {
-		out[i] = Cone{Type: ConeType(k.Type), Dim: k.Dim}
-	}
-	return out
+	return slices.Clone(p.inner.Cones)
 }
 
 // NumVariables returns n.
@@ -255,37 +248,36 @@ func GenerateInfeasible(m, n int, seed int64) (*Problem, error) {
 	return &Problem{inner: inner}, nil
 }
 
-// Status classifies a solve outcome.
-type Status int
+// Status classifies a solve outcome. Its String is the outcome's name
+// ("optimal", "infeasible", …), as lpsolve prints it and memlpd's responses
+// carry it.
+type Status = lp.Status
 
 // Solve outcomes.
 const (
 	// StatusOptimal means the engine converged to an optimum (for crossbar
 	// engines: within the analog accuracy floor, α-feasibility verified).
-	StatusOptimal = Status(lp.StatusOptimal)
+	StatusOptimal = lp.StatusOptimal
 	// StatusInfeasible means the constraints admit no solution.
-	StatusInfeasible = Status(lp.StatusInfeasible)
+	StatusInfeasible = lp.StatusInfeasible
 	// StatusUnbounded means the objective grows without bound.
-	StatusUnbounded = Status(lp.StatusUnbounded)
+	StatusUnbounded = lp.StatusUnbounded
 	// StatusIterationLimit means the iteration budget ran out.
-	StatusIterationLimit = Status(lp.StatusIterationLimit)
+	StatusIterationLimit = lp.StatusIterationLimit
 	// StatusNumericalFailure means the solve failed numerically (singular
 	// analog network, α-check rejection, …).
-	StatusNumericalFailure = Status(lp.StatusNumericalFailure)
+	StatusNumericalFailure = lp.StatusNumericalFailure
 	// StatusCanceled means the solve was interrupted by its context; the
 	// Solution holds the partial iterate reached at cancellation.
-	StatusCanceled = Status(lp.StatusCanceled)
+	StatusCanceled = lp.StatusCanceled
 	// StatusDegraded means the analog fabric could not produce the answer
 	// (even after the recovery ladder's re-solve) and the solve fell back to
 	// the software path. The returned optimum is correct,
 	// but it was not computed in-memory: the Hardware estimate covers only
 	// the failed analog attempts, and Diagnostics reports what the fabric
 	// did before giving up. Only possible with WithFaultModel/WithWriteVerify.
-	StatusDegraded = Status(lp.StatusDegraded)
+	StatusDegraded = lp.StatusDegraded
 )
-
-// String implements fmt.Stringer.
-func (s Status) String() string { return lp.Status(s).String() }
 
 // HardwareEstimate predicts the analog hardware cost of a crossbar solve.
 type HardwareEstimate struct {
@@ -309,21 +301,10 @@ type HardwareEstimate struct {
 }
 
 // BatchStats is the fabric-pool roll-up of one SolveBatch call, attached to
-// the batch's first Solution — the same place the pool's one-time programming
-// cost is charged. Per-Solution hardware counters remain per-solve marginals;
-// the replica count and shard utilization are batch-level properties and live
-// here.
-type BatchStats struct {
-	// Replicas is the pool width: how many fabric replicas were programmed.
-	Replicas int
-	// ShardSolves[r] counts the problems shard r completed. Scheduling is
-	// load-balanced and nondeterministic, so the split varies run to run even
-	// though every Solution is bit-identical.
-	ShardSolves []int
-	// ShardBusy[r] is the wall time shard r spent solving; divide by the
-	// batch wall time for that shard's utilization.
-	ShardBusy []time.Duration
-}
+// the batch's first Solution: the pool width (Replicas) and each shard's
+// solve count and busy wall time (ShardSolves, ShardBusy). Its fields are
+// documented in internal/engine.
+type BatchStats = engine.BatchStats
 
 // FaultModel describes permanent and progressive defects of the simulated
 // memristor arrays, beyond the paper's per-write process variation: stuck
@@ -348,30 +329,12 @@ type FaultModel struct {
 }
 
 // Diagnostics reports what the fault-recovery machinery observed and did
-// during one crossbar solve. Present on Solutions from crossbar solvers
-// configured with WithFaultModel or WithWriteVerify, and on every
-// EnginePDHG Solution (one attempt, its write retries and modeled energy).
-type Diagnostics struct {
-	// StuckOn / StuckOff count the defective devices inside the fabric
-	// region the solve actually used (post-program census).
-	StuckOn  int
-	StuckOff int
-	// WriteRetries counts write-verify corrective pulses across the solve.
-	WriteRetries int64
-	// Attempts is the number of analog solve attempts (1 for a clean
-	// first-try solve).
-	Attempts int
-	// SoftwareFallback records that the software rung ran.
-	SoftwareFallback bool
-	// RecoveredBy names the rung that produced the result: "" (first
-	// attempt), "resolve", or "software".
-	RecoveredBy string
-	// EnergyJoules is Hardware.EnergyJoules: the modeled energy of every
-	// attempt of the solve, NoC transfers included (and the pool's
-	// programming on a batch's first Solution). Populated on clean first-try
-	// solves too, not just recovered ones.
-	EnergyJoules float64
-}
+// during one crossbar solve: the stuck-cell census, write-verify retries,
+// attempts, the rung that produced the answer, and the modeled energy.
+// Present on Solutions from crossbar solvers configured with WithFaultModel
+// or WithWriteVerify, and on every EnginePDHG Solution. Its fields are
+// documented in internal/engine.
+type Diagnostics = engine.Diagnostics
 
 // Solution is the result of a Solve call.
 type Solution struct {

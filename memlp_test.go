@@ -198,6 +198,34 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
+// TestOptionsRejectNonFinite: every float option fails NewSolver with
+// ErrInvalid on NaN and on both infinities, so none of them can switch a
+// check off or turn a hardware read into NaN.
+func TestOptionsRejectNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		engine Engine
+		opt    func(v float64) Option
+	}{
+		{"WithVariation", EngineCrossbar, WithVariation},
+		{"WithCycleNoise", EngineCrossbar, WithCycleNoise},
+		{"WithAlpha", EngineCrossbar, WithAlpha},
+		{"WithConstantStep", EngineCrossbarLargeScale, WithConstantStep},
+		{"WithWireResistance", EngineCrossbar, WithWireResistance},
+		{"WithWriteVerify tolerance", EngineCrossbar, func(v float64) Option { return WithWriteVerify(2, v) }},
+		{"FaultModel.StuckOnDensity", EngineCrossbar, func(v float64) Option { return WithFaultModel(FaultModel{StuckOnDensity: v}) }},
+		{"FaultModel.StuckOffDensity", EngineCrossbar, func(v float64) Option { return WithFaultModel(FaultModel{StuckOffDensity: v}) }},
+		{"FaultModel.WriteNoise", EngineCrossbar, func(v float64) Option { return WithFaultModel(FaultModel{WriteNoise: v}) }},
+		{"FaultModel.DriftPerCycle", EngineCrossbar, func(v float64) Option { return WithFaultModel(FaultModel{DriftPerCycle: v}) }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if _, err := NewSolver(tc.engine, tc.opt(v)); !errors.Is(err, ErrInvalid) {
+				t.Errorf("%s(%v): %v, want ErrInvalid", tc.name, v, err)
+			}
+		}
+	}
+}
+
 func TestUnknownEngine(t *testing.T) {
 	if _, err := Solve(tiny(t), Engine(42)); !errors.Is(err, ErrUnknownEngine) {
 		t.Errorf("got %v, want ErrUnknownEngine", err)
@@ -231,6 +259,9 @@ func TestEngineStrings(t *testing.T) {
 func TestStatusStrings(t *testing.T) {
 	if StatusOptimal.String() != "optimal" || StatusInfeasible.String() != "infeasible" {
 		t.Error("status strings wrong")
+	}
+	if ConeNonNeg.String() != "nonneg" || ConeSOC.String() != "soc" {
+		t.Errorf("cone type strings %q, %q; want the text format's keywords", ConeNonNeg, ConeSOC)
 	}
 }
 

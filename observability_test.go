@@ -116,9 +116,7 @@ func TestTraceBitIdenticalAcrossWidths(t *testing.T) {
 		}
 		var recs []trace.Record
 		for _, sol := range sols {
-			for _, r := range sol.Trace() {
-				recs = append(recs, trace.Record(r))
-			}
+			recs = append(recs, sol.Trace()...)
 		}
 		if ref == nil {
 			ref = recs
@@ -155,15 +153,7 @@ func TestWithTraceJSONLStreams(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadTraceJSONL: %v", err)
 	}
-	gi := make([]trace.Record, len(got))
-	wi := make([]trace.Record, len(want))
-	for i, r := range got {
-		gi[i] = trace.Record(r)
-	}
-	for i, r := range want {
-		wi[i] = trace.Record(r)
-	}
-	if diff := trace.Diff(gi, wi, 0); len(diff) != 0 {
+	if diff := trace.Diff(got, want, 0); len(diff) != 0 {
 		t.Errorf("streamed trace differs from Solution.Trace:\n  %s", strings.Join(diff, "\n  "))
 	}
 }

@@ -72,15 +72,7 @@ func TestTracePDHGGridDeterminism(t *testing.T) {
 		if sol.Hardware.Latency != ref.Hardware.Latency {
 			t.Errorf("tiles=%d: latency %v, want %v", tiles, sol.Hardware.Latency, ref.Hardware.Latency)
 		}
-		got := make([]trace.Record, len(sol.Trace()))
-		for i, r := range sol.Trace() {
-			got[i] = trace.Record(r)
-		}
-		want := make([]trace.Record, len(ref.Trace()))
-		for i, r := range ref.Trace() {
-			want[i] = trace.Record(r)
-		}
-		if diff := trace.Diff(got, want, 0); len(diff) != 0 {
+		if diff := trace.Diff(sol.Trace(), ref.Trace(), 0); len(diff) != 0 {
 			t.Errorf("tiles=%d: trace diverged from tiles=1:\n  %s", tiles, diff[0])
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 
@@ -224,7 +225,7 @@ type Option func(*options) error
 // 10%", the paper's Eq. 18 model) for crossbar engines.
 func WithVariation(pct float64) Option {
 	return func(o *options) error {
-		if pct < 0 || pct >= 1 {
+		if !(pct >= 0 && pct < 1) {
 			return fmt.Errorf("%w: variation %v", ErrInvalid, pct)
 		}
 		o.variationPct = pct
@@ -237,7 +238,7 @@ func WithVariation(pct float64) Option {
 // static variation magnitude.
 func WithCycleNoise(frac float64) Option {
 	return func(o *options) error {
-		if frac < 0 || frac > 1 {
+		if !(frac >= 0 && frac <= 1) {
 			return fmt.Errorf("%w: cycle noise %v", ErrInvalid, frac)
 		}
 		o.cycleNoise = frac
@@ -310,12 +311,13 @@ func WithGlobalIORange() Option {
 	}
 }
 
-// WithAlpha sets the relaxed feasibility parameter α of §3.2 (≥ 1). Under
-// variation v a solution legitimately violates the true constraints by up to
-// ≈v, so α ≈ 1 + 2v is a sensible setting; the default scales automatically.
+// WithAlpha sets the relaxed feasibility parameter α of §3.2 (finite, ≥ 1).
+// Under variation v a solution legitimately violates the true constraints by
+// up to ≈v, so α ≈ 1 + 2v is a sensible setting; the default scales
+// automatically.
 func WithAlpha(alpha float64) Option {
 	return func(o *options) error {
-		if alpha < 1 {
+		if !(alpha >= 1 && alpha <= math.MaxFloat64) {
 			return fmt.Errorf("%w: alpha %v", ErrInvalid, alpha)
 		}
 		o.alpha = alpha
@@ -339,7 +341,7 @@ func WithMaxIterations(n int) Option {
 // WithConstantStep sets Algorithm 2's constant step length θ ∈ (0, 1).
 func WithConstantStep(theta float64) Option {
 	return func(o *options) error {
-		if theta <= 0 || theta >= 1 {
+		if !(theta > 0 && theta < 1) {
 			return fmt.Errorf("%w: constant step %v", ErrInvalid, theta)
 		}
 		o.constantStep = theta
@@ -371,12 +373,12 @@ func WithNoC(topology string, tileSize int) Option {
 	}
 }
 
-// WithWireResistance enables the first-order IR-drop model: rw ohms of metal
-// line resistance per crossbar segment attenuate each cell's effective
-// conductance along its current path.
+// WithWireResistance enables the first-order IR-drop model: rw ohms (finite,
+// ≥ 0) of metal line resistance per crossbar segment attenuate each cell's
+// effective conductance along its current path.
 func WithWireResistance(rw float64) Option {
 	return func(o *options) error {
-		if rw < 0 {
+		if !(rw >= 0 && rw <= math.MaxFloat64) {
 			return fmt.Errorf("%w: wire resistance %v", ErrInvalid, rw)
 		}
 		o.wireResistance = rw
@@ -462,14 +464,7 @@ func WithWarmStart(prev *Solution) Option {
 // See FaultModel and Diagnostics.
 func WithFaultModel(fm FaultModel) Option {
 	return func(o *options) error {
-		inner := memristor.FaultModel{
-			StuckOnDensity:  fm.StuckOnDensity,
-			StuckOffDensity: fm.StuckOffDensity,
-			Seed:            fm.Seed,
-			WriteNoise:      fm.WriteNoise,
-			DriftPerCycle:   fm.DriftPerCycle,
-		}
-		if err := inner.Validate(); err != nil {
+		if err := memristor.FaultModel(fm).Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
 		o.faults = &fm
@@ -488,7 +483,7 @@ func WithWriteVerify(maxRetries int, tol float64) Option {
 		if maxRetries < 1 {
 			return fmt.Errorf("%w: write-verify retries %d", ErrInvalid, maxRetries)
 		}
-		if tol < 0 || tol >= 1 {
+		if !(tol >= 0 && tol < 1) {
 			return fmt.Errorf("%w: write-verify tolerance %v", ErrInvalid, tol)
 		}
 		o.writeRetries = maxRetries
@@ -624,13 +619,7 @@ func (o options) crossbarConfig() (crossbar.Config, error) {
 		xcfg.Variation = vm
 	}
 	if o.faults != nil {
-		fm := memristor.FaultModel{
-			StuckOnDensity:  o.faults.StuckOnDensity,
-			StuckOffDensity: o.faults.StuckOffDensity,
-			Seed:            o.faults.Seed,
-			WriteNoise:      o.faults.WriteNoise,
-			DriftPerCycle:   o.faults.DriftPerCycle,
-		}
+		fm := memristor.FaultModel(*o.faults)
 		if fm.Seed == 0 {
 			fm.Seed = o.seed
 		}
@@ -867,10 +856,12 @@ func (s *Solver) SolveBatch(ctx context.Context, problems []*Problem) ([]*Soluti
 }
 
 // solution builds the public Solution from an engine result; it is the one
-// place a Solution is made. Trace records get the engine's name here, and
-// analog engines get the hardware estimate: the result's crossbar counters
-// plus its NoC transfers, priced here for every engine, Diagnostics'
-// energy included. The Solution and its estimate share one allocation.
+// place a Solution is made. It hands over the result's own Diagnostics,
+// BatchStats and trace snapshot, with the engine's name stamped on each
+// record. Analog engines get the hardware estimate: the result's crossbar
+// counters plus its NoC transfers, priced here for every engine, and
+// Diagnostics' energy is set from it. The Solution and its estimate share
+// one allocation.
 func (s *Solver) solution(res *engine.Result) *Solution {
 	out := new(struct {
 		sol Solution
@@ -878,7 +869,7 @@ func (s *Solver) solution(res *engine.Result) *Solution {
 	})
 	sol := &out.sol
 	*sol = Solution{
-		Status:              Status(res.Status),
+		Status:              res.Status,
 		X:                   res.X,
 		DualY:               res.Y,
 		Objective:           res.Objective,
@@ -889,6 +880,9 @@ func (s *Solver) solution(res *engine.Result) *Solution {
 		DualInfeasibility:   res.DualInfeasibility,
 		DualityGap:          res.DualityGap,
 		ConeInfeasibility:   res.ConeInfeasibility,
+		Diagnostics:         res.Diagnostics,
+		Batch:               res.Batch,
+		trace:               res.Trace,
 	}
 	if s.spec.has(capAnalog) {
 		est := perf.CrossbarCost(res.Counters, memristor.DefaultTiming()).Add(perf.NoCCost(res.NoC, s.nocCfg))
@@ -903,29 +897,16 @@ func (s *Solver) solution(res *engine.Result) *Solution {
 			CellsSkipped: res.Counters.CellSkips,
 		}
 	}
-	if b := res.Batch; b != nil {
-		sol.Batch = &BatchStats{
-			Replicas:    b.Replicas,
-			ShardSolves: b.ShardSolves,
-			ShardBusy:   b.ShardBusy,
-		}
-	}
 	if d := res.Diagnostics; d != nil {
 		// Only analog engines report Diagnostics; their energy is the
 		// hardware estimate's, priced once above.
-		diag := Diagnostics(*d)
-		diag.EnergyJoules = sol.Hardware.EnergyJoules
-		sol.Diagnostics = &diag
+		d.EnergyJoules = out.hw.EnergyJoules
 	}
-	if len(res.Trace) > 0 {
-		sol.trace = make([]TraceRecord, len(res.Trace))
-		for i := range res.Trace {
-			// The records are a snapshot owned by this result.
-			res.Trace[i].Engine = s.spec.name
-			sol.trace[i] = TraceRecord(res.Trace[i])
-			if s.traceJSONL != nil {
-				s.traceJSONL.Emit(res.Trace[i])
-			}
+	for i := range res.Trace {
+		// The records are a snapshot owned by this result.
+		res.Trace[i].Engine = s.spec.name
+		if s.traceJSONL != nil {
+			s.traceJSONL.Emit(res.Trace[i])
 		}
 	}
 	return sol

@@ -283,35 +283,49 @@ func TestSolveBatchPartialResultsOnCancel(t *testing.T) {
 }
 
 // TestSolverReuseAllocations pins how little a repeated same-shape solve on
-// one handle allocates. The bound is on the handle's own count, so a
-// cheaper one-shot Solve, whose count is logged beside it, cannot fail it.
+// one handle allocates, untraced, traced and with write-verify. The Solution
+// takes over the result's trace snapshot and Diagnostics, so neither a
+// traced nor a write-verified solve copies them. The bounds are on the
+// handle's own count, so a cheaper one-shot Solve, whose count is logged
+// beside it, cannot fail them.
 func TestSolverReuseAllocations(t *testing.T) {
 	p, err := GenerateFeasible(8, 0, 1)
 	if err != nil {
 		t.Fatalf("GenerateFeasible: %v", err)
 	}
-	s, err := NewSolver(EngineCrossbar)
-	if err != nil {
-		t.Fatalf("NewSolver: %v", err)
-	}
 	ctx := context.Background()
-	if _, err := s.Solve(ctx, p); err != nil {
-		t.Fatalf("warmup solve: %v", err)
-	}
-
-	reuse := testing.AllocsPerRun(10, func() {
-		if _, err := s.Solve(ctx, p); err != nil {
-			t.Fatal(err)
-		}
-	})
-	oneShot := testing.AllocsPerRun(10, func() {
-		if _, err := Solve(p, EngineCrossbar); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("allocs/solve: handle reuse %.0f, one-shot %.0f", reuse, oneShot)
-	if reuse > 5 {
-		t.Errorf("handle reuse allocates %.0f/solve, want at most 5", reuse)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		max  float64
+	}{
+		{"untraced", nil, 5},
+		{"traced", []Option{WithTrace(0)}, 6},
+		{"write-verify", []Option{WithWriteVerify(2, 0.01)}, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewSolver(EngineCrossbar, tc.opts...)
+			if err != nil {
+				t.Fatalf("NewSolver: %v", err)
+			}
+			if _, err := s.Solve(ctx, p); err != nil {
+				t.Fatalf("warmup solve: %v", err)
+			}
+			reuse := testing.AllocsPerRun(10, func() {
+				if _, err := s.Solve(ctx, p); err != nil {
+					t.Fatal(err)
+				}
+			})
+			oneShot := testing.AllocsPerRun(10, func() {
+				if _, err := Solve(p, EngineCrossbar, tc.opts...); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("allocs/solve: handle reuse %.0f, one-shot %.0f", reuse, oneShot)
+			if reuse > tc.max {
+				t.Errorf("handle reuse allocates %.0f/solve, want at most %.0f", reuse, tc.max)
+			}
+		})
 	}
 }
 

@@ -30,58 +30,10 @@ const (
 
 // TraceRecord is one entry of a solve's iteration trace: a snapshot of the
 // convergence state (µ, duality gap, residual norms, step length θ) plus the
-// hardware activity attributed to that step (write retries, modeled energy).
-// Software engines leave the hardware fields zero; simplex records carry the
-// running tableau objective instead of interior-point measures.
-type TraceRecord struct {
-	// Engine is the backend name ("crossbar", "pdip", "simplex", …).
-	Engine string
-	// Problem is the batch index (0 for single solves). Attempt counts
-	// recovery-ladder analog attempts, starting at 1. Iteration is the PDIP
-	// iteration or simplex pivot number.
-	Problem   int
-	Attempt   int
-	Iteration int
-	// Event is one of the TraceEvent* constants; Status is set on terminal
-	// and recovery records.
-	Event  string
-	Status string
-	// Stop names the rule that ended an analog interior-point loop
-	// (crossbar, crossbar-large-scale and conic engines), on done records
-	// only: "tolerance", "gap-stall", "floor" (the best iterate stopped
-	// changing at the analog accuracy floor) or "iteration-limit". It is
-	// empty when Status already says why the loop ended (a blow-up, a
-	// failed settle or a cancel) and on every other engine.
-	Stop string
-	// Interior-point convergence measures at this step.
-	Mu                  float64
-	DualityGap          float64
-	PrimalInfeasibility float64
-	DualInfeasibility   float64
-	// ConeInfeasibility is the worst second-order-cone violation of the
-	// constraint slack b − A·x (conic problems only; 0 for pure LPs).
-	ConeInfeasibility float64
-	Theta             float64
-	// Objective is the objective value (terminal records; running tableau
-	// value on simplex pivots).
-	Objective float64
-	// WriteRetries and EnergyJoules attribute hardware activity: per-step
-	// marginals on iteration records, solve totals on the done record.
-	// NoiseEpoch is the deterministic per-problem noise stream id.
-	WriteRetries int64
-	// CellsWritten / CellsSkipped are the solve's running device-programming
-	// count and the writes avoided by delta-programming (cumulative on
-	// iteration records, solve totals on the done record; zero for software
-	// engines or with delta-programming disabled).
-	CellsWritten int64
-	CellsSkipped int64
-	// TilesRefreshed is the running count of crossbar tiles re-programmed
-	// by the PDHG engine's periodic refresh (EnginePDHG only; zero
-	// elsewhere).
-	TilesRefreshed int64
-	NoiseEpoch     int64
-	EnergyJoules   float64
-}
+// hardware activity attributed to the solve so far (write retries, cell
+// writes, modeled energy). Event is one of the TraceEvent* constants. Its
+// fields are documented in internal/trace.
+type TraceRecord = trace.Record
 
 // WithTrace enables iteration-trace recording on any engine. Each solve's
 // trajectory — per-iteration convergence measures, recovery events, and the
@@ -117,28 +69,12 @@ func WithTraceJSONL(w io.Writer) Option {
 
 // WriteTraceJSONL serializes records as JSON Lines (one object per line, a
 // stable field order, non-finite floats quoted).
-func WriteTraceJSONL(w io.Writer, recs []TraceRecord) error {
-	inner := make([]trace.Record, len(recs))
-	for i, r := range recs {
-		inner[i] = trace.Record(r)
-	}
-	return trace.Write(w, inner)
-}
+func WriteTraceJSONL(w io.Writer, recs []TraceRecord) error { return trace.Write(w, recs) }
 
 // ReadTraceJSONL parses a JSON-Lines trace written by WriteTraceJSONL or
 // WithTraceJSONL. Blank lines are skipped; malformed lines fail with their
 // line number.
-func ReadTraceJSONL(r io.Reader) ([]TraceRecord, error) {
-	inner, err := trace.Read(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]TraceRecord, len(inner))
-	for i, rec := range inner {
-		out[i] = TraceRecord(rec)
-	}
-	return out, nil
-}
+func ReadTraceJSONL(r io.Reader) ([]TraceRecord, error) { return trace.Read(r) }
 
 // Metrics aggregates trace records from any number of solves into counters
 // and histograms and exposes them in Prometheus text format. Safe for
@@ -157,14 +93,10 @@ func (mt *Metrics) Observe(sol *Solution) {
 		return
 	}
 	for _, r := range sol.trace {
-		mt.m.Emit(trace.Record(r))
+		mt.m.Emit(r)
 	}
 	if b := sol.Batch; b != nil {
-		busy := make([]float64, len(b.ShardBusy))
-		for i, d := range b.ShardBusy {
-			busy[i] = d.Seconds()
-		}
-		mt.m.ObserveBatch(b.ShardSolves, busy)
+		mt.m.ObserveBatch(b.ShardSolves, b.ShardBusy)
 	}
 }
 
