@@ -59,10 +59,23 @@ func (p *Problem) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadText parses the textual format written by WriteText.
-func ReadText(r io.Reader) (*Problem, error) {
+// maxLine caps one input line of ReadText and ReadMPS.
+const maxLine = 1 << 24
+
+// newLineScanner returns the line scanner both readers share. Its buffer
+// starts at bufio's default size and doubles only while a line does not
+// fit, up to maxLine, so a small request costs a few KiB rather than a
+// fixed large buffer.
+func newLineScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, maxLine)
+	return sc
+}
+
+// ReadText parses the textual format written by WriteText. A line may
+// hold up to 16 MiB.
+func ReadText(r io.Reader) (*Problem, error) {
+	sc := newLineScanner(r)
 	var (
 		name  string
 		c     linalg.Vector

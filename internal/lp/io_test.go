@@ -3,6 +3,7 @@ package lp
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -87,5 +88,54 @@ func TestTextRoundTripGenerated(t *testing.T) {
 	}
 	if !q.A.Equal(p.A, 1e-12) {
 		t.Error("A corrupted through text round trip")
+	}
+}
+
+// dietText is the diet LP in the text format; afiroLike is the same LP in
+// MPS.
+const dietText = "name diet\nmaximize 3 2\nsubject 1 1 <= 4\nsubject 1 3 <= 6\n"
+
+var readers = []struct {
+	name string
+	src  string
+	// comment turns a line's content into a comment of the format.
+	comment string
+	read    func(io.Reader) (*Problem, error)
+}{
+	{"text", dietText, "# ", ReadText},
+	{"mps", afiroLike, "* ", ReadMPS},
+}
+
+// TestReadersAllocateByInput: parsing the diet LP allocates in proportion
+// to its few dozen bytes, not to the longest line a reader accepts.
+func TestReadersAllocateByInput(t *testing.T) {
+	for _, r := range readers {
+		if _, err := r.read(strings.NewReader(r.src)); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.read(strings.NewReader(r.src))
+			}
+		})
+		if got := res.AllocedBytesPerOp(); got >= 16<<10 {
+			t.Errorf("%s: the diet LP allocates %d bytes per read, want < 16 KiB", r.name, got)
+		}
+	}
+}
+
+// TestReadersAcceptLongLines: a line far past bufio's default buffer still
+// parses; the readers grow their buffer up to a 16 MiB line.
+func TestReadersAcceptLongLines(t *testing.T) {
+	long := strings.Repeat("x", 2<<20)
+	for _, r := range readers {
+		p, err := r.read(strings.NewReader(r.comment + long + "\n" + r.src))
+		if err != nil {
+			t.Fatalf("%s: a 2 MiB comment line: %v", r.name, err)
+		}
+		if p.NumVariables() != 2 || p.NumConstraints() != 2 || p.C[0] != 3 || p.B[1] != 6 {
+			t.Errorf("%s: parsed c=%v b=%v", r.name, p.C, p.B)
+		}
 	}
 }

@@ -21,10 +21,10 @@ import (
 // ≤/≥ pair.
 //
 // The subset is deliberately strict: anything outside it returns ErrInvalid
-// with a line number rather than a silently wrong problem.
+// with a line number rather than a silently wrong problem. A line may hold
+// up to 16 MiB.
 func ReadMPS(r io.Reader) (*Problem, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc := newLineScanner(r)
 
 	type rowInfo struct {
 		kind  byte // N, L, G, E
