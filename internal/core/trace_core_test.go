@@ -8,6 +8,8 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/memlp/memlp/internal/crossbar"
@@ -191,6 +193,56 @@ func TestTraceEnergyFoldsDigitalMACs(t *testing.T) {
 		done := recs[len(recs)-1]
 		if want := float64(c.res.Iterations) * nnz; done.EnergyJoules != want || float64(c.res.Counters.DigitalMACs) != want {
 			t.Errorf("%s: done energy %v and %d MACs, want %v", c.path, done.EnergyJoules, c.res.Counters.DigitalMACs, want)
+		}
+	}
+}
+
+// allocBytes returns the heap bytes f allocates.
+func allocBytes(f func()) int64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestTraceRingAllocatedOnFirstProblem: building a traced solver allocates
+// no ring; its first problem allocates one, which later problems reuse. The
+// traced handle's solves are measured against an untraced twin's, so only
+// the ring and the per-solve trace copy tell them apart.
+func TestTraceRingAllocatedOnFirstProblem(t *testing.T) {
+	const capacity = 4096
+	ring := int64(capacity * reflect.TypeOf(trace.Record{}).Size())
+	p, err := lp.GenerateFeasible(lp.GenConfig{Constraints: 9, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := idealOpts()
+	opts.Trace = &TraceOptions{Capacity: capacity}
+	var traced *Solver
+	if b := allocBytes(func() { traced, err = NewSolver(opts) }); err != nil || b >= ring/4 {
+		t.Fatalf("NewSolver: %d bytes (a ring is %d), err %v", b, ring, err)
+	}
+	plain, err := NewSolver(idealOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := func() int64 {
+		solve := func(s *Solver) int64 {
+			return allocBytes(func() {
+				if _, err := s.Solve(p); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return solve(traced) - solve(plain)
+	}
+	if b := extra(); b < ring {
+		t.Errorf("first traced problem allocates %d bytes over the untraced one, want at least the %d-byte ring", b, ring)
+	}
+	for i := 0; i < 2; i++ {
+		if b := extra(); b >= ring/4 {
+			t.Errorf("traced problem %d allocates %d bytes over the untraced one: the %d-byte ring was not kept", i+2, b, ring)
 		}
 	}
 }

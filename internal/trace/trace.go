@@ -9,11 +9,12 @@
 // energy.
 //
 // Records flow into a Sink. The in-memory Ring is the default and is safe
-// to use on the annotated hot paths: emitting into a pre-sized ring copies
-// a value struct and allocates nothing. JSONL and Metrics are the two
-// exporting sinks (file stream and Prometheus-text/expvar exposition);
-// they live behind the same interface so the solver core never touches
-// file or socket I/O directly (enforced by memlpvet's tracesink check).
+// to use on the annotated hot paths: emitting into a ring copies a value
+// struct and allocates nothing once the ring's first Reset has sized it.
+// JSONL and Metrics are the two exporting sinks (file stream and
+// Prometheus-text/expvar exposition); they live behind the same interface
+// so the solver core never touches file or socket I/O directly (enforced
+// by memlpvet's tracesink check).
 package trace
 
 // Event values carried by Record.Event.
@@ -153,26 +154,34 @@ func (m Multi) Emit(rec Record) {
 const DefaultCapacity = 1024
 
 // Ring is a bounded in-memory sink. When full it overwrites the oldest
-// records, so the tail of a pathological run is always retained.
+// records, so the tail of a pathological run is always retained. Its buffer
+// is allocated on first use, so a handle that never records holds none.
 type Ring struct {
-	buf  []Record
-	next int
-	n    int
+	buf      []Record
+	capacity int
+	next     int
+	n        int
 }
 
 // NewRing returns a ring holding up to capacity records
-// (DefaultCapacity if capacity <= 0).
+// (DefaultCapacity if capacity <= 0). The buffer is allocated by the first
+// Reset, which every recorder calls before a problem's first Emit.
 func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Ring{buf: make([]Record, capacity)}
+	return &Ring{capacity: capacity}
 }
 
-// Emit implements Sink. It copies rec into the pre-sized buffer.
+// Emit implements Sink. It copies rec into the buffer, allocating nothing
+// once the ring has been Reset; a ring emitted into before any Reset
+// allocates its buffer then.
 //
 //memlp:hotpath
 func (r *Ring) Emit(rec Record) {
+	if r.buf == nil {
+		r.Reset()
+	}
 	r.buf[r.next] = rec
 	r.next++
 	if r.next == len(r.buf) {
@@ -183,10 +192,12 @@ func (r *Ring) Emit(rec Record) {
 	}
 }
 
-// Reset discards all buffered records, keeping the buffer.
-//
-//memlp:hotpath
+// Reset discards all buffered records, keeping the buffer; the first Reset
+// allocates it.
 func (r *Ring) Reset() {
+	if r.buf == nil {
+		r.buf = make([]Record, r.capacity)
+	}
 	r.next = 0
 	r.n = 0
 }

@@ -67,6 +67,10 @@ func TestRingWrapKeepsTail(t *testing.T) {
 
 func TestRingDefaultCapacity(t *testing.T) {
 	r := NewRing(0)
+	if r.buf != nil {
+		t.Fatalf("NewRing allocated %d records before the first Reset", len(r.buf))
+	}
+	r.Reset()
 	if got := len(r.buf); got != DefaultCapacity {
 		t.Fatalf("capacity = %d, want %d", got, DefaultCapacity)
 	}
@@ -74,6 +78,7 @@ func TestRingDefaultCapacity(t *testing.T) {
 
 func TestRingEmitAllocs(t *testing.T) {
 	r := NewRing(16)
+	r.Reset()
 	rec := sampleRecord(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		r.Emit(rec)
