@@ -87,7 +87,12 @@ func (x *Crossbar) realizeWrite(i, j int, tq float64, attempt int) float64 {
 	if tq == 0 {
 		return 0
 	}
-	shrink := math.Exp2(-float64(attempt))
+	// shrink is 2^−attempt exactly; open-loop writes, the common case,
+	// skip computing it.
+	shrink := 1.0
+	if attempt > 0 {
+		shrink = math.Ldexp(1, -attempt)
+	}
 	g := tq
 	if x.deviceFactor != nil {
 		g *= 1 + (x.deviceFactor.At(i, j)-1)*shrink
