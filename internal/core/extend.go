@@ -114,11 +114,8 @@ func newExtendedInto(prev *extended, p *lp.Problem, x, y, w, z linalg.Vector) (*
 	for j := 0; j < n; j++ {
 		mtx.Set(e.rowAT(j), e.colV(j), 1)
 	}
-	// r3/r4: complementarity diagonals, refreshed every iteration. Every
-	// cell a refresh can write is marked first, so the pattern scanned
-	// below covers cells the first fill leaves at zero (an NT block entry,
-	// the off side of a sign-split pair) as well.
-	e.markDiagCells()
+	// r3/r4 hold the complementarity diagonals, which fillDiagRows below
+	// and every iteration's refresh write.
 	// r5: Δw + Δu = 0.
 	for i := 0; i < m; i++ {
 		r := e.rowR5(i)
@@ -132,7 +129,7 @@ func newExtendedInto(prev *extended, p *lp.Problem, x, y, w, z linalg.Vector) (*
 		mtx.Set(r, e.colV(i), 1)
 	}
 
-	e.pat.Scan(mtx)
+	e.buildPattern(p.A)
 	e.fillDiagRows(x, y, w, z)
 
 	if !mtx.AllNonNegative() {
@@ -141,31 +138,105 @@ func newExtendedInto(prev *extended, p *lp.Problem, x, y, w, z linalg.Vector) (*
 	return e, nil
 }
 
-// markDiagCells sets every r3/r4 cell fillDiagRows can write to 1: the
-// scalar x/z and y/w cells, and for each SOC row both sides of every
-// sign-split pair of its NT block.
-func (e *extended) markDiagCells() {
-	for i := 0; i < e.n; i++ {
-		r := e.rowR3(i)
-		e.matrix.Set(r, e.colX(i), 1)
-		e.matrix.Set(r, e.colZ(i), 1)
-	}
-	for i := 0; i < e.m; i++ {
-		if !e.cones.InCone(i) {
-			r := e.rowR4(i)
-			e.matrix.Set(r, e.colY(i), 1)
-			e.matrix.Set(r, e.colW(i), 1)
+// buildPattern emits pat row by row, each row's columns ascending: the
+// sign split's cells of A's non-zero entries (an explicit zero writes no
+// cell), the identity and consistency cells, and every r3/r4 cell
+// fillDiagRows can write, both sides of each conic sign-split pair
+// included.
+func (e *extended) buildPattern(a *linalg.Matrix) {
+	n, m := e.n, e.m
+	// The exact cell count, so a same-shaped rebuild reuses pat's storage.
+	cells := 5*m + 5*n + 2*e.q
+	for i := 0; i < m; i++ {
+		for _, v := range a.RawRow(i) {
+			if v != 0 {
+				cells += 2
+			}
 		}
 	}
 	for _, blk := range e.cones.Blocks {
-		for i := blk.Start; i < blk.Start+blk.Dim; i++ {
-			r := e.rowR4(i)
-			for k := blk.Start; k < blk.Start+blk.Dim; k++ {
-				e.matrix.Set(r, e.colY(k), 1)
-				e.matrix.Set(r, e.colP(e.pOfY[k]), 1)
-				e.matrix.Set(r, e.colW(k), 1)
-				e.matrix.Set(r, e.colU(k), 1)
+		cells += 4*blk.Dim*blk.Dim - 2*blk.Dim
+	}
+	p := &e.pat
+	p.Start(e.size, cells)
+	pair := func(row, c1, c2 int) {
+		p.Add(c1)
+		p.Add(c2)
+		p.EndRow(row)
+	}
+	// r1: A′ on Δx, I on Δw, A″ on the x-mirrors.
+	for i := 0; i < m; i++ {
+		row := a.RawRow(i)
+		for j, v := range row {
+			if v > 0 {
+				p.Add(e.colX(j))
 			}
+		}
+		p.Add(e.colW(i))
+		for j, v := range row {
+			if v < 0 {
+				p.Add(e.colP(e.pOfX[j]))
+			}
+		}
+		p.EndRow(e.rowA(i))
+	}
+	// r2: Aᵀ′ on Δy, I on Δv, Aᵀ″ on the y-mirrors.
+	for j := 0; j < n; j++ {
+		for i := 0; i < m; i++ {
+			if a.At(i, j) > 0 {
+				p.Add(e.colY(i))
+			}
+		}
+		p.Add(e.colV(j))
+		for i := 0; i < m; i++ {
+			if a.At(i, j) < 0 {
+				p.Add(e.colP(e.pOfY[i]))
+			}
+		}
+		p.EndRow(e.rowAT(j))
+	}
+	for i := 0; i < n; i++ {
+		pair(e.rowR3(i), e.colX(i), e.colZ(i))
+	}
+	// r4: W·Δy + Y·Δw on an orthant row; an SOC row holds its block's NT
+	// cells on Δy, Δw, Δu and the y-mirrors. The blocks are ordered and
+	// disjoint, so blocks[0] is dropped at the first row of the next one.
+	blocks := e.cones.Blocks
+	for i := 0; i < m; i++ {
+		if !e.cones.InCone(i) {
+			pair(e.rowR4(i), e.colY(i), e.colW(i))
+			continue
+		}
+		if i >= blocks[0].Start+blocks[0].Dim {
+			blocks = blocks[1:]
+		}
+		lo, hi := blocks[0].Start, blocks[0].Start+blocks[0].Dim
+		for _, col0 := range [...]int{e.colY(0), e.colW(0), e.colU(0)} {
+			for k := lo; k < hi; k++ {
+				p.Add(col0 + k)
+			}
+		}
+		for k := lo; k < hi; k++ {
+			p.Add(e.colP(e.pOfY[k]))
+		}
+		p.EndRow(e.rowR4(i))
+	}
+	for i := 0; i < m; i++ {
+		pair(e.rowR5(i), e.colW(i), e.colU(i))
+	}
+	for j := 0; j < n; j++ {
+		pair(e.rowR6(j), e.colZ(j), e.colV(j))
+	}
+	// r7: the x-mirrors are numbered before the y-mirrors, so this walks
+	// the consistency rows in order.
+	for j, k := range e.pOfX {
+		if k >= 0 {
+			pair(e.rowP(k), e.colX(j), e.colP(k))
+		}
+	}
+	for i, k := range e.pOfY {
+		if k >= 0 {
+			pair(e.rowP(k), e.colY(i), e.colP(k))
 		}
 	}
 }
