@@ -101,10 +101,17 @@ func DualityGap(x, z, y, w linalg.Vector) float64 {
 // paper's relaxed α-check from §3.2, with α = 1+tol) and x ≥ −tol. For
 // orthant rows the check is the classic A·x ≤ b + tol·(1+|b|); for
 // second-order cone blocks the slack s = b − A·x must satisfy
-// ‖s̄‖ − s₀ ≤ tol·(1+‖s̄‖).
+// ‖s̄‖ − s₀ ≤ tol·(1+‖s̄‖). A NaN, infinite or negative tol is an
+// ErrInvalid error; a point with a NaN or ±Inf entry is infeasible.
 func (p *Problem) IsFeasible(x linalg.Vector, tol float64) (bool, error) {
+	if !(tol >= 0 && tol <= math.MaxFloat64) {
+		return false, fmt.Errorf("%w: feasibility tolerance %v not finite and non-negative", ErrInvalid, tol)
+	}
 	if len(x) != p.NumVariables() {
 		return false, fmt.Errorf("%w: point has %d elements for %d variables", ErrInvalid, len(x), p.NumVariables())
+	}
+	if !x.AllFinite() {
+		return false, nil
 	}
 	for _, xi := range x {
 		if xi < -tol {

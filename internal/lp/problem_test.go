@@ -102,6 +102,45 @@ func TestIsFeasible(t *testing.T) {
 	}
 }
 
+// TestIsFeasibleNonFinite: a tolerance that is NaN, infinite or negative
+// is an error, and a point with a non-finite entry is infeasible however
+// loose the tolerance, on orthant and cone rows alike.
+func TestIsFeasibleNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	diet, soc := tinyLP(t), socpFixture(t)
+	tests := []struct {
+		name    string
+		p       *Problem
+		x       linalg.Vector
+		tol     float64
+		wantErr bool
+	}{
+		{"NaN tolerance", diet, linalg.VectorOf(100, 100), nan, true},
+		{"+Inf tolerance", diet, linalg.VectorOf(100, 100), inf, true},
+		{"-Inf tolerance", diet, linalg.VectorOf(0, 0), -inf, true},
+		{"negative tolerance", diet, linalg.VectorOf(0, 0), -1, true},
+		{"NaN point", diet, linalg.VectorOf(nan, nan), 0, false},
+		{"NaN entry", diet, linalg.VectorOf(1, nan), 1e-9, false},
+		{"+Inf entry", diet, linalg.VectorOf(inf, 0), math.MaxFloat64, false},
+		{"-Inf entry", diet, linalg.VectorOf(0, -inf), math.MaxFloat64, false},
+		{"NaN point on a cone", soc, linalg.VectorOf(nan, 1), 1e-9, false},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			ok, err := tc.p.IsFeasible(tc.x, tc.tol)
+			if tc.wantErr {
+				if !errors.Is(err, ErrInvalid) {
+					t.Errorf("IsFeasible(%v, %v) = %v, %v; want ErrInvalid", tc.x, tc.tol, ok, err)
+				}
+				return
+			}
+			if err != nil || ok {
+				t.Errorf("IsFeasible(%v, %v) = %v, %v; want infeasible", tc.x, tc.tol, ok, err)
+			}
+		})
+	}
+}
+
 func TestDualShape(t *testing.T) {
 	p := tinyLP(t)
 	d := p.Dual()

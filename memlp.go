@@ -165,8 +165,10 @@ func (p *Problem) Objective(x []float64) (float64, error) {
 	return p.inner.Objective(linalg.Vector(x))
 }
 
-// IsFeasible reports whether x satisfies A·x ≤ b·(1+tol) and x ≥ −tol — the
-// paper's relaxed α-check with α = 1+tol.
+// IsFeasible reports whether x satisfies A·x ≤ b + tol·(1+|b|) row by row
+// (a second-order cone block within tol·(1+‖s̄‖)) and x ≥ −tol — the
+// paper's relaxed α-check with α = 1+tol. A NaN, infinite or negative tol
+// is an ErrInvalid error; a point with a NaN or ±Inf entry is infeasible.
 func (p *Problem) IsFeasible(x []float64, tol float64) (bool, error) {
 	return p.inner.IsFeasible(linalg.Vector(x), tol)
 }
