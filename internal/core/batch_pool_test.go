@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -242,5 +243,48 @@ func TestSolveBatchPooledCancelShape(t *testing.T) {
 		if !last && res.Status == lp.StatusCanceled {
 			t.Errorf("result %d: canceled partial before the end of the prefix", i)
 		}
+	}
+}
+
+// panicFabric is a crossbar whose settle panics while the pool solves
+// problem panicOn; the shard names each problem through SetNoiseEpoch.
+type panicFabric struct {
+	*crossbar.Crossbar
+	problem, panicOn int64
+}
+
+func (f *panicFabric) SetNoiseEpoch(epoch int64) {
+	f.problem = epoch
+	f.Crossbar.SetNoiseEpoch(epoch)
+}
+
+func (f *panicFabric) Solve(b linalg.Vector) (linalg.Vector, error) {
+	if f.problem == f.panicOn {
+		panic("settle failed")
+	}
+	return f.Crossbar.Solve(b)
+}
+
+// TestSolveBatchRecoversShardPanic checks that a panic while one member
+// solves on a pool shard costs the batch an error naming that problem, not
+// the process: no caller can recover a panic on a shard's goroutine.
+func TestSolveBatchRecoversShardPanic(t *testing.T) {
+	s, err := NewSolver(Options{
+		Fabric:      SingleCrossbarFactory(crossbar.Config{}),
+		Parallelism: 2,
+		ReplicaFabric: func(size int) (Fabric, error) {
+			xb, err := crossbar.New(crossbar.Config{Size: size})
+			return &panicFabric{Crossbar: xb, problem: -1, panicOn: 3}, err
+		},
+	})
+	if err != nil {
+		t.Fatalf("NewSolver: %v", err)
+	}
+	results, err := s.SolveBatch(batchProblems(t, 4))
+	if err == nil || !strings.HasPrefix(err.Error(), "problem 3: ") || !strings.Contains(err.Error(), "settle failed") {
+		t.Fatalf("SolveBatch: results %d, err %v; want problem 3's panic as the error", len(results), err)
+	}
+	if results != nil {
+		t.Errorf("SolveBatch returned %d results beside a hard error", len(results))
 	}
 }

@@ -113,9 +113,9 @@ type BatchStats struct {
 	// Replicas is the pool width: how many fabric replicas were built and
 	// programmed. The one-time programming cost scales with it.
 	Replicas int
-	// ShardSolves[r] counts the problems shard r completed. Scheduling is
-	// load-balanced and nondeterministic, so the split varies run to run even
-	// though every result is bit-identical.
+	// ShardSolves[r] counts the problems shard r completed. Shard r is dealt
+	// problems r, r+Replicas, r+2·Replicas, …, so on a batch that runs to
+	// completion the split is fixed by the batch size and the width.
 	ShardSolves []int
 	// ShardBusy[r] is the wall time shard r spent solving; divide by the
 	// batch wall time for that shard's utilization.
