@@ -19,14 +19,12 @@ func solveEq12(t *testing.T, p *lp.Problem, x, y, w, z linalg.Vector, mu float64
 	n, m := p.NumVariables(), p.NumConstraints()
 	size := 2 * (n + m)
 	big := linalg.NewMatrix(size, size)
-	if err := big.SetSubmatrix(0, 0, p.A); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < m; i++ {
+		for j, v := range p.A.RawRow(i) {
+			big.Set(i, j, v)
+			big.Set(m+j, n+i, v)
+		}
 		big.Set(i, n+m+i, 1)
-	}
-	if err := big.SetSubmatrix(m, n, p.A.Transpose()); err != nil {
-		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
 		big.Set(m+i, n+2*m+i, -1)

@@ -41,9 +41,11 @@ type Fabric interface {
 	UpdateCellInPlace(i, j int, value float64) error
 	// MatVecResidual computes base − factor∘(programmedMatrix·v) with the
 	// subtraction in the analog domain (summing amplifiers), so only the
-	// residual passes the ADC. factor nil means all ones.
+	// residual passes the ADC. factor nil means all ones. The result is
+	// fabric-owned scratch, valid until the next MatVecResidual call.
 	MatVecResidual(base, v, factor linalg.Vector) (linalg.Vector, error)
-	// Solve solves programmedMatrix · x = b in the analog domain.
+	// Solve solves programmedMatrix · x = b in the analog domain. The
+	// result is fabric-owned scratch, valid until the next Solve call.
 	Solve(b linalg.Vector) (linalg.Vector, error)
 	// Counters reports cumulative operation counts for cost estimation.
 	Counters() crossbar.Counters

@@ -75,7 +75,8 @@ func (f *idealFabric) Solve(b linalg.Vector) (linalg.Vector, error) {
 		return nil, crossbar.ErrNotProgrammed
 	}
 	f.counters.SolveOps++
-	out, err := linalg.SolveStructured(f.matrix, b)
+	var w linalg.StructuredWorkspace
+	out, err := w.Solve(f.matrix, b)
 	if err != nil {
 		return nil, crossbar.ErrSingular
 	}

@@ -1089,31 +1089,27 @@ func (x *Crossbar) Solve(b linalg.Vector) (linalg.Vector, error) {
 	return vi, nil
 }
 
-// EffectiveMatrix reconstructs, in user units, the matrix the array actually
-// realizes after write quantization and process variation:
-// A' = scale · C' with C'₍ᵢ,ⱼ₎ = g'₍ᵢ,ⱼ₎/(gs + S'ᵢ). With the post-program
-// row-sum calibration used by Solve, the analog solve direction realizes the
-// same matrix, so the NoC layer uses this to simulate a composed
-// (multi-tile) analog solve.
-func (x *Crossbar) EffectiveMatrix() (*linalg.Matrix, error) {
-	if x.target == nil {
-		return nil, ErrNotProgrammed
-	}
+// EffectiveRow writes row i of the matrix the array realizes, in user
+// units, into dst at columns c0+j, and adds those columns to p in ascending
+// order: A'₍ᵢ,ⱼ₎ = rowScaleᵢ·g'₍ᵢ,ⱼ₎/(gs + S'ᵢ), where g' is the cell's
+// conductance after write quantization, variation, drift and IR drop, and
+// S'ᵢ the row's total. With the post-program row calibration Solve uses, an
+// analog settle realizes the same matrix, so the NoC layer composes its
+// tiles' rows into one network to simulate a multi-tile settle. Only the
+// row's pattern cells are written: every other cell realizes an exact zero,
+// which adds nothing to the row's total. The array must be programmed.
+func (x *Crossbar) EffectiveRow(i int, dst linalg.Vector, c0 int, p *linalg.Pattern) {
 	const gs = senseConductance
-	out := linalg.NewMatrix(x.rows, x.cols)
-	for i := 0; i < x.rows; i++ {
-		grow := x.gt.RawRow(i)
-		var s float64
-		for j, g := range grow {
-			s += x.effG(i, j, g)
-		}
-		coef := x.rowScale[i] / (gs + s)
-		orow := out.RawRow(i)
-		for j, g := range grow {
-			orow[j] = x.effG(i, j, g) * coef
-		}
+	grow, cols := x.gt.RawRow(i), x.pattern().Row(i)
+	var s float64
+	for _, j := range cols {
+		s += x.effG(i, int(j), grow[j])
 	}
-	return out, nil
+	coef := x.rowScale[i] / (gs + s)
+	for _, j := range cols {
+		dst[c0+int(j)] = x.effG(i, int(j), grow[j]) * coef
+		p.Add(c0 + int(j))
+	}
 }
 
 // ToAnalog is the DAC step of MatVec and Solve: it normalizes v to the

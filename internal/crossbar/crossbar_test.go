@@ -399,26 +399,15 @@ func TestLowPrecisionIOIntroducesBoundedError(t *testing.T) {
 	}
 }
 
-func TestEffectiveMatrixCloseToTarget(t *testing.T) {
+func TestEffectiveRowCloseToTarget(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	x := mustNew(t, idealConfig(16))
 	a := randomNonNegMatrix(r, 6)
 	if err := x.Program(a); err != nil {
 		t.Fatalf("Program: %v", err)
 	}
-	eff, err := x.EffectiveMatrix()
-	if err != nil {
-		t.Fatalf("EffectiveMatrix: %v", err)
-	}
-	if !eff.Equal(a, 0.05) {
+	if eff := effectiveMatrix(x); !eff.Equal(a, 0.05) {
 		t.Errorf("effective matrix far from target:\n%v\nvs\n%v", eff, a)
-	}
-}
-
-func TestEffectiveMatrixUnprogrammed(t *testing.T) {
-	x := mustNew(t, idealConfig(4))
-	if _, err := x.EffectiveMatrix(); !errors.Is(err, ErrNotProgrammed) {
-		t.Errorf("EffectiveMatrix: %v", err)
 	}
 }
 

@@ -115,7 +115,8 @@ func denseSolve(t *testing.T, x *Crossbar, b linalg.Vector) (linalg.Vector, erro
 	for i := range vo {
 		vo[i] *= gs
 	}
-	vi, err := linalg.SolveStructured(net, vo)
+	var ws linalg.StructuredWorkspace
+	vi, err := ws.Solve(net, vo)
 	if err != nil {
 		return nil, err
 	}
@@ -612,4 +613,103 @@ func FuzzQuantizeIO(f *testing.F) {
 			t.Fatalf("quantizeIO(%v) at %d bits = %v, want a finite value", e, x.cfg.IOBits, got)
 		}
 	})
+}
+
+// denseEffectiveMatrix is the matrix x realizes, by a walk over every cell
+// of the mapped region, as the array computed it before it walked its
+// pattern.
+func denseEffectiveMatrix(x *Crossbar) *linalg.Matrix {
+	out := linalg.NewMatrix(x.rows, x.cols)
+	for i := 0; i < x.rows; i++ {
+		grow := x.gt.RawRow(i)
+		var s float64
+		for j, g := range grow {
+			s += x.effG(i, j, g)
+		}
+		coef := x.rowScale[i] / (senseConductance + s)
+		for j, g := range grow {
+			out.Set(i, j, x.effG(i, j, g)*coef)
+		}
+	}
+	return out
+}
+
+// TestEffectiveRowMatchesDense holds EffectiveRow to the dense walk bit for
+// bit, under wire resistance, drift and stuck cells, as refreshes and
+// settles move the array on. Each row goes into a wider row at an offset:
+// EffectiveRow must write exactly the pattern columns it adds, ascending and
+// inside the offset span, and every cell it leaves out must be an exact
+// zero of the dense walk.
+func TestEffectiveRowMatchesDense(t *testing.T) {
+	vm, err := variation.NewPaperModel(0.05, 7)
+	if err != nil {
+		t.Fatalf("NewPaperModel: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"ideal", idealConfig(40)},
+		{"variation-wire-resistance", Config{Size: 40, Variation: vm, WireResistance: 2}},
+		{"variation-stuck-cells-drift", Config{Size: 40, Variation: vm,
+			Faults: &memristor.FaultModel{StuckOnDensity: 0.03, StuckOffDensity: 0.03, DriftPerCycle: 0.01, Seed: 5}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n, c0 = 30, 5
+			r := rand.New(rand.NewSource(3))
+			x := mustNew(t, tc.cfg)
+			if err := x.Program(randomSparseNonNegMatrix(r, n, 0.1)); err != nil {
+				t.Fatalf("Program: %v", err)
+			}
+			dst := make(linalg.Vector, c0+n+3)
+			var p linalg.Pattern
+			for step := 0; step < 8; step++ {
+				want := denseEffectiveMatrix(x)
+				p.Start(n, 0)
+				for i := 0; i < n; i++ {
+					dst.Fill(math.NaN())
+					x.EffectiveRow(i, dst, c0, &p)
+					p.EndRow(i)
+					cols := p.Row(i)
+					k := 0
+					for j := 0; j < n; j++ {
+						if k < len(cols) && int(cols[k]) == c0+j {
+							k++
+							if !linalg.Identical(dst[c0+j], want.At(i, j)) {
+								t.Fatalf("step %d: (%d,%d) = %v, dense %v", step, i, j, dst[c0+j], want.At(i, j))
+							}
+						} else if want.At(i, j) != 0 || !math.IsNaN(dst[c0+j]) {
+							t.Fatalf("step %d: (%d,%d) left out of the pattern holds %v, dense %v", step, i, j, dst[c0+j], want.At(i, j))
+						}
+					}
+					if k != len(cols) {
+						t.Fatalf("step %d: row %d pattern %v is not ascending inside [%d, %d)", step, i, cols, c0, c0+n)
+					}
+					for _, j := range []int{0, c0 - 1, c0 + n, len(dst) - 1} {
+						if !math.IsNaN(dst[j]) {
+							t.Fatalf("step %d: row %d wrote column %d outside its span", step, i, j)
+						}
+					}
+				}
+				// Move the array on: refresh a row, then settle, which
+				// advances the drift clock.
+				row := make(linalg.Vector, n)
+				i := r.Intn(n)
+				for j := range row {
+					if r.Float64() < 0.1 {
+						row[j] = r.Float64() * 4
+					}
+				}
+				row[i] += 8
+				if err := x.UpdateRow(i, row); err != nil {
+					t.Fatalf("UpdateRow: %v", err)
+				}
+				b := make(linalg.Vector, n)
+				b.Fill(1)
+				if _, err := x.Solve(b); err != nil {
+					t.Fatalf("Solve: %v", err)
+				}
+			}
+		})
+	}
 }

@@ -184,19 +184,6 @@ func (m *Matrix) Scale(alpha float64) *Matrix {
 	return out
 }
 
-// SetSubmatrix copies src into m with its top-left corner at (row, col).
-func (m *Matrix) SetSubmatrix(row, col int, src *Matrix) error {
-	if row < 0 || col < 0 || row+src.rows > m.rows || col+src.cols > m.cols {
-		return fmt.Errorf("%w: submatrix %dx%d at (%d,%d) into %dx%d",
-			ErrDimensionMismatch, src.rows, src.cols, row, col, m.rows, m.cols)
-	}
-	for i := 0; i < src.rows; i++ {
-		copy(m.data[(row+i)*m.cols+col:(row+i)*m.cols+col+src.cols],
-			src.data[i*src.cols:(i+1)*src.cols])
-	}
-	return nil
-}
-
 // AllNonNegative reports whether every element is ≥ 0.
 func (m *Matrix) AllNonNegative() bool {
 	for _, x := range m.data {

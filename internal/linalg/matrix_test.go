@@ -122,32 +122,6 @@ func TestAddSubScale(t *testing.T) {
 	}
 }
 
-func TestSubmatrixRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	m := randomMatrix(r, 6, 6)
-	block := randomMatrix(r, 2, 3)
-	if err := m.SetSubmatrix(2, 1, block); err != nil {
-		t.Fatalf("SetSubmatrix: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			if got, want := m.At(2+i, 1+j), block.At(i, j); !Identical(got, want) {
-				t.Errorf("m[%d][%d] = %v, want block[%d][%d] = %v", 2+i, 1+j, got, i, j, want)
-			}
-		}
-	}
-}
-
-func TestSubmatrixBounds(t *testing.T) {
-	m := NewMatrix(3, 3)
-	if err := m.SetSubmatrix(2, 2, NewMatrix(2, 2)); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("SetSubmatrix overflow: got %v", err)
-	}
-	if err := m.SetSubmatrix(-1, 0, NewMatrix(1, 1)); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("SetSubmatrix negative: got %v", err)
-	}
-}
-
 func TestRowColCopies(t *testing.T) {
 	m := mustMatrix(t, [][]float64{{1, 2}, {3, 4}})
 	m.Clone().RawRow(0)[0] = 99

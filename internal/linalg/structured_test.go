@@ -9,6 +9,12 @@ import (
 	"testing/quick"
 )
 
+// solveStructured solves a·x = b on a fresh workspace.
+func solveStructured(a *Matrix, b Vector) (Vector, error) {
+	var w StructuredWorkspace
+	return w.Solve(a, b)
+}
+
 func TestSolveStructuredMatchesDenseOnRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 10; trial++ {
@@ -22,9 +28,9 @@ func TestSolveStructuredMatchesDenseOnRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SolveDense: %v", err)
 		}
-		got, err := SolveStructured(a, b)
+		got, err := solveStructured(a, b)
 		if err != nil {
-			t.Fatalf("SolveStructured: %v", err)
+			t.Fatalf("Solve: %v", err)
 		}
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-8*(1+math.Abs(want[i])) {
@@ -75,9 +81,9 @@ func TestSolveStructuredPDIPShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SolveDense: %v", err)
 	}
-	got, err := SolveStructured(a, b)
+	got, err := solveStructured(a, b)
 	if err != nil {
-		t.Fatalf("SolveStructured: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-7*(1+math.Abs(want[i])) {
@@ -89,9 +95,9 @@ func TestSolveStructuredPDIPShape(t *testing.T) {
 func TestSolveStructuredDiagonal(t *testing.T) {
 	// Pure diagonal systems are fully handled by the presolve (no core).
 	d := mustMatrix(t, [][]float64{{2, 0, 0}, {0, 4, 0}, {0, 0, 8}})
-	got, err := SolveStructured(d, VectorOf(2, 4, 8))
+	got, err := solveStructured(d, VectorOf(2, 4, 8))
 	if err != nil {
-		t.Fatalf("SolveStructured: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	for i := range got {
 		if math.Abs(got[i]-1) > 1e-12 {
@@ -102,28 +108,28 @@ func TestSolveStructuredDiagonal(t *testing.T) {
 
 func TestSolveStructuredSingular(t *testing.T) {
 	a := mustMatrix(t, [][]float64{{1, 2}, {2, 4}})
-	if _, err := SolveStructured(a, VectorOf(1, 1)); !errors.Is(err, ErrSingular) {
+	if _, err := solveStructured(a, VectorOf(1, 1)); !errors.Is(err, ErrSingular) {
 		t.Errorf("singular: %v, want ErrSingular", err)
 	}
 	zero := NewMatrix(3, 3)
-	if _, err := SolveStructured(zero, VectorOf(1, 1, 1)); !errors.Is(err, ErrSingular) {
+	if _, err := solveStructured(zero, VectorOf(1, 1, 1)); !errors.Is(err, ErrSingular) {
 		t.Errorf("zero matrix: %v, want ErrSingular", err)
 	}
 }
 
 func TestSolveStructuredValidation(t *testing.T) {
-	if _, err := SolveStructured(NewMatrix(2, 3), VectorOf(1, 1)); !errors.Is(err, ErrNotSquare) {
+	if _, err := solveStructured(NewMatrix(2, 3), VectorOf(1, 1)); !errors.Is(err, ErrNotSquare) {
 		t.Errorf("non-square: %v", err)
 	}
-	if _, err := SolveStructured(identity(3), VectorOf(1, 1)); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := solveStructured(identity(3), VectorOf(1, 1)); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("bad rhs: %v", err)
 	}
 }
 
 func TestSolveStructuredIdentity(t *testing.T) {
-	got, err := SolveStructured(identity(5), VectorOf(1, 2, 3, 4, 5))
+	got, err := solveStructured(identity(5), VectorOf(1, 2, 3, 4, 5))
 	if err != nil {
-		t.Fatalf("SolveStructured: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	for i := range got {
 		if got[i] != float64(i+1) {
@@ -140,9 +146,9 @@ func TestSolveStructuredPermutation(t *testing.T) {
 	p.Set(2, 3, 1)
 	p.Set(3, 1, 1)
 	b := VectorOf(10, 20, 30, 40)
-	got, err := SolveStructured(p, b)
+	got, err := solveStructured(p, b)
 	if err != nil {
-		t.Fatalf("SolveStructured: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	want := VectorOf(20, 40, 10, 30)
 	for i := range want {
@@ -168,7 +174,7 @@ func TestPropertyStructuredEqualsDense(t *testing.T) {
 		}
 		b := randomVec(r, n)
 		want, err1 := SolveDense(a, b)
-		got, err2 := SolveStructured(a, b)
+		got, err2 := solveStructured(a, b)
 		if err1 != nil || err2 != nil {
 			return errors.Is(err2, ErrSingular) == errors.Is(err1, ErrSingular)
 		}
@@ -242,7 +248,7 @@ func BenchmarkSolveStructuredPDIPShape(b *testing.B) {
 	a, rhs := buildPDIPLikeMatrix(r, 60, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveStructured(a, rhs); err != nil {
+		if _, err := solveStructured(a, rhs); err != nil {
 			b.Fatal(err)
 		}
 	}
